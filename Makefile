@@ -5,7 +5,7 @@
 DUNE ?= dune
 LINT := $(DUNE) exec --no-build bin/cmldft.exe -- lint
 
-.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke watch-smoke explain-smoke fixtures check perf clean
+.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke fixtures check perf clean
 
 all: build
 
@@ -98,6 +98,29 @@ compile-smoke: build
 	  echo "compile-smoke: FAILED time budget (>= 5000 ms)"; exit 1; \
 	fi
 
+# End-to-end smoke of the Monte-Carlo path at the paper's N = 45
+# sharing limit: run 20 samples on two domains with a manifest, render
+# it with `cmldft report`, and check that the samples adopted the
+# nominal sims' symbolic LU analysis and that the 150-unknown Jacobian
+# was ordered amd.  Budgeted at five seconds.
+mc-smoke: build
+	@start=$$(date +%s%N); \
+	dir=$$(mktemp -d); \
+	$(DUNE) exec --no-build bin/cmldft.exe -- mc -g 45 -s 20 --jobs 2 \
+	  --manifest $$dir/mc.json >/dev/null || { rm -rf $$dir; exit 1; }; \
+	$(DUNE) exec --no-build bin/cmldft.exe -- report $$dir/mc.json >/dev/null \
+	  || { rm -rf $$dir; exit 1; }; \
+	for m in solver.shared_symbolic solver.ordering.amd; do \
+	  grep -q "\"$$m\"" $$dir/mc.json || \
+	    { echo "mc-smoke: FAILED (no $$m in the manifest metrics)"; rm -rf $$dir; exit 1; }; \
+	done; \
+	rm -rf $$dir; \
+	elapsed_ms=$$((($$(date +%s%N) - start) / 1000000)); \
+	echo "mc-smoke: OK ($${elapsed_ms} ms)"; \
+	if [ $$elapsed_ms -ge 5000 ]; then \
+	  echo "mc-smoke: FAILED time budget (>= 5000 ms)"; exit 1; \
+	fi
+
 # End-to-end smoke of the run observatory: stream a small campaign's
 # events to a JSONL file alongside its manifest, replay the stream
 # with `cmldft watch --once`, feed the manifest to `cmldft report`
@@ -159,7 +182,7 @@ PERF_JOBS ?= 4
 perf: build
 	$(DUNE) exec bench/main.exe -- perf --jobs $(PERF_JOBS) --json BENCH_spice.json --check
 
-check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke watch-smoke explain-smoke telemetry-overhead
+check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke telemetry-overhead
 ifeq ($(CHECK_PERF),1)
 	$(MAKE) perf
 endif

@@ -55,6 +55,33 @@ let c432 =
      List.iter (fun (i, j, v) -> Cml_numerics.Sparse.add tr i j v) g;
      (net, Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress tr), n))
 
+(* One Monte-Carlo sample pair on the paper's N = 45 sharing block, as
+   [Montecarlo.run] does it after the nominal solves: perturb, compile,
+   adopt the nominal sim's symbolic LU analysis and warm-start the DC
+   solve, for the fault-free and the faulty netlist.  The nominal sims
+   are built once; the perturbation seed is fixed so every run does
+   the same work. *)
+let mc_nominals =
+  lazy
+    (let built = Cml_dft.Sharing.build ~multi_emitter:true ~n:45 () in
+     let golden = built.Cml_dft.Sharing.builder.Cml_cells.Builder.net in
+     let faulty =
+       Cml_defects.Inject.apply golden (Cml_defects.Defect.Pipe { device = "x23.q3"; r = 4e3 })
+     in
+     let nominal net =
+       let sim = E.compile net in
+       (net, sim, E.dc_operating_point sim)
+     in
+     [ nominal golden; nominal faulty ])
+
+let mc_sample_pair nominals =
+  List.iter
+    (fun (net, donor, x0) ->
+      let sim = E.compile (Cml_defects.Variation.perturb ~seed:1 net) in
+      E.share_symbolic ~donor sim;
+      ignore (E.dc_from sim x0))
+    nominals
+
 let tests () =
   let open Bechamel in
   let a200 = sparse_system 200 in
@@ -66,6 +93,7 @@ let tests () =
   let c432_rhs = Array.init c432_n (fun i -> sin (float_of_int i)) in
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let chain_net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
+  let mc = Lazy.force mc_nominals in
   let wave =
     let times = Array.init 5000 (fun i -> float_of_int i *. 1e-11) in
     let values = Array.map (fun t -> 3.0 +. (0.25 *. sin (2.0 *. Float.pi *. 1e8 *. t))) times in
@@ -103,6 +131,8 @@ let tests () =
         Array.iter
           (function T.Lane_done _ -> () | T.Lane_failed _ | T.Lane_incompatible -> assert false)
           (T.run_batch lanes chain_net cfg)));
+    Test.make ~name:"Monte-Carlo sample pair (N=45, warm)" (Staged.stage (fun () ->
+        mc_sample_pair mc));
     Test.make ~name:"crossing detection (5k samples)" (Staged.stage (fun () ->
         ignore (Cml_wave.Measure.crossings wave ~level:3.0)));
   ]

@@ -43,20 +43,28 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let vtest_value = Detector.vtest_test proc in
   let lo, hi = Readout.thresholds Readout.default_config ~vtest:vtest_value in
   let decision = (lo +. hi) /. 2.0 in
-  (* the unperturbed operating points: process variation moves values,
-     not topology, so every perturbed sample's Newton solve can start
-     from its netlist's nominal solution ([dc_from] falls back to the
-     homotopy ladder when a sample strays too far) *)
+  (* the unperturbed sims and operating points: process variation
+     moves values, not topology, so every perturbed sample's Newton
+     solve can start from its netlist's nominal solution ([dc_from]
+     falls back to the homotopy ladder when a sample strays too far)
+     and adopt the nominal sim's symbolic LU analysis — one column
+     ordering per netlist for the whole run (an unstable pivot falls
+     back to a fresh factorization) *)
   let nominal net =
-    if warm_start then Some (E.dc_operating_point (E.compile net)) else None
+    if warm_start then
+      let sim = E.compile net in
+      Some (sim, E.dc_operating_point sim)
+    else None
   in
-  let x_good = nominal golden and x_bad = nominal faulty in
-  let measure net x_nom k =
+  let nom_good = nominal golden and nom_bad = nominal faulty in
+  let measure net nom k =
     let perturbed = Cml_defects.Variation.perturb ~spec ~seed:(seed + k) net in
     let sim = E.compile perturbed in
     let x =
-      match x_nom with
-      | Some x0 when Array.length x0 = E.unknown_count sim -> E.dc_from sim x0
+      match nom with
+      | Some (donor, x0) when Array.length x0 = E.unknown_count sim ->
+          E.share_symbolic ~donor sim;
+          E.dc_from sim x0
       | Some _ | None -> E.dc_operating_point sim
     in
     E.publish_metrics sim;
@@ -90,7 +98,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
            Tel.Progress.variant_start name;
            let tok = Tel.Trace.start () in
            let t0 = Tel.Clock.now_ns () in
-           let good = measure golden x_good k and bad = measure faulty x_bad k in
+           let good = measure golden nom_good k and bad = measure faulty nom_bad k in
            let seconds = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0) in
            Tel.Metrics.incr m_samples;
            Tel.Metrics.observe m_sample_seconds seconds;
@@ -170,4 +178,12 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   (match manifest with
   | None -> ()
   | Some path -> Tel.Manifest.write ~path (to_manifest ~seed ~options:run_options r));
+  (* Finish the major cycle before returning.  OCaml 5's major GC is
+     paced by allocation; with the shared symbolic analysis a run no
+     longer allocates a fresh set of LU arrays per sample, so the
+     major GC falls behind the per-sample garbage (perturbed netlists,
+     compiled sims) and back-to-back runs grow the heap — about 15%
+     peak RSS on the N = 45 run — although live data stays the same.
+     One collection per run costs far less than a sample. *)
+  Gc.full_major ();
   r

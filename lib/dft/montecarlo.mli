@@ -48,7 +48,12 @@ val run :
     Unless [warm_start] is [false], the unperturbed fault-free and
     faulty netlists are solved once and every sample's Newton starts
     from the matching nominal operating point, falling back to the
-    cold homotopies when a sample diverges.
+    cold homotopies when a sample diverges.  The samples also adopt
+    the nominal sims' symbolic LU analysis
+    ({!Cml_spice.Engine.share_symbolic}), so a run computes one column
+    ordering per netlist instead of one per sample.  The run ends
+    with one full major collection, which keeps the peak heap of
+    back-to-back runs flat.
 
     [manifest] writes a {!Cml_telemetry.Manifest} JSON document to the
     given path after the run. *)

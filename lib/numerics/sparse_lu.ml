@@ -99,14 +99,16 @@ let dfs r0 ~marked ~pinv ~l_colptr ~l_rowind ~xi ~rstack ~pstack top0 =
    min-degree order to beat the permutation bookkeeping it costs. *)
 let auto_ordering_min = 16
 
-(* Below this many strict-lower fill entries the numeric factorization
-   is microseconds-cheap whatever the order, so the min-degree
-   analysis would cost more than any reduction could pay back (on the
-   banded 200-unknown perf kernel it was 5x the whole factor+solve).
-   [Auto] prices the natural order first with the O(nnz + fill)
-   elimination-tree count and only runs the quotient-graph elimination
-   past this cutoff. *)
-let auto_fill_cutoff = 20_000
+(* The natural order is kept without pricing the min-degree analysis
+   while its strict-lower fill stays within this multiple of nnz(A):
+   the factor is then already about as sparse as the matrix, and the
+   quotient-graph elimination would cost more than any reduction could
+   pay back (on the banded 200-unknown perf kernel it was 5x the whole
+   factor+solve).  The cutoff is relative because an absolute one
+   misjudges small dense-ish systems: the N = 45 detector-sharing
+   Jacobian (150 unknowns, nnz 1351) fills 93% of its lower triangle
+   in natural order, and amd cuts its refactorization ~100x. *)
+let auto_fill_factor = 2
 
 let choose_ordering ordering (a : Sparse.csc) =
   let n = a.Sparse.n in
@@ -114,14 +116,15 @@ let choose_ordering ordering (a : Sparse.csc) =
   | Natural -> (Ordering.identity n, true, "natural")
   | Amd -> (Ordering.amd a, false, "amd")
   | Auto ->
+      let cutoff = auto_fill_factor * Sparse.nnz a in
       if n < auto_ordering_min then (Ordering.identity n, true, "natural")
-      else if Ordering.envelope_bound a <= auto_fill_cutoff then
+      else if Ordering.envelope_bound a <= cutoff then
         (* banded / near-banded: even the envelope bound says the
            factor stays small, one O(nnz) scan and we are done *)
         (Ordering.identity n, true, "natural")
       else begin
         let fn = Ordering.natural_fill a in
-        if fn <= auto_fill_cutoff then (Ordering.identity n, true, "natural")
+        if fn <= cutoff then (Ordering.identity n, true, "natural")
         else begin
           (* commit to whichever order the symbolic elimination says
              fills less; for the structurally symmetric patterns MNA

@@ -19,9 +19,11 @@ type ordering =
           against the natural one and keep whichever is smaller —
           never worse than [Natural] on structurally symmetric
           patterns (the default).  Prices the natural order first with
-          the cheap {!Ordering.natural_fill} count and skips the
-          min-degree analysis when the natural factor is already small
-          enough that ordering cannot pay for itself. *)
+          the cheap {!Ordering.envelope_bound} and
+          {!Ordering.natural_fill} counts and skips the min-degree
+          analysis when the natural factor's strict-lower fill is at
+          most [2 * nnz(A)], where ordering cannot pay for itself.
+          Below 16 unknowns it always keeps the natural order. *)
 
 val factorize : ?ordering:ordering -> Sparse.csc -> factor
 (** Factor the matrix: symbolic analysis (column ordering, reach sets,

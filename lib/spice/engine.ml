@@ -355,6 +355,16 @@ let[@inline] bypass_close opts vnew vcache =
   <= bypass_safety
      *. ((opts.reltol *. Float.max (Float.abs vnew) (Float.abs vcache)) +. opts.vntol)
 
+(* Running max of the junction-limiting error.  The negated [<=] takes
+   a NaN error in (any comparison with NaN is false) and a recorded
+   NaN is never displaced, so a non-finite junction voltage cannot
+   read as settled; on finite errors this is the plain [err >] max. *)
+let[@inline] note_junction_error sim err di =
+  if not (err <= sim.junction_error || Float.is_nan sim.junction_error) then begin
+    sim.junction_error <- err;
+    sim.junction_worst <- di
+  end
+
 (* Assembly core, parameterised on the matrix stamp: [load] targets
    the compiled backend, [ac_system] a triplet collector.  [stamp]
    receives raw unknown indices and must ignore negative (ground)
@@ -408,11 +418,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
               ~vcrit:(Models.vcrit ~is:m.Models.d_is ~nvt:n_nvt)
           in
           js.v_last <- vlim;
-          let err = Float.abs (vnew -. vlim) in
-          if err > sim.junction_error then begin
-            sim.junction_error <- err;
-            sim.junction_worst <- di
-          end;
+          note_junction_error sim (Float.abs (vnew -. vlim)) di;
           let id, gd = Models.junction_current ~is:m.Models.d_is ~nvt:n_nvt vlim in
           let g = gd +. gmin and i0 = id +. (gmin *. vlim) in
           stamp_conductance stamp a k g;
@@ -453,21 +459,13 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           let vbe =
             let v = Models.pnjlim ~vnew:vbe_new ~vold:jbe.v_last ~nvt ~vcrit in
             jbe.v_last <- v;
-            let err = Float.abs (vbe_new -. v) in
-            if err > sim.junction_error then begin
-              sim.junction_error <- err;
-              sim.junction_worst <- di
-            end;
+            note_junction_error sim (Float.abs (vbe_new -. v)) di;
             v
           in
           let vbc =
             let v = Models.pnjlim ~vnew:vbc_new ~vold:jbc.v_last ~nvt ~vcrit in
             jbc.v_last <- v;
-            let err = Float.abs (vbc_new -. v) in
-            if err > sim.junction_error then begin
-              sim.junction_error <- err;
-              sim.junction_worst <- di
-            end;
+            note_junction_error sim (Float.abs (vbc_new -. v)) di;
             v
           in
           let ift, gif = Models.junction_current ~is:m.Models.q_is ~nvt vbe in
@@ -847,9 +845,13 @@ let publish_metrics ?(since = zero_stats) sim =
     M.set m_lu_fill_ratio now.lu_fill_ratio;
     M.set m_pivot_growth now.lu_pivot_growth;
     M.set m_condition now.lu_condition;
-    (* count factorizations by the ordering they ended up with, so a
-       metrics snapshot shows which path large designs actually take *)
-    let fresh = now.symbolic_factorizations - since.symbolic_factorizations in
+    (* count symbolic analyses — computed or adopted from a donor — by
+       the ordering they ended up with, so a metrics snapshot shows
+       which path large designs actually take *)
+    let fresh =
+      now.symbolic_factorizations - since.symbolic_factorizations + now.shared_symbolic
+      - since.shared_symbolic
+    in
     if fresh > 0 then
       M.add (if now.lu_ordering = "amd" then m_ordering_amd else m_ordering_natural) fresh
   end
@@ -861,7 +863,9 @@ let converged sim x x' =
       if i < sim.nv then sim.opts.vntol +. (sim.opts.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i)))
       else sim.opts.abstol +. (sim.opts.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i)))
     in
-    if Float.abs (x'.(i) -. x.(i)) > tol then ok := false
+    (* negated [<=]: a NaN delta or tolerance compares false, so a NaN
+       iterate rejects instead of slipping through *)
+    if not (Float.abs (x'.(i) -. x.(i)) <= tol) then ok := false
   done;
   !ok
 

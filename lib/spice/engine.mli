@@ -79,7 +79,14 @@ val newton :
 (** One Newton solve from the given initial vector; [Some (x, iters)]
     on convergence.  [gshunt] adds a conductance from every node to
     ground (gmin stepping); [srcscale] scales all independent
-    sources (source stepping). *)
+    sources (source stepping).  A NaN in the iterate, the update or a
+    junction-limiting error rejects the iteration. *)
+
+val converged : sim -> float array -> float array -> bool
+(** [converged sim x x'] is Newton's update test: every node voltage
+    moved by at most [vntol + reltol * max(|x|, |x'|)], every branch
+    current by at most [abstol + reltol * ...].  [false] when any
+    entry of either vector is NaN. *)
 
 val dc_operating_point : ?time:float -> sim -> float array
 (** DC solution with sources evaluated at [time] (default 0); tries
@@ -198,7 +205,10 @@ val share_symbolic : donor:sim -> sim -> unit
     ordering, L/U patterns, pivot order) to [sim], to be adopted at
     its first factorization if the Jacobian patterns match — the
     batch scheduler calls this so K lanes of one design run one
-    symbolic analysis and K numeric refactorizations.  A stale or
+    symbolic analysis and K numeric refactorizations, and the
+    Monte-Carlo harness so every perturbed sample reuses its nominal
+    netlist's analysis ([Variation.perturb] moves values, not
+    topology).  A stale or
     mismatched offer is harmless: adoption silently falls back to a
     full factorization.  No-op unless both sims use the sparse
     backend and the donor has factored. *)

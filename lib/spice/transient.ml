@@ -49,7 +49,8 @@ let lte_ok opts xpred x =
   Array.iteri
     (fun i xp ->
       let tol = abstol +. (reltol *. Float.max (Float.abs xp) (Float.abs x.(i))) in
-      if Float.abs (x.(i) -. xp) > tol then band := false)
+      (* negated [<=] so a NaN corrector or prediction rejects *)
+      if not (Float.abs (x.(i) -. xp) <= tol) then band := false)
     xpred;
   !band
 

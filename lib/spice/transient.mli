@@ -21,6 +21,12 @@ val config : ?max_step:float -> ?min_step:float -> ?lte_control:bool -> ?record_
     LTE acceptance test come from {!Engine.options}
     ([lte_reltol_factor], [lte_abstol]). *)
 
+val lte_ok : Engine.options -> float array -> float array -> bool
+(** [lte_ok opts xpred x]: the step-control acceptance test — every
+    entry of the corrector [x] lies within [lte_abstol + lte_reltol_factor
+    * reltol * max(|xpred|, |x|)] of the linear prediction [xpred].
+    [false] when any entry of either vector is NaN. *)
+
 type stats = {
   accepted_steps : int;  (** committed time steps *)
   rejected_steps : int;

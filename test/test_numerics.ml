@@ -447,6 +447,38 @@ let prop_fill_counters_agree =
       && fa = O.fill_estimate a ~order:q
       && fn <= O.envelope_bound a)
 
+(* Auto's cutoff is relative to nnz(A): natural stays while its fill
+   is at most twice the matrix, and small systems never pay for the
+   min-degree analysis. *)
+let auto_ordering entries n =
+  let t = Cml_numerics.Sparse.triplet_create n in
+  List.iter (fun (i, j, v) -> Cml_numerics.Sparse.add t i j v) entries;
+  let a = Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress t) in
+  Cml_numerics.Sparse_lu.ordering_name (Cml_numerics.Sparse_lu.factorize a)
+
+(* the bechamel perf kernel's pattern: tridiagonal plus an upper
+   band at distance 7 *)
+let banded n =
+  List.concat
+    (List.init n (fun i ->
+         ((i, i, 4.0) :: (if i > 0 then [ (i, i - 1, -1.0) ] else []))
+         @ (if i < n - 1 then [ (i, i + 1, -1.0) ] else [])
+         @ if i + 7 < n then [ (i, i + 7, -0.5) ] else []))
+
+(* dense first row and column: natural order fills the whole lower
+   triangle, eliminating the hub last fills nothing *)
+let arrow n =
+  List.concat
+    (List.init n (fun i ->
+         if i = 0 then [ (0, 0, float_of_int n) ]
+         else [ (i, i, float_of_int n); (0, i, -1.0); (i, 0, -1.0) ]))
+
+let test_auto_ordering_decisions () =
+  Alcotest.(check string) "banded n=200 stays natural" "natural" (auto_ordering (banded 200) 200);
+  Alcotest.(check string) "arrow below 16 unknowns stays natural" "natural"
+    (auto_ordering (arrow 15) 15);
+  Alcotest.(check string) "arrow at 16 unknowns goes amd" "amd" (auto_ordering (arrow 16) 16)
+
 let () =
   let qc = List.map (fun t -> QCheck_alcotest.to_alcotest t) in
   Alcotest.run "numerics"
@@ -484,6 +516,7 @@ let () =
           Alcotest.test_case "tridiagonal 50" `Quick test_sparse_lu_tridiagonal;
           Alcotest.test_case "numerically singular" `Quick test_sparse_lu_singular;
           Alcotest.test_case "structurally singular" `Quick test_sparse_lu_structurally_singular;
+          Alcotest.test_case "auto ordering decisions" `Quick test_auto_ordering_decisions;
         ] );
       ( "batch",
         [

@@ -231,6 +231,74 @@ let test_transient_amortises_symbolic () =
     true
     (stats.E.numeric_refactorizations > 10 * stats.E.symbolic_factorizations)
 
+(* ------------------------------------------------------------------ *)
+(* Monte-Carlo: one symbolic analysis per netlist per run *)
+
+module MC = Cml_dft.Montecarlo
+
+(* the paper's N = 45 sharing block as the Monte-Carlo builds it: 150
+   unknowns whose natural order fills 93% of the lower triangle *)
+let sharing45 () = Cml_dft.Sharing.build ~multi_emitter:true ~n:45 ()
+
+let test_sharing_jacobian_goes_amd () =
+  let built = sharing45 () in
+  let sim = E.compile built.Cml_dft.Sharing.builder.Cml_cells.Builder.net in
+  ignore (E.dc_operating_point sim);
+  let stats = E.solver_stats sim in
+  Alcotest.(check string) "Auto picks amd" "amd" stats.E.lu_ordering;
+  Alcotest.(check bool)
+    (Printf.sprintf "fill ratio %.2f < 2" stats.E.lu_fill_ratio)
+    true (stats.E.lu_fill_ratio < 2.0)
+
+let counter name (r : MC.result) =
+  match List.assoc_opt name r.MC.metrics with
+  | Some (Cml_telemetry.Metrics.Counter c) -> c
+  | Some _ | None -> 0
+
+let mc_seed = 100000
+let mc ~jobs () = MC.run ~n:45 ~samples:8 ~jobs ~seed:mc_seed ()
+
+let test_mc_shares_symbolic () =
+  let r = mc ~jobs:2 () in
+  Alcotest.(check int) "every sample adopts the nominal analysis" 16
+    (counter "solver.shared_symbolic" r);
+  Alcotest.(check int) "no symbolic analysis of its own" 0
+    (counter "solver.symbolic_factorizations" r);
+  Alcotest.(check int) "no false alarms" 0 r.MC.false_alarms;
+  Alcotest.(check int) "no misses" 0 r.MC.missed
+
+let test_mc_jobs_parity () =
+  let r1 = mc ~jobs:1 () and r2 = mc ~jobs:2 () in
+  Alcotest.(check int) "false alarms" r1.MC.false_alarms r2.MC.false_alarms;
+  Alcotest.(check int) "missed" r1.MC.missed r2.MC.missed;
+  Alcotest.(check bool) "good vouts bit-identical" true (r1.MC.good_vouts = r2.MC.good_vouts);
+  Alcotest.(check bool) "bad vouts bit-identical" true (r1.MC.bad_vouts = r2.MC.bad_vouts)
+
+(* The reference re-solves the same perturbed samples (seed + k, the
+   run's default defect) on the dense backend, whose LU eliminates in
+   natural column order with no shared analysis. *)
+let test_mc_matches_natural_order () =
+  let r = mc ~jobs:2 () in
+  let built = sharing45 () in
+  let golden = built.Cml_dft.Sharing.builder.Cml_cells.Builder.net in
+  let faulty =
+    Cml_defects.Inject.apply golden (Cml_defects.Defect.Pipe { device = "x23.q3"; r = 4e3 })
+  in
+  let options = { E.default_options with E.solver = E.Dense_solver } in
+  let vouts net =
+    let x0 = E.dc_operating_point (E.compile ~options net) in
+    Array.init 8 (fun k ->
+        let sim = E.compile ~options (Cml_defects.Variation.perturb ~seed:(mc_seed + k) net) in
+        E.voltage (E.dc_from sim x0) built.Cml_dft.Sharing.readout.Cml_dft.Readout.vout)
+  in
+  let tol = 10.0 *. E.default_options.E.vntol in
+  let dev =
+    Float.max
+      (Cml_numerics.Vec.max_abs_diff r.MC.good_vouts (vouts golden))
+      (Cml_numerics.Vec.max_abs_diff r.MC.bad_vouts (vouts faulty))
+  in
+  Alcotest.(check bool) (Printf.sprintf "vouts within 10 x vntol (%.2e V)" dev) true (dev <= tol)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -269,5 +337,15 @@ let () =
             test_refactorize_rejects_degenerate_pivot;
           Alcotest.test_case "transient amortises symbolic analysis" `Slow
             test_transient_amortises_symbolic;
+        ] );
+      ( "montecarlo",
+        [
+          Alcotest.test_case "N=45 sharing Jacobian goes amd" `Quick
+            test_sharing_jacobian_goes_amd;
+          Alcotest.test_case "samples share one symbolic analysis" `Quick
+            test_mc_shares_symbolic;
+          Alcotest.test_case "jobs=1 and jobs=2 bit-identical" `Quick test_mc_jobs_parity;
+          Alcotest.test_case "matches natural-order dense LU within 10 x vntol" `Quick
+            test_mc_matches_natural_order;
         ] );
     ]

@@ -858,6 +858,37 @@ let test_run_batch_incompatible_lane () =
         results;
       Alcotest.fail "unexpected lane outcomes"
 
+(* A NaN must reject at every acceptance predicate: a comparison with
+   NaN is false, so a [d > tol] rejection test lets it through. *)
+let test_acceptance_rejects_nan () =
+  let net = N.create () in
+  let a = N.node net "a" in
+  N.isource net ~name:"I1" ~pos:N.gnd ~neg:a (W.Dc 1e-3);
+  N.diode net ~name:"D1" ~anode:a ~cathode:N.gnd ();
+  let sim = E.compile ~options:{ E.default_options with E.max_iter = 5 } net in
+  let x = E.dc_operating_point sim in
+  let poisoned = Array.copy x in
+  poisoned.(0) <- nan;
+  Alcotest.(check bool) "converged accepts a fixed point" true (E.converged sim x x);
+  Alcotest.(check bool) "converged rejects a NaN update" false (E.converged sim x poisoned);
+  Alcotest.(check bool) "converged rejects a NaN iterate" false (E.converged sim poisoned x);
+  let opts = E.options sim in
+  Alcotest.(check bool) "lte_ok accepts the prediction itself" true (T.lte_ok opts x x);
+  Alcotest.(check bool) "lte_ok rejects a NaN corrector" false (T.lte_ok opts x poisoned);
+  Alcotest.(check bool) "lte_ok rejects a NaN prediction" false (T.lte_ok opts poisoned x);
+  (* the junction-error max must carry the NaN, not skip it *)
+  let r = Cml_spice.Introspect.create () in
+  E.set_introspect sim (Some r);
+  Alcotest.(check bool) "Newton from a NaN iterate gives up" true
+    (E.newton sim ~time:0.0 ~integ:E.Dcop poisoned = None);
+  let rows = Cml_spice.Introspect.newton_rows r in
+  Alcotest.(check bool) "iterations were recorded" true (rows <> []);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) "junction error reads NaN" true
+        (Float.is_nan row.Cml_spice.Introspect.nr_jerr))
+    rows
+
 let () =
   Alcotest.run "spice"
     [
@@ -926,6 +957,7 @@ let () =
           Alcotest.test_case "pnjlim clamps" `Quick test_models_pnjlim_clamps;
           Alcotest.test_case "bjt operating-point report" `Quick test_bjt_report;
           Alcotest.test_case "report on dual emitters" `Quick test_bjt_report_multi_emitter;
+          Alcotest.test_case "acceptance rejects NaN" `Quick test_acceptance_rejects_nan;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
