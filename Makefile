@@ -138,10 +138,11 @@ watch-smoke: build
 
 # End-to-end smoke of the post-mortem pipeline: run a deliberately
 # hard campaign (cold start, Newton capped at 12 iterations so
-# marginal solves fail visibly), explain the slowest variant — the
-# re-simulation must blame a named net for at least one LTE rejection
-# and one Newton retry — write the post-mortem JSON and render it
-# back with `cmldft report`.  Budgeted at five seconds.
+# marginal solves fail visibly), explain the variant with the most
+# Newton iterations — the re-simulation must blame a named net for at
+# least one LTE rejection and one Newton retry — write the post-mortem
+# JSON and render it back with `cmldft report`.  Budgeted at five
+# seconds.
 explain-smoke: build
 	@start=$$(date +%s%N); \
 	dir=$$(mktemp -d); \

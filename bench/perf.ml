@@ -91,6 +91,7 @@ let tests () =
   let refactor200 = Cml_numerics.Sparse_lu.factorize a200 in
   let c432_net, c432_a, c432_n = Lazy.force c432 in
   let c432_rhs = Array.init c432_n (fun i -> sin (float_of_int i)) in
+  let c432_amd = Cml_numerics.Sparse_lu.factorize ~ordering:Cml_numerics.Sparse_lu.Amd c432_a in
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let chain_net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let mc = Lazy.force mc_nominals in
@@ -114,6 +115,13 @@ let tests () =
         ignore
           (Cml_numerics.Sparse_lu.solve
              (Cml_numerics.Sparse_lu.factorize ~ordering:Cml_numerics.Sparse_lu.Amd c432_a)
+             c432_rhs)));
+    (* a stability fallback's full factorization: a fresh pivot
+       search in the column order the first factorization chose *)
+    Test.make ~name:"c432 LU repivot+solve (kept amd order)" (Staged.stage (fun () ->
+        ignore
+          (Cml_numerics.Sparse_lu.solve
+             (Cml_numerics.Sparse_lu.repivot c432_amd c432_a)
              c432_rhs)));
     Test.make ~name:"c432 DC operating point" (Staged.stage (fun () ->
         ignore (E.dc_operating_point (E.compile c432_net))));
@@ -339,7 +347,7 @@ let kernel_limit name =
   if contains_sub name "batched campaign" then 1.5 else regression_limit
 
 (* kernels of the new run that got slower than their per-kernel limit
-   allows vs the last committed history entry: [(name, old_ns, new_ns)] *)
+   allows vs the baseline entry: [(name, old_ns, new_ns)] *)
 let regressions ~baseline ~kernels =
   let old_kernels = entry_kernels baseline in
   List.filter_map
@@ -363,13 +371,12 @@ let entry_campaign entry =
       | _ -> None)
   | _ -> None
 
-(* The campaign probe's jobs=N wall clock depends on the worker count
-   and the host, so its baseline must be the last history entry
-   recorded at the same jobs AND cores — comparing a jobs=4 run
-   against a jobs=1 entry (or a 16-core entry against a 1-core one)
-   would flag a phantom regression or mask a real one.  Kernels are
-   single-threaded and keep comparing against the last entry
-   regardless of setting. *)
+(* Wall clocks depend on the host: the campaign probe's on the worker
+   count and the cores, and even the single-threaded kernels' on the
+   machine the entry was recorded on.  The baseline is therefore the
+   last history entry recorded at the same jobs AND cores — comparing
+   against an entry from another setting (a jobs=1 run, a 1-core host)
+   would flag a phantom regression or mask a real one. *)
 let entry_setting entry =
   match (J.member "jobs" entry, J.member "cores" entry) with
   | Some (J.Num j), Some (J.Num c) -> Some (int_of_float j, int_of_float c)
@@ -388,12 +395,11 @@ let campaign_regressions ~baseline ~t1 ~tn =
           else None)
         [ ("campaign probe jobs=1 (s)", o1, t1); ("campaign probe jobs=N (s)", on, tn) ]
 
-(* [cmldft report]-style trajectory table: every kernel against the
-   last committed history entry, the campaign probe against the last
-   entry at the same jobs/cores setting, so the BENCH_spice.json
-   history surfaces more than the kernel gate. *)
-let print_trajectory ~baseline ~campaign_baseline ~kernels ~t1 ~tn =
-  print_endline "\ntiming trajectory vs last recorded entry:";
+(* [cmldft report]-style trajectory table: every kernel and the
+   campaign probe against the baseline entry, so the BENCH_spice.json
+   history surfaces more than the gate. *)
+let print_trajectory ~baseline ~kernels ~t1 ~tn =
+  print_endline "\ntiming trajectory vs last entry at this jobs/cores setting:";
   Printf.printf "  %-42s %14s %14s %7s\n" "probe" "baseline" "current" "ratio";
   let row name old_v new_v =
     Printf.printf "  %-42s %14.1f %14.1f %6.2fx\n" name old_v new_v
@@ -406,11 +412,11 @@ let print_trajectory ~baseline ~campaign_baseline ~kernels ~t1 ~tn =
       | Some old_ns -> row (name ^ " (ns)") old_ns ns
       | None -> Printf.printf "  %-42s %14s %14.1f\n" (name ^ " (ns)") "-" ns)
     kernels;
-  match Option.bind campaign_baseline entry_campaign with
+  match entry_campaign baseline with
   | Some (o1, on) ->
       row "campaign probe jobs=1 (s)" o1 t1;
       row "campaign probe jobs=N (s)" on tn
-  | None -> print_endline "  (no campaign timing recorded at this jobs/cores setting)"
+  | None -> print_endline "  (no campaign timing recorded in the baseline entry)"
 
 (* best-of-N over full bechamel passes: the per-pass OLS estimate is
    tight, but on a shared host the whole pass can be slowed by
@@ -499,25 +505,22 @@ let run ?json ?(check = false) () =
         in
         write_history path (history @ [ entry ]);
         Printf.printf "wrote %s (%d history entries)\n" path (List.length history + 1);
-        let campaign_baseline = last_matching ~jobs ~cores history in
-        (match List.rev history with
-        | [] ->
-            print_endline
-              "  no history yet: this run is the first entry, trajectory starts next run"
-        | baseline :: _ -> print_trajectory ~baseline ~campaign_baseline ~kernels ~t1 ~tn);
+        let baseline = last_matching ~jobs ~cores history in
+        (match baseline with
+        | None ->
+            Printf.printf
+              "  no history entry at jobs=%d cores=%d: trajectory starts next run\n" jobs cores
+        | Some baseline -> print_trajectory ~baseline ~kernels ~t1 ~tn);
         if not check then false
         else begin
-          match List.rev history with
-          | [] ->
-              print_endline "perf check: no baseline entry, nothing to compare against";
+          match baseline with
+          | None ->
+              Printf.printf "perf check: no baseline entry at jobs=%d cores=%d, gate skipped\n"
+                jobs cores;
               false
-          | baseline :: _ ->
+          | Some baseline ->
               let regs = regressions ~baseline ~kernels in
-              let camp_regs =
-                match campaign_baseline with
-                | None -> []
-                | Some b -> campaign_regressions ~baseline:b ~t1 ~tn
-              in
+              let camp_regs = campaign_regressions ~baseline ~t1 ~tn in
               List.iter
                 (fun (name, old_ns, ns) ->
                   Printf.printf "  REGRESSION %-42s %.1f -> %.1f ns/run (%.2fx)\n" name old_ns
@@ -531,21 +534,18 @@ let run ?json ?(check = false) () =
               let kernels_ok = regs = [] and campaign_ok = camp_regs = [] in
               Util.verdict kernels_ok
                 (Printf.sprintf
-                   "no kernel regressed more than %.0f%% vs last entry (%.0f%% for the \
-                    batched-campaign kernel)"
+                   "no kernel regressed more than %.0f%% vs the last entry at jobs=%d \
+                    cores=%d (%.0f%% for the batched-campaign kernel)"
                    ((regression_limit -. 1.0) *. 100.0)
+                   jobs cores
                    ((kernel_limit "batched campaign" -. 1.0) *. 100.0));
-              (match campaign_baseline with
-              | Some _ ->
-                  Util.verdict campaign_ok
-                    (Printf.sprintf
-                       "campaign probe within %.0f%% of the last entry at jobs=%d cores=%d"
-                       ((campaign_limit -. 1.0) *. 100.0)
-                       jobs cores)
-              | None ->
-                  Printf.printf
-                    "  campaign probe: no history entry at jobs=%d cores=%d, gate skipped\n"
-                    jobs cores);
+              if entry_campaign baseline <> None then
+                Util.verdict campaign_ok
+                  (Printf.sprintf
+                     "campaign probe within %.0f%% of the last entry at jobs=%d cores=%d"
+                     ((campaign_limit -. 1.0) *. 100.0)
+                     jobs cores)
+              else print_endline "  campaign probe: no timing in the baseline entry, gate skipped";
               not (kernels_ok && campaign_ok)
         end
   in

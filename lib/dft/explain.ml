@@ -107,13 +107,20 @@ let select ~selection m =
   | Auto -> (
       match List.find_opt (fun v -> List.mem "failed" v.M.v_classes) variants with
       | Some v -> (v, "first failed variant")
-      | None ->
-          let slowest =
-            List.fold_left
-              (fun a v -> if v.M.v_seconds > a.M.v_seconds then v else a)
-              (List.hd variants) variants
+      | None -> (
+          (* the hardest variant by a deterministic measure — the
+             recorded Newton effort — so the pick does not depend on
+             wall-clock noise; the earliest variant wins a tie *)
+          let most key =
+            List.fold_left (fun a v -> if key v > key a then v else a) (List.hd variants) variants
           in
-          (slowest, Printf.sprintf "slowest variant (%.3g s)" slowest.M.v_seconds))
+          let iters v = List.assoc_opt "newton_iters" v.M.v_metrics in
+          if List.exists (fun v -> iters v <> None) variants then
+            let v = most iters in
+            (v, Printf.sprintf "most Newton iterations (%.0f)" (Option.get (iters v)))
+          else
+            let v = most (fun v -> v.M.v_seconds) in
+            (v, Printf.sprintf "slowest variant (%.3g s)" v.M.v_seconds)))
 
 (* ------------------------------------------------------------------ *)
 (* Rebuilding the variant's circuit from the manifest options *)

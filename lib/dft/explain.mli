@@ -16,7 +16,9 @@
 
 type selection =
   | Auto
-      (** the first variant classified ["failed"], else the slowest *)
+      (** the first variant classified ["failed"], else the one with
+          the most recorded [newton_iters] (the slowest by wall clock
+          when no variant records them); the earliest wins a tie *)
   | Nth of int  (** variant by 0-based run index ([--variant]) *)
   | Named of string
       (** first variant whose name contains the (case-insensitive)

@@ -3,7 +3,7 @@ exception Singular of int
 (* Growable entry buffer for building L and U column by column. *)
 type buf = { mutable idx : int array; mutable v : float array; mutable len : int }
 
-let buf_create () = { idx = Array.make 256 0; v = Array.make 256 0.0; len = 0 }
+let buf_create cap = { idx = Array.make cap 0; v = Array.make cap 0.0; len = 0 }
 
 let buf_push b i x =
   if b.len = Array.length b.idx then begin
@@ -135,10 +135,13 @@ let choose_ordering ordering (a : Sparse.csc) =
         end
       end
 
-let factorize ?(ordering = Auto) (a : Sparse.csc) =
+(* The numeric core of a full factorization in a given column order:
+   per column the DFS reach, the sparse triangular solve and the
+   partial-pivot search with diagonal preference.  [l_cap]/[u_cap]
+   size the entry buffers, which grow on demand. *)
+let factor_in_order ~q ~q_identity ~ordering_label ~l_cap ~u_cap (a : Sparse.csc) =
   let n = a.Sparse.n in
-  let q, q_identity, ordering_label = choose_ordering ordering a in
-  let lbuf = buf_create () and ubuf = buf_create () in
+  let lbuf = buf_create (max 1 l_cap) and ubuf = buf_create (max 1 u_cap) in
   let l_colptr = Array.make (n + 1) 0 in
   let u_colptr = Array.make (n + 1) 0 in
   let pinv = Array.make n (-1) in
@@ -207,8 +210,10 @@ let factorize ?(ordering = Auto) (a : Sparse.csc) =
   done;
   l_colptr.(n) <- lbuf.len;
   u_colptr.(n) <- ubuf.len;
+  (* a buffer sized exactly by a previous factor is adopted as is *)
+  let trim arr len = if Array.length arr = len then arr else Array.sub arr 0 len in
   (* remap L's rows to pivotal numbering for the triangular solves *)
-  let l_rowind = Array.sub lbuf.idx 0 lbuf.len in
+  let l_rowind = trim lbuf.idx lbuf.len in
   for p = 0 to lbuf.len - 1 do
     l_rowind.(p) <- pinv.(l_rowind.(p))
   done;
@@ -216,10 +221,10 @@ let factorize ?(ordering = Auto) (a : Sparse.csc) =
     n;
     l_colptr;
     l_rowind;
-    l_values = Array.sub lbuf.v 0 lbuf.len;
+    l_values = trim lbuf.v lbuf.len;
     u_colptr;
-    u_rowind = Array.sub ubuf.idx 0 ubuf.len;
-    u_values = Array.sub ubuf.v 0 ubuf.len;
+    u_rowind = trim ubuf.idx ubuf.len;
+    u_values = trim ubuf.v ubuf.len;
     pinv;
     q;
     q_identity;
@@ -233,8 +238,28 @@ let factorize ?(ordering = Auto) (a : Sparse.csc) =
     last_failure = None;
   }
 
+let factorize ?(ordering = Auto) (a : Sparse.csc) =
+  let q, q_identity, ordering_label = choose_ordering ordering a in
+  factor_in_order ~q ~q_identity ~ordering_label ~l_cap:256 ~u_cap:256 a
+
 let reusable f (a : Sparse.csc) =
   f.n = a.Sparse.n && f.a_colptr == a.Sparse.colptr && f.a_rowind == a.Sparse.rowind
+
+let same_pattern f (a : Sparse.csc) =
+  f.n = a.Sparse.n
+  && (f.a_colptr == a.Sparse.colptr || f.a_colptr = a.Sparse.colptr)
+  && (f.a_rowind == a.Sparse.rowind || f.a_rowind = a.Sparse.rowind)
+
+(* The column order depends on the pattern alone, so a fresh pivot
+   search on a matrix of the same pattern can keep it: [choose_ordering]
+   would derive the same order again, at several times the cost of the
+   elimination itself on a design-sized system.  The old factor's L/U
+   sizes are the likely sizes of the new one. *)
+let repivot f (a : Sparse.csc) =
+  if same_pattern f a then
+    factor_in_order ~q:f.q ~q_identity:f.q_identity ~ordering_label:f.ordering_label
+      ~l_cap:f.l_colptr.(f.n) ~u_cap:f.u_colptr.(f.n) a
+  else factorize a
 
 (* A pivot chosen on the old values is kept across refactorization
    only while it stays within this factor of its column's magnitude;
@@ -404,14 +429,10 @@ let health f (a : Sparse.csc) =
    matrix with the same pattern *content* can reuse them wholesale and
    only needs its own numeric storage.  The adopted factor starts with
    meaningless values — the caller must [refactorize] it (and fall
-   back to a fresh [factorize] if the donor's pivot order is unstable
-   for the new values). *)
+   back to [repivot] if the donor's pivot order is unstable for the
+   new values). *)
 let adopt_symbolic donor (a : Sparse.csc) =
-  if
-    donor.n = a.Sparse.n
-    && donor.a_colptr = a.Sparse.colptr
-    && donor.a_rowind = a.Sparse.rowind
-  then
+  if same_pattern donor a then
     Some
       {
         donor with

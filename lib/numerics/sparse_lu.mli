@@ -45,7 +45,18 @@ val refactorize : factor -> Sparse.csc -> bool
     no DFS, no pivot search, no allocation.  Returns [false], leaving
     [f] unusable, when the pattern does not match ({!reusable}) or a
     recycled pivot has degraded below the stability threshold; the
-    caller must then {!factorize} afresh. *)
+    caller must then {!repivot} (or {!factorize} afresh). *)
+
+val repivot : factor -> Sparse.csc -> factor
+(** [repivot f a] is [factorize a] with the column order kept from
+    [f]: a fresh DFS and partial-pivot search on [a]'s values, but no
+    ordering analysis.  Since {!factorize} chooses the order from the
+    pattern alone, the result is bit-identical to [factorize a] under
+    the ordering [f] was built with.  [f] is left untouched (it may be
+    the unusable remains of a failed {!refactorize}).  Falls back to
+    [factorize a] (ordering [Auto]) when [a]'s pattern content differs
+    from [f]'s.
+    @raise Singular on structural or numeric singularity. *)
 
 val solve : factor -> float array -> float array
 (** [solve f b] returns [x] with [A x = b]. *)
@@ -104,5 +115,5 @@ val adopt_symbolic : factor -> Sparse.csc -> factor option
     {!factorize}) with a matrix whose pattern has the same {e
     content}, returning a factor with fresh numeric storage that the
     caller must {!refactorize} before solving (falling back to
-    {!factorize} if the donor's pivot order is unstable for the new
+    {!repivot} if the donor's pivot order is unstable for the new
     values).  [None] when the patterns differ. *)

@@ -615,13 +615,15 @@ let solve_linear_into sim out =
              iterations and timesteps, so the symbolic work (DFS reach,
              pivot order, fill pattern, buffer allocation) is done once
              and only the numeric elimination repeats; a degraded pivot
-             falls back to a full factorization with a fresh pivot order *)
-          let fresh_factorize () =
-            let f = Cml_numerics.Sparse_lu.factorize a in
+             falls back to a full factorization with a fresh pivot order
+             in the kept column order, which depends on the pattern only *)
+          let install f =
             sp.lu <- Some f;
             sp.symbolic <- sp.symbolic + 1;
             f
           in
+          let fresh_factorize () = install (Cml_numerics.Sparse_lu.factorize a) in
+          let repivot f = install (Cml_numerics.Sparse_lu.repivot f a) in
           (* a refactorize that bailed forces a full factorization;
              attribute the fallback to its recorded reason *)
           let note_fallback f =
@@ -646,7 +648,7 @@ let solve_linear_into sim out =
                 f
             | Some f ->
                 note_fallback f;
-                fresh_factorize ()
+                repivot f
             | None -> begin
                 (* first factorization: a donor sim of the same design
                    may have offered its symbolic analysis — adopt it
@@ -666,7 +668,7 @@ let solve_linear_into sim out =
                         (* the donor's pivot order is unstable for
                            this sim's values *)
                         note_fallback f;
-                        fresh_factorize ()
+                        repivot f
                     | None -> fresh_factorize ()
                   end
               end
@@ -864,8 +866,11 @@ let converged sim x x' =
       else sim.opts.abstol +. (sim.opts.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i)))
     in
     (* negated [<=]: a NaN delta or tolerance compares false, so a NaN
-       iterate rejects instead of slipping through *)
-    if not (Float.abs (x'.(i) -. x.(i)) <= tol) then ok := false
+       iterate rejects instead of slipping through; an infinite iterate
+       makes its own tolerance infinite, hence the explicit finiteness
+       test (the delta is finite only when both iterates are) *)
+    let d = Float.abs (x'.(i) -. x.(i)) in
+    if not (Float.is_finite d && d <= tol) then ok := false
   done;
   !ok
 

@@ -86,7 +86,7 @@ val converged : sim -> float array -> float array -> bool
 (** [converged sim x x'] is Newton's update test: every node voltage
     moved by at most [vntol + reltol * max(|x|, |x'|)], every branch
     current by at most [abstol + reltol * ...].  [false] when any
-    entry of either vector is NaN. *)
+    entry of either vector is NaN or infinite. *)
 
 val dc_operating_point : ?time:float -> sim -> float array
 (** DC solution with sources evaluated at [time] (default 0); tries

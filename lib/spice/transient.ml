@@ -49,8 +49,10 @@ let lte_ok opts xpred x =
   Array.iteri
     (fun i xp ->
       let tol = abstol +. (reltol *. Float.max (Float.abs xp) (Float.abs x.(i))) in
-      (* negated [<=] so a NaN corrector or prediction rejects *)
-      if not (Float.abs (x.(i) -. xp) <= tol) then band := false)
+      (* negated [<=] so a NaN corrector or prediction rejects; an
+         infinite one would pass its own infinite tolerance *)
+      let d = Float.abs (x.(i) -. xp) in
+      if not (Float.is_finite d && d <= tol) then band := false)
     xpred;
   !band
 

@@ -25,7 +25,7 @@ val lte_ok : Engine.options -> float array -> float array -> bool
 (** [lte_ok opts xpred x]: the step-control acceptance test — every
     entry of the corrector [x] lies within [lte_abstol + lte_reltol_factor
     * reltol * max(|xpred|, |x|)] of the linear prediction [xpred].
-    [false] when any entry of either vector is NaN. *)
+    [false] when any entry of either vector is NaN or infinite. *)
 
 type stats = {
   accepted_steps : int;  (** committed time steps *)

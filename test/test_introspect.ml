@@ -168,6 +168,21 @@ let test_explain_deterministic_and_blaming () =
       let two = doc () in
       Alcotest.(check string) "byte-identical post-mortem JSON" one two;
       let pm = Cml_dft.Explain.explain_path path in
+      (* the auto pick is deterministic: the first variant with the
+         most recorded Newton iterations, never a wall-clock ranking *)
+      let most_iters =
+        List.fold_left
+          (fun (best, n) v ->
+            let k = List.assoc "newton_iters" v.Cml_telemetry.Manifest.v_metrics in
+            if k > n then (v.Cml_telemetry.Manifest.v_name, k) else (best, n))
+          ("", neg_infinity)
+          (Cml_telemetry.Manifest.read ~path).Cml_telemetry.Manifest.variants
+      in
+      Alcotest.(check string) "auto picks the most Newton iterations" (fst most_iters)
+        pm.PM.pm_variant;
+      Alcotest.(check string) "and says so"
+        (Printf.sprintf "most Newton iterations (%.0f)" (snd most_iters))
+        pm.PM.pm_selection;
       Alcotest.(check bool) "an LTE rejection is blamed on a named node" true
         (List.exists (fun l -> l.PM.l_node <> "") pm.PM.pm_lte);
       Alcotest.(check bool) "a Newton retry is blamed" true (pm.PM.pm_retries <> []);

@@ -479,6 +479,96 @@ let test_auto_ordering_decisions () =
     (auto_ordering (arrow 15) 15);
   Alcotest.(check string) "arrow at 16 unknowns goes amd" "amd" (auto_ordering (arrow 16) 16)
 
+(* ------------------------------------------------------------------ *)
+(* Re-pivoting in a kept column order *)
+
+module L = Cml_numerics.Sparse_lu
+
+(* Everything a caller can observe of a factor, floats as bit patterns
+   so that equality means bit-identical; a singular matrix reads as
+   the column it failed at. *)
+let lu_outcome factor rhs =
+  match factor () with
+  | f ->
+      Ok
+        ( Array.map Int64.bits_of_float (L.solve f rhs),
+          L.lu_nnz f,
+          L.ordering_name f,
+          Int64.bits_of_float (L.fill_ratio f) )
+  | exception L.Singular col -> Error col
+
+let csc_of_entries entries n =
+  let t = Cml_numerics.Sparse.triplet_create n in
+  List.iter (fun (i, j, v) -> Cml_numerics.Sparse.add t i j v) entries;
+  Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress t)
+
+(* The factor of one matrix re-pivoted for new values on the same
+   pattern — after a refactorize attempt, as the engine's fallback
+   does — must be the fresh factorization of the new values under the
+   same ordering policy, bit for bit.  Scaling every entry by a random
+   factor in [-1, 1] takes away the diagonal dominance, so the pivot
+   search leaves the diagonal. *)
+let prop_repivot_matches_factorize =
+  QCheck2.Test.make ~name:"repivot in the kept order is factorize, bit for bit" ~count:200
+    QCheck2.Gen.(pair mna_system_gen int)
+    (fun (((_, _, rhs) as sys), seed) ->
+      let a = mna_matrix sys in
+      let st = Random.State.make [| seed |] in
+      let b =
+        {
+          a with
+          Cml_numerics.Sparse.values =
+            Array.map
+              (fun v -> v *. (Random.State.float st 2.0 -. 1.0))
+              a.Cml_numerics.Sparse.values;
+        }
+      in
+      List.for_all
+        (fun ordering ->
+          match L.factorize ~ordering a with
+          | exception L.Singular _ -> true
+          | f ->
+              ignore (L.refactorize f b);
+              lu_outcome (fun () -> L.repivot f b) rhs
+              = lu_outcome (fun () -> L.factorize ~ordering b) rhs)
+        [ L.Natural; L.Amd; L.Auto ])
+
+let test_repivot_after_unstable_pivot () =
+  let n = 16 in
+  let a = csc_of_entries (arrow n) n in
+  let f = L.factorize a in
+  Alcotest.(check string) "the arrow goes amd" "amd" (L.ordering_name f);
+  (* leaf 5's diagonal collapses to 1e-10 next to its unit coupling to
+     the hub: the recycled diagonal pivot is no longer stable *)
+  let b = { a with Cml_numerics.Sparse.values = Array.copy a.Cml_numerics.Sparse.values } in
+  for p = a.Cml_numerics.Sparse.colptr.(5) to a.Cml_numerics.Sparse.colptr.(6) - 1 do
+    if a.Cml_numerics.Sparse.rowind.(p) = 5 then b.Cml_numerics.Sparse.values.(p) <- 1e-10
+  done;
+  Alcotest.(check bool) "refactorize refuses" false (L.refactorize f b);
+  Alcotest.(check bool) "for an unstable pivot at column 5" true
+    (L.last_refactor_failure f = Some (L.Unstable_pivot 5));
+  let rhs = Array.init n (fun i -> float_of_int (i + 1)) in
+  let r = L.repivot f b in
+  Alcotest.(check bool) "repivot is factorize, bit for bit" true
+    (lu_outcome (fun () -> r) rhs = lu_outcome (fun () -> L.factorize b) rhs);
+  let x = L.solve r rhs in
+  let res = Cml_numerics.Vec.sub (Cml_numerics.Sparse.mul_vec b x) rhs in
+  Alcotest.(check bool) "and solves the new system" true (Cml_numerics.Vec.norm_inf res < 1e-9)
+
+let test_repivot_pattern_mismatch () =
+  let f = L.factorize (csc_of_entries (arrow 16) 16) in
+  List.iter
+    (fun (what, n) ->
+      let a = csc_of_entries (banded n) n in
+      let rhs = Array.init n (fun i -> sin (float_of_int i)) in
+      Alcotest.(check bool) (what ^ ": falls back to factorize") true
+        (lu_outcome (fun () -> L.repivot f a) rhs = lu_outcome (fun () -> L.factorize a) rhs);
+      Alcotest.(check string)
+        (what ^ ": ordered afresh")
+        "natural"
+        (L.ordering_name (L.repivot f a)))
+    [ ("same size, other pattern", 16); ("other size", 20) ]
+
 let () =
   let qc = List.map (fun t -> QCheck_alcotest.to_alcotest t) in
   Alcotest.run "numerics"
@@ -517,6 +607,9 @@ let () =
           Alcotest.test_case "numerically singular" `Quick test_sparse_lu_singular;
           Alcotest.test_case "structurally singular" `Quick test_sparse_lu_structurally_singular;
           Alcotest.test_case "auto ordering decisions" `Quick test_auto_ordering_decisions;
+          Alcotest.test_case "repivot after an unstable pivot" `Quick
+            test_repivot_after_unstable_pivot;
+          Alcotest.test_case "repivot on another pattern" `Quick test_repivot_pattern_mismatch;
         ] );
       ( "batch",
         [
@@ -547,5 +640,6 @@ let () =
             prop_amd_solve_matches_natural;
             prop_auto_fill_no_worse;
             prop_fill_counters_agree;
+            prop_repivot_matches_factorize;
           ] );
     ]

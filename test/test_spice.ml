@@ -889,6 +889,66 @@ let test_acceptance_rejects_nan () =
         (Float.is_nan row.Cml_spice.Introspect.nr_jerr))
     rows
 
+(* An infinite entry makes its own tolerance infinite (reltol * |x|),
+   and |inf - x| <= inf holds: the predicates need their explicit
+   finiteness test to reject it. *)
+let test_acceptance_rejects_infinite () =
+  let net = N.create () in
+  let a = N.node net "a" in
+  N.isource net ~name:"I1" ~pos:N.gnd ~neg:a (W.Dc 1e-3);
+  N.resistor net ~name:"R1" a N.gnd 1e3;
+  let sim = E.compile net in
+  let x = E.dc_operating_point sim in
+  let opts = E.options sim in
+  List.iter
+    (fun v ->
+      let poisoned = Array.copy x in
+      poisoned.(0) <- v;
+      let what = Printf.sprintf "%g" v in
+      Alcotest.(check bool) ("converged rejects an update to " ^ what) false
+        (E.converged sim x poisoned);
+      Alcotest.(check bool) ("converged rejects an iterate at " ^ what) false
+        (E.converged sim poisoned x);
+      Alcotest.(check bool) ("lte_ok rejects a corrector at " ^ what) false
+        (T.lte_ok opts x poisoned);
+      Alcotest.(check bool) ("lte_ok rejects a prediction at " ^ what) false
+        (T.lte_ok opts poisoned x))
+    [ infinity; neg_infinity ]
+
+(* A c432 operating point whose Newton run takes the unstable-pivot
+   fallback: the benchmark's c432-op workload at seed 1, rep 3 (inputs
+   2.. held at the levels below, perturbation seed 100003).  The
+   fallback re-pivots in the kept amd column order, and the point it
+   reaches must be a fixed point of a warm DC solve. *)
+let test_c432_pivot_fallback () =
+  let circuit = Cml_logic.Bench_circuits.c432_surrogate () in
+  let levels = "01000011010100001110111101101010001" in
+  let stimuli =
+    List.mapi
+      (fun i (name, _) ->
+        ( name,
+          if i = 0 then Cml_cells.Compile.Toggle else Cml_cells.Compile.Const (levels.[i - 1] = '1')
+        ))
+      circuit.Cml_logic.Circuit.inputs
+  in
+  let design = Cml_cells.Compile.compile ~freq:200e6 ~stimuli circuit in
+  let net = Cml_defects.Variation.perturb ~seed:100003 (Cml_cells.Compile.netlist design) in
+  let sim = E.compile net in
+  let x = E.dc_operating_point sim in
+  let s = E.solver_stats sim in
+  Alcotest.(check bool) "an unstable pivot forced a fallback" true
+    (s.E.fallback_unstable_pivot > 0);
+  Alcotest.(check string) "factored in amd order" "amd" s.E.lu_ordering;
+  let x' = E.dc_from sim x in
+  let o = E.options sim in
+  for i = 0 to E.node_unknowns sim - 1 do
+    let tol = o.E.vntol +. (o.E.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i))) in
+    if Float.abs (x'.(i) -. x.(i)) > 10.0 *. tol then
+      Alcotest.failf "dc_from moved node %d by %g V (10 tolerances: %g V)" i
+        (Float.abs (x'.(i) -. x.(i)))
+        (10.0 *. tol)
+  done
+
 let () =
   Alcotest.run "spice"
     [
@@ -958,6 +1018,9 @@ let () =
           Alcotest.test_case "bjt operating-point report" `Quick test_bjt_report;
           Alcotest.test_case "report on dual emitters" `Quick test_bjt_report_multi_emitter;
           Alcotest.test_case "acceptance rejects NaN" `Quick test_acceptance_rejects_nan;
+          Alcotest.test_case "acceptance rejects infinities" `Quick
+            test_acceptance_rejects_infinite;
+          Alcotest.test_case "c432 pivot fallback re-pivots" `Quick test_c432_pivot_fallback;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
