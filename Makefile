@@ -5,7 +5,7 @@
 DUNE ?= dune
 LINT := $(DUNE) exec --no-build bin/cmldft.exe -- lint
 
-.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke fixtures check perf clean
+.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity fixtures check perf clean
 
 all: build
 
@@ -165,6 +165,25 @@ explain-smoke: build
 	  echo "explain-smoke: FAILED time budget (>= 5000 ms)"; exit 1; \
 	fi
 
+# Slicing is a pure scheduling choice: the default chain campaign on
+# two domains (16-defect slices) and the unbatched sequential one
+# (slices of one defect) must print byte-identical per-defect lines
+# and summary.  The header line (job count) and the utilization table
+# (wall times) are excluded.
+campaign-parity: build
+	@dir=$$(mktemp -d); \
+	$(DUNE) exec --no-build bin/cmldft.exe -- campaign --jobs 2 > $$dir/batched.txt \
+	  || { rm -rf $$dir; exit 1; }; \
+	$(DUNE) exec --no-build bin/cmldft.exe -- campaign --jobs 1 --no-batch > $$dir/unbatched.txt \
+	  || { rm -rf $$dir; exit 1; }; \
+	for f in batched unbatched; do sed '1d;/^utilization/,$$d' $$dir/$$f.txt > $$dir/$$f.body; done; \
+	if [ -s $$dir/batched.body ] && cmp -s $$dir/batched.body $$dir/unbatched.body; then \
+	  echo "campaign-parity: OK ($$(grep -c . $$dir/batched.body) lines)"; rm -rf $$dir; \
+	else \
+	  echo "campaign-parity: FAILED (batched vs unbatched output differs)"; \
+	  diff $$dir/batched.body $$dir/unbatched.body; rm -rf $$dir; exit 1; \
+	fi
+
 # Regenerate the committed decks in examples/netlists/ from the cell
 # library (they are kept in git so `lint-examples` needs no codegen).
 fixtures: build
@@ -183,7 +202,7 @@ PERF_JOBS ?= 4
 perf: build
 	$(DUNE) exec bench/main.exe -- perf --jobs $(PERF_JOBS) --json BENCH_spice.json --check
 
-check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke telemetry-overhead
+check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity telemetry-overhead
 ifeq ($(CHECK_PERF),1)
 	$(MAKE) perf
 endif

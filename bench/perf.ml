@@ -133,7 +133,7 @@ let tests () =
         ignore (T.run sim chain_net (T.config ~tstop:2e-9 ~max_step:10e-12 ()))));
     Test.make ~name:"batched campaign transient (8 lanes)" (Staged.stage (fun () ->
         (* the campaign hot loop in miniature: eight variants of the
-           chain advancing in lockstep through one batch workspace *)
+           chain run back to back as one batch *)
         let lanes = Array.init 8 (fun _ -> (E.compile chain_net, None)) in
         let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
         Array.iter
@@ -340,7 +340,7 @@ let contains_sub s sub =
   m = 0 || go 0
 
 (* The batched-campaign kernel is a whole 8-lane workload (eight
-   compiles, eight DC solves, a shared macro grid) rather than a tight
+   compiles, eight DC solves, eight transients) rather than a tight
    inner loop, so its run-to-run spread is closer to the campaign
    probe's than to the other kernels'; gate it at the campaign limit. *)
 let kernel_limit name =

@@ -359,8 +359,9 @@ let campaign_cmd =
   in
   let no_batch_arg =
     let doc =
-      "Simulate one transient per defect instead of the variant-lockstep batch scheduler; \
-       an escape hatch for isolating batch-scheduling interactions."
+      "Schedule one defect per slice instead of up to 16, so no variant adopts another's \
+       symbolic LU analysis.  Results are unchanged on the buffer chain (dense solver); \
+       $(b,make campaign-parity) checks that."
     in
     Arg.(value & flag & info [ "no-batch" ] ~doc)
   in

@@ -42,35 +42,50 @@ type t = {
   wall_s : float;
 }
 
-(* The probe set every chain measurement samples: both outputs of each
-   stage, the input pair and (when present) the rail supply branch.
-   Built against a specific compiled sim because the branch index
-   comes from its unknown layout. *)
-let chain_probes chain sim =
-  let stages = Array.length chain.Cml_cells.Chain.stages in
-  let input = chain.Cml_cells.Chain.input in
-  let stage_probes =
-    List.concat
-      (List.init stages (fun i ->
-           let d = Cml_cells.Chain.output chain (i + 1) in
-           let name = Cml_cells.Chain.stage_name (i + 1) in
-           [
-             (name ^ ".p", E.node_unknown d.Cml_cells.Builder.p);
-             (name ^ ".n", E.node_unknown d.Cml_cells.Builder.n);
-           ]))
-  in
-  ("in.p", E.node_unknown input.Cml_cells.Builder.p)
-  :: ("in.n", E.node_unknown input.Cml_cells.Builder.n)
-  :: (match E.branch_unknown sim "vdd" with
-     | exception Not_found -> stage_probes
-     | br -> ("i(vdd)", br) :: stage_probes)
+(* What a campaign probes: the toggling input pair and named output
+   pairs, which pair is the DUT and which the final output, and — on
+   the buffer chain — the stage pairs, in chain order, whose waveforms
+   give the healing profile (a compiled design has none). *)
+type probe_set = {
+  input : Cml_cells.Builder.diff;
+  pairs : (string * Cml_cells.Builder.diff) list;
+  dut : string;
+  final : string;
+  stages : string list;
+}
 
-(* Extract the measurement (and the robust chain-output plateau
-   levels) from a finished run's streamed probes.  Everything the
-   classifier needs comes from the observers, never from the dense
-   trajectory — which is what lets batch variants run with
-   [record_every = 0]. *)
-let analyze_probes ?nominal obs ~stages ~freq ~tstop ~dut =
+let chain_probe_set chain ~dut =
+  let n = Array.length chain.Cml_cells.Chain.stages in
+  let stages = List.init n (fun i -> Cml_cells.Chain.stage_name (i + 1)) in
+  {
+    input = chain.Cml_cells.Chain.input;
+    pairs = List.mapi (fun i s -> (s, Cml_cells.Chain.output chain (i + 1))) stages;
+    dut = Cml_cells.Chain.stage_name dut;
+    final = Cml_cells.Chain.stage_name n;
+    stages;
+  }
+
+(* The unknowns a probe set samples in one compiled sim: both sides of
+   the input and every named pair, plus the rail supply branch when
+   present — whose index comes from that sim's unknown layout. *)
+let probes ps sim =
+  let pair (name, d) =
+    [
+      (name ^ ".p", E.node_unknown d.Cml_cells.Builder.p);
+      (name ^ ".n", E.node_unknown d.Cml_cells.Builder.n);
+    ]
+  in
+  let nodes = List.concat_map pair (("in", ps.input) :: ps.pairs) in
+  match E.branch_unknown sim "vdd" with
+  | exception Not_found -> nodes
+  | br -> ("i(vdd)", br) :: nodes
+
+(* Extract the measurement (and the robust final-output plateau
+   levels, the nominal levels of a reference run) from a finished
+   run's streamed probes.  Everything the classifier needs comes from
+   the observers, never from the dense trajectory — which is what lets
+   variants run with [record_every = 0]. *)
+let analyze ps ?nominal obs ~freq ~tstop =
   let wave name =
     let times, values = T.probe_samples obs name in
     Cml_wave.Wave.create times values
@@ -83,9 +98,8 @@ let analyze_probes ?nominal obs ~stages ~freq ~tstop ~dut =
         let w = Cml_wave.Wave.map Float.abs w in
         Cml_wave.Wave.mean (Cml_wave.Wave.sub_range w ~t_from ~t_to:(Cml_wave.Wave.t_end w))
   in
-  let stage_wave i = wave (Cml_cells.Chain.stage_name i ^ ".p") in
-  let wp_dut = stage_wave dut and wn_dut = wave (Cml_cells.Chain.stage_name dut ^ ".n") in
-  let wp_fin = stage_wave stages and wn_fin = wave (Cml_cells.Chain.stage_name stages ^ ".n") in
+  let wp_dut = wave (ps.dut ^ ".p") and wn_dut = wave (ps.dut ^ ".n") in
+  let wp_fin = wave (ps.final ^ ".p") and wn_fin = wave (ps.final ^ ".n") in
   let lo_p, hi_p = Cml_wave.Measure.extremes wp_dut ~t_from in
   let lo_n, hi_n = Cml_wave.Measure.extremes wn_dut ~t_from in
   let lo_fp, hi_fp = Cml_wave.Measure.extremes wp_fin ~t_from in
@@ -109,15 +123,13 @@ let analyze_probes ?nominal obs ~stages ~freq ~tstop ~dut =
   in
   let degraded_at, healing_depth =
     match nominal with
-    | None -> (None, None)
-    | Some (nominal_low, nominal_high) ->
-        let stage_waves =
-          List.init stages (fun i -> (Cml_cells.Chain.stage_name (i + 1), stage_wave (i + 1)))
-        in
+    | Some (nominal_low, nominal_high) when ps.stages <> [] ->
+        let stage_waves = List.map (fun s -> (s, wave (s ^ ".p"))) ps.stages in
         let p =
           Cml_wave.Health.profile ~nominal_low ~nominal_high ~t_from stage_waves
         in
         (p.Cml_wave.Health.first_degraded, p.Cml_wave.Health.healing_depth)
+    | Some _ | None -> (None, None)
   in
   ( {
       dut_vlow = Float.min lo_p lo_n;
@@ -133,21 +145,24 @@ let analyze_probes ?nominal obs ~stages ~freq ~tstop ~dut =
     },
     Cml_wave.Measure.levels wp_fin ~t_from )
 
-let measure_chain_full ?engine_options ?guide ?breakpoints ?(record_every = 1) ?nominal chain
-    net ~freq ~tstop ~dut =
+(* Compile and simulate one netlist, streaming the probe set.  [share]
+   sees the compiled sim before its run — where a variant is offered
+   its slice's symbolic LU donor. *)
+let measure_full ?engine_options ?(share = ignore) ?guide ?breakpoints ?(record_every = 1)
+    ?nominal ps net ~freq ~tstop =
   let sim = E.compile ?options:engine_options net in
+  share sim;
   let cfg = T.config ~tstop ~max_step:10e-12 ~record_every () in
-  let obs = T.observers (chain_probes chain sim) in
+  let obs = T.observers (probes ps sim) in
   let r = T.run ?guide ?breakpoints ~observers:obs sim net cfg in
-  let stages = Array.length chain.Cml_cells.Chain.stages in
-  let m, levels = analyze_probes ?nominal obs ~stages ~freq ~tstop ~dut in
+  let m, levels = analyze ps ?nominal obs ~freq ~tstop in
   (m, r, levels)
 
 let measure_chain ?engine_options ?guide ?breakpoints ?record_every ?nominal chain net ~freq
     ~tstop ~dut =
   let m, _, _ =
-    measure_chain_full ?engine_options ?guide ?breakpoints ?record_every ?nominal chain net
-      ~freq ~tstop ~dut
+    measure_full ?engine_options ?guide ?breakpoints ?record_every ?nominal
+      (chain_probe_set chain ~dut) net ~freq ~tstop
   in
   m
 
@@ -194,46 +209,6 @@ let flag_labels f =
       ("healed", f.healed);
     ]
 
-let variant_of_entry entry ~seconds ~stats =
-  let classes, meas =
-    match entry.outcome with
-    | Failed _ -> ([ "failed" ], [])
-    | Measured (m, fl) ->
-        ( flag_labels fl,
-          [
-            ("dut_vlow", m.dut_vlow);
-            ("dut_swing", m.dut_swing);
-            ("final_swing", m.final_swing);
-            ("supply_current", m.supply_current);
-          ] )
-  in
-  let healing =
-    match entry.outcome with
-    | Measured ({ healing_depth = Some d; _ }, _) -> [ ("healing_depth", float_of_int d) ]
-    | Measured _ | Failed _ -> []
-  in
-  let solver =
-    match stats with
-    | None -> []
-    | Some (s : T.stats) ->
-        [
-          ("accepted_steps", float_of_int s.T.accepted_steps);
-          ("rejected_steps", float_of_int s.T.rejected_steps);
-          ("lte_rejections", float_of_int s.T.lte_rejections);
-          ("newton_iters", float_of_int s.T.newton_iters);
-          ("device_loads", float_of_int s.T.device_loads);
-          ("bypassed_loads", float_of_int s.T.bypassed_loads);
-          ("guided_seeds", float_of_int s.T.guided_seeds);
-          ("cold_fallbacks", float_of_int s.T.cold_fallbacks);
-        ]
-  in
-  {
-    Cml_telemetry.Manifest.v_name = Defect.describe entry.defect;
-    v_classes = classes;
-    v_seconds = seconds;
-    v_metrics = meas @ healing @ solver;
-  }
-
 (* Healing label of one measured entry: how many stages a degraded
    variant needed to recover ("depth=N"), "unhealed" for degradations
    that persist to the chain output, "clean" otherwise.  Shared by the
@@ -257,46 +232,66 @@ let healing_histogram entries =
     entries;
   List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
 
-(* The run-event view of a finished variant (index-addressed so the
-   stream reassembles in run order whatever domain ran it). *)
-let event_variant ~idx entry ~seconds ~stats =
+(* What a finished variant tells the run lifecycle: its class labels,
+   the manifest's per-variant numbers (measurement, healing depth,
+   solver stats) and the run event's healing label and step count. *)
+let report entry stats =
+  let failed, classes, meas =
+    match entry.outcome with
+    | Failed _ -> (true, [ "failed" ], [])
+    | Measured (m, fl) ->
+        ( false,
+          flag_labels fl,
+          [
+            ("dut_vlow", m.dut_vlow);
+            ("dut_swing", m.dut_swing);
+            ("final_swing", m.final_swing);
+            ("supply_current", m.supply_current);
+          ]
+          @
+          match m.healing_depth with
+          | Some d -> [ ("healing_depth", float_of_int d) ]
+          | None -> [] )
+  in
+  let solver, steps =
+    match stats with
+    | None -> ([], 0)
+    | Some (s : T.stats) ->
+        ( [
+            ("accepted_steps", float_of_int s.T.accepted_steps);
+            ("rejected_steps", float_of_int s.T.rejected_steps);
+            ("lte_rejections", float_of_int s.T.lte_rejections);
+            ("newton_iters", float_of_int s.T.newton_iters);
+            ("device_loads", float_of_int s.T.device_loads);
+            ("bypassed_loads", float_of_int s.T.bypassed_loads);
+            ("guided_seeds", float_of_int s.T.guided_seeds);
+            ("cold_fallbacks", float_of_int s.T.cold_fallbacks);
+          ],
+          s.T.accepted_steps )
+  in
   {
-    Cml_telemetry.Events.ev_idx = idx;
-    ev_name = Defect.describe entry.defect;
-    ev_classes =
-      (match entry.outcome with Failed _ -> [ "failed" ] | Measured (_, fl) -> flag_labels fl);
-    ev_healing = healing_label entry;
-    ev_failed = (match entry.outcome with Failed _ -> true | Measured _ -> false);
-    ev_steps = (match stats with Some (s : T.stats) -> s.T.accepted_steps | None -> 0);
-    ev_seconds = seconds;
+    Cml_runtime.Variant_loop.classes;
+    metrics = meas @ solver;
+    healing = healing_label entry;
+    failed;
+    steps;
   }
-
-(* Per-domain utilization rows for this run: pool counters diffed
-   against the snapshot taken at run start, busy ratio against the
-   run's wall clock (also published as gauges). *)
-let utilization_rows ~wall_s before =
-  List.map
-    (fun (dom, (d : Cml_runtime.Pool.domain_stats)) ->
-      Cml_telemetry.Events.util_row ~wall_s ~domain:dom ~busy_ns:d.Cml_runtime.Pool.busy_ns
-        ~items:d.Cml_runtime.Pool.items ~longest_stall_ns:d.Cml_runtime.Pool.longest_stall_ns)
-    (Cml_runtime.Pool.utilization_since before)
 
 let to_manifest ?seed ?(options = []) t =
   let spans = Cml_telemetry.Trace.aggregate (Cml_telemetry.Trace.peek ()) in
   Cml_telemetry.Manifest.create ?seed ~options ~healing:(healing_histogram t.entries)
     ~variants:t.variants ~metrics:t.metrics ~spans ~kind:"campaign" ()
 
-let run ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?(stages = 8) ?dut ?tstop ?jobs
-    ?(preflight = true) ?(warm_start = true) ?(batch = true) ?max_iter ?manifest ~defects () =
-  let dut = match dut with Some d -> d | None -> Cml_cells.Chain.dut_stage in
-  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
+(* The one campaign driver behind [run] and [run_design]: simulate the
+   fault-free circuit once, then every defect variant through the
+   shared run lifecycle ({!Cml_runtime.Variant_loop}), in slices of at
+   most 16 variants ([batch = false]: slices of one). *)
+let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?manifest ~options
+    ~golden ps defects =
+  let window = Cml_runtime.Variant_loop.start () in
   let engine_options =
     Option.map (fun n -> { E.default_options with E.max_iter = n }) max_iter
   in
-  let snap0 = Cml_telemetry.Metrics.snapshot () in
-  let span = Cml_telemetry.Trace.start () in
-  let chain = Cml_cells.Chain.build ~proc ~stages ~freq () in
-  let golden = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   if preflight then
     Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
   (* the stimulus is shared by every variant, and defect injection
@@ -304,270 +299,14 @@ let run ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?(stages = 8) ?dut ?
      breakpoint schedule is valid for all of them *)
   let breakpoints = T.collect_breakpoints golden ~tstop in
   let reference, ref_traj, nominal =
-    measure_chain_full ?engine_options ~breakpoints chain golden ~freq ~tstop ~dut
+    measure_full ?engine_options ~breakpoints ps golden ~freq ~tstop
   in
   (* the nominal trajectory seeds every variant's Newton solves;
      [T.run] ignores it for variants whose defect changed the unknown
      layout (an open adds a node) and falls back to cold seeding
      whenever the variant diverges from the nominal path *)
   let guide = if warm_start then Some ref_traj else None in
-  (* classification reads the streamed probes (every accepted step),
-     so variants only keep a thinned dense trajectory — the reference
-     keeps all of it because the guide seeds from its rows *)
-  let variant_record_every = 8 in
-  let run_options =
-    [
-      ("freq", Printf.sprintf "%g" freq);
-      ("stages", string_of_int stages);
-      ("dut", string_of_int dut);
-      ("tstop", Printf.sprintf "%g" tstop);
-      ("warm_start", string_of_bool warm_start);
-      ("batch", string_of_bool batch);
-      ("defects", string_of_int (List.length defects));
-    ]
-    @ match max_iter with None -> [] | Some n -> [ ("max_iter", string_of_int n) ]
-  in
-  let ev_run =
-    Cml_telemetry.Events.run_start ~kind:"campaign" ~total:(List.length defects) ?jobs
-      ~options:run_options ()
-  in
-  let util0 = Cml_runtime.Pool.utilization () in
-  Cml_runtime.Pool.reset_stall_watermarks ();
-  let wall_t0 = Cml_telemetry.Clock.now_ns () in
-  let run_one (idx, defect) =
-    Cml_telemetry.Progress.variant_start (Defect.describe defect);
-    let tok = Cml_telemetry.Trace.start () in
-    let t0 = Cml_telemetry.Clock.now_ns () in
-    let entry, stats =
-      match Inject.apply golden defect with
-      | exception (Not_found | Invalid_argument _) ->
-          ({ defect; outcome = Failed "injection failed" }, None)
-      | faulty -> (
-          match
-            measure_chain_full ?engine_options ?guide ~breakpoints
-              ~record_every:variant_record_every ~nominal chain faulty ~freq ~tstop ~dut
-          with
-          | m, r, _ ->
-              ({ defect; outcome = Measured (m, classify ~proc ~reference m) }, Some r.T.stats)
-          | exception E.No_convergence msg -> ({ defect; outcome = Failed msg }, None))
-    in
-    let seconds = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
-    Cml_telemetry.Trace.finish ~cat:"campaign"
-      ~args:
-        (if tok >= 0L then [ ("defect", Cml_telemetry.Trace.S (Defect.describe defect)) ]
-         else [])
-      "variant" tok;
-    Cml_telemetry.Progress.variant_finish
-      ~failed:(match entry.outcome with Failed _ -> true | Measured _ -> false);
-    Cml_telemetry.Events.variant_done ev_run (event_variant ~idx entry ~seconds ~stats);
-    (entry, variant_of_entry entry ~seconds ~stats)
-  in
-  (* Batch scheduling: a contiguous slice of defects becomes one
-     lockstep lane batch ({!Cml_spice.Transient.run_batch}) — lanes
-     advance through the shared macro grid together, diverging lanes
-     retire early, and each lane's classification still reads its own
-     streamed probes.  Lanes are grouped by unknown layout inside a
-     slice because a batch shares one flat state plane (an
-     Open_terminal variant adds a node and gets its own group).
-     Variants keep no dense trajectory at all ([record_every = 0]):
-     classification is pure probe work.  Per-variant [v_seconds] is
-     the batch wall time amortised over its lanes. *)
-  let stages_count = Array.length chain.Cml_cells.Chain.stages in
-  let cfg_batch = T.config ~tstop ~max_step:10e-12 ~record_every:0 () in
-  let run_slice (idefs : (int * Defect.t) array) =
-    let defs = Array.map snd idefs in
-    let n = Array.length defs in
-    (* lockstep lanes genuinely are all in flight at once *)
-    Array.iter (fun d -> Cml_telemetry.Progress.variant_start (Defect.describe d)) defs;
-    let tok = Cml_telemetry.Trace.start () in
-    let t0 = Cml_telemetry.Clock.now_ns () in
-    let sims =
-      Array.map
-        (fun defect ->
-          match Inject.apply golden defect with
-          | exception (Not_found | Invalid_argument _) -> None
-          | faulty -> Some (E.compile ?options:engine_options faulty))
-        defs
-    in
-    let entries =
-      Array.map (fun defect -> { defect; outcome = Failed "injection failed" }) defs
-    in
-    let statsv = Array.make n None in
-    let groups = Hashtbl.create 4 in
-    Array.iteri
-      (fun i sim ->
-        match sim with
-        | None -> ()
-        | Some s ->
-            let w = E.unknown_count s in
-            Hashtbl.replace groups w (i :: Option.value ~default:[] (Hashtbl.find_opt groups w)))
-      sims;
-    Hashtbl.iter
-      (fun _w rev_idxs ->
-        let idxs = Array.of_list (List.rev rev_idxs) in
-        let obs =
-          Array.map (fun i -> T.observers (chain_probes chain (Option.get sims.(i)))) idxs
-        in
-        let lanes = Array.mapi (fun k i -> (Option.get sims.(i), Some obs.(k))) idxs in
-        let results = T.run_batch ?guide ~breakpoints lanes golden cfg_batch in
-        Array.iteri
-          (fun k i ->
-            let defect = defs.(i) in
-            match results.(k) with
-            | T.Lane_done r ->
-                let m, _ = analyze_probes ~nominal obs.(k) ~stages:stages_count ~freq ~tstop ~dut in
-                entries.(i) <- { defect; outcome = Measured (m, classify ~proc ~reference m) };
-                statsv.(i) <- Some r.T.stats
-            | T.Lane_failed msg -> entries.(i) <- { defect; outcome = Failed msg }
-            | T.Lane_incompatible ->
-                (* unreachable: lanes are grouped by layout above *)
-                entries.(i) <- { defect; outcome = Failed "incompatible lane layout" })
-          idxs)
-      groups;
-    let seconds = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
-    Cml_telemetry.Trace.finish ~cat:"campaign"
-      ~args:(if tok >= 0L then [ ("lanes", Cml_telemetry.Trace.I n) ] else [])
-      "variant_batch" tok;
-    let per_lane = seconds /. float_of_int (max 1 n) in
-    Array.mapi
-      (fun i e ->
-        Cml_telemetry.Progress.variant_finish
-          ~failed:(match e.outcome with Failed _ -> true | Measured _ -> false);
-        Cml_telemetry.Events.variant_done ev_run
-          (event_variant ~idx:(fst idefs.(i)) e ~seconds:per_lane ~stats:statsv.(i));
-        (e, variant_of_entry e ~seconds:per_lane ~stats:statsv.(i)))
-      entries
-  in
-  (* one compiled sim per defect ([Inject.apply] copies the netlist,
-     [measure_chain_full] compiles its own engine), so tasks share
-     only read-only state and can run on worker domains *)
-  let indexed = List.mapi (fun i d -> (i, d)) defects in
-  let results =
-    if batch then
-      Array.to_list
-        (Cml_runtime.Pool.parallel_map_batches ?jobs ~max_batch:16 run_slice
-           (Array.of_list indexed))
-    else Cml_runtime.Pool.parallel_list_map ?jobs run_one indexed
-  in
-  Cml_telemetry.Trace.finish ~cat:"campaign" "campaign" span;
-  let wall_s = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) wall_t0) in
-  let utilization = utilization_rows ~wall_s util0 in
-  let metrics = Cml_telemetry.Metrics.diff snap0 (Cml_telemetry.Metrics.snapshot ()) in
-  let t =
-    {
-      reference;
-      entries = List.map fst results;
-      variants = List.map snd results;
-      metrics;
-      utilization;
-      wall_s;
-    }
-  in
-  Cml_telemetry.Events.finish ev_run
-    ~classes:(Cml_telemetry.Manifest.class_histogram (to_manifest t))
-    ~wall_s ~utilization;
-  (match manifest with
-  | None -> ()
-  | Some path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options:run_options t));
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Compiled-design campaigns: the same classification machinery on an
-   arbitrary CML netlist — typically a [.bench] circuit compiled by
-   {!Cml_cells.Compile} — probing the attacked cell's output pair, one
-   primary output and the supply branch.  There is no stage chain, so
-   the healing profile is not computed ([degraded_at] and
-   [healing_depth] stay [None]). *)
-
-let design_probes ~input ~dut ~final sim =
-  let base =
-    [
-      ("in.p", E.node_unknown input.Cml_cells.Builder.p);
-      ("in.n", E.node_unknown input.Cml_cells.Builder.n);
-      ("dut.p", E.node_unknown dut.Cml_cells.Builder.p);
-      ("dut.n", E.node_unknown dut.Cml_cells.Builder.n);
-      ("fin.p", E.node_unknown final.Cml_cells.Builder.p);
-      ("fin.n", E.node_unknown final.Cml_cells.Builder.n);
-    ]
-  in
-  match E.branch_unknown sim "vdd" with
-  | exception Not_found -> base
-  | br -> ("i(vdd)", br) :: base
-
-let analyze_design_probes obs ~freq ~tstop =
-  let wave name =
-    let times, values = T.probe_samples obs name in
-    Cml_wave.Wave.create times values
-  in
-  let t_from = tstop /. 2.0 in
-  let supply_current =
-    match wave "i(vdd)" with
-    | exception Not_found -> 0.0
-    | w ->
-        let w = Cml_wave.Wave.map Float.abs w in
-        Cml_wave.Wave.mean (Cml_wave.Wave.sub_range w ~t_from ~t_to:(Cml_wave.Wave.t_end w))
-  in
-  let wp_dut = wave "dut.p" and wn_dut = wave "dut.n" in
-  let wp_fin = wave "fin.p" and wn_fin = wave "fin.n" in
-  let lo_p, hi_p = Cml_wave.Measure.extremes wp_dut ~t_from in
-  let lo_n, hi_n = Cml_wave.Measure.extremes wn_dut ~t_from in
-  let lo_fp, hi_fp = Cml_wave.Measure.extremes wp_fin ~t_from in
-  let lo_fn, hi_fn = Cml_wave.Measure.extremes wn_fin ~t_from in
-  let w_in_p = wave "in.p" and w_in_n = wave "in.n" in
-  let final_delay =
-    match
-      List.find_opt (fun t -> t >= t_from) (Cml_wave.Measure.differential_crossings w_in_p w_in_n)
-    with
-    | None -> None
-    | Some t0 -> (
-        match
-          List.find_opt (fun t -> t > t0)
-            (Cml_wave.Measure.differential_crossings wp_fin wn_fin)
-        with
-        | None -> None
-        | Some t1 when t1 -. t0 < 0.75 /. freq -> Some (t1 -. t0)
-        | Some _ -> None)
-  in
-  {
-    dut_vlow = Float.min lo_p lo_n;
-    dut_vhigh = Float.max hi_p hi_n;
-    dut_swing = hi_p -. lo_p;
-    final_vlow = Float.min lo_fp lo_fn;
-    final_vhigh = Float.max hi_fp hi_fn;
-    final_swing = hi_fp -. lo_fp;
-    final_delay;
-    supply_current;
-    degraded_at = None;
-    healing_depth = None;
-  }
-
-let measure_design_full ?engine_options ?guide ?breakpoints ?(record_every = 1) ~probes net
-    ~freq ~tstop =
-  let sim = E.compile ?options:engine_options net in
-  let cfg = T.config ~tstop ~max_step:10e-12 ~record_every () in
-  let obs = T.observers (probes sim) in
-  let r = T.run ?guide ?breakpoints ~observers:obs sim net cfg in
-  (analyze_design_probes obs ~freq ~tstop, r)
-
-let run_design ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?tstop ?jobs
-    ?(preflight = true) ?(warm_start = true) ?(batch = true) ?max_iter ?manifest
-    ?(options = []) ~golden ~input ~dut ~final ~defects () =
-  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
-  let engine_options =
-    Option.map (fun n -> { E.default_options with E.max_iter = n }) max_iter
-  in
-  let snap0 = Cml_telemetry.Metrics.snapshot () in
-  let span = Cml_telemetry.Trace.start () in
-  if preflight then
-    Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
-  let probes = design_probes ~input ~dut ~final in
-  let breakpoints = T.collect_breakpoints golden ~tstop in
-  let reference, ref_traj =
-    measure_design_full ?engine_options ~breakpoints ~probes golden ~freq ~tstop
-  in
-  let guide = if warm_start then Some ref_traj else None in
-  let variant_record_every = 8 in
-  let run_options =
+  let options =
     options
     @ [
         ("freq", Printf.sprintf "%g" freq);
@@ -578,138 +317,76 @@ let run_design ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?tstop ?jobs
       ]
     @ match max_iter with None -> [] | Some n -> [ ("max_iter", string_of_int n) ]
   in
-  let ev_run =
-    Cml_telemetry.Events.run_start ~kind:"campaign" ~total:(List.length defects) ?jobs
-      ~options:run_options ()
-  in
-  let util0 = Cml_runtime.Pool.utilization () in
-  Cml_runtime.Pool.reset_stall_watermarks ();
-  let wall_t0 = Cml_telemetry.Clock.now_ns () in
-  let run_one (idx, defect) =
-    Cml_telemetry.Progress.variant_start (Defect.describe defect);
-    let tok = Cml_telemetry.Trace.start () in
-    let t0 = Cml_telemetry.Clock.now_ns () in
-    let entry, stats =
-      match Inject.apply golden defect with
-      | exception (Not_found | Invalid_argument _) ->
-          ({ defect; outcome = Failed "injection failed" }, None)
-      | faulty -> (
-          match
-            measure_design_full ?engine_options ?guide ~breakpoints
-              ~record_every:variant_record_every ~probes faulty ~freq ~tstop
-          with
-          | m, r ->
-              ({ defect; outcome = Measured (m, classify ~proc ~reference m) }, Some r.T.stats)
-          | exception E.No_convergence msg -> ({ defect; outcome = Failed msg }, None))
+  (* Within a slice, the first completed variant of each unknown layout
+     donates its sparse symbolic analysis to the slice's later variants
+     of that layout ({!Cml_spice.Engine.share_symbolic}): one column
+     ordering per layout per slice instead of one per defect.  Variants
+     keep no dense trajectory ([record_every = 0]): classification is
+     pure probe work.  Each variant injects into its own copy of the
+     netlist and compiles its own sim, so slices share only read-only
+     state and can run on worker domains. *)
+  let slice () =
+    let donors = Hashtbl.create 2 in
+    let share sim =
+      Option.iter
+        (fun donor -> E.share_symbolic ~donor sim)
+        (Hashtbl.find_opt donors (E.unknown_count sim))
     in
-    let seconds = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
-    Cml_telemetry.Trace.finish ~cat:"campaign"
-      ~args:
-        (if tok >= 0L then [ ("defect", Cml_telemetry.Trace.S (Defect.describe defect)) ]
-         else [])
-      "variant" tok;
-    Cml_telemetry.Progress.variant_finish
-      ~failed:(match entry.outcome with Failed _ -> true | Measured _ -> false);
-    Cml_telemetry.Events.variant_done ev_run (event_variant ~idx entry ~seconds ~stats);
-    (entry, variant_of_entry entry ~seconds ~stats)
+    fun defect ->
+      let outcome, stats =
+        match Inject.apply golden defect with
+        | exception (Not_found | Invalid_argument _) -> (Failed "injection failed", None)
+        | faulty -> (
+            match
+              measure_full ?engine_options ~share ?guide ~breakpoints ~record_every:0 ~nominal ps
+                faulty ~freq ~tstop
+            with
+            | m, r, _ ->
+                let width = E.unknown_count r.T.sim in
+                if not (Hashtbl.mem donors width) then Hashtbl.add donors width r.T.sim;
+                (Measured (m, classify ~proc ~reference m), Some r.T.stats)
+            | exception E.No_convergence msg -> (Failed msg, None))
+      in
+      let entry = { defect; outcome } in
+      (entry, report entry stats)
   in
-  (* Batched slices mirror [run]: lanes grouped by unknown layout run
-     in lockstep through one shared macro grid, and — because every
-     lane of a group shares lane 0's sparse symbolic analysis
-     ({!Cml_spice.Engine.share_symbolic}) — one column ordering and
-     one pattern analysis serve the whole group. *)
-  let cfg_batch = T.config ~tstop ~max_step:10e-12 ~record_every:0 () in
-  let run_slice (idefs : (int * Defect.t) array) =
-    let defs = Array.map snd idefs in
-    let n = Array.length defs in
-    (* lockstep lanes genuinely are all in flight at once *)
-    Array.iter (fun d -> Cml_telemetry.Progress.variant_start (Defect.describe d)) defs;
-    let tok = Cml_telemetry.Trace.start () in
-    let t0 = Cml_telemetry.Clock.now_ns () in
-    let sims =
-      Array.map
-        (fun defect ->
-          match Inject.apply golden defect with
-          | exception (Not_found | Invalid_argument _) -> None
-          | faulty -> Some (E.compile ?options:engine_options faulty))
-        defs
-    in
-    let entries =
-      Array.map (fun defect -> { defect; outcome = Failed "injection failed" }) defs
-    in
-    let statsv = Array.make n None in
-    let groups = Hashtbl.create 4 in
-    Array.iteri
-      (fun i sim ->
-        match sim with
-        | None -> ()
-        | Some s ->
-            let w = E.unknown_count s in
-            Hashtbl.replace groups w (i :: Option.value ~default:[] (Hashtbl.find_opt groups w)))
-      sims;
-    Hashtbl.iter
-      (fun _w rev_idxs ->
-        let idxs = Array.of_list (List.rev rev_idxs) in
-        let obs = Array.map (fun i -> T.observers (probes (Option.get sims.(i)))) idxs in
-        let lanes = Array.mapi (fun k i -> (Option.get sims.(i), Some obs.(k))) idxs in
-        let results = T.run_batch ?guide ~breakpoints lanes golden cfg_batch in
-        Array.iteri
-          (fun k i ->
-            let defect = defs.(i) in
-            match results.(k) with
-            | T.Lane_done r ->
-                let m = analyze_design_probes obs.(k) ~freq ~tstop in
-                entries.(i) <- { defect; outcome = Measured (m, classify ~proc ~reference m) };
-                statsv.(i) <- Some r.T.stats
-            | T.Lane_failed msg -> entries.(i) <- { defect; outcome = Failed msg }
-            | T.Lane_incompatible ->
-                (* unreachable: lanes are grouped by layout above *)
-                entries.(i) <- { defect; outcome = Failed "incompatible lane layout" })
-          idxs)
-      groups;
-    let seconds = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
-    Cml_telemetry.Trace.finish ~cat:"campaign"
-      ~args:(if tok >= 0L then [ ("lanes", Cml_telemetry.Trace.I n) ] else [])
-      "variant_batch" tok;
-    let per_lane = seconds /. float_of_int (max 1 n) in
-    Array.mapi
-      (fun i e ->
-        Cml_telemetry.Progress.variant_finish
-          ~failed:(match e.outcome with Failed _ -> true | Measured _ -> false);
-        Cml_telemetry.Events.variant_done ev_run
-          (event_variant ~idx:(fst idefs.(i)) e ~seconds:per_lane ~stats:statsv.(i));
-        (e, variant_of_entry e ~seconds:per_lane ~stats:statsv.(i)))
-      entries
+  let v =
+    Cml_runtime.Variant_loop.run window ~kind:"campaign" ~item:"variant" ?jobs
+      ~max_batch:(if batch then 16 else 1)
+      ~options ~name:Defect.describe ~slice (Array.of_list defects)
   in
-  let indexed = List.mapi (fun i d -> (i, d)) defects in
-  let results =
-    if batch then
-      Array.to_list
-        (Cml_runtime.Pool.parallel_map_batches ?jobs ~max_batch:16 run_slice
-           (Array.of_list indexed))
-    else Cml_runtime.Pool.parallel_list_map ?jobs run_one indexed
-  in
-  Cml_telemetry.Trace.finish ~cat:"campaign" "campaign" span;
-  let wall_s = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) wall_t0) in
-  let utilization = utilization_rows ~wall_s util0 in
-  let metrics = Cml_telemetry.Metrics.diff snap0 (Cml_telemetry.Metrics.snapshot ()) in
   let t =
     {
       reference;
-      entries = List.map fst results;
-      variants = List.map snd results;
-      metrics;
-      utilization;
-      wall_s;
+      entries = Array.to_list v.results;
+      variants = v.variants;
+      metrics = v.metrics;
+      utilization = v.utilization;
+      wall_s = v.wall_s;
     }
   in
-  Cml_telemetry.Events.finish ev_run
-    ~classes:(Cml_telemetry.Manifest.class_histogram (to_manifest t))
-    ~wall_s ~utilization;
-  (match manifest with
-  | None -> ()
-  | Some path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options:run_options t));
+  Option.iter (fun path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options t)) manifest;
   t
+
+let run ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?(stages = 8) ?dut ?tstop ?jobs
+    ?(preflight = true) ?(warm_start = true) ?(batch = true) ?max_iter ?manifest ~defects () =
+  let dut = match dut with Some d -> d | None -> Cml_cells.Chain.dut_stage in
+  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
+  let chain = Cml_cells.Chain.build ~proc ~stages ~freq () in
+  campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?manifest
+    ~options:[ ("stages", string_of_int stages); ("dut", string_of_int dut) ]
+    ~golden:chain.Cml_cells.Chain.builder.Cml_cells.Builder.net (chain_probe_set chain ~dut)
+    defects
+
+let run_design ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?tstop ?jobs
+    ?(preflight = true) ?(warm_start = true) ?(batch = true) ?max_iter ?manifest
+    ?(options = []) ~golden ~input ~dut ~final ~defects () =
+  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
+  let ps =
+    { input; pairs = [ ("dut", dut); ("fin", final) ]; dut = "dut"; final = "fin"; stages = [] }
+  in
+  campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?manifest ~options
+    ~golden ps defects
 
 let summary t =
   let count p = List.length (List.filter p t.entries) in

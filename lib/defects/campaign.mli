@@ -47,8 +47,10 @@ type t = {
   reference : measurement;  (** fault-free chain measurement *)
   entries : entry list;
   variants : Cml_telemetry.Manifest.variant list;
-      (** per-variant telemetry (wall time, transient stats), aligned
-          with [entries]; kept outside [entry] so parallel and
+      (** per-variant telemetry, aligned with [entries]: [v_seconds]
+          is the variant's own wall time (injection, compile,
+          transient, probe analysis) and [v_metrics] its measurement
+          and transient stats; kept outside [entry] so parallel and
           sequential runs produce structurally equal entries *)
   metrics : Cml_telemetry.Metrics.snapshot;
       (** metrics-registry movement over this campaign *)
@@ -120,17 +122,15 @@ val run :
     variant that rejects the nominal seed falls back to cold
     seeding.
 
-    Unless [batch] is [false], variants run through the
-    variant-lockstep batch scheduler
-    ({!Cml_spice.Transient.run_batch}): contiguous slices of the
-    defect list advance through a shared macro time grid as lanes of
-    one batch (grouped by unknown layout within a slice), with
-    diverging lanes retiring early.  Classification results match the
-    scalar path — both read the same streamed probes — but variant
-    trajectories are not bit-identical step for step, and per-variant
-    [v_seconds] telemetry is the batch wall time amortised over its
-    lanes.  [batch = false] keeps the classic one-transient-per-defect
-    path (the parity oracle in tests).
+    Variants run in contiguous slices of at most 16 defects (one pool
+    task each).  Within a slice, the first completed variant of each
+    unknown layout offers its sparse symbolic LU analysis to the
+    slice's later variants of that layout
+    ({!Cml_spice.Engine.share_symbolic}); on the dense backend the
+    offer is a no-op.  [batch = false] means slices of one defect
+    through the same code.  Every variant is exactly one
+    {!Cml_spice.Transient.run} of its own sim, so [cmldft explain]
+    re-simulates it step for step.
 
     [max_iter] caps Newton iterations per solve (default: the engine's
     100) for every compiled sim of the run, reference included — a
@@ -171,10 +171,9 @@ val run_design :
     (e.g. the bench path) to the manifest options.  There is no
     stage chain, so measurements carry no healing profile
     ([degraded_at] and [healing_depth] are [None]) and the manifest's
-    healing histogram reads "clean".  Batched lanes of one layout
-    group additionally share one sparse symbolic analysis
-    ({!Cml_spice.Engine.share_symbolic}): the campaign pays for one
-    column ordering per group, not one per defect. *)
+    healing histogram reads "clean".  On a sparse-sized design the
+    slices' shared symbolic analysis means the campaign pays for one
+    column ordering per layout per slice, not one per defect. *)
 
 val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
 (** The run manifest [?manifest] writes; exposed so callers can stamp

@@ -6,10 +6,17 @@ let terminal_node net ~device ~terminal =
   | Some nd -> nd
   | None -> raise Not_found
 
+(* A defect resistance must be positive: [Engine.compile] would
+   otherwise reject the faulty netlist, outside the campaign's
+   per-variant failure fold.  Written [not (r > 0.)] so NaN fails too. *)
+let check_resistance what r =
+  if not (r > 0.) then invalid_arg (Printf.sprintf "%s defect needs a positive resistance" what)
+
 let apply net defect =
   let net = N.copy net in
   (match defect with
   | Defect.Pipe { device; r } -> begin
+      check_resistance "pipe" r;
       match N.get_device net device with
       | N.Bjt { collector; emitters; _ } ->
           N.resistor net ~name:"defect.pipe" collector emitters.(0) r
@@ -22,6 +29,7 @@ let apply net defect =
       if n1 = n2 then invalid_arg "short between already-connected terminals";
       N.resistor net ~name:"defect.short" n1 n2 Defect.short_resistance
   | Defect.Bridge { node1; node2; r } -> begin
+      check_resistance "bridge" r;
       match (N.find_node net node1, N.find_node net node2) with
       | Some n1, Some n2 ->
           if n1 = n2 then invalid_arg "bridge between identical nodes";

@@ -8,4 +8,5 @@ val apply : Cml_spice.Netlist.t -> Defect.t -> Cml_spice.Netlist.t
     @raise Not_found if the defect references an unknown device,
     terminal or node.
     @raise Invalid_argument if the defect kind does not match the
-    device kind (e.g. [Resistor_short] on a transistor). *)
+    device kind (e.g. [Resistor_short] on a transistor), or a [Pipe]
+    or [Bridge] resistance is not positive (zero, negative or NaN). *)

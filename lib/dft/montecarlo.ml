@@ -17,9 +17,6 @@ type result = {
   wall_s : float;
 }
 
-let m_samples = Tel.Metrics.counter "montecarlo.samples"
-let m_sample_seconds = Tel.Metrics.histogram "montecarlo.sample_seconds"
-
 let to_manifest ?seed ?(options = []) r =
   let spans = Tel.Trace.aggregate (Tel.Trace.peek ()) in
   Tel.Manifest.create ?seed ~options ~variants:r.sample_reports ~metrics:r.metrics ~spans
@@ -35,8 +32,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
         Cml_defects.Defect.Pipe
           { device = Printf.sprintf "x%d.q3" (((n - 1) / 2) + 1); r = 4e3 }
   in
-  let snap0 = Tel.Metrics.snapshot () in
-  let span = Tel.Trace.start () in
+  let window = Cml_runtime.Variant_loop.start () in
   let built = Sharing.build ~proc ~multi_emitter ~n () in
   let golden = built.Sharing.builder.Cml_cells.Builder.net in
   let faulty = Cml_defects.Inject.apply golden defect in
@@ -72,11 +68,6 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
     let vout = E.voltage x built.Sharing.readout.Readout.vout in
     (vfb > decision, vout)
   in
-  (* each sample derives its own perturbed netlist from (seed + k)
-     and compiles a fresh sim, so samples are independent tasks; they
-     are scheduled as contiguous slices (one pool task per slice, see
-     {!Cml_runtime.Pool.parallel_map_batches}) so the per-task
-     wake-up/handoff cost is paid per slice, not per sample *)
   let run_options =
     [
       ("n", string_of_int n);
@@ -85,99 +76,52 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
       ("warm_start", string_of_bool warm_start);
     ]
   in
-  let ev_run =
-    Tel.Events.run_start ~kind:"montecarlo" ~total:samples ?jobs ~options:run_options ()
+  (* each sample derives its own perturbed netlist from (seed + k)
+     and compiles a fresh sim, so samples are independent variants of
+     the shared run loop; its contiguous slices (one pool task each)
+     pay the per-task wake-up/handoff cost per slice, not per sample *)
+  let sample k =
+    let ((flagged_good, vout_good) as good) = measure golden nom_good k in
+    let ((flagged_bad, vout_bad) as bad) = measure faulty nom_bad k in
+    ( (good, bad),
+      {
+        Cml_runtime.Variant_loop.classes =
+          ((if flagged_good then [ "false-alarm" ] else [])
+          @ if flagged_bad then [ "detected" ] else [ "missed" ]);
+        metrics = [ ("good_vout", vout_good); ("bad_vout", vout_bad) ];
+        healing = None;
+        failed = false;
+        steps = 0 (* DC-only: no transient steps *);
+      } )
   in
-  let util0 = Cml_runtime.Pool.utilization () in
-  Cml_runtime.Pool.reset_stall_watermarks ();
-  let wall_t0 = Tel.Clock.now_ns () in
-  let outcomes =
-    Cml_runtime.Pool.parallel_map_batches ?jobs
-      (Array.map (fun k ->
-           let name = Printf.sprintf "sample %d" k in
-           Tel.Progress.variant_start name;
-           let tok = Tel.Trace.start () in
-           let t0 = Tel.Clock.now_ns () in
-           let good = measure golden nom_good k and bad = measure faulty nom_bad k in
-           let seconds = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0) in
-           Tel.Metrics.incr m_samples;
-           Tel.Metrics.observe m_sample_seconds seconds;
-           Tel.Trace.finish ~cat:"montecarlo"
-             ~args:(if tok >= 0L then [ ("sample", Tel.Trace.I k) ] else [])
-             "sample" tok;
-           Tel.Progress.variant_finish ~failed:false;
-           let flagged_good, _ = good and flagged_bad, _ = bad in
-           Tel.Events.variant_done ev_run
-             {
-               Tel.Events.ev_idx = k;
-               ev_name = name;
-               ev_classes =
-                 ((if flagged_good then [ "false-alarm" ] else [])
-                 @ if flagged_bad then [ "detected" ] else [ "missed" ]);
-               ev_healing = None;
-               ev_failed = false;
-               ev_steps = 0;  (* DC-only: no transient steps *)
-               ev_seconds = seconds;
-             };
-           (good, bad, seconds)))
+  let v =
+    Cml_runtime.Variant_loop.run window ~kind:"montecarlo" ~item:"sample" ?jobs
+      ~options:run_options ~name:(Printf.sprintf "sample %d")
+      ~slice:(fun () -> sample)
       (Array.init samples Fun.id)
   in
-  let false_alarms = ref 0 and missed = ref 0 in
-  let good_vouts = Array.make samples 0.0 and bad_vouts = Array.make samples 0.0 in
-  let sample_reports = ref [] in
-  Array.iteri
-    (fun k ((flagged_good, vout_good), (flagged_bad, vout_bad), seconds) ->
-      if flagged_good then incr false_alarms;
-      good_vouts.(k) <- vout_good;
-      if not flagged_bad then incr missed;
-      bad_vouts.(k) <- vout_bad;
-      let classes =
-        (if flagged_good then [ "false-alarm" ] else [])
-        @ if flagged_bad then [ "detected" ] else [ "missed" ]
-      in
-      sample_reports :=
-        {
-          Tel.Manifest.v_name = Printf.sprintf "sample %d" k;
-          v_classes = classes;
-          v_seconds = seconds;
-          v_metrics = [ ("good_vout", vout_good); ("bad_vout", vout_bad) ];
-        }
-        :: !sample_reports)
-    outcomes;
-  Tel.Trace.finish ~cat:"montecarlo" "montecarlo" span;
-  let wall_s = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) wall_t0) in
-  let utilization =
-    List.map
-      (fun (dom, (d : Cml_runtime.Pool.domain_stats)) ->
-        Tel.Events.util_row ~wall_s ~domain:dom ~busy_ns:d.Cml_runtime.Pool.busy_ns
-          ~items:d.Cml_runtime.Pool.items ~longest_stall_ns:d.Cml_runtime.Pool.longest_stall_ns)
-      (Cml_runtime.Pool.utilization_since util0)
-  in
-  let metrics = Tel.Metrics.diff snap0 (Tel.Metrics.snapshot ()) in
+  let count p = Array.fold_left (fun acc o -> if p o then acc + 1 else acc) 0 v.results in
+  let good_vouts = Array.map (fun ((_, vout), _) -> vout) v.results in
+  let bad_vouts = Array.map (fun (_, (_, vout)) -> vout) v.results in
   let gmin = Cml_numerics.Stats.minimum good_vouts in
   let r =
     {
       samples;
-      false_alarms = !false_alarms;
-      missed = !missed;
+      false_alarms = count (fun ((flagged, _), _) -> flagged);
+      missed = count (fun (_, (flagged, _)) -> not flagged);
       good_vout_min = gmin;
       good_vout_max = Cml_numerics.Stats.maximum good_vouts;
       bad_vout_max = Cml_numerics.Stats.maximum bad_vouts;
       separation = gmin -. Cml_numerics.Stats.maximum bad_vouts;
       good_vouts;
       bad_vouts;
-      sample_reports = List.rev !sample_reports;
-      metrics;
-      utilization;
-      wall_s;
+      sample_reports = v.variants;
+      metrics = v.metrics;
+      utilization = v.utilization;
+      wall_s = v.wall_s;
     }
   in
-  Tel.Events.finish ev_run
-    ~classes:(Tel.Manifest.class_histogram (to_manifest r))
-    ~wall_s ~utilization;
-  (match manifest with
-  | None -> ()
-  | Some path -> Tel.Manifest.write ~path (to_manifest ~seed ~options:run_options r));
+  Option.iter (fun path -> Tel.Manifest.write ~path (to_manifest ~seed ~options:run_options r)) manifest;
   (* Finish the major cycle before returning.  OCaml 5's major GC is
      paced by allocation; with the shared symbolic analysis a run no
      longer allocates a fresh set of LU arrays per sample, so the

@@ -387,21 +387,18 @@ let parallel_list_map ?jobs f l =
   Array.to_list (parallel_map ?jobs f (Array.of_list l))
 
 (* ------------------------------------------------------------------ *)
-(* Size-aware batch scheduling.
+(* Size-aware slice scheduling.
 
-   Lockstep solvers amortise per-batch costs (shared macro grid,
-   staging planes, factor reuse warm-up) over the lanes of a batch, so
-   the unit of pool work should be a contiguous *slice* of the input,
-   not a single element: one pool task per slice keeps every domain
-   busy with a full batch while preserving the deterministic
-   element-order of [parallel_map].  Slices are sized to give each
-   active domain about four tasks (tail balancing) within the caller's
-   [min_batch]/[max_batch] bounds. *)
+   Callers that amortise per-slice work (a shared symbolic LU analysis,
+   a fault-simulation pattern block) want a contiguous *slice* of the
+   input as the unit of pool work, not a single element: one pool task
+   per slice also pays the wake-up/handoff cost once per slice, while
+   preserving the deterministic element order of [parallel_map].
+   Slices are sized to give each active domain about four tasks (tail
+   balancing), capped at the caller's [max_batch]. *)
 
-let parallel_map_batches ?jobs ?(min_batch = 1) ?(max_batch = max_int) f arr =
-  if min_batch < 1 then invalid_arg "Pool.parallel_map_batches: min_batch must be >= 1";
-  if max_batch < min_batch then
-    invalid_arg "Pool.parallel_map_batches: max_batch must be >= min_batch";
+let parallel_map_batches ?jobs ?(max_batch = max_int) f arr =
+  if max_batch < 1 then invalid_arg "Pool.parallel_map_batches: max_batch must be >= 1";
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
@@ -410,7 +407,7 @@ let parallel_map_batches ?jobs ?(min_batch = 1) ?(max_batch = max_int) f arr =
     let active = max 1 (min (min jobs n) cores) in
     let size =
       let per = (n + (active * 4) - 1) / (active * 4) in
-      min max_batch (max min_batch per)
+      min max_batch per
     in
     let nslices = (n + size - 1) / size in
     let slices =

@@ -44,20 +44,18 @@ val parallel_list_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List counterpart of {!parallel_map} (order preserved). *)
 
 val parallel_map_batches :
-  ?jobs:int -> ?min_batch:int -> ?max_batch:int -> ('a array -> 'b array) -> 'a array -> 'b array
+  ?jobs:int -> ?max_batch:int -> ('a array -> 'b array) -> 'a array -> 'b array
 (** [parallel_map_batches f arr] splits [arr] into contiguous slices,
     applies [f] to each slice (one pool task per slice, so [f] can
-    amortise per-batch work — a lockstep transient batch, a shared
-    factorization — across the slice's elements) and concatenates the
-    results in order: the output is element-for-element the
-    concatenation of [f] over the slices, deterministically.  Slice
-    sizes target ~4 tasks per active domain, clamped to
-    [\[min_batch, max_batch\]] (defaults 1 and unbounded); at
-    [jobs = 1] the whole input still arrives in [max_batch]-bounded
-    slices, which is what hands a batched solver its lanes.  [f] must
-    return exactly one output per input element (checked).
-    @raise Invalid_argument on [min_batch < 1] or
-    [max_batch < min_batch]. *)
+    amortise per-slice work — a shared symbolic LU analysis, a
+    fault-simulation pattern block — across the slice's elements) and
+    concatenates the results in order: the output is element-for-element
+    the concatenation of [f] over the slices, deterministically.  Slice
+    sizes target ~4 tasks per active domain, capped at [max_batch]
+    (default unbounded); at [jobs = 1] the whole input still arrives in
+    [max_batch]-bounded slices.  [f] must return exactly one output per
+    input element (checked).
+    @raise Invalid_argument on [max_batch < 1]. *)
 
 (** {1 Busy/idle accounting}
 

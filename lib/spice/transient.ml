@@ -175,17 +175,10 @@ let nearest_index times t =
   if Float.abs (times.(!hi) -. t) < Float.abs (times.(!lo) -. t) then !hi else !lo
 
 (* ------------------------------------------------------------------ *)
-(* The resumable stepper.
-
-   The step loop is written against an explicit state record instead
-   of loop-local refs so that a caller can advance a simulation to an
-   intermediate target time, hand control elsewhere, and resume — the
-   primitive the variant-lockstep batch scheduler is built on.  A
-   classic [run] is [stepper_create] + one [stepper_advance] to
-   [tstop] + [stepper_finish], and is bit-identical to the former
-   monolithic loop because the breakpoint schedule always ends at
-   [tstop]: the target never clips a step the breakpoints would not
-   have clipped. *)
+(* The stepper: the step loop's state as an explicit record, so the
+   loop body reads as one step's decision (seed, solve, LTE test,
+   commit or reject) instead of a dozen loop-local refs.  A [run] is
+   [stepper_create] + [stepper_advance] to [tstop] + [stepper_finish]. *)
 
 type stepper = {
   st_sim : Engine.sim;
@@ -315,23 +308,21 @@ let stepper_record st t x =
   | None -> ());
   st.st_nsnap <- st.st_nsnap + 1
 
-(* Advance committed time to [target] (clamped to [tstop]).  A stop at
-   a source breakpoint keeps the classic semantics (force a BE restart
-   with a cautious step); a stop that is only the caller's target is a
-   plain clamp — the step commits normally and the step size keeps
-   growing, so re-syncing a batch lane at a macro grid point does not
-   poison its local step control.
+(* Advance committed time to [tstop].  A stop at a source breakpoint
+   forces a BE restart with a cautious step; the final clamp to [tstop]
+   (or to a caller-supplied breakpoint beyond it) is a plain stop.
    @raise Engine.No_convergence when a step fails at [min_step]. *)
-let stepper_advance st target =
+let stepper_advance st =
   let cfg = st.st_cfg and sim = st.st_sim in
-  let target = Float.min target cfg.tstop in
-  while st.st_t < target -. (1e-12 *. cfg.tstop) do
+  while st.st_t < cfg.tstop -. (1e-12 *. cfg.tstop) do
     let next_bp =
       if st.st_bp_index < Array.length st.st_breakpoints then
         st.st_breakpoints.(st.st_bp_index)
       else cfg.tstop
     in
-    let next_stop, is_bp = if next_bp <= target then (next_bp, true) else (target, false) in
+    let next_stop, is_bp =
+      if next_bp <= cfg.tstop then (next_bp, true) else (cfg.tstop, false)
+    in
     let hitting = st.st_t +. st.st_h >= next_stop -. (0.01 *. st.st_h) in
     let t_next = if hitting then next_stop else st.st_t +. st.st_h in
     let h_step = t_next -. st.st_t in
@@ -460,18 +451,15 @@ let stepper_finish st =
 let run ?x0 ?guide ?breakpoints ?observers sim net cfg =
   let st = stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg in
   stepper_record st 0.0 st.st_x_n;
-  stepper_advance st cfg.tstop;
+  stepper_advance st;
   stepper_finish st
 
 (* ------------------------------------------------------------------ *)
-(* Variant-lockstep batch runs.
-
-   K lanes (variant sims of one stimulus) advance through a shared
-   macro time grid; between grid points each lane sub-steps with its
-   own adaptive control, and at each grid point the committed lane
-   states are staged through a flat Bigarray batch plane.  Lanes that
-   fail Newton below [min_step] retire from the batch without
-   stalling the others. *)
+(* Batch runs: one [run] per lane, in lane order.  What a batch shares
+   is the sparse symbolic analysis: every lane after the first
+   completed one is offered that lane's factorization
+   ({!Engine.share_symbolic}), so K lanes of one design pay for one
+   column ordering.  A lane that diverges fails alone. *)
 
 type lane_result =
   | Lane_done of result
@@ -480,41 +468,11 @@ type lane_result =
 
 let m_batch_runs = M.counter "transient.batch_runs"
 let m_batch_lanes = M.counter "transient.batch_lanes"
-let m_batch_macro_steps = M.counter "transient.batch_macro_steps"
 let m_batch_diverged = M.counter "transient.batch_retired_diverged"
 let m_batch_incompatible = M.counter "transient.batch_retired_incompatible"
 let m_batch_size = M.histogram "transient.batch_size"
 
-(* The macro grid the lanes re-synchronise on: a thinned copy of the
-   guide's accepted instants when warm-starting (a re-sync point per
-   accepted step would force every lane to clamp at instants it would
-   not otherwise visit — measured a few percent of extra steps over a
-   campaign — and retiring a lane a few steps later is cheap),
-   otherwise the source breakpoints padded with a coarse uniform
-   grid. *)
-let macro_sync_stride = 16
-
-let macro_grid ?guide ~breakpoints cfg =
-  let interior t = t > 0.0 && t < cfg.tstop in
-  let pts =
-    match guide with
-    | Some g when Array.length g.times > 1 ->
-        List.filteri (fun i _ -> i mod macro_sync_stride = 0)
-          (List.filter interior (Array.to_list g.times))
-    | _ ->
-        let coarse = ref [] in
-        let step = 16.0 *. cfg.max_step in
-        let t = ref step in
-        while !t < cfg.tstop do
-          coarse := !t :: !coarse;
-          t := !t +. step
-        done;
-        List.filter interior (Array.to_list breakpoints) @ !coarse
-  in
-  Array.of_list (List.sort_uniq compare (cfg.tstop :: pts))
-
 let run_batch ?guide ?breakpoints lanes net cfg =
-  let module Batch = Cml_numerics.Batch in
   let n = Array.length lanes in
   if n = 0 then [||]
   else begin
@@ -523,69 +481,28 @@ let run_batch ?guide ?breakpoints lanes net cfg =
       | Some bps -> bps
       | None -> collect_breakpoints net ~tstop:cfg.tstop
     in
-    let grid = macro_grid ?guide ~breakpoints cfg in
     let width = Engine.unknown_count (fst lanes.(0)) in
-    let batch = Batch.create ~lanes:n ~width in
     M.incr m_batch_runs;
     M.add m_batch_lanes n;
     M.observe m_batch_size (float_of_int n);
-    let steppers = Array.make n None in
-    let failures = Array.make n "" in
-    (* lanes of one design share one sparse symbolic analysis: the
-       first lane to factor (stepper creation runs the initial DC
-       solve) becomes the donor for every later lane, which then only
-       refactorizes numerically on the adopted ordering + patterns *)
     let donor = ref None in
-    Array.iteri
-      (fun lane (sim, observers) ->
-        if Engine.unknown_count sim <> width then
-          Batch.retire batch lane Batch.Incompatible
+    Array.map
+      (fun (sim, observers) ->
+        if Engine.unknown_count sim <> width then begin
+          M.incr m_batch_incompatible;
+          Lane_incompatible
+        end
         else begin
-          (match !donor with Some d -> Engine.share_symbolic ~donor:d sim | None -> ());
-          match stepper_create ?guide ~breakpoints ?observers sim net cfg with
-          | st ->
-              stepper_record st 0.0 st.st_x_n;
-              Batch.write_lane batch lane st.st_x_n;
-              steppers.(lane) <- Some st;
-              if !donor = None then donor := Some sim
+          Option.iter (fun d -> Engine.share_symbolic ~donor:d sim) !donor;
+          match run ?guide ~breakpoints ?observers sim net cfg with
+          | r ->
+              if Option.is_none !donor then donor := Some sim;
+              Lane_done r
           | exception Engine.No_convergence msg ->
-              failures.(lane) <- msg;
-              Batch.retire batch lane Batch.Diverged
+              M.incr m_batch_diverged;
+              Lane_failed msg
         end)
-      lanes;
-    Array.iter
-      (fun target ->
-        if Batch.live_count batch > 0 then begin
-          M.incr m_batch_macro_steps;
-          Batch.iter_live
-            (fun lane ->
-              match steppers.(lane) with
-              | None -> ()
-              | Some st -> (
-                  try
-                    stepper_advance st target;
-                    Batch.write_lane batch lane st.st_x_n
-                  with Engine.No_convergence msg ->
-                    failures.(lane) <- msg;
-                    Batch.retire batch lane Batch.Diverged))
-            batch
-        end)
-      grid;
-    let results =
-      Array.init n (fun lane ->
-          match Batch.status batch lane with
-          | Some Batch.Diverged -> Lane_failed failures.(lane)
-          | Some Batch.Incompatible -> Lane_incompatible
-          | Some Batch.Done | None -> (
-              match steppers.(lane) with
-              | Some st ->
-                  Batch.retire batch lane Batch.Done;
-                  Lane_done (stepper_finish st)
-              | None -> assert false))
-    in
-    M.add m_batch_diverged (Batch.retired_count batch Batch.Diverged);
-    M.add m_batch_incompatible (Batch.retired_count batch Batch.Incompatible);
-    results
+      lanes
   end
 
 let node_trace r nd =

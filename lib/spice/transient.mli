@@ -160,8 +160,8 @@ type lane_result =
       (** the lane's Newton solve failed at [min_step] (the
           {!Engine.No_convergence} message) or its DC start diverged *)
   | Lane_incompatible
-      (** the lane's unknown count differs from lane 0's, so it could
-          not share the batch workspace — run it scalar instead *)
+      (** the lane's unknown count differs from lane 0's, so it cannot
+          share lane 0's symbolic analysis — it was not run *)
 
 val run_batch :
   ?guide:result ->
@@ -170,31 +170,26 @@ val run_batch :
   Netlist.t ->
   config ->
   lane_result array
-(** Advance every lane (a compiled variant of one stimulus, plus its
-    probe set) through the transient in lockstep: the lanes share one
-    macro time grid — the guide's accepted instants when [guide] is
-    given, else source breakpoints padded with a coarse uniform grid —
-    and between grid points each lane sub-steps under its own adaptive
-    control, re-synchronising at each grid point through a flat
-    {!Cml_numerics.Batch} plane.  A lane that diverges retires from
-    the batch immediately ([Lane_failed]) without stalling the rest;
-    the others never see its failure.
+(** Run every lane (a compiled variant of one stimulus, plus its probe
+    set) through {!run}, one after the other in lane order.  Every lane
+    after the first completed one is offered that lane's sparse
+    symbolic analysis ({!Engine.share_symbolic}), so the batch pays for
+    one column ordering and pattern analysis; on the dense backend the
+    offer is a no-op.  Each lane is therefore exactly a scalar {!run}
+    of its sim: a lane whose symbolic analysis is adopted may pick other
+    pivots than a fresh factorization would, nothing else differs.  A
+    lane that diverges fails alone ([Lane_failed]).
 
     Lane 0's unknown count fixes the batch width; lanes with a
     different layout are reported [Lane_incompatible] without running.
     [guide] seeds each compatible lane exactly like {!run} (and is
-    ignored, per lane, on a layout mismatch).
+    ignored, per lane, on a layout mismatch).  Results are returned in
+    lane order.
 
-    Because a lane's steps are clamped to the macro grid, its time
-    points are not bit-identical to a scalar {!run} of the same sim —
-    classification-level results (probe measurements, convergence
-    outcome) are what batch and scalar runs share.  Results are
-    returned in lane order.
-
-    Introspection is tagged per lane for free: each lane owns its sim,
-    so attaching a recorder per sim ({!Engine.set_introspect}) yields
-    per-lane Newton/LTE/dt records — a [Lane_failed] retirement
-    becomes explainable from that lane's recorder alone. *)
+    Introspection is per lane for free: each lane owns its sim, so
+    attaching a recorder per sim ({!Engine.set_introspect}) yields
+    per-lane Newton/LTE/dt records — a [Lane_failed] lane is
+    explainable from its recorder alone. *)
 
 val node_trace : result -> Netlist.node -> float array
 (** Voltage samples of a node, aligned with [times]. *)

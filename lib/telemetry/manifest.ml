@@ -188,15 +188,17 @@ let read ~path = of_json (Json.parse_file path)
 (* ------------------------------------------------------------------ *)
 (* Report rendering *)
 
-let class_histogram t =
+let class_counts variants =
   let tbl = Hashtbl.create 8 in
   let bump c = Hashtbl.replace tbl c (1 + Option.value ~default:0 (Hashtbl.find_opt tbl c)) in
   List.iter
     (fun v -> match v.v_classes with [] -> bump "benign" | cs -> List.iter bump cs)
-    t.variants;
+    variants;
   List.sort
     (fun (_, a) (_, b) -> compare (b : int) a)
     (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
+
+let class_histogram t = class_counts t.variants
 
 let slowest ?(n = 5) t =
   let sorted = List.sort (fun a b -> compare b.v_seconds a.v_seconds) t.variants in

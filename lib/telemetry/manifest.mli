@@ -64,9 +64,12 @@ val read : path:string -> t
 
 (** {1 Report views} *)
 
-val class_histogram : t -> (string * int) list
+val class_counts : variant list -> (string * int) list
 (** Label counts over variants (a variant with no labels counts as
     ["benign"]), most frequent first. *)
+
+val class_histogram : t -> (string * int) list
+(** {!class_counts} over the manifest's variants. *)
 
 val slowest : ?n:int -> t -> variant list
 

@@ -182,11 +182,43 @@ let test_campaign_warm_start_parity () =
     (Cml_defects.Campaign.summary cold)
     (Cml_defects.Campaign.summary warm)
 
+let test_campaign_bad_resistance_fails_one_variant () =
+  (* a non-positive (or NaN) defect resistance fails its own variant
+     at injection; the campaign still completes and measures the rest,
+     whatever the slicing *)
+  let bad =
+    [
+      D.Pipe { device = "x2.q3"; r = 0. };
+      D.Pipe { device = "x2.q3"; r = -1e3 };
+      D.Bridge { node1 = "x2.op"; node2 = "x2.on"; r = Float.nan };
+    ]
+  in
+  List.iter
+    (fun batch ->
+      let c =
+        Cml_defects.Campaign.run ~stages:4 ~dut:2 ~freq:1e9 ~tstop:4e-9 ~jobs:1 ~batch
+          ~defects:(D.Pipe { device = "x2.q3"; r = 4e3 } :: bad)
+          ()
+      in
+      match c.Cml_defects.Campaign.entries with
+      | { outcome = Cml_defects.Campaign.Measured _; _ } :: rest ->
+          Alcotest.(check int) "every entry reported" (List.length bad) (List.length rest);
+          List.iter
+            (fun e ->
+              match e.Cml_defects.Campaign.outcome with
+              | Cml_defects.Campaign.Failed msg ->
+                  Alcotest.(check string) "named reason" "injection failed" msg
+              | Cml_defects.Campaign.Measured _ ->
+                  Alcotest.failf "%s measured" (D.describe e.Cml_defects.Campaign.defect))
+            rest
+      | _ -> Alcotest.failf "the 4 kohm pipe was not measured (batch=%b)" batch)
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
-(* Property: the variant-lockstep batch scheduler is a pure solver
-   accelerant — for any defect list and either seeding policy, the
-   classification of every entry matches the sequential per-variant
-   path. *)
+(* Property: slicing is a pure scheduling choice — for any defect list
+   and either seeding policy, the classification of every entry in a
+   batched (16-variant slices, shared symbolic donors) campaign
+   matches the unbatched (one-variant slices) one. *)
 
 let defect_pool =
   [|
@@ -304,6 +336,8 @@ let () =
           Alcotest.test_case "summary counts" `Slow test_campaign_summary_counts;
           Alcotest.test_case "warm-start parity" `Slow test_campaign_warm_start_parity;
           Alcotest.test_case "compiled design smoke" `Slow test_campaign_run_design_smoke;
+          Alcotest.test_case "bad resistance fails one variant" `Slow
+            test_campaign_bad_resistance_fails_one_variant;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_batch_matches_sequential ] );

@@ -183,6 +183,20 @@ let test_explain_deterministic_and_blaming () =
       Alcotest.(check string) "and says so"
         (Printf.sprintf "most Newton iterations (%.0f)" (snd most_iters))
         pm.PM.pm_selection;
+      (* the re-simulation replays the campaign's variant exactly *)
+      let recorded =
+        List.find
+          (fun v -> v.Cml_telemetry.Manifest.v_name = pm.PM.pm_variant)
+          (Cml_telemetry.Manifest.read ~path).Cml_telemetry.Manifest.variants
+      in
+      List.iter
+        (fun key ->
+          Alcotest.(check (option (float 0.0)))
+            (Printf.sprintf "re-simulated %s equals the manifest's" key)
+            (List.assoc_opt key recorded.Cml_telemetry.Manifest.v_metrics)
+            (List.assoc_opt key pm.PM.pm_stats);
+          Alcotest.(check bool) (key ^ " recorded") true (List.mem_assoc key pm.PM.pm_stats))
+        [ "accepted_steps"; "rejected_steps"; "newton_iters" ];
       Alcotest.(check bool) "an LTE rejection is blamed on a named node" true
         (List.exists (fun l -> l.PM.l_node <> "") pm.PM.pm_lte);
       Alcotest.(check bool) "a Newton retry is blamed" true (pm.PM.pm_retries <> []);

@@ -325,64 +325,6 @@ let prop_stats_histogram_total =
       in
       total = Array.length xs)
 
-(* ------------------------------------------------------------------ *)
-(* Batch workspace *)
-
-module B = Cml_numerics.Batch
-
-let test_batch_create_and_shape () =
-  let b = B.create ~lanes:3 ~width:4 in
-  Alcotest.(check int) "lanes" 3 (B.lanes b);
-  Alcotest.(check int) "width" 4 (B.width b);
-  Alcotest.(check int) "all live" 3 (B.live_count b);
-  for lane = 0 to 2 do
-    for i = 0 to 3 do
-      Alcotest.(check (float 0.0)) "zero-filled" 0.0 (B.get b lane i)
-    done
-  done;
-  Alcotest.check_raises "lanes < 1 rejected"
-    (Invalid_argument "Batch.create: lanes must be >= 1") (fun () ->
-      ignore (B.create ~lanes:0 ~width:4))
-
-let test_batch_lane_roundtrip () =
-  let b = B.create ~lanes:2 ~width:3 in
-  B.write_lane b 1 [| 1.5; -2.0; 0.25 |];
-  let out = Array.make 3 nan in
-  B.read_lane b 1 out;
-  Alcotest.(check (array (float 0.0))) "written lane reads back" [| 1.5; -2.0; 0.25 |] out;
-  B.read_lane b 0 out;
-  Alcotest.(check (array (float 0.0))) "other lane untouched" [| 0.0; 0.0; 0.0 |] out;
-  Alcotest.(check bool) "width mismatch rejected" true
-    (match B.write_lane b 0 [| 1.0 |] with
-    | () -> false
-    | exception Invalid_argument _ -> true)
-
-let test_batch_retire_semantics () =
-  let b = B.create ~lanes:3 ~width:1 in
-  B.retire b 1 B.Diverged;
-  Alcotest.(check int) "one retired" 2 (B.live_count b);
-  Alcotest.(check bool) "lane 1 dead" false (B.is_live b 1);
-  (* first retirement wins *)
-  B.retire b 1 B.Done;
-  Alcotest.(check bool) "reason sticks" true (B.status b 1 = Some B.Diverged);
-  Alcotest.(check int) "diverged count" 1 (B.retired_count b B.Diverged);
-  Alcotest.(check int) "done count" 0 (B.retired_count b B.Done);
-  Alcotest.(check bool) "out of range rejected" true
-    (match B.retire b 3 B.Done with () -> false | exception Invalid_argument _ -> true)
-
-let test_batch_iter_live_allows_retiring_current () =
-  let b = B.create ~lanes:4 ~width:1 in
-  B.retire b 2 B.Incompatible;
-  let seen = ref [] in
-  B.iter_live
-    (fun lane ->
-      seen := lane :: !seen;
-      if lane = 1 then B.retire b lane B.Diverged)
-    b;
-  Alcotest.(check (list int)) "live lanes in order, skipping retired" [ 0; 1; 3 ]
-    (List.rev !seen);
-  Alcotest.(check int) "retire inside callback stuck" 2 (B.live_count b)
-
 (* MNA-like patterns: structurally symmetric (a conductance stamp
    touches (i,j), (j,i) and both diagonals) and diagonally dominant,
    the shape every nodal-analysis Jacobian has.  On these the Auto
@@ -610,14 +552,6 @@ let () =
           Alcotest.test_case "repivot after an unstable pivot" `Quick
             test_repivot_after_unstable_pivot;
           Alcotest.test_case "repivot on another pattern" `Quick test_repivot_pattern_mismatch;
-        ] );
-      ( "batch",
-        [
-          Alcotest.test_case "create and shape" `Quick test_batch_create_and_shape;
-          Alcotest.test_case "lane roundtrip" `Quick test_batch_lane_roundtrip;
-          Alcotest.test_case "retire semantics" `Quick test_batch_retire_semantics;
-          Alcotest.test_case "iter_live with retire" `Quick
-            test_batch_iter_live_allows_retiring_current;
         ] );
       ( "stats",
         [

@@ -85,25 +85,21 @@ let test_parallel_map_batches_matches_sequential () =
     [ 0; 1; 7; 64; 257 ]
 
 let test_parallel_map_batches_respects_bounds () =
-  (* every slice f sees must be within [min_batch, max_batch] (the
-     last slice may be shorter than min_batch when the tail runs out) *)
+  (* every slice f sees is at most [max_batch] long; at jobs = 1 the
+     ~4-slices target (25 here) exceeds the cap, so all slices but the
+     tail are exactly [max_batch] *)
   let arr = Array.init 100 Fun.id in
   let sizes = ref [] in
   let collect slice =
     sizes := Array.length slice :: !sizes;
     slice
   in
-  let got = Pool.parallel_map_batches ~jobs:1 ~min_batch:8 ~max_batch:16 collect arr in
+  let got = Pool.parallel_map_batches ~jobs:1 ~max_batch:16 collect arr in
   Alcotest.(check (array int)) "identity over slices" arr got;
-  List.iter
-    (fun len -> Alcotest.(check bool) "slice size bounded" true (len >= 1 && len <= 16))
-    !sizes;
-  Alcotest.(check bool) "invalid bounds rejected" true
-    (match Pool.parallel_map_batches ~min_batch:0 Fun.id arr with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "max below min rejected" true
-    (match Pool.parallel_map_batches ~min_batch:4 ~max_batch:2 Fun.id arr with
+  Alcotest.(check (list int)) "slices capped at max_batch" [ 16; 16; 16; 16; 16; 16; 4 ]
+    (List.rev !sizes);
+  Alcotest.(check bool) "max_batch below 1 rejected" true
+    (match Pool.parallel_map_batches ~max_batch:0 Fun.id arr with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

@@ -710,7 +710,7 @@ let test_transient_incompatible_guide_ignored () =
   Alcotest.(check bool) "run still completes" true (Array.length r.T.times > 10)
 
 (* ------------------------------------------------------------------ *)
-(* Batched lockstep transient *)
+(* Batched transient *)
 
 let test_run_batch_matches_scalar () =
   let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
@@ -720,30 +720,34 @@ let test_run_batch_matches_scalar () =
   let idx = E.node_unknown out.Cml_cells.Builder.p in
   let probe () = T.observers [ ("out", idx) ] in
   let scalar_obs = probe () in
-  ignore (T.run ~observers:scalar_obs (E.compile net) net (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
+  let scalar = T.run ~observers:scalar_obs (E.compile net) net cfg in
   let lane_obs = Array.init 3 (fun _ -> probe ()) in
   let lanes = Array.map (fun obs -> (E.compile net, Some obs)) lane_obs in
   let results = T.run_batch lanes net cfg in
-  Array.iter
-    (function
-      | T.Lane_done _ -> ()
-      | T.Lane_failed msg -> Alcotest.failf "lane failed: %s" msg
-      | T.Lane_incompatible -> Alcotest.fail "lane incompatible")
-    results;
-  (* identical lanes are bit-identical to each other *)
-  let _, v0 = T.probe_samples lane_obs.(0) "out" in
-  for lane = 1 to 2 do
-    let _, v = T.probe_samples lane_obs.(lane) "out" in
+  let stats =
+    Array.map
+      (function
+        | T.Lane_done r -> r.T.stats
+        | T.Lane_failed msg -> Alcotest.failf "lane failed: %s" msg
+        | T.Lane_incompatible -> Alcotest.fail "lane incompatible")
+      results
+  in
+  (* a lane is exactly a scalar run of its sim: same step grid, same
+     samples, same solver work *)
+  let ts, vs = T.probe_samples scalar_obs "out" in
+  for lane = 0 to 2 do
+    let t, v = T.probe_samples lane_obs.(lane) "out" in
     Alcotest.(check (array (float 0.0)))
-      (Printf.sprintf "lane %d bit-identical to lane 0" lane)
-      v0 v
-  done;
-  (* and agree with a scalar run at the classification level: same
-     final value (the trajectories themselves share no step grid) *)
-  let _, vs = T.probe_samples scalar_obs "out" in
-  let last a = a.(Array.length a - 1) in
-  Alcotest.(check bool) "final probe value matches scalar run" true
-    (Float.abs (last v0 -. last vs) <= 1e-3)
+      (Printf.sprintf "lane %d times bit-identical to the scalar run" lane)
+      ts t;
+    Alcotest.(check (array (float 0.0)))
+      (Printf.sprintf "lane %d samples bit-identical to the scalar run" lane)
+      vs v;
+    Alcotest.(check bool)
+      (Printf.sprintf "lane %d stats equal the scalar run's" lane)
+      true
+      (stats.(lane) = scalar.T.stats)
+  done
 
 let test_run_batch_shares_symbolic () =
   (* K sparse lanes of one design pay for one symbolic analysis: lane
