@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the simulator kernels (sparse/dense
-   LU, the numeric-only refactorization, Newton DC, one transient of
-   the paper's 8-buffer chain, waveform measurements) plus two
+   LU, the numeric-only refactorization, MNA assembly via a warm DC
+   solve, Newton DC, one transient of the paper's 8-buffer chain,
+   waveform measurements) plus two
    system-level probes of the execution runtime:
 
    - solver reuse: how many full symbolic factorizations vs cheap
@@ -74,6 +75,14 @@ let mc_nominals =
      in
      [ nominal golden; nominal faulty ])
 
+(* A compiled sim at its own DC operating point.  A warm [dc_from]
+   from there is two loads, every junction replaying its bypass cache,
+   and one solve reusing the factor: the kernel is dominated by MNA
+   assembly. *)
+let at_operating_point net =
+  let sim = E.compile net in
+  (sim, E.dc_operating_point sim)
+
 let mc_sample_pair nominals =
   List.iter
     (fun (net, donor, x0) ->
@@ -95,6 +104,8 @@ let tests () =
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let chain_net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let mc = Lazy.force mc_nominals in
+  let c432_sim, c432_x = at_operating_point c432_net in
+  let chain_sim, chain_x = at_operating_point chain_net in
   let wave =
     let times = Array.init 5000 (fun i -> float_of_int i *. 1e-11) in
     let values = Array.map (fun t -> 3.0 +. (0.25 *. sin (2.0 *. Float.pi *. 1e8 *. t))) times in
@@ -125,6 +136,10 @@ let tests () =
              c432_rhs)));
     Test.make ~name:"c432 DC operating point" (Staged.stage (fun () ->
         ignore (E.dc_operating_point (E.compile c432_net))));
+    Test.make ~name:"c432 warm dc_from at its operating point" (Staged.stage (fun () ->
+        ignore (E.dc_from c432_sim c432_x)));
+    Test.make ~name:"chain warm dc_from at its operating point" (Staged.stage (fun () ->
+        ignore (E.dc_from chain_sim chain_x)));
     Test.make ~name:"chain DC operating point" (Staged.stage (fun () ->
         let sim = E.compile chain_net in
         ignore (E.dc_operating_point sim)));

@@ -12,7 +12,7 @@ let set m i j v = m.a.((i * m.n) + j) <- v
 
 let add_entry m i j v = m.a.((i * m.n) + j) <- m.a.((i * m.n) + j) +. v
 
-let clear m = Array.fill m.a 0 (m.n * m.n) 0.0
+let data m = m.a
 
 let copy m = { n = m.n; a = Array.copy m.a }
 

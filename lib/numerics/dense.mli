@@ -22,8 +22,9 @@ val add_entry : t -> int -> int -> float -> unit
 (** [add_entry m i j v] accumulates [v] into [m.(i).(j)]; this is the
     stamping primitive. *)
 
-val clear : t -> unit
-(** Reset every entry to zero, keeping the storage. *)
+val data : t -> float array
+(** The row-major storage itself (entry [(i, j)] at [i * n + j]),
+    shared, not copied: writes go straight into the matrix. *)
 
 val copy : t -> t
 

@@ -6,14 +6,9 @@ type triplet = {
   mutable len : int;
 }
 
-let triplet_create n =
-  { tn = n; rows = Array.make 64 0; cols = Array.make 64 0; vals = Array.make 64 0.0; len = 0 }
-
-let triplet_dim t = t.tn
-
-let triplet_clear t = t.len <- 0
-
-let triplet_count t = t.len
+let triplet_create ?(capacity = 64) n =
+  let cap = max 1 capacity in
+  { tn = n; rows = Array.make cap 0; cols = Array.make cap 0; vals = Array.make cap 0.0; len = 0 }
 
 let grow t =
   let cap = Array.length t.rows in
@@ -35,10 +30,6 @@ let add t i j v =
   t.vals.(t.len) <- v;
   t.len <- t.len + 1
 
-let set_values t k v =
-  assert (k >= 0 && k < t.len);
-  t.vals.(k) <- v
-
 type csc = {
   n : int;
   colptr : int array;
@@ -48,81 +39,63 @@ type csc = {
 
 type pattern = { mat : csc; entry_of_triplet : int array }
 
-(* Compression proceeds in two passes: first count per-column entries
-   and sort coordinates into place, then merge duplicates while
-   recording, for every original triplet entry, the stored slot it
-   contributes to (entry_of_triplet), so that refill is O(len). *)
+(* Stable counting sort of [len] entry indices, the [p]-th being
+   [src p], by [key.(k)], a coordinate in [0 .. n-1]. *)
+let counting_sort n key len src =
+  let next = Array.make (n + 1) 0 in
+  for p = 0 to len - 1 do
+    let c = key.(src p) + 1 in
+    next.(c) <- next.(c) + 1
+  done;
+  for c = 1 to n do
+    next.(c) <- next.(c) + next.(c - 1)
+  done;
+  let dst = Array.make len 0 in
+  for p = 0 to len - 1 do
+    let k = src p in
+    let c = key.(k) in
+    dst.(next.(c)) <- k;
+    next.(c) <- next.(c) + 1
+  done;
+  dst
+
+(* Compression is linear in the entry count: two stable counting sorts
+   (by row, then by column) put the entries column-major with rows
+   ascending, a walk over that order gives every distinct coordinate
+   its stored slot (entry_of_triplet), and a final pass in entry order
+   sums each entry into its slot. *)
 let compress t =
-  let n = t.tn in
-  let len = t.len in
-  let count = Array.make (n + 1) 0 in
-  for k = 0 to len - 1 do
-    count.(t.cols.(k) + 1) <- count.(t.cols.(k) + 1) + 1
-  done;
-  for j = 1 to n do
-    count.(j) <- count.(j) + count.(j - 1)
-  done;
-  (* scatter triplet indices into column buckets *)
-  let next = Array.copy count in
-  let order = Array.make len 0 in
-  for k = 0 to len - 1 do
-    let j = t.cols.(k) in
-    order.(next.(j)) <- k;
-    next.(j) <- next.(j) + 1
-  done;
-  (* within each column, sort the bucket by row *)
-  for j = 0 to n - 1 do
-    let lo = count.(j) and hi = count.(j + 1) in
-    let seg = Array.sub order lo (hi - lo) in
-    Array.sort (fun a b -> compare t.rows.(a) t.rows.(b)) seg;
-    Array.blit seg 0 order lo (hi - lo)
-  done;
-  (* merge duplicates *)
+  let n = t.tn and len = t.len in
+  let by_row = counting_sort n t.rows len Fun.id in
+  let order = counting_sort n t.cols len (fun p -> by_row.(p)) in
   let colptr = Array.make (n + 1) 0 in
-  let rowind_tmp = Array.make (max len 1) 0 in
-  let values_tmp = Array.make (max len 1) 0.0 in
   let entry_of_triplet = Array.make len 0 in
-  let stored = ref 0 in
-  for j = 0 to n - 1 do
-    colptr.(j) <- !stored;
-    let last_row = ref (-1) in
-    for p = count.(j) to count.(j + 1) - 1 do
-      let k = order.(p) in
-      let r = t.rows.(k) in
-      if r = !last_row then begin
-        let slot = !stored - 1 in
-        values_tmp.(slot) <- values_tmp.(slot) +. t.vals.(k);
-        entry_of_triplet.(k) <- slot
-      end
-      else begin
-        rowind_tmp.(!stored) <- r;
-        values_tmp.(!stored) <- t.vals.(k);
-        entry_of_triplet.(k) <- !stored;
+  let stored = ref 0 and last_row = ref (-1) and last_col = ref (-1) in
+  Array.iter
+    (fun k ->
+      let r = t.rows.(k) and c = t.cols.(k) in
+      if r <> !last_row || c <> !last_col then begin
+        colptr.(c + 1) <- colptr.(c + 1) + 1;
         last_row := r;
+        last_col := c;
         incr stored
-      end
-    done
+      end;
+      entry_of_triplet.(k) <- !stored - 1)
+    order;
+  for c = 1 to n do
+    colptr.(c) <- colptr.(c) + colptr.(c - 1)
   done;
-  colptr.(n) <- !stored;
-  let mat =
-    {
-      n;
-      colptr;
-      rowind = Array.sub rowind_tmp 0 !stored;
-      values = Array.sub values_tmp 0 !stored;
-    }
-  in
-  { mat; entry_of_triplet }
+  let rowind = Array.make !stored 0 and values = Array.make !stored 0.0 in
+  for k = 0 to len - 1 do
+    let slot = entry_of_triplet.(k) in
+    rowind.(slot) <- t.rows.(k);
+    values.(slot) <- values.(slot) +. t.vals.(k)
+  done;
+  { mat = { n; colptr; rowind; values }; entry_of_triplet }
 
 let csc_of_pattern p = p.mat
 
-let refill p t =
-  assert (t.len = Array.length p.entry_of_triplet);
-  Array.fill p.mat.values 0 (Array.length p.mat.values) 0.0;
-  for k = 0 to t.len - 1 do
-    let slot = p.entry_of_triplet.(k) in
-    p.mat.values.(slot) <- p.mat.values.(slot) +. t.vals.(k)
-  done
+let entry_of_triplet p = p.entry_of_triplet
 
 let mul_vec a x =
   assert (Array.length x = a.n);

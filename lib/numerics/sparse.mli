@@ -1,35 +1,25 @@
 (** Sparse matrices for MNA systems.
 
-    The workflow mirrors a circuit simulator: device stamps are
-    accumulated into a {!triplet} buffer once, the structural pattern
-    is then {!compress}ed into a column-compressed ({!csc}) matrix,
-    and on subsequent Newton iterations only the numeric values are
-    refreshed through {!refill} (the pattern of an MNA system never
-    changes between iterations). *)
+    The workflow mirrors a circuit simulator: the coordinates of every
+    device stamp are appended to a {!triplet} buffer once, and
+    {!compress} turns them into a column-compressed ({!csc}) matrix
+    plus, for every appended entry, the position in {!csc.values} it
+    is summed into.  The pattern of an MNA system never changes
+    between Newton iterations, so a simulator resolves each stamp's
+    position once and afterwards accumulates values straight into
+    {!csc.values} — no buffer, no re-sorting. *)
 
 type triplet
 (** Append-only (row, col, value) buffer.  Duplicate coordinates are
     legal and are summed at compression time. *)
 
-val triplet_create : int -> triplet
-(** [triplet_create n] is an empty buffer for an [n] x [n] matrix. *)
-
-val triplet_dim : triplet -> int
-
-val triplet_clear : triplet -> unit
-(** Forget all entries (the dimension is kept). *)
-
-val triplet_count : triplet -> int
-(** Number of entries appended so far. *)
+val triplet_create : ?capacity:int -> int -> triplet
+(** [triplet_create n] is an empty buffer for an [n] x [n] matrix,
+    with room for [capacity] entries (default 64) before it grows. *)
 
 val add : triplet -> int -> int -> float -> unit
 (** [add t i j v] appends entry [(i, j, v)].  Indices must lie in
     [0 .. n-1]. *)
-
-val set_values : triplet -> int -> float -> unit
-(** [set_values t k v] overwrites the value of the [k]-th appended
-    entry, keeping its coordinates.  Used to re-stamp a fixed
-    pattern. *)
 
 type csc = {
   n : int;
@@ -41,20 +31,26 @@ type csc = {
     within each column. *)
 
 type pattern
-(** The result of symbolic compression: a [csc] skeleton plus the map
-    from triplet entries to stored positions. *)
+(** The result of compression: a [csc] matrix plus the map from
+    triplet entries to stored positions. *)
 
 val compress : triplet -> pattern
-(** Build the pattern and the initial numeric values from the current
-    triplet contents. *)
+(** Build the pattern and the numeric values from the current triplet
+    contents, in time linear in the entry count plus the dimension.
+    Each stored value is [0.0] plus the values of its coordinate's
+    entries in entry order (the order they were {!add}ed) — exactly
+    what re-stamping through {!entry_of_triplet} gives. *)
 
 val csc_of_pattern : pattern -> csc
-(** The underlying matrix (shared, not copied: [refill] mutates it). *)
+(** The underlying matrix (shared, not copied: writing its [values]
+    in place keeps the pattern, which is how a fixed-pattern system is
+    re-stamped). *)
 
-val refill : pattern -> triplet -> unit
-(** Refresh the numeric values from the triplet buffer, which must
-    contain exactly the entries (same order, same coordinates) that
-    were present at [compress] time. *)
+val entry_of_triplet : pattern -> int array
+(** [entry_of_triplet p].(k) is the index into [values] of the
+    [k]-th appended entry's coordinate.  Re-stamping the same entries
+    means zeroing [values] and adding the [k]-th value at this index,
+    in entry order. *)
 
 val mul_vec : csc -> float array -> float array
 (** Matrix-vector product. *)

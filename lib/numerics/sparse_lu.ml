@@ -32,7 +32,7 @@ type factor = {
   qwork : float array;  (* solve scratch when [q] is not the identity *)
   ordering_label : string;  (* "natural" or "amd", for diagnostics *)
   a_colptr : int array;  (* the A pattern the symbolic analysis is valid for, *)
-  a_rowind : int array;  (* identified physically: refill keeps these arrays *)
+  a_rowind : int array;  (* identified physically: in-place value writes keep them *)
   work : float array;  (* dense scratch for refactorize; zero between calls *)
   mutable last_failure : refactor_failure option;
       (* why the most recent [refactorize] returned false; [None]

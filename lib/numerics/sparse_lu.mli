@@ -34,9 +34,8 @@ val factorize : ?ordering:ordering -> Sparse.csc -> factor
 val reusable : factor -> Sparse.csc -> bool
 (** Whether the factor's symbolic analysis applies to this matrix:
     same dimension and the {e same} pattern arrays (physical
-    identity — {!Sparse.refill} refreshes values in place, so a
-    matrix obtained from the same {!Sparse.pattern} stays
-    reusable). *)
+    identity — a caller that rewrites [values] in place keeps the
+    matrix reusable). *)
 
 val refactorize : factor -> Sparse.csc -> bool
 (** [refactorize f a] redoes only the numeric elimination of

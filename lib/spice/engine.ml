@@ -80,9 +80,9 @@ type sdev =
   | SVccs of { p : int; n : int; cp : int; cn : int; gm : float }
 
 type sparse_backend = {
-  trip : Cml_numerics.Sparse.triplet;
-  mutable pat : Cml_numerics.Sparse.pattern option;
-  mutable count : int;
+  a : Cml_numerics.Sparse.csc;
+      (** the Jacobian: pattern built at {!compile}, values re-stamped
+          in place by every load *)
   mutable lu : Cml_numerics.Sparse_lu.factor option;
       (** factor of the previous solve, kept for numeric-only
           refactorization while the Jacobian pattern and pivot
@@ -94,15 +94,10 @@ type sparse_backend = {
       (** a structurally identical sim's factor offered via
           {!share_symbolic}; tried once before the first full
           factorization *)
-  mutable sstamp : int -> int -> float -> unit;
-      (** prebuilt stamping closure: appends triplet entries until the
-          pattern is compressed, then overwrites values in entry
-          order — no per-load closure allocation *)
 }
 
 type backend =
-  | BDense of { m : Cml_numerics.Dense.t; dws : Cml_numerics.Dense.ws;
-                dstamp : int -> int -> float -> unit }
+  | BDense of { m : Cml_numerics.Dense.t; dws : Cml_numerics.Dense.ws }
   | BSparse of sparse_backend
 
 type sim = {
@@ -112,6 +107,14 @@ type sim = {
   sdevs : sdev array;
   branches : (string, int) Hashtbl.t;
   backend : backend;
+  mat : float array;
+      (** the backend matrix's storage: the dense row-major array or
+          the CSC [values] *)
+  slots : int array;
+      (** where each matrix stamp lands, in assembly order (the gshunt
+          diagonal of every node unknown, then each device's stamps):
+          an index into [mat], or -1 for a ground row or column *)
+  soff : int array;  (** [soff.(di)]: index in [slots] of device [di]'s first stamp *)
   rhs : float array;
   ws_x : float array;  (** Newton workspace: current iterate *)
   ws_xnew : float array;  (** Newton workspace: linear-solve output *)
@@ -192,6 +195,80 @@ let bcache_create () =
     i_e = 0.0;
   }
 
+(* The matrix coordinates device [d] stamps, as raw unknown indices
+   (negative for ground), in exactly the order [assemble] stamps them. *)
+let stamp_coords d f =
+  let conductance i j =
+    f i i;
+    f j j;
+    f i j;
+    f j i
+  in
+  match d with
+  | SRes { i; j; _ } | SCap { i; j; _ } -> conductance i j
+  | SDiode { a; k; _ } -> conductance a k
+  | SBjt { c; b; e; _ } ->
+      f c b;
+      f c c;
+      f c e;
+      f b b;
+      f b c;
+      f b e;
+      f e b;
+      f e c;
+      f e e
+  | SVsrc { p; n; br; _ } ->
+      f br p;
+      f br n;
+      f p br;
+      f n br
+  | SIsrc _ -> ()
+  | SVcvs { p; n; cp; cn; br; _ } ->
+      f br p;
+      f br n;
+      f br cp;
+      f br cn;
+      f p br;
+      f n br
+  | SVccs { p; n; cp; cn; _ } ->
+      f p cp;
+      f p cn;
+      f n cp;
+      f n cn
+
+(* Every matrix stamp of one load, in assembly order: the gshunt
+   diagonal of the [nv] node unknowns, then each device's
+   [stamp_coords].  Returns each device's first stamp index and the
+   stamp count. *)
+let stamp_offsets ~nv sdevs =
+  let count = ref nv in
+  let tick _ _ = incr count in
+  let soff =
+    Array.map
+      (fun d ->
+        let first = !count in
+        stamp_coords d tick;
+        first)
+      sdevs
+  in
+  (soff, !count)
+
+(* The slot of each of those [count] stamps: [place i j] for a stamp at
+   unknowns (i, j), called once per stamp in assembly order, or -1 when
+   [i] or [j] is ground. *)
+let resolve_slots ~nv sdevs ~count place =
+  let slots = Array.make count (-1) in
+  let k = ref 0 in
+  let resolve i j =
+    if i >= 0 && j >= 0 then slots.(!k) <- place i j;
+    incr k
+  in
+  for i = 0 to nv - 1 do
+    resolve i i
+  done;
+  Array.iter (fun d -> stamp_coords d resolve) sdevs;
+  slots
+
 let compile ?(options = default_options) net =
   let nv = Netlist.node_count net - 1 in
   let sdevs = ref [] in
@@ -199,7 +276,11 @@ let compile ?(options = default_options) net =
   let nbranch = ref 0 in
   let u = node_unknown in
   let emit d = sdevs := d :: !sdevs in
-  let emit_cap i j c = if c > 0.0 then emit (SCap { i; j; c; vprev = 0.0; iprev = 0.0 }) in
+  (* an absent (non-positive) capacitance is skipped; the negated test
+     keeps a NaN one, which must poison the transient, not vanish *)
+  let emit_cap i j c =
+    if not (c <= 0.0) then emit (SCap { i; j; c; vprev = 0.0; iprev = 0.0 })
+  in
   let compile_device = function
     | Netlist.Resistor { n1; n2; r; _ } ->
         if r <= 0.0 then invalid_arg "non-positive resistance";
@@ -252,48 +333,52 @@ let compile ?(options = default_options) net =
   in
   Netlist.iter_devices net compile_device;
   let nunk = nv + !nbranch in
+  let sdevs = Array.of_list (List.rev !sdevs) in
   let use_sparse =
     match options.solver with
     | Dense_solver -> false
     | Sparse_solver -> true
     | Auto -> nunk > 60
   in
-  let backend =
+  let soff, count = stamp_offsets ~nv sdevs in
+  let backend, mat, slots =
     if use_sparse then begin
-      let sp =
-        {
-          trip = Cml_numerics.Sparse.triplet_create nunk;
-          pat = None;
-          count = 0;
-          lu = None;
-          symbolic = 0;
-          numeric = 0;
-          shared = 0;
-          donor = None;
-          sstamp = (fun _ _ _ -> ());
-        }
+      (* the pattern comes from the stamp coordinates alone; each
+         stamp's slot is the CSC position its triplet entry merged
+         into.  The triplet is dropped once compressed. *)
+      let trip = Cml_numerics.Sparse.triplet_create ~capacity:count nunk in
+      let entries = ref 0 in
+      let place i j =
+        Cml_numerics.Sparse.add trip i j 0.0;
+        incr entries;
+        !entries - 1
       in
-      sp.sstamp <-
-        (fun i j v -> if i >= 0 && j >= 0 then Cml_numerics.Sparse.add sp.trip i j v);
-      BSparse sp
+      let slots = resolve_slots ~nv sdevs ~count place in
+      let pat = Cml_numerics.Sparse.compress trip in
+      let csc_pos = Cml_numerics.Sparse.entry_of_triplet pat in
+      Array.iteri (fun s k -> if k >= 0 then slots.(s) <- csc_pos.(k)) slots;
+      let a = Cml_numerics.Sparse.csc_of_pattern pat in
+      ( BSparse { a; lu = None; symbolic = 0; numeric = 0; shared = 0; donor = None },
+        a.Cml_numerics.Sparse.values,
+        slots )
     end
     else begin
       let m = Cml_numerics.Dense.create nunk in
-      BDense
-        {
-          m;
-          dws = Cml_numerics.Dense.ws nunk;
-          dstamp = (fun i j v -> if i >= 0 && j >= 0 then Cml_numerics.Dense.add_entry m i j v);
-        }
+      ( BDense { m; dws = Cml_numerics.Dense.ws nunk },
+        Cml_numerics.Dense.data m,
+        resolve_slots ~nv sdevs ~count (fun i j -> (i * nunk) + j) )
     end
   in
   {
     opts = options;
     nv;
     nunk;
-    sdevs = Array.of_list (List.rev !sdevs);
+    sdevs;
     branches;
     backend;
+    mat;
+    slots;
+    soff;
     rhs = Array.make nunk 0.0;
     ws_x = Array.make nunk 0.0;
     ws_xnew = Array.make nunk 0.0;
@@ -325,21 +410,29 @@ let compile ?(options = default_options) net =
 (* ------------------------------------------------------------------ *)
 (* Assembly.
 
-   The entry *sequence* produced by [load] is identical on every call
-   (same devices, same order, zero-valued entries included; a bypassed
-   device replays exactly the stamps of its full evaluation), which is
-   what lets the sparse backend compress the pattern once and then
-   only refresh numeric values. *)
+   Every load stamps the same sequence of matrix entries (same devices,
+   same order, zero-valued entries included; a bypassed device replays
+   exactly the stamps of its full evaluation), so [compile] resolves
+   each stamp's destination once ([slots]) and a load only adds values
+   into the backend storage: every matrix entry is the sum of its
+   stamps in device order, on either backend. *)
 
 let[@inline] vof x i = if i < 0 then 0.0 else x.(i)
 
 let[@inline] inject rhs i v = if i >= 0 then rhs.(i) <- rhs.(i) +. v
 
-let[@inline] stamp_conductance stamp i j g =
-  stamp i i g;
-  stamp j j g;
-  stamp i j (-.g);
-  stamp j i (-.g)
+(* [stamp mat slots s v] adds [v] at the destination of stamp [s] *)
+let[@inline] stamp mat slots s v =
+  let slot = slots.(s) in
+  if slot >= 0 then mat.(slot) <- mat.(slot) +. v
+
+(* the four stamps [stamp_coords] lists for a two-terminal conductance,
+   starting at stamp [s] *)
+let[@inline] stamp_conductance mat slots s g =
+  stamp mat slots s g;
+  stamp mat slots (s + 1) g;
+  stamp mat slots (s + 2) (-.g);
+  stamp mat slots (s + 3) (-.g)
 
 (* Safety factor applied to the reltol/vntol convergence tolerance
    before it is used as the bypass threshold: a bypassed device's
@@ -365,14 +458,13 @@ let[@inline] note_junction_error sim err di =
     sim.junction_worst <- di
   end
 
-(* Assembly core, parameterised on the matrix stamp: [load] targets
-   the compiled backend, [ac_system] a triplet collector.  [stamp]
-   receives raw unknown indices and must ignore negative (ground)
-   ones itself.  [bypass] enables the device-bypass fast path (off for
-   the AC linearisation, which wants the exact Jacobian).  Apart from
-   the [stamp] closure itself — prebuilt per backend — the hot path
-   allocates nothing. *)
-let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
+(* The one assembly routine, behind both [load] and [ac_system]: zero
+   the backend matrix and the RHS, then stamp every device.  [bypass]
+   enables the device-bypass fast path (off for the AC linearisation,
+   which wants the exact Jacobian).  The hot path allocates nothing. *)
+let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
+  let mat = sim.mat and slots = sim.slots and soff = sim.soff in
+  Array.fill mat 0 (Array.length mat) 0.0;
   let rhs = sim.rhs in
   Array.fill rhs 0 sim.nunk 0.0;
   let opts = sim.opts in
@@ -384,12 +476,13 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
   (* gshunt diagonal for every node unknown: also guarantees a
      structurally non-empty diagonal for the sparse pattern *)
   for i = 0 to sim.nv - 1 do
-    stamp i i gshunt
+    stamp mat slots i gshunt
   done;
   let sdevs = sim.sdevs in
   for di = 0 to Array.length sdevs - 1 do
+    let s = soff.(di) in
     match sdevs.(di) with
-    | SRes { i; j; g } -> stamp_conductance stamp i j g
+    | SRes { g; _ } -> stamp_conductance mat slots s g
     | SCap { i; j; c; vprev; iprev } ->
         let g, irhs =
           match integ with
@@ -398,7 +491,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
               let g = geq *. c in
               (g, (g *. vprev) +. if trap then iprev else 0.0)
         in
-        stamp_conductance stamp i j g;
+        stamp_conductance mat slots s g;
         inject rhs i irhs;
         inject rhs j (-.irhs)
     | SDiode { a; k; m; js; dc } ->
@@ -406,7 +499,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
         let vnew = vof x a -. vof x k in
         if bypass && dc.d_valid && bypass_close opts vnew dc.d_v then begin
           sim.n_diode_bypassed <- sim.n_diode_bypassed + 1;
-          stamp_conductance stamp a k dc.d_g;
+          stamp_conductance mat slots s dc.d_g;
           inject rhs a dc.d_ieq;
           inject rhs k (-.dc.d_ieq)
         end
@@ -421,7 +514,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           note_junction_error sim (Float.abs (vnew -. vlim)) di;
           let id, gd = Models.junction_current ~is:m.Models.d_is ~nvt:n_nvt vlim in
           let g = gd +. gmin and i0 = id +. (gmin *. vlim) in
-          stamp_conductance stamp a k g;
+          stamp_conductance mat slots s g;
           let ieq = (g *. vlim) -. i0 in
           inject rhs a ieq;
           inject rhs k (-.ieq);
@@ -440,15 +533,15 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           && bypass_close opts vbc_new bc.b_vbc
         then begin
           sim.n_bjt_bypassed <- sim.n_bjt_bypassed + 1;
-          stamp c b bc.g_cb;
-          stamp c c bc.g_cc;
-          stamp c e bc.g_ce;
-          stamp b b bc.g_bb;
-          stamp b c bc.g_bc;
-          stamp b e bc.g_be;
-          stamp e b bc.g_eb;
-          stamp e c bc.g_ec;
-          stamp e e bc.g_ee;
+          stamp mat slots s bc.g_cb;
+          stamp mat slots (s + 1) bc.g_cc;
+          stamp mat slots (s + 2) bc.g_ce;
+          stamp mat slots (s + 3) bc.g_bb;
+          stamp mat slots (s + 4) bc.g_bc;
+          stamp mat slots (s + 5) bc.g_be;
+          stamp mat slots (s + 6) bc.g_eb;
+          stamp mat slots (s + 7) bc.g_ec;
+          stamp mat slots (s + 8) bc.g_ee;
           inject rhs c bc.i_c;
           inject rhs b bc.i_b;
           inject rhs e bc.i_e
@@ -487,15 +580,15 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           let ic_rhs = (gif *. vbe) +. (((-.gir) -. gbc) *. vbc) -. ic0 in
           let ib_rhs = (gbe *. vbe) +. (gbc *. vbc) -. ib0 in
           let ie_rhs = (((-.gif) -. gbe) *. vbe) +. (gir *. vbc) -. ie0 in
-          stamp c b dic_dvb;
-          stamp c c dic_dvc;
-          stamp c e dic_dve;
-          stamp b b dib_dvb;
-          stamp b c dib_dvc;
-          stamp b e dib_dve;
-          stamp e b die_dvb;
-          stamp e c die_dvc;
-          stamp e e die_dve;
+          stamp mat slots s dic_dvb;
+          stamp mat slots (s + 1) dic_dvc;
+          stamp mat slots (s + 2) dic_dve;
+          stamp mat slots (s + 3) dib_dvb;
+          stamp mat slots (s + 4) dib_dvc;
+          stamp mat slots (s + 5) dib_dve;
+          stamp mat slots (s + 6) die_dvb;
+          stamp mat slots (s + 7) die_dvc;
+          stamp mat slots (s + 8) die_dve;
           inject rhs c ic_rhs;
           inject rhs b ib_rhs;
           inject rhs e ie_rhs;
@@ -515,56 +608,32 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           bc.i_b <- ib_rhs;
           bc.i_e <- ie_rhs
         end
-    | SVsrc { p; n; br; w } ->
-        stamp br p 1.0;
-        stamp br n (-1.0);
-        stamp p br 1.0;
-        stamp n br (-1.0);
+    | SVsrc { br; w; _ } ->
+        stamp mat slots s 1.0;
+        stamp mat slots (s + 1) (-1.0);
+        stamp mat slots (s + 2) 1.0;
+        stamp mat slots (s + 3) (-1.0);
         rhs.(br) <- rhs.(br) +. (srcscale *. Waveform.value w time)
     | SIsrc { p; n; w } ->
         let i = srcscale *. Waveform.value w time in
         inject rhs p (-.i);
         inject rhs n i
-    | SVcvs { p; n; cp; cn; br; gain } ->
-        stamp br p 1.0;
-        stamp br n (-1.0);
-        stamp br cp (-.gain);
-        stamp br cn gain;
-        stamp p br 1.0;
-        stamp n br (-1.0)
-    | SVccs { p; n; cp; cn; gm } ->
-        stamp p cp gm;
-        stamp p cn (-.gm);
-        stamp n cp (-.gm);
-        stamp n cn gm
+    | SVcvs { gain; _ } ->
+        stamp mat slots s 1.0;
+        stamp mat slots (s + 1) (-1.0);
+        stamp mat slots (s + 2) (-.gain);
+        stamp mat slots (s + 3) gain;
+        stamp mat slots (s + 4) 1.0;
+        stamp mat slots (s + 5) (-1.0)
+    | SVccs { gm; _ } ->
+        stamp mat slots s gm;
+        stamp mat slots (s + 1) (-.gm);
+        stamp mat slots (s + 2) (-.gm);
+        stamp mat slots (s + 3) gm
   done
 
 let load sim ~x ~time ~integ ~srcscale ~gshunt =
-  let stamp =
-    match sim.backend with
-    | BDense { m; dstamp; _ } ->
-        Cml_numerics.Dense.clear m;
-        dstamp
-    | BSparse sp ->
-        sp.count <- 0;
-        sp.sstamp
-  in
-  assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass:sim.opts.bypass ~stamp;
-  (match sim.backend with
-  | BDense _ -> ()
-  | BSparse sp -> begin
-      match sp.pat with
-      | None ->
-          sp.pat <- Some (Cml_numerics.Sparse.compress sp.trip);
-          (* from now on only values are refreshed, in entry order *)
-          sp.sstamp <-
-            (fun i j v ->
-              if i >= 0 && j >= 0 then begin
-                Cml_numerics.Sparse.set_values sp.trip sp.count v;
-                sp.count <- sp.count + 1
-              end)
-      | Some pat -> Cml_numerics.Sparse.refill pat sp.trip
-    end);
+  assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass:sim.opts.bypass;
   (* Jacobian-reuse bookkeeping.  The matrix depends only on the fixed
      linear stamps, the integration coefficient (geq * C for caps; 0.0
      encodes DC and a transient geq is always positive), gshunt and
@@ -603,14 +672,14 @@ let solve_linear_into sim out =
         sim.rt_have_factor <- true;
         Cml_numerics.Dense.resolve_ws dws sim.rhs out
       end
-  | BSparse ({ pat = Some pat; _ } as sp) -> begin
+  | BSparse sp -> begin
       match sp.lu with
       | Some f when reuse ->
           sim.n_reused_factors <- sim.n_reused_factors + 1;
           Cml_numerics.Sparse_lu.solve_into f sim.rhs out
       | _ ->
           sim.rt_have_factor <- false;
-          let a = Cml_numerics.Sparse.csc_of_pattern pat in
+          let a = sp.a in
           (* the pattern of an MNA Jacobian is fixed across Newton
              iterations and timesteps, so the symbolic work (DFS reach,
              pivot order, fill pattern, buffer allocation) is done once
@@ -676,7 +745,6 @@ let solve_linear_into sim out =
           sim.rt_have_factor <- true;
           Cml_numerics.Sparse_lu.solve_into f sim.rhs out
     end
-  | BSparse { pat = None; _ } -> assert false
 
 type solver_stats = {
   symbolic_factorizations : int;
@@ -705,15 +773,10 @@ let solver_stats sim =
   let symbolic, numeric, shared, lu, health =
     match sim.backend with
     | BDense _ -> (0, 0, 0, None, None)
-    | BSparse { symbolic; numeric; shared; lu; pat; _ } ->
+    | BSparse { symbolic; numeric; shared; lu; a; _ } ->
         (* run-boundary call: the O(nnz) health scan is off the solve
            path by construction *)
-        let health =
-          match (lu, pat) with
-          | Some f, Some p ->
-              Some (Cml_numerics.Sparse_lu.health f (Cml_numerics.Sparse.csc_of_pattern p))
-          | (Some _ | None), _ -> None
-        in
+        let health = Option.map (fun f -> Cml_numerics.Sparse_lu.health f a) lu in
         (symbolic, numeric, shared, lu, health)
   in
   {
@@ -909,10 +972,12 @@ let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
          move inside one Newton call), solving again would return [x]
          exactly — a zero-delta, junction-settled, converged accept.
          Skip the solve and accept [x] directly; this is bit-exact
-         with the unskipped path. *)
+         with the unskipped path.  A non-finite [x] (an infinite
+         junction voltage passes the bypass test) would be solved back
+         forever and never pass [converged]: give up at once. *)
       if iter > 0 && sim.rt_system_identical then begin
         sim.n_skipped_solves <- sim.n_skipped_solves + 1;
-        Some (Cml_numerics.Vec.copy x, iter)
+        if converged sim x x then Some (Cml_numerics.Vec.copy x, iter) else None
       end
       else
         match solve_linear_into sim xn with
@@ -1019,29 +1084,31 @@ let update_capacitor_states sim x ~h ~trap =
 
 let ac_system sim x =
   set_junction_states sim x;
-  (* this assembly full-evaluates every junction into a side triplet,
-     refreshing the bypass caches without touching the backend matrix:
-     the factor and the previous-load fingerprint are both stale now *)
+  (* this assembly full-evaluates every junction into the backend
+     matrix: the factor and the previous-load fingerprint are both
+     stale now.  Bypass is off: the small-signal G must be the exact
+     linearisation at [x], not a cached one. *)
   sim.rt_loaded <- false;
   sim.rt_have_factor <- false;
-  (* collect the conductance stamps straight off the device sweep
-     into a triplet (compression sums duplicates), instead of probing
-     every cell of the assembled backend matrix — the dense backend
-     made that an O(n^2) scan with a cons per probe.  Bypass is off:
-     the small-signal G must be the exact linearisation at [x], not a
-     cached one. *)
-  let trip = Cml_numerics.Sparse.triplet_create sim.nunk in
-  let stamp i j v = if i >= 0 && j >= 0 then Cml_numerics.Sparse.add trip i j v in
-  assemble sim ~x ~time:0.0 ~integ:Dcop ~srcscale:1.0 ~gshunt:0.0 ~bypass:false ~stamp;
-  let a = Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress trip) in
+  assemble sim ~x ~time:0.0 ~integ:Dcop ~srcscale:1.0 ~gshunt:0.0 ~bypass:false;
+  (* the nonzero entries, column-major with rows ascending on both
+     backends (listed in reverse) *)
   let g_entries =
     let acc = ref [] in
-    for j = 0 to a.Cml_numerics.Sparse.n - 1 do
-      for p = a.Cml_numerics.Sparse.colptr.(j) to a.Cml_numerics.Sparse.colptr.(j + 1) - 1 do
-        let v = a.Cml_numerics.Sparse.values.(p) in
-        if v <> 0.0 then acc := (a.Cml_numerics.Sparse.rowind.(p), j, v) :: !acc
-      done
-    done;
+    let keep i j v = if v <> 0.0 then acc := (i, j, v) :: !acc in
+    (match sim.backend with
+    | BDense { m; _ } ->
+        for j = 0 to sim.nunk - 1 do
+          for i = 0 to sim.nunk - 1 do
+            keep i j (Cml_numerics.Dense.get m i j)
+          done
+        done
+    | BSparse { a; _ } ->
+        for j = 0 to sim.nunk - 1 do
+          for p = a.Cml_numerics.Sparse.colptr.(j) to a.Cml_numerics.Sparse.colptr.(j + 1) - 1 do
+            keep a.Cml_numerics.Sparse.rowind.(p) j a.Cml_numerics.Sparse.values.(p)
+          done
+        done);
     !acc
   in
   let c_entries =
@@ -1055,7 +1122,6 @@ let ac_system sim x =
       [] sim.sdevs
   in
   (g_entries, c_entries)
-
 
 type bjt_op = { q_name : string; vbe : float; vce : float; ic : float; ib : float }
 

@@ -47,6 +47,15 @@ type integ =
           [trap = true]) applied to each capacitance *)
 
 val compile : ?options:options -> Netlist.t -> sim
+(** Compile a netlist: pick the backend ({!options}[.solver]), build
+    its matrix storage and resolve, once, where every stamp of a load
+    lands — an index into the dense row-major array or into the CSC
+    values, whose pattern is built here from the stamp coordinates
+    (ground rows and columns dropped).  Every later load zeroes that
+    storage and adds each stamp at its slot, so a matrix entry is the
+    sum of its stamps in device order on either backend.  A
+    non-positive capacitance is left out; a NaN one is kept.
+    @raise Invalid_argument on a non-positive resistance. *)
 
 val options : sim -> options
 val unknown_count : sim -> int
@@ -234,8 +243,11 @@ val ac_system :
     operating point (junctions linearised, independent sources
     zeroed structurally — their rows stay, their excitation comes
     from the caller's [b]); [C] collects every capacitor stamp.
-    Ground rows/columns are already dropped; entries may repeat and
-    must be accumulated. *)
+    Ground rows/columns are already dropped.  [G] is assembled by the
+    same routine as a Newton load, into the backend matrix (which
+    invalidates its factor), and lists each nonzero entry once, in the
+    same order and bit-identical on both backends; [C] entries may
+    repeat and must be accumulated. *)
 
 type bjt_op = {
   q_name : string;  (** device name; dual-emitter devices report one

@@ -118,7 +118,7 @@ let test_lu_refactor_failure_reasons () =
   (match SL.last_refactor_failure f with
   | Some SL.Mismatched_pattern -> ()
   | _ -> Alcotest.fail "expected Mismatched_pattern");
-  (* recycled pivot collapse: refill the same pattern with values that
+  (* recycled pivot collapse: rewrite the same pattern's values with ones that
      make the recycled pivot vanish *)
   let t = Sp.triplet_create 2 in
   Sp.add t 0 0 1.0;
@@ -133,12 +133,8 @@ let test_lu_refactor_failure_reasons () =
     (Option.map ignore (SL.last_refactor_failure f));
   (* collapse the whole first column so the recycled pivot vanishes
      whichever row the original elimination picked *)
-  let t2 = Sp.triplet_create 2 in
-  Sp.add t2 0 0 1e-30;
-  Sp.add t2 0 1 2.0;
-  Sp.add t2 1 0 1e-30;
-  Sp.add t2 1 1 4.0;
-  Sp.refill pat t2;
+  let slot = Sp.entry_of_triplet pat in
+  Array.iteri (fun k v -> a.Sp.values.(slot.(k)) <- v) [| 1e-30; 2.0; 1e-30; 4.0 |];
   Alcotest.(check bool) "collapsed pivot refuses" false (SL.refactorize f a);
   match SL.last_refactor_failure f with
   | Some (SL.Small_pivot _ | SL.Unstable_pivot _) -> ()

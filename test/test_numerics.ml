@@ -108,13 +108,84 @@ let test_sparse_refill () =
   Cml_numerics.Sparse.add t 0 0 1.0;
   Cml_numerics.Sparse.add t 1 1 4.0;
   let p = Cml_numerics.Sparse.compress t in
-  Cml_numerics.Sparse.set_values t 0 10.0;
-  Cml_numerics.Sparse.set_values t 1 20.0;
-  Cml_numerics.Sparse.set_values t 2 40.0;
-  Cml_numerics.Sparse.refill p t;
-  let d = Cml_numerics.Sparse.to_dense (Cml_numerics.Sparse.csc_of_pattern p) in
+  (* re-stamp the same three entries with new values, in place *)
+  let a = Cml_numerics.Sparse.csc_of_pattern p in
+  let slot = Cml_numerics.Sparse.entry_of_triplet p in
+  let values = a.Cml_numerics.Sparse.values in
+  Array.fill values 0 (Array.length values) 0.0;
+  Array.iteri (fun k v -> values.(slot.(k)) <- values.(slot.(k)) +. v) [| 10.0; 20.0; 40.0 |];
+  let d = Cml_numerics.Sparse.to_dense a in
   Alcotest.(check (float 1e-12)) "00 refilled" 30.0 (Cml_numerics.Dense.get d 0 0);
   Alcotest.(check (float 1e-12)) "11 refilled" 40.0 (Cml_numerics.Dense.get d 1 1)
+
+(* Duplicates are summed in the order they were appended, whatever
+   else shares their column: with a plain (unstable) sort the two
+   cancellation orders below could swap and give 1.0 and 0.0. *)
+let test_sparse_compress_entry_order () =
+  let sum_at values =
+    let t = Cml_numerics.Sparse.triplet_create 4 in
+    List.iteri
+      (fun k v ->
+        (* interleave other rows of the same column *)
+        Cml_numerics.Sparse.add t (3 - k) 1 (float_of_int k);
+        Cml_numerics.Sparse.add t 2 1 v)
+      values;
+    let a = Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress t) in
+    Cml_numerics.Dense.get (Cml_numerics.Sparse.to_dense a) 2 1
+  in
+  Alcotest.(check (float 0.0)) "(1e16 + 1) - 1e16" 0.0 (sum_at [ 1e16; 1.0; -1e16 ]);
+  Alcotest.(check (float 0.0)) "(1e16 - 1e16) + 1" 1.0 (sum_at [ 1e16; -1e16; 1.0 ])
+
+(* The linear-time compression against the obvious reference: sort the
+   entries by (column, row, entry index), merge equal coordinates
+   summing in entry order. *)
+let test_sparse_compress_matches_reference () =
+  let n = 300 and len = 20_000 in
+  let st = Random.State.make [| 15 |] in
+  (* a few hot coordinates make long duplicate runs *)
+  let coord () = if Random.State.int st 4 = 0 then Random.State.int st 7 else Random.State.int st n in
+  let entries =
+    Array.init len (fun _ ->
+        let i = coord () and j = coord () in
+        (i, j, Random.State.float st 2.0 -. 1.0))
+  in
+  let t = Cml_numerics.Sparse.triplet_create n in
+  Array.iter (fun (i, j, v) -> Cml_numerics.Sparse.add t i j v) entries;
+  let p = Cml_numerics.Sparse.compress t in
+  let a = Cml_numerics.Sparse.csc_of_pattern p in
+  let eot = Cml_numerics.Sparse.entry_of_triplet p in
+  let sorted =
+    List.sort compare (List.init len (fun k -> let i, j, _ = entries.(k) in (j, i, k)))
+  in
+  let colptr = Array.make (n + 1) 0 in
+  let rowind = ref [] and values = ref [] and ref_eot = Array.make len (-1) in
+  let stored = ref 0 and last = ref (-1, -1) in
+  List.iter
+    (fun (j, i, k) ->
+      let _, _, v = entries.(k) in
+      if (j, i) = !last then begin
+        (match !values with s :: rest -> values := (s +. v) :: rest | [] -> assert false);
+        ref_eot.(k) <- !stored - 1
+      end
+      else begin
+        rowind := i :: !rowind;
+        values := (0.0 +. v) :: !values;
+        colptr.(j + 1) <- colptr.(j + 1) + 1;
+        ref_eot.(k) <- !stored;
+        incr stored;
+        last := (j, i)
+      end)
+    sorted;
+  for j = 1 to n do
+    colptr.(j) <- colptr.(j) + colptr.(j - 1)
+  done;
+  Alcotest.(check (array int)) "colptr" colptr a.Cml_numerics.Sparse.colptr;
+  Alcotest.(check (array int)) "rowind" (Array.of_list (List.rev !rowind)) a.Cml_numerics.Sparse.rowind;
+  Alcotest.(check (array int)) "entry_of_triplet" ref_eot eot;
+  Alcotest.(check (array int64))
+    "values, bit for bit"
+    (Array.map Int64.bits_of_float (Array.of_list (List.rev !values)))
+    (Array.map Int64.bits_of_float a.Cml_numerics.Sparse.values)
 
 let test_sparse_mul_vec () =
   let t = Cml_numerics.Sparse.triplet_create 2 in
@@ -539,6 +610,10 @@ let () =
         [
           Alcotest.test_case "compress merges duplicates" `Quick test_sparse_compress_dups;
           Alcotest.test_case "refill" `Quick test_sparse_refill;
+          Alcotest.test_case "compress sums duplicates in entry order" `Quick
+            test_sparse_compress_entry_order;
+          Alcotest.test_case "compress matches sort-and-merge reference" `Quick
+            test_sparse_compress_matches_reference;
           Alcotest.test_case "mul_vec" `Quick test_sparse_mul_vec;
         ] );
       ( "sparse-lu",

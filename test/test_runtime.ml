@@ -145,7 +145,14 @@ let build_system n entries diag =
     Cml_numerics.Sparse.add t i i diag
   done;
   let pat = Cml_numerics.Sparse.compress t in
-  (t, pat, Cml_numerics.Sparse.csc_of_pattern pat)
+  (pat, Cml_numerics.Sparse.csc_of_pattern pat)
+
+(* the next Newton iteration's load: the same entries, in the same
+   order, with new values summed straight into the CSC storage *)
+let restamp pat (a : Cml_numerics.Sparse.csc) values =
+  let slot = Cml_numerics.Sparse.entry_of_triplet pat in
+  Array.fill a.values 0 (Array.length a.values) 0.0;
+  List.iteri (fun k v -> a.values.(slot.(k)) <- a.values.(slot.(k)) +. v) values
 
 let refactor_gen =
   (* an MNA-like sequence: one pattern, two sets of values (as between
@@ -162,11 +169,11 @@ let refactor_gen =
 let prop_refactorize_matches_factorize =
   QCheck2.Test.make ~name:"refactorize agrees with fresh factorize" ~count:300 refactor_gen
     (fun (n, entries, values', rhs) ->
-      let t, pat, a = build_system n entries (float_of_int (4 * n)) in
+      let diag = float_of_int (4 * n) in
+      let pat, a = build_system n entries diag in
       let f = Cml_numerics.Sparse_lu.factorize a in
-      (* second Newton iteration: same pattern, new values *)
-      List.iteri (fun k v -> Cml_numerics.Sparse.set_values t k v) values';
-      Cml_numerics.Sparse.refill pat t;
+      (* second Newton iteration: same pattern, new off-diagonal values *)
+      restamp pat a (values' @ List.init n (fun _ -> diag));
       if not (Cml_numerics.Sparse_lu.refactorize f a) then
         QCheck2.Test.fail_report "refactorize refused a well-conditioned system"
       else
@@ -177,10 +184,10 @@ let prop_refactorize_matches_factorize =
 let prop_refactorize_residual =
   QCheck2.Test.make ~name:"refactorize solve has small residual" ~count:300 refactor_gen
     (fun (n, entries, values', rhs) ->
-      let t, pat, a = build_system n entries (float_of_int (4 * n)) in
+      let diag = float_of_int (4 * n) in
+      let pat, a = build_system n entries diag in
       let f = Cml_numerics.Sparse_lu.factorize a in
-      List.iteri (fun k v -> Cml_numerics.Sparse.set_values t k v) values';
-      Cml_numerics.Sparse.refill pat t;
+      restamp pat a (values' @ List.init n (fun _ -> diag));
       if not (Cml_numerics.Sparse_lu.refactorize f a) then true
       else
         let x = Cml_numerics.Sparse_lu.solve f rhs in
@@ -188,8 +195,8 @@ let prop_refactorize_residual =
         Cml_numerics.Vec.norm_inf r < 1e-7 *. (1.0 +. Cml_numerics.Vec.norm_inf rhs))
 
 let test_refactorize_rejects_foreign_matrix () =
-  let _, _, a = build_system 5 [ (0, 1, -1.0); (3, 2, 0.5) ] 10.0 in
-  let _, _, b = build_system 5 [ (0, 1, -1.0); (3, 2, 0.5) ] 10.0 in
+  let _, a = build_system 5 [ (0, 1, -1.0); (3, 2, 0.5) ] 10.0 in
+  let _, b = build_system 5 [ (0, 1, -1.0); (3, 2, 0.5) ] 10.0 in
   let f = Cml_numerics.Sparse_lu.factorize a in
   Alcotest.(check bool) "same storage reusable" true (Cml_numerics.Sparse_lu.reusable f a);
   Alcotest.(check bool)
@@ -198,14 +205,11 @@ let test_refactorize_rejects_foreign_matrix () =
   Alcotest.(check bool) "refactorize refuses it" false (Cml_numerics.Sparse_lu.refactorize f b)
 
 let test_refactorize_rejects_degenerate_pivot () =
-  let t, pat, a = build_system 4 [ (0, 1, -1.0); (1, 0, -1.0) ] 8.0 in
+  let pat, a = build_system 4 [ (0, 1, -1.0); (1, 0, -1.0) ] 8.0 in
   let f = Cml_numerics.Sparse_lu.factorize a in
   (* zero out everything: every pivot collapses, refactorize must
      report failure instead of dividing by ~0 *)
-  for k = 0 to 5 do
-    Cml_numerics.Sparse.set_values t k 0.0
-  done;
-  Cml_numerics.Sparse.refill pat t;
+  restamp pat a (List.init 6 (fun _ -> 0.0));
   Alcotest.(check bool) "degenerate system refused" false (Cml_numerics.Sparse_lu.refactorize f a)
 
 (* ------------------------------------------------------------------ *)
