@@ -5,7 +5,7 @@
 DUNE ?= dune
 LINT := $(DUNE) exec --no-build bin/cmldft.exe -- lint
 
-.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity fixtures check perf clean
+.PHONY: all build test paper fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity fixtures check perf clean
 
 all: build
 
@@ -14,6 +14,12 @@ build:
 
 test:
 	$(DUNE) runtest
+
+# The paper's reproduction: every table and figure of EXPERIMENTS.md
+# rerun with its shape checks; the harness exits 1 when any check
+# prints [MISS].
+paper: build
+	$(DUNE) exec --no-build bench/main.exe
 
 # `dune build @fmt` needs ocamlformat; skip with a notice when the
 # tool is missing so `make check` works on a bare switch.
@@ -202,7 +208,7 @@ PERF_JOBS ?= 4
 perf: build
 	$(DUNE) exec bench/main.exe -- perf --jobs $(PERF_JOBS) --json BENCH_spice.json --check
 
-check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity telemetry-overhead
+check: build test paper fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity telemetry-overhead
 ifeq ($(CHECK_PERF),1)
 	$(MAKE) perf
 endif

@@ -9,7 +9,11 @@
      dune exec bench/main.exe -- perf        # bechamel kernel benchmarks
      dune exec bench/main.exe -- --jobs 4 campaign
      dune exec bench/main.exe -- perf --json BENCH_spice.json
-     dune exec bench/main.exe -- overhead --json BENCH_spice.json *)
+     dune exec bench/main.exe -- overhead --json BENCH_spice.json
+
+   Every check prints [ok] or [MISS]; the process exits 1 after the
+   run when any check missed (`make paper` gates the paper's shape
+   checks this way). *)
 
 let experiments =
   [
@@ -49,8 +53,9 @@ let run_all () =
      --jobs N / -j N   worker domains for parallel sections (0 = one
                        per core)
      --json FILE       append a machine-readable entry (perf only)
-     --check           exit 1 when a kernel regressed > 25% vs the
-                       last committed --json entry (perf only) *)
+     --check           also check the kernels against the last
+                       committed --json entry (perf only): a kernel
+                       more than 25% slower is a missed check *)
 let rec parse_options json check names = function
   | [] -> (json, check, List.rev names)
   | ("--jobs" | "-j") :: v :: rest -> (
@@ -73,7 +78,7 @@ let rec parse_options json check names = function
 
 let () =
   let json, check, names = parse_options None false [] (List.tl (Array.to_list Sys.argv)) in
-  match names with
+  (match names with
   | [] -> run_all ()
   | [ "list" ] ->
       List.iter (fun (name, _) -> print_endline name) experiments;
@@ -91,4 +96,9 @@ let () =
               | None ->
                   Printf.eprintf "unknown experiment %S (try 'list')\n" name;
                   exit 1))
-        names
+        names);
+  if !Util.misses > 0 then begin
+    Printf.printf "\n%d of %d checks missed\n" !Util.misses !Util.checks;
+    exit 1
+  end
+  else if !Util.checks > 0 then Printf.printf "\nall %d checks ok\n" !Util.checks

@@ -16,7 +16,15 @@ let paper lines =
     lines;
   print_newline ()
 
-let verdict ok msg = Printf.printf "%s %s\n" (if ok then "[ok]  " else "[MISS]") msg
+(* Every shape check of the run goes through [verdict]; the harness
+   exits non-zero when any of them missed (see [main.ml]). *)
+let checks = ref 0
+let misses = ref 0
+
+let verdict ok msg =
+  incr checks;
+  if not ok then incr misses;
+  Printf.printf "%s %s\n" (if ok then "[ok]  " else "[MISS]") msg
 
 let ps t = t *. 1e12
 
