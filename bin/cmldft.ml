@@ -360,7 +360,7 @@ let campaign_cmd =
   let no_batch_arg =
     let doc =
       "Schedule one defect per slice instead of up to 16, so no variant adopts another's \
-       symbolic LU analysis.  Results are unchanged on the buffer chain (dense solver); \
+       symbolic LU analysis.  Results are unchanged on the buffer chain; \
        $(b,make campaign-parity) checks that."
     in
     Arg.(value & flag & info [ "no-batch" ] ~doc)
@@ -763,9 +763,7 @@ let op_cmd =
               devices (E.unknown_count sim);
             Printf.printf
               "solver: %d Newton iters, ordering %s, nnz(L+U) %d, fill ratio %.2f\n"
-              s.E.newton_iters
-              (if s.E.lu_ordering = "" then "dense" else s.E.lu_ordering)
-              s.E.lu_nnz_factors s.E.lu_fill_ratio;
+              s.E.newton_iters s.E.lu_ordering s.E.lu_nnz_factors s.E.lu_fill_ratio;
             Printf.printf "%-12s %10s %10s\n" "output" "true" "complement";
             List.iter
               (fun (nm, d) ->

@@ -124,11 +124,10 @@ val run :
 
     Variants run in contiguous slices of at most 16 defects (one pool
     task each).  Within a slice, the first completed variant of each
-    unknown layout offers its sparse symbolic LU analysis to the
-    slice's later variants of that layout
-    ({!Cml_spice.Engine.share_symbolic}); on the dense backend the
-    offer is a no-op.  [batch = false] means slices of one defect
-    through the same code.  Every variant is exactly one
+    unknown layout offers its symbolic LU analysis to the slice's
+    later variants of that layout ({!Cml_spice.Engine.share_symbolic}).
+    [batch = false] means slices of one defect through the same code.
+    Every variant is exactly one
     {!Cml_spice.Transient.run} of its own sim, so [cmldft explain]
     re-simulates it step for step.
 

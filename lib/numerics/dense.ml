@@ -4,17 +4,11 @@ exception Singular of int
 
 let create n = { n; a = Array.make (n * n) 0.0 }
 
-let dim m = m.n
-
 let get m i j = m.a.((i * m.n) + j)
 
 let set m i j v = m.a.((i * m.n) + j) <- v
 
 let add_entry m i j v = m.a.((i * m.n) + j) <- m.a.((i * m.n) + j) +. v
-
-let data m = m.a
-
-let copy m = { n = m.n; a = Array.copy m.a }
 
 let of_arrays rows =
   let n = Array.length rows in
@@ -26,8 +20,6 @@ let of_arrays rows =
     rows;
   m
 
-let to_arrays m = Array.init m.n (fun i -> Array.init m.n (fun j -> get m i j))
-
 let mul_vec m x =
   assert (Array.length x = m.n);
   Array.init m.n (fun i ->
@@ -37,69 +29,20 @@ let mul_vec m x =
       done;
       !s)
 
-type lu = { lu_mat : t; perm : int array }
-
 let pivot_threshold = 1e-13
 
-(* Classic in-place Doolittle elimination with row partial pivoting.
-   After the loop, the strict lower triangle holds L (unit diagonal
-   implied) and the upper triangle holds U, both in permuted order. *)
-let lu m =
-  let n = m.n in
-  let w = copy m in
-  let a = w.a in
-  let perm = Array.init n (fun i -> i) in
-  for k = 0 to n - 1 do
-    let kn = k * n in
-    let best = ref k and best_abs = ref (Float.abs (Array.unsafe_get a (kn + k))) in
-    for i = k + 1 to n - 1 do
-      let v = Float.abs (Array.unsafe_get a ((i * n) + k)) in
-      if v > !best_abs then begin
-        best := i;
-        best_abs := v
-      end
-    done;
-    if !best_abs < pivot_threshold then raise (Singular k);
-    if !best <> k then begin
-      let bn = !best * n in
-      for j = 0 to n - 1 do
-        let tmp = Array.unsafe_get a (kn + j) in
-        Array.unsafe_set a (kn + j) (Array.unsafe_get a (bn + j));
-        Array.unsafe_set a (bn + j) tmp
-      done;
-      let tmp = perm.(k) in
-      perm.(k) <- perm.(!best);
-      perm.(!best) <- tmp
-    end;
-    let pivot = Array.unsafe_get a (kn + k) in
-    for i = k + 1 to n - 1 do
-      let im = i * n in
-      let factor = Array.unsafe_get a (im + k) /. pivot in
-      Array.unsafe_set a (im + k) factor;
-      if factor <> 0.0 then
-        for j = k + 1 to n - 1 do
-          Array.unsafe_set a (im + j)
-            (Array.unsafe_get a (im + j) -. (factor *. Array.unsafe_get a (kn + j)))
-        done
-    done
-  done;
-  { lu_mat = w; perm }
-
-(* Reusable factorisation state for callers that solve the same-size
-   system every Newton iteration: the matrix copy, the permutation and
-   the solution all live in the workspace, so a solve allocates
-   nothing. *)
+(* Factorisation state reusable across same-size solves: the matrix
+   copy and the permutation live in the workspace, so a refactor and a
+   solve allocate nothing. *)
 type ws = { wm : t; wperm : int array }
 
 let ws n = { wm = create n; wperm = Array.make n 0 }
 
-(* The elimination below runs every Newton iteration of every dense
-   simulation, so it works on the flat backing array with unsafe
-   accesses: every index is [row * n + col] with both in [0, n), and
-   the dimension assert above pins the lengths of [b] and [out].
-   Going through [get]/[set] costs a non-inlined call plus a bounds
-   check per element (no flambda), which profiles as ~60% of the
-   whole transient loop. *)
+(* Classic in-place Doolittle elimination with row partial pivoting.
+   After the loop, the strict lower triangle holds L (unit diagonal
+   implied) and the upper triangle holds U, both in permuted order.
+   It works on the flat backing array with unsafe accesses: every
+   index is [row * n + col] with both in [0, n). *)
 let factor_ws m ws =
   let n = m.n in
   assert (ws.wm.n = n);
@@ -144,10 +87,8 @@ let factor_ws m ws =
   done
 
 (* Permuted forward/back substitution against the factor left in the
-   workspace by [factor_ws].  Splitting this out lets a caller whose
-   matrix is bit-identical to the previous load (all junction stamps
-   replayed from cache, same integration coefficients) skip the
-   O(n^3) elimination and pay only the O(n^2) triangular sweeps. *)
+   workspace by [factor_ws]: the O(n^2) tail, repeatable for many
+   right-hand sides of one factor. *)
 let resolve_ws ws b out =
   let n = ws.wm.n in
   assert (Array.length b = n && Array.length out = n && not (b == out));
@@ -172,28 +113,16 @@ let resolve_ws ws b out =
     Array.unsafe_set out i (!s /. Array.unsafe_get a (im + i))
   done
 
-let solve_ws m ws b out =
-  factor_ws m ws;
-  resolve_ws ws b out
+type lu = ws
 
-let lu_solve { lu_mat = w; perm } b =
-  let n = w.n in
-  assert (Array.length b = n);
-  let x = Array.init n (fun i -> b.(perm.(i))) in
-  for i = 1 to n - 1 do
-    let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (get w i j *. x.(j))
-    done;
-    x.(i) <- !s
-  done;
-  for i = n - 1 downto 0 do
-    let s = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (get w i j *. x.(j))
-    done;
-    x.(i) <- !s /. get w i i
-  done;
-  x
+let lu m =
+  let w = ws m.n in
+  factor_ws m w;
+  w
+
+let lu_solve w b =
+  let out = Array.make w.wm.n 0.0 in
+  resolve_ws w b out;
+  out
 
 let solve m b = lu_solve (lu m) b

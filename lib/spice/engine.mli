@@ -3,18 +3,12 @@
     solves DC operating points with gmin/source-stepping homotopies.
     Transient analysis lives in {!Transient}, sweeps in {!Sweep}. *)
 
-type solver_kind =
-  | Dense_solver
-  | Sparse_solver
-  | Auto  (** sparse above 60 unknowns, dense below *)
-
 type options = {
   reltol : float;  (** relative convergence tolerance (default 1e-4) *)
   vntol : float;  (** absolute node-voltage tolerance, V (default 1e-6) *)
   abstol : float;  (** absolute branch-current tolerance, A (default 1e-12) *)
   gmin : float;  (** conductance added across every pn junction (default 1e-12) *)
   max_iter : int;  (** Newton iteration limit per solve (default 100) *)
-  solver : solver_kind;
   bypass : bool;
       (** SPICE3-style device bypass (default [true]): skip the model
           evaluation of a junction device whose terminal voltages are
@@ -47,14 +41,15 @@ type integ =
           [trap = true]) applied to each capacitance *)
 
 val compile : ?options:options -> Netlist.t -> sim
-(** Compile a netlist: pick the backend ({!options}[.solver]), build
-    its matrix storage and resolve, once, where every stamp of a load
-    lands — an index into the dense row-major array or into the CSC
-    values, whose pattern is built here from the stamp coordinates
-    (ground rows and columns dropped).  Every later load zeroes that
-    storage and adds each stamp at its slot, so a matrix entry is the
-    sum of its stamps in device order on either backend.  A
-    non-positive capacitance is left out; a NaN one is kept.
+(** Compile a netlist: build the sparse (CSC) Jacobian pattern from
+    the stamp coordinates (ground rows and columns dropped) and
+    resolve, once, the CSC position where every stamp of a load lands.
+    Every later load zeroes the values and adds each stamp at its
+    slot, so a matrix entry is the sum of its stamps in device order.
+    The linear solves run a sparse LU ({!Cml_numerics.Sparse_lu}): one
+    symbolic analysis per Jacobian pattern, then numeric-only
+    refactorizations (see {!solver_stats}).  A non-positive
+    capacitance is left out; a NaN one is kept.
     @raise Invalid_argument on a non-positive resistance. *)
 
 val options : sim -> options
@@ -148,8 +143,8 @@ type solver_stats = {
       (** linear solves that reused the previous factorization
           outright because the assembled matrix was bit-identical to
           the previous load's (every junction bypassed, same
-          integration coefficient and gshunt) — dense: triangular
-          substitution only; sparse: no numeric refactorization *)
+          integration coefficient and gshunt): triangular
+          substitution only, no numeric refactorization *)
   skipped_solves : int;
       (** Newton iterations accepted without a linear solve because
           the whole system (matrix {e and} RHS) was bit-identical to
@@ -163,26 +158,25 @@ type solver_stats = {
   fallback_pattern : int;
       (** ditto, the cached factor's pattern no longer matched *)
   lu_nnz_factors : int;
-      (** nnz(L) + nnz(U) of the cached sparse factor; 0 for the dense
-          backend or before the first factorization *)
+      (** nnz(L) + nnz(U) of the cached LU factor; 0 before the first
+          factorization *)
   lu_fill_ratio : float;
       (** [lu_nnz_factors] over nnz(A) — 1.0 means the factors stored
           no entries beyond the matrix's own *)
   lu_ordering : string;
       (** column ordering of the cached factor (["natural"] or
-          ["amd"]); [""] when there is no sparse factor *)
+          ["amd"]); [""] before the first factorization *)
   lu_pivot_growth : float;
       (** element-growth estimate max|U|/max|A| of the cached factor
           against the current matrix values
           ({!Cml_numerics.Sparse_lu.health}); 0 without one *)
   lu_condition : float;
       (** cheap condition estimate from the U-diagonal extremes; 0
-          without a sparse factor *)
+          without a factor *)
 }
 
 val solver_stats : sim -> solver_stats
-(** Cumulative counters since {!compile}; the factorization counters
-    are zero for the dense backend. *)
+(** Cumulative counters since {!compile}. *)
 
 val zero_stats : solver_stats
 (** All-zero record, the [~since] of a fresh sim. *)
@@ -206,8 +200,8 @@ val device_label : sim -> int -> string
     [device[i]]. *)
 
 val lu_fill : sim -> (int * int) option
-(** [(nnz L, nnz U)] of the cached sparse LU factor, [None] for the
-    dense backend or before the first factorization. *)
+(** [(nnz L, nnz U)] of the cached LU factor, [None] before the first
+    factorization. *)
 
 val share_symbolic : donor:sim -> sim -> unit
 (** Offer the donor's cached sparse symbolic analysis (column
@@ -219,8 +213,7 @@ val share_symbolic : donor:sim -> sim -> unit
     netlist's analysis ([Variation.perturb] moves values, not
     topology).  A stale or
     mismatched offer is harmless: adoption silently falls back to a
-    full factorization.  No-op unless both sims use the sparse
-    backend and the donor has factored. *)
+    full factorization.  No-op unless the donor has factored. *)
 
 val publish_metrics : ?since:solver_stats -> sim -> unit
 (** Fold this sim's counter movement since [since] (default: a fresh
@@ -235,6 +228,16 @@ val publish_metrics : ?since:solver_stats -> sim -> unit
     [solver.ordering.*]).  Called at run boundaries, never inside the
     Newton loop. *)
 
+val newton_system : sim -> float array -> (int * int * float) list * float array
+(** The DC Newton system at [x], with every junction linearised
+    exactly at [x] (no limiting, no bypass) and the sources at time 0:
+    [(g_entries, b)] such that one Newton step from [x] solves
+    [G x' = b].  [G] is assembled by the same routine as a Newton load,
+    into the sim's matrix (which invalidates its factor), and lists
+    each nonzero entry once, column by column with rows ascending.
+    [b] is a fresh copy.  A reference solver can iterate this to check
+    the engine's own linear algebra. *)
+
 val ac_system :
   sim -> float array -> (int * int * float) list * (int * int * float) list
 (** Small-signal system at the given (converged) operating point:
@@ -243,11 +246,9 @@ val ac_system :
     operating point (junctions linearised, independent sources
     zeroed structurally — their rows stay, their excitation comes
     from the caller's [b]); [C] collects every capacitor stamp.
-    Ground rows/columns are already dropped.  [G] is assembled by the
-    same routine as a Newton load, into the backend matrix (which
-    invalidates its factor), and lists each nonzero entry once, in the
-    same order and bit-identical on both backends; [C] entries may
-    repeat and must be accumulated. *)
+    Ground rows/columns are already dropped.  [G] is the
+    [g_entries] of {!newton_system}; [C] entries may repeat and must
+    be accumulated. *)
 
 type bjt_op = {
   q_name : string;  (** device name; dual-emitter devices report one

@@ -172,11 +172,10 @@ val run_batch :
   lane_result array
 (** Run every lane (a compiled variant of one stimulus, plus its probe
     set) through {!run}, one after the other in lane order.  Every lane
-    after the first completed one is offered that lane's sparse
-    symbolic analysis ({!Engine.share_symbolic}), so the batch pays for
-    one column ordering and pattern analysis; on the dense backend the
-    offer is a no-op.  Each lane is therefore exactly a scalar {!run}
-    of its sim: a lane whose symbolic analysis is adopted may pick other
+    after the first completed one is offered that lane's symbolic
+    analysis ({!Engine.share_symbolic}), so the batch pays for one
+    column ordering and pattern analysis.  Each lane is therefore
+    exactly a scalar {!run} of its sim: a lane whose symbolic analysis is adopted may pick other
     pivots than a fresh factorization would, nothing else differs.  A
     lane that diverges fails alone ([Lane_failed]).
 

@@ -271,6 +271,6 @@ let render_text t =
   end;
   line "";
   line "LU health:";
-  if t.pm_lu = [] then line "  dense backend (no sparse factorization to audit)"
+  if t.pm_lu = [] then line "  no LU factorization to audit"
   else List.iter (fun (k, v) -> line "  %-32s %14.6g" k v) t.pm_lu;
   Buffer.contents b

@@ -66,20 +66,17 @@ let test_wave_square () =
 (* ------------------------------------------------------------------ *)
 (* DC: resistive circuits *)
 
-let divider solver =
+let test_divider () =
   let net = N.create () in
   let vin = N.node net "in" and vout = N.node net "out" in
   N.vsource net ~name:"V1" ~pos:vin ~neg:N.gnd (W.Dc 10.0);
   N.resistor net ~name:"R1" vin vout 1000.0;
   N.resistor net ~name:"R2" vout N.gnd 3000.0;
-  let sim = E.compile ~options:{ E.default_options with solver } net in
+  let sim = E.compile net in
   let x = E.dc_operating_point sim in
   check_close "divider out" 7.5 (E.voltage x vout);
   (* branch current of V1: current flows from + through source = -10/4k *)
   check_close "source current" (-0.0025) x.(E.branch_unknown sim "V1") ~eps:1e-9
-
-let test_divider_dense () = divider E.Dense_solver
-let test_divider_sparse () = divider E.Sparse_solver
 
 let test_resistor_ladder () =
   (* 10-section ladder: voltage halves each section in the infinite
@@ -750,23 +747,22 @@ let test_run_batch_matches_scalar () =
   done
 
 let test_run_batch_shares_symbolic () =
-  (* K sparse lanes of one design pay for one symbolic analysis: lane
+  (* K lanes of one design pay for one symbolic analysis: lane
      0 factors, the others adopt its ordering and patterns through the
      batch donor path, and the adoption must not change the
      trajectory *)
   let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
   let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
-  let opts = { E.default_options with E.solver = E.Sparse_solver } in
   let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
   let out = Cml_cells.Chain.output chain 2 in
   let idx = E.node_unknown out.Cml_cells.Builder.p in
   let probe () = T.observers [ ("out", idx) ] in
   let scalar_obs = probe () in
   ignore
-    (T.run ~observers:scalar_obs (E.compile ~options:opts net) net
+    (T.run ~observers:scalar_obs (E.compile net) net
        (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
   let lane_obs = Array.init 3 (fun _ -> probe ()) in
-  let sims = Array.map (fun _ -> E.compile ~options:opts net) lane_obs in
+  let sims = Array.map (fun _ -> E.compile net) lane_obs in
   let lanes = Array.mapi (fun i obs -> (sims.(i), Some obs)) lane_obs in
   Array.iter
     (function
@@ -953,80 +949,19 @@ let test_c432_pivot_fallback () =
         (10.0 *. tol)
   done
 
-(* Random small netlists over ground and [k] nodes: R, C, diode,
-   multi-emitter BJT, V/I sources, VCVS/VCCS, any terminal possibly on
-   ground.  A device is (kind, terminals, value). *)
-let random_netlist_gen =
-  QCheck2.Gen.(
-    int_range 1 5 >>= fun k ->
-    list_size (int_range 1 12)
-      (triple (int_range 0 7) (array_size (return 5) (int_range 0 k)) (float_range 0.1 10.0))
-    >>= fun devs ->
-    array_size (return 20) (float_range (-1.0) 1.0) >>= fun xs -> return (k, devs, xs))
-
-let print_random_netlist (k, devs, _) =
-  Printf.sprintf "k=%d [%s]" k
-    (String.concat "; "
-       (List.map
-          (fun (kind, t, v) ->
-            Printf.sprintf "%d(%s)%g" kind
-              (String.concat "," (Array.to_list (Array.map string_of_int t)))
-              v)
-          devs))
-
-let build_random_netlist (k, devs, _) =
-  let net = N.create () in
-  let nd i = if i = 0 then N.gnd else N.node net (Printf.sprintf "n%d" i) in
-  for i = 1 to k do
-    ignore (nd i)
-  done;
-  List.iteri
-    (fun idx (kind, t, v) ->
-      let name = Printf.sprintf "d%d" idx in
-      match kind with
-      | 0 -> N.resistor net ~name (nd t.(0)) (nd t.(1)) (v *. 1e3)
-      | 1 -> N.capacitor net ~name (nd t.(0)) (nd t.(1)) (v *. 1e-13)
-      | 2 -> N.diode net ~name ~anode:(nd t.(0)) ~cathode:(nd t.(1)) ()
-      | 3 ->
-          let emitters = Array.init (1 + (t.(4) mod 3)) (fun e -> nd t.(2 + e)) in
-          N.bjt_multi net ~name ~c:(nd t.(0)) ~b:(nd t.(1)) ~emitters ()
-      | 4 -> N.vsource net ~name ~pos:(nd t.(0)) ~neg:(nd t.(1)) (W.Dc v)
-      | 5 -> N.isource net ~name ~pos:(nd t.(0)) ~neg:(nd t.(1)) (W.Dc (v *. 1e-3))
-      | 6 -> N.vcvs net ~name ~pos:(nd t.(0)) ~neg:(nd t.(1)) ~cpos:(nd t.(2)) ~cneg:(nd t.(3)) v
-      | _ ->
-          N.vccs net ~name ~pos:(nd t.(0)) ~neg:(nd t.(1)) ~cpos:(nd t.(2)) ~cneg:(nd t.(3))
-            (v *. 1e-3))
-    devs;
-  net
-
-(* Both backends stamp through one assembly routine, so the
-   small-signal system is the same list, bit for bit and in order. *)
-let prop_ac_system_backend_parity =
-  QCheck2.Test.make ~name:"ac_system is bit-identical on the dense and sparse backends"
-    ~count:300 ~print:print_random_netlist random_netlist_gen (fun ((_, _, xs) as g) ->
-      let net = build_random_netlist g in
-      let system solver =
-        let sim = E.compile ~options:{ E.default_options with E.solver } net in
-        E.ac_system sim (Array.sub xs 0 (E.unknown_count sim))
-      in
-      let bits = List.map (fun (i, j, v) -> (i, j, Int64.bits_of_float v)) in
-      let gd, cd = system E.Dense_solver and gs, cs = system E.Sparse_solver in
-      bits gd = bits gs && bits cd = bits cs)
-
 (* One non-finite value reaching a stamp — a VCCS gain, a source
-   value, a capacitance under a transient companion model — on either
-   backend: Newton must give up and the DC homotopies must raise, never
+   value, a capacitance under a transient companion model: Newton must
+   give up and the DC homotopies must raise, never
    hand back a non-finite vector. *)
 let prop_non_finite_stamps_rejected =
   QCheck2.Test.make ~name:"non-finite stamps never converge" ~count:60
-    ~print:(fun (target, bad, sparse, _) ->
-      Printf.sprintf "%s=%g %s" target bad (if sparse then "sparse" else "dense"))
+    ~print:(fun (target, bad, _) -> Printf.sprintf "%s=%g" target bad)
     QCheck2.Gen.(
-      quad
+      triple
         (oneofl [ "gain"; "vsource"; "isource"; "capacitance" ])
         (oneofl [ nan; infinity; neg_infinity ])
-        bool (float_range 0.5 2.0))
-    (fun (target, bad, sparse, v) ->
+        (float_range 0.5 2.0))
+    (fun (target, bad, v) ->
       (* a non-positive capacitance is dropped at compile, like every
          absent junction capacitance: -inf never reaches a stamp *)
       QCheck2.assume (not (target = "capacitance" && bad < 0.0));
@@ -1041,8 +976,7 @@ let prop_non_finite_stamps_rejected =
       N.capacitor net ~name:"C1" c N.gnd (value "capacitance" 1e-12);
       N.isource net ~name:"I1" ~pos:N.gnd ~neg:b (W.Dc (value "isource" 1e-4));
       N.vccs net ~name:"G1" ~pos:b ~neg:c ~cpos:a ~cneg:c (value "gain" 1e-3);
-      let solver = if sparse then E.Sparse_solver else E.Dense_solver in
-      let sim = E.compile ~options:{ E.default_options with E.solver } net in
+      let sim = E.compile net in
       let finite = Array.for_all Float.is_finite in
       let integ =
         if target = "capacitance" then E.Tran { geq = 1e10; trap = false } else E.Dcop
@@ -1072,8 +1006,7 @@ let () =
         ] );
       ( "dc-linear",
         [
-          Alcotest.test_case "divider (dense)" `Quick test_divider_dense;
-          Alcotest.test_case "divider (sparse)" `Quick test_divider_sparse;
+          Alcotest.test_case "divider" `Quick test_divider;
           Alcotest.test_case "resistor ladder" `Quick test_resistor_ladder;
           Alcotest.test_case "current source" `Quick test_current_source_into_resistor;
           Alcotest.test_case "vcvs amplifier" `Quick test_vcvs_amplifier;
@@ -1139,7 +1072,6 @@ let () =
             prop_rc_matches_analytic;
             prop_observer_parity_with_dense;
             prop_bypass_matches_full_eval;
-            prop_ac_system_backend_parity;
             prop_non_finite_stamps_rejected;
           ] );
     ]
