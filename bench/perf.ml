@@ -188,14 +188,21 @@ let kernel_estimates () =
     merged;
   List.sort compare !acc
 
-(* one transient of the 8-buffer chain; the engine should do its
-   symbolic analysis once and refactorize everywhere else *)
+let chain_transient_name = "kernels chain transient (2 ns)"
+
+(* one run of the chain-transient kernel; the engine should do its
+   symbolic analysis once and refactorize everywhere else, and
+   allocate little per Newton iteration (minor words, the run's total
+   over its iterations) *)
 let solver_reuse () =
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let sim = E.compile net in
+  let w0 = Gc.minor_words () in
   ignore (T.run sim net (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
-  (E.unknown_count sim, E.solver_stats sim)
+  let words = Gc.minor_words () -. w0 in
+  let stats = E.solver_stats sim in
+  (E.unknown_count sim, stats, words /. float_of_int (max 1 stats.E.newton_iters))
 
 (* Amd-vs-natural comparison on the compiled design's Jacobian: fill
    (nnz of L+U) is deterministic, the factor+solve wall clocks are
@@ -452,8 +459,14 @@ let kernel_estimates_best ~passes =
 let run ?json ?(check = false) () =
   Util.section "perf" "Bechamel micro-benchmarks of the simulation kernels";
   let kernels = kernel_estimates_best ~passes:3 in
-  List.iter (fun (name, est) -> Printf.printf "  %-42s %12.1f ns/run\n" name est) kernels;
-  let nunk, stats = solver_reuse () in
+  let nunk, stats, words_per_iter = solver_reuse () in
+  List.iter
+    (fun (name, est) ->
+      Printf.printf "  %-42s %12.1f ns/run%s\n" name est
+        (if name = chain_transient_name then
+           Printf.sprintf "  %.1f minor words/Newton iteration" words_per_iter
+         else ""))
+    kernels;
   Printf.printf "\nsolver reuse over a chain transient (%d unknowns):\n" nunk;
   Printf.printf "  symbolic factorizations   %6d\n" stats.E.symbolic_factorizations;
   Printf.printf "  numeric refactorizations  %6d\n" stats.E.numeric_refactorizations;
@@ -576,8 +589,6 @@ let run ?json ?(check = false) () =
    product is under 3% of the recorded baseline transient time.  The
    current transient wall clock is printed alongside for context but
    only gated at the regular [regression_limit]. *)
-
-let chain_transient_name = "kernels chain transient (2 ns)"
 
 let overhead_limit = 0.03
 

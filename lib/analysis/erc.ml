@@ -278,7 +278,7 @@ let check_swing cfg net cells =
               match (dc_drive net base, N.get_device net tail_name) with
               | Some vbias, N.Bjt { model; _ } ->
                   let i_tail, _ =
-                    Cml_spice.Models.junction_current ~is:model.Cml_spice.Models.q_is
+                    Cml_spice.Engine.junction_current ~is:model.Cml_spice.Models.q_is
                       ~nvt:Cml_spice.Models.boltzmann_vt vbias
                   in
                   let swing = i_tail *. Float.max r1 r2 in

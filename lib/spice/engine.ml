@@ -23,6 +23,9 @@ let default_options =
 
 exception No_convergence of string
 
+(* Device state the Newton loop writes lives in float-only records,
+   which OCaml stores flat: a write into a record that mixes floats
+   with other fields boxes the float. *)
 type junction = { mutable v_last : float }
 
 (* SPICE3-style bypass caches: the stamps a junction device produced
@@ -30,16 +33,15 @@ type junction = { mutable v_last : float }
    they were computed at.  When the next load finds every junction of
    the device within a safety-scaled convergence tolerance of the
    cached voltages, the exponentials and their derivatives are skipped
-   and the cached stamps are replayed verbatim. *)
+   and the cached stamps are replayed verbatim.  A fresh cache holds
+   NaN voltages, which no bypass test accepts. *)
 type dcache = {
-  mutable d_valid : bool;
   mutable d_v : float;  (** limited junction voltage of the cached stamps *)
   mutable d_g : float;
   mutable d_ieq : float;
 }
 
 type bcache = {
-  mutable b_valid : bool;
   mutable b_vbe : float;
   mutable b_vbc : float;
   mutable g_cb : float;
@@ -56,9 +58,12 @@ type bcache = {
   mutable i_e : float;
 }
 
+(* capacitor companion state: voltage and current at the last accepted step *)
+type cstate = { mutable vprev : float; mutable iprev : float }
+
 type sdev =
   | SRes of { i : int; j : int; g : float }
-  | SCap of { i : int; j : int; c : float; mutable vprev : float; mutable iprev : float }
+  | SCap of { i : int; j : int; c : float; cs : cstate }
   | SDiode of { a : int; k : int; m : Models.diode; js : junction; dc : dcache }
   | SBjt of {
       name : string;
@@ -160,13 +165,12 @@ let options sim = sim.opts
 let branch_unknown sim name =
   match Hashtbl.find_opt sim.branches name with Some i -> i | None -> raise Not_found
 
-let dcache_create () = { d_valid = false; d_v = 0.0; d_g = 0.0; d_ieq = 0.0 }
+let dcache_create () = { d_v = nan; d_g = 0.0; d_ieq = 0.0 }
 
 let bcache_create () =
   {
-    b_valid = false;
-    b_vbe = 0.0;
-    b_vbc = 0.0;
+    b_vbe = nan;
+    b_vbc = nan;
     g_cb = 0.0;
     g_cc = 0.0;
     g_ce = 0.0;
@@ -265,7 +269,7 @@ let compile ?(options = default_options) net =
   (* an absent (non-positive) capacitance is skipped; the negated test
      keeps a NaN one, which must poison the transient, not vanish *)
   let emit_cap i j c =
-    if not (c <= 0.0) then emit (SCap { i; j; c; vprev = 0.0; iprev = 0.0 })
+    if not (c <= 0.0) then emit (SCap { i; j; c; cs = { vprev = 0.0; iprev = 0.0 } })
   in
   let compile_device = function
     | Netlist.Resistor { n1; n2; r; _ } ->
@@ -404,6 +408,45 @@ let[@inline] stamp_conductance mat slots s g =
   stamp mat slots (s + 2) (-.g);
   stamp mat slots (s + 3) (-.g)
 
+(* ------------------------------------------------------------------ *)
+(* pn-junction maths.  It lives here, not in [Models], because the
+   dev profile compiles with [-opaque]: a call into another module is
+   never inlined, so it boxes its float arguments and result. *)
+
+let limexp_arg = 80.0
+
+let[@inline] limexp x =
+  if x <= limexp_arg then exp x else exp limexp_arg *. (1.0 +. x -. limexp_arg)
+
+(* the junction current [is * (e^(v/nvt) - 1)] and its conductance
+   at bias [v], both from [e = limexp (v /. nvt)] *)
+let[@inline] junction_i ~is e = is *. (e -. 1.0)
+
+let[@inline] junction_g ~is ~nvt v e =
+  if v /. nvt <= limexp_arg then is *. e /. nvt else is *. exp limexp_arg /. nvt
+
+let junction_current ~is ~nvt v =
+  let e = limexp (v /. nvt) in
+  (junction_i ~is e, junction_g ~is ~nvt v e)
+
+let[@inline] vcrit ~is ~nvt = nvt *. log (nvt /. (Float.sqrt 2.0 *. is))
+
+(* Straight port of the classic SPICE3 pnjlim. *)
+let[@inline] pnjlim ~vnew ~vold ~nvt ~vcrit =
+  if vnew > vcrit && Float.abs (vnew -. vold) > 2.0 *. nvt then begin
+    if vold > 0.0 then begin
+      let arg = 1.0 +. ((vnew -. vold) /. nvt) in
+      if arg > 0.0 then vold +. (nvt *. log arg) else vcrit
+    end
+    else nvt *. log (vnew /. nvt)
+  end
+  else vnew
+
+(* [Float.max (Float.abs a) (Float.abs b)], NaN when either is NaN *)
+let[@inline] max_mag a b =
+  let a = Float.abs a and b = Float.abs b in
+  if a >= b || Float.is_nan a then a else b
+
 (* Safety factor applied to the reltol/vntol convergence tolerance
    before it is used as the bypass threshold: a bypassed device's
    stamps are stale by at most the threshold, so the fixed point the
@@ -416,7 +459,7 @@ let bypass_safety = 0.1
 let[@inline] bypass_close opts vnew vcache =
   Float.abs (vnew -. vcache)
   <= bypass_safety
-     *. ((opts.reltol *. Float.max (Float.abs vnew) (Float.abs vcache)) +. opts.vntol)
+     *. ((opts.reltol *. max_mag vnew vcache) +. opts.vntol)
 
 (* Running max of the junction-limiting error.  The negated [<=] takes
    a NaN error in (any comparison with NaN is false) and a recorded
@@ -453,13 +496,12 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
     let s = soff.(di) in
     match sdevs.(di) with
     | SRes { g; _ } -> stamp_conductance mat slots s g
-    | SCap { i; j; c; vprev; iprev } ->
-        let g, irhs =
+    | SCap { i; j; c; cs } ->
+        let g = match integ with Dcop -> 0.0 | Tran { geq; _ } -> geq *. c in
+        let irhs =
           match integ with
-          | Dcop -> (0.0, 0.0)
-          | Tran { geq; trap } ->
-              let g = geq *. c in
-              (g, (g *. vprev) +. if trap then iprev else 0.0)
+          | Dcop -> 0.0
+          | Tran { trap; _ } -> (g *. cs.vprev) +. if trap then cs.iprev else 0.0
         in
         stamp_conductance mat slots s g;
         inject rhs i irhs;
@@ -467,7 +509,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
     | SDiode { a; k; m; js; dc } ->
         sim.n_diode_loads <- sim.n_diode_loads + 1;
         let vnew = vof x a -. vof x k in
-        if bypass && dc.d_valid && bypass_close opts vnew dc.d_v then begin
+        if bypass && bypass_close opts vnew dc.d_v then begin
           sim.n_diode_bypassed <- sim.n_diode_bypassed + 1;
           stamp_conductance mat slots s dc.d_g;
           inject rhs a dc.d_ieq;
@@ -475,20 +517,17 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
         end
         else begin
           sim.n_full_evals <- sim.n_full_evals + 1;
-          let n_nvt = m.Models.d_n *. nvt in
-          let vlim =
-            Models.pnjlim ~vnew ~vold:js.v_last ~nvt:n_nvt
-              ~vcrit:(Models.vcrit ~is:m.Models.d_is ~nvt:n_nvt)
-          in
+          let n_nvt = m.Models.d_n *. nvt and is = m.Models.d_is in
+          let vlim = pnjlim ~vnew ~vold:js.v_last ~nvt:n_nvt ~vcrit:(vcrit ~is ~nvt:n_nvt) in
           js.v_last <- vlim;
           note_junction_error sim (Float.abs (vnew -. vlim)) di;
-          let id, gd = Models.junction_current ~is:m.Models.d_is ~nvt:n_nvt vlim in
-          let g = gd +. gmin and i0 = id +. (gmin *. vlim) in
+          let e = limexp (vlim /. n_nvt) in
+          let g = junction_g ~is ~nvt:n_nvt vlim e +. gmin
+          and i0 = junction_i ~is e +. (gmin *. vlim) in
           stamp_conductance mat slots s g;
           let ieq = (g *. vlim) -. i0 in
           inject rhs a ieq;
           inject rhs k (-.ieq);
-          dc.d_valid <- true;
           dc.d_v <- vlim;
           dc.d_g <- g;
           dc.d_ieq <- ieq
@@ -498,7 +537,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
         let vbe_new = vof x b -. vof x e in
         let vbc_new = vof x b -. vof x c in
         if
-          bypass && bc.b_valid
+          bypass
           && bypass_close opts vbe_new bc.b_vbe
           && bypass_close opts vbc_new bc.b_vbc
         then begin
@@ -518,21 +557,23 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
         end
         else begin
           sim.n_full_evals <- sim.n_full_evals + 1;
-          let vcrit = Models.vcrit ~is:m.Models.q_is ~nvt in
+          let is = m.Models.q_is in
+          let vcrit = vcrit ~is ~nvt in
           let vbe =
-            let v = Models.pnjlim ~vnew:vbe_new ~vold:jbe.v_last ~nvt ~vcrit in
+            let v = pnjlim ~vnew:vbe_new ~vold:jbe.v_last ~nvt ~vcrit in
             jbe.v_last <- v;
             note_junction_error sim (Float.abs (vbe_new -. v)) di;
             v
           in
           let vbc =
-            let v = Models.pnjlim ~vnew:vbc_new ~vold:jbc.v_last ~nvt ~vcrit in
+            let v = pnjlim ~vnew:vbc_new ~vold:jbc.v_last ~nvt ~vcrit in
             jbc.v_last <- v;
             note_junction_error sim (Float.abs (vbc_new -. v)) di;
             v
           in
-          let ift, gif = Models.junction_current ~is:m.Models.q_is ~nvt vbe in
-          let irt, gir = Models.junction_current ~is:m.Models.q_is ~nvt vbc in
+          let ef = limexp (vbe /. nvt) and er = limexp (vbc /. nvt) in
+          let ift = junction_i ~is ef and gif = junction_g ~is ~nvt vbe ef in
+          let irt = junction_i ~is er and gir = junction_g ~is ~nvt vbc er in
           let icc = ift -. irt in
           let ibe = (ift /. m.Models.q_bf) +. (gmin *. vbe) in
           let gbe = (gif /. m.Models.q_bf) +. gmin in
@@ -562,7 +603,6 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
           inject rhs c ic_rhs;
           inject rhs b ib_rhs;
           inject rhs e ie_rhs;
-          bc.b_valid <- true;
           bc.b_vbe <- vbe;
           bc.b_vbc <- vbc;
           bc.g_cb <- dic_dvb;
@@ -628,6 +668,24 @@ let load sim ~x ~time ~integ ~srcscale ~gshunt =
   sim.rt_srcscale <- srcscale;
   sim.rt_trap <- trap
 
+(* A refactorize that bailed forces a full factorization; attribute
+   the fallback to its recorded reason.  Toplevel, not local to
+   [solve_linear_into], which would allocate its closure per solve. *)
+let note_fallback sim f =
+  let reason =
+    match Cml_numerics.Sparse_lu.last_refactor_failure f with
+    | Some (Cml_numerics.Sparse_lu.Small_pivot _) ->
+        sim.n_fb_small_pivot <- sim.n_fb_small_pivot + 1;
+        Introspect.lu_small_pivot
+    | Some (Cml_numerics.Sparse_lu.Unstable_pivot _) ->
+        sim.n_fb_unstable_pivot <- sim.n_fb_unstable_pivot + 1;
+        Introspect.lu_unstable_pivot
+    | Some Cml_numerics.Sparse_lu.Mismatched_pattern | None ->
+        sim.n_fb_pattern <- sim.n_fb_pattern + 1;
+        Introspect.lu_pattern
+  in
+  Introspect.note_lu_fallback sim.introspect ~reason
+
 let solve_linear_into sim out =
   match sim.lu with
   | Some f when sim.rt_matrix_unchanged && sim.rt_have_factor ->
@@ -649,30 +707,13 @@ let solve_linear_into sim out =
       in
       let fresh_factorize () = install (Cml_numerics.Sparse_lu.factorize a) in
       let repivot f = install (Cml_numerics.Sparse_lu.repivot f a) in
-      (* a refactorize that bailed forces a full factorization;
-         attribute the fallback to its recorded reason *)
-      let note_fallback f =
-        let reason =
-          match Cml_numerics.Sparse_lu.last_refactor_failure f with
-          | Some (Cml_numerics.Sparse_lu.Small_pivot _) ->
-              sim.n_fb_small_pivot <- sim.n_fb_small_pivot + 1;
-              Introspect.lu_small_pivot
-          | Some (Cml_numerics.Sparse_lu.Unstable_pivot _) ->
-              sim.n_fb_unstable_pivot <- sim.n_fb_unstable_pivot + 1;
-              Introspect.lu_unstable_pivot
-          | Some Cml_numerics.Sparse_lu.Mismatched_pattern | None ->
-              sim.n_fb_pattern <- sim.n_fb_pattern + 1;
-              Introspect.lu_pattern
-        in
-        Introspect.note_lu_fallback sim.introspect ~reason
-      in
       let f =
         match lu with
         | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
             sim.n_numeric <- sim.n_numeric + 1;
             f
         | Some f ->
-            note_fallback f;
+            note_fallback sim f;
             repivot f
         | None -> begin
             (* first factorization: a donor sim of the same design may
@@ -692,7 +733,7 @@ let solve_linear_into sim out =
                 | Some f ->
                     (* the donor's pivot order is unstable for this
                        sim's values *)
-                    note_fallback f;
+                    note_fallback sim f;
                     repivot f
                 | None -> fresh_factorize ()
               end
@@ -869,8 +910,8 @@ let converged sim x x' =
   let ok = ref true in
   for i = 0 to sim.nunk - 1 do
     let tol =
-      if i < sim.nv then sim.opts.vntol +. (sim.opts.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i)))
-      else sim.opts.abstol +. (sim.opts.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i)))
+      if i < sim.nv then sim.opts.vntol +. (sim.opts.reltol *. max_mag x.(i) x'.(i))
+      else sim.opts.abstol +. (sim.opts.reltol *. max_mag x.(i) x'.(i))
     in
     (* negated [<=]: a NaN delta or tolerance compares false, so a NaN
        iterate rejects instead of slipping through; an infinite iterate
@@ -881,64 +922,69 @@ let converged sim x x' =
   done;
   !ok
 
+(* per-step device loops are [for] loops: an [Array.iter] closure
+   would be allocated on every call *)
 let set_junction_states sim x =
-  Array.iter
-    (function
-      | SDiode { a; k; js; _ } -> js.v_last <- vof x a -. vof x k
-      | SBjt { c; b; e; jbe; jbc; _ } ->
-          jbe.v_last <- vof x b -. vof x e;
-          jbc.v_last <- vof x b -. vof x c
-      | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ())
-    sim.sdevs
+  for di = 0 to Array.length sim.sdevs - 1 do
+    match sim.sdevs.(di) with
+    | SDiode { a; k; js; _ } -> js.v_last <- vof x a -. vof x k
+    | SBjt { c; b; e; jbe; jbc; _ } ->
+        jbe.v_last <- vof x b -. vof x e;
+        jbc.v_last <- vof x b -. vof x c
+    | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ()
+  done
 
 (* The iterate loop works entirely in the per-sim workspace ([ws_x],
-   [ws_xnew], the matrix and its LU factor): no vector or matrix
-   is allocated per iteration, only the converged solution is copied
-   out once on success. *)
+   [ws_xnew], the matrix and its LU factor) and allocates nothing
+   (a toplevel function, so not even a closure per solve); only the
+   converged solution is copied out once on success. *)
+let rec iterate sim ~time ~integ ~srcscale ~gshunt iter =
+  let x = sim.ws_x and xn = sim.ws_xnew in
+  if iter > sim.opts.max_iter then None
+  else begin
+    load sim ~x ~time ~integ ~srcscale ~gshunt;
+    sim.n_newton_iters <- sim.n_newton_iters + 1;
+    (* Identical-system acceptance: for [iter > 0] the previous
+       iteration solved the system the previous load assembled, and
+       its solution is the current iterate [x].  When this load
+       produced a bit-identical system (every junction bypassed,
+       same geq/gshunt/time/srcscale/trap; capacitor states cannot
+       move inside one Newton call), solving again would return [x]
+       exactly — a zero-delta, junction-settled, converged accept.
+       Skip the solve and accept [x] directly; this is bit-exact
+       with the unskipped path.  A non-finite [x] (an infinite
+       junction voltage passes the bypass test) would be solved back
+       forever and never pass [converged]: give up at once. *)
+    if iter > 0 && sim.rt_system_identical then begin
+      sim.n_skipped_solves <- sim.n_skipped_solves + 1;
+      if converged sim x x then Some (Cml_numerics.Vec.copy x, iter) else None
+    end
+    else
+      match solve_linear_into sim xn with
+      | exception Cml_numerics.Sparse_lu.Singular _ -> None
+      | () ->
+          (match sim.introspect with
+          | None -> ()
+          | Some _ as ro ->
+              Introspect.note_newton ro ~time ~iter ~x ~xn ~junction_error:sim.junction_error
+                ~junction_worst:sim.junction_worst);
+          let junctions_settled = sim.junction_error <= sim.opts.vntol +. (sim.opts.reltol *. 1.0) in
+          if iter > 0 && junctions_settled && converged sim x xn then
+            Some (Cml_numerics.Vec.copy xn, iter)
+          else begin
+            Array.blit xn 0 x 0 sim.nunk;
+            iterate sim ~time ~integ ~srcscale ~gshunt (iter + 1)
+          end
+  end
+
 let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
   (* token span, not [with_span]: this is the inner hot path, and the
      token API keeps the disabled cost to one atomic load + branch
      with no closure or argument allocation *)
   let tok = Cml_telemetry.Trace.start () in
   set_junction_states sim x0;
-  let x = sim.ws_x and xn = sim.ws_xnew in
-  Array.blit x0 0 x 0 sim.nunk;
-  let rec iterate iter =
-    if iter > sim.opts.max_iter then None
-    else begin
-      load sim ~x ~time ~integ ~srcscale ~gshunt;
-      sim.n_newton_iters <- sim.n_newton_iters + 1;
-      (* Identical-system acceptance: for [iter > 0] the previous
-         iteration solved the system the previous load assembled, and
-         its solution is the current iterate [x].  When this load
-         produced a bit-identical system (every junction bypassed,
-         same geq/gshunt/time/srcscale/trap; capacitor states cannot
-         move inside one Newton call), solving again would return [x]
-         exactly — a zero-delta, junction-settled, converged accept.
-         Skip the solve and accept [x] directly; this is bit-exact
-         with the unskipped path.  A non-finite [x] (an infinite
-         junction voltage passes the bypass test) would be solved back
-         forever and never pass [converged]: give up at once. *)
-      if iter > 0 && sim.rt_system_identical then begin
-        sim.n_skipped_solves <- sim.n_skipped_solves + 1;
-        if converged sim x x then Some (Cml_numerics.Vec.copy x, iter) else None
-      end
-      else
-        match solve_linear_into sim xn with
-        | exception Cml_numerics.Sparse_lu.Singular _ -> None
-        | () ->
-            Introspect.note_newton sim.introspect ~time ~iter ~x ~xn
-              ~junction_error:sim.junction_error ~junction_worst:sim.junction_worst;
-            let junctions_settled = sim.junction_error <= sim.opts.vntol +. (sim.opts.reltol *. 1.0) in
-            if iter > 0 && junctions_settled && converged sim x xn then
-              Some (Cml_numerics.Vec.copy xn, iter)
-            else begin
-              Array.blit xn 0 x 0 sim.nunk;
-              iterate (iter + 1)
-            end
-    end
-  in
-  let result = iterate 0 in
+  Array.blit x0 0 sim.ws_x 0 sim.nunk;
+  let result = iterate sim ~time ~integ ~srcscale ~gshunt 0 in
   (match result with
   | None -> Introspect.note_newton_fail sim.introspect ~time
   | Some _ -> ());
@@ -1006,25 +1052,25 @@ let dc_from ?(time = 0.0) sim x0 =
 let init_capacitor_states sim x =
   Array.iter
     (function
-      | SCap c ->
-          c.vprev <- vof x c.i -. vof x c.j;
-          c.iprev <- 0.0
+      | SCap { i; j; cs; _ } ->
+          cs.vprev <- vof x i -. vof x j;
+          cs.iprev <- 0.0
       | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ())
     sim.sdevs
 
 let update_capacitor_states sim x ~h ~trap =
-  Array.iter
-    (function
-      | SCap c ->
-          let v = vof x c.i -. vof x c.j in
-          let i_new =
-            if trap then (2.0 *. c.c /. h *. (v -. c.vprev)) -. c.iprev
-            else c.c /. h *. (v -. c.vprev)
-          in
-          c.vprev <- v;
-          c.iprev <- i_new
-      | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ())
-    sim.sdevs
+  for di = 0 to Array.length sim.sdevs - 1 do
+    match sim.sdevs.(di) with
+    | SCap { i; j; c; cs } ->
+        let v = vof x i -. vof x j in
+        let i_new =
+          if trap then (2.0 *. c /. h *. (v -. cs.vprev)) -. cs.iprev
+          else c /. h *. (v -. cs.vprev)
+        in
+        cs.vprev <- v;
+        cs.iprev <- i_new
+    | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ()
+  done
 
 let newton_system sim x =
   set_junction_states sim x;
@@ -1074,8 +1120,8 @@ let bjt_report sim x =
         match d with
         | SBjt { name; c; b; e; m; _ } ->
             let vbe = vof x b -. vof x e and vbc = vof x b -. vof x c in
-            let ift, _ = Models.junction_current ~is:m.Models.q_is ~nvt vbe in
-            let irt, _ = Models.junction_current ~is:m.Models.q_is ~nvt vbc in
+            let ift, _ = junction_current ~is:m.Models.q_is ~nvt vbe in
+            let irt, _ = junction_current ~is:m.Models.q_is ~nvt vbc in
             let ic = ift -. irt -. (irt /. m.Models.q_br) in
             let ib = (ift /. m.Models.q_bf) +. (irt /. m.Models.q_br) in
             { q_name = name; vbe; vce = vof x c -. vof x e; ic; ib } :: acc

@@ -250,6 +250,23 @@ val ac_system :
     [g_entries] of {!newton_system}; [C] entries may repeat and must
     be accumulated. *)
 
+(** {2 pn-junction maths} shared by the diode and BJT evaluators *)
+
+val limexp : float -> float
+(** [limexp x] is [exp x] for [x <= 80] and a linear continuation
+    above, so device evaluation never overflows. *)
+
+val junction_current : is:float -> nvt:float -> float -> float * float
+(** [junction_current ~is ~nvt v] is the pn-junction current and its
+    conductance [(i, g)] at bias [v] (no gmin included). *)
+
+val vcrit : is:float -> nvt:float -> float
+(** Critical voltage for junction limiting (SPICE definition). *)
+
+val pnjlim : vnew:float -> vold:float -> nvt:float -> vcrit:float -> float
+(** SPICE junction-voltage limiting: clamp the Newton update of a
+    junction voltage to avoid overflow-driven divergence. *)
+
 type bjt_op = {
   q_name : string;  (** device name; dual-emitter devices report one
                         entry per emitter, suffixed [#e<k>] *)

@@ -8,13 +8,14 @@
    {!Cml_telemetry.Progress.note_step}: the engine stores the option
    once and passes it through, so a disabled simulation pays one load
    and one branch per hook, nothing else.  All O(n) work (delta-norm
-   scans, LTE blame scans) happens strictly inside the [Some] arm.
+   scans, LTE blame scans) happens strictly inside the [Some] arm;
+   [note_lte] takes the recorder itself, its caller having matched.
 
    The recorder only ever *reads* solver state: attaching one must
    not perturb a single bit of the waveform (qcheck-enforced in
    test_introspect.ml).  In particular the LTE accept/reject decision
-   stays with [Transient.lte_ok] — the blame scan here recomputes the
-   per-node ratios purely for attribution.
+   stays with [Transient.lte_ok]; its blame scan [Transient.lte_blame]
+   uses the same tolerance and runs only when a recorder is attached.
 
    Storage is flat Fbuf columns (ints stored as exact floats), read
    back as typed rows by the analysis accessors at post-mortem
@@ -140,25 +141,12 @@ let note_newton_fail ro ~time =
       Fbuf.push r.nf_worst worst;
       Fbuf.push r.nf_delta delta
 
-let note_lte ro ~time ~h ~xpred ~x ~reltol ~abstol ~cascade =
-  match ro with
-  | None -> ()
-  | Some r ->
-      let worst = ref (-1) and wratio = ref 0.0 in
-      for i = 0 to Array.length xpred - 1 do
-        let xp = xpred.(i) and xi = x.(i) in
-        let tol = abstol +. (reltol *. Float.max (Float.abs xp) (Float.abs xi)) in
-        let ratio = Float.abs (xi -. xp) /. tol in
-        if ratio > !wratio then begin
-          wratio := ratio;
-          worst := i
-        end
-      done;
-      Fbuf.push r.lte_time time;
-      Fbuf.push r.lte_h h;
-      Fbuf.push r.lte_worst (float_of_int !worst);
-      Fbuf.push r.lte_ratio !wratio;
-      Fbuf.push r.lte_cascade (float_of_int cascade)
+let note_lte r ~time ~h ~worst ~ratio ~cascade =
+  Fbuf.push r.lte_time time;
+  Fbuf.push r.lte_h h;
+  Fbuf.push r.lte_worst (float_of_int worst);
+  Fbuf.push r.lte_ratio ratio;
+  Fbuf.push r.lte_cascade (float_of_int cascade)
 
 let note_dt ro ~t ~h ~cause =
   match ro with

@@ -64,18 +64,10 @@ val note_newton_fail : t option -> time:float -> unit
 (** Record a Newton solve that gave up; blames the worst unknown of
     its final recorded iteration. *)
 
-val note_lte :
-  t option ->
-  time:float ->
-  h:float ->
-  xpred:float array ->
-  x:float array ->
-  reltol:float ->
-  abstol:float ->
-  cascade:int ->
-  unit
-(** Record an LTE rejection: recomputes per-node ratios purely for
-    attribution (the accept/reject decision is the caller's). *)
+val note_lte : t -> time:float -> h:float -> worst:int -> ratio:float -> cascade:int -> unit
+(** Record an LTE rejection blamed on unknown [worst], whose deviation
+    from the prediction was [ratio] times its tolerance (the caller
+    scans, and only when a recorder is attached). *)
 
 val note_dt : t option -> t:float -> h:float -> cause:int -> unit
 val note_lu_fallback : t option -> reason:int -> unit

@@ -9,30 +9,3 @@ type bjt = { q_is : float; q_bf : float; q_br : float; q_cje : float; q_cjc : fl
 (* Is chosen so that VBE is about 0.9 V at 0.5 mA, matching the
    "VBE = 900 mV technology" the paper quotes. *)
 let default_bjt = { q_is = 4e-19; q_bf = 100.0; q_br = 1.0; q_cje = 30e-15; q_cjc = 15e-15 }
-
-let limexp_arg = 80.0
-
-let limexp x =
-  if x <= limexp_arg then exp x else exp limexp_arg *. (1.0 +. x -. limexp_arg)
-
-let junction_current ~is ~nvt v =
-  let e = limexp (v /. nvt) in
-  let i = is *. (e -. 1.0) in
-  let g =
-    if v /. nvt <= limexp_arg then is *. e /. nvt
-    else is *. exp limexp_arg /. nvt
-  in
-  (i, g)
-
-let vcrit ~is ~nvt = nvt *. log (nvt /. (Float.sqrt 2.0 *. is))
-
-(* Straight port of the classic SPICE3 pnjlim. *)
-let pnjlim ~vnew ~vold ~nvt ~vcrit =
-  if vnew > vcrit && Float.abs (vnew -. vold) > 2.0 *. nvt then begin
-    if vold > 0.0 then begin
-      let arg = 1.0 +. ((vnew -. vold) /. nvt) in
-      if arg > 0.0 then vold +. (nvt *. log arg) else vcrit
-    end
-    else nvt *. log (vnew /. nvt)
-  end
-  else vnew

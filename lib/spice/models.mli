@@ -1,5 +1,5 @@
-(** Device model parameters and the primitive pn-junction maths shared
-    by the diode and BJT evaluators. *)
+(** Device model parameters.  The pn-junction maths the diode and BJT
+    evaluators share lives in {!Engine}, next to its hot path. *)
 
 val boltzmann_vt : float
 (** Thermal voltage kT/q at 300 K (about 25.85 mV). *)
@@ -21,18 +21,3 @@ type bjt = {
 }
 
 val default_bjt : bjt
-
-val limexp : float -> float
-(** [limexp x] is [exp x] for [x <= 80] and a linear continuation
-    above, so device evaluation never overflows. *)
-
-val junction_current : is:float -> nvt:float -> float -> float * float
-(** [junction_current ~is ~nvt v] is the pn-junction current and its
-    conductance [(i, g)] at bias [v] (no gmin included). *)
-
-val vcrit : is:float -> nvt:float -> float
-(** Critical voltage for junction limiting (SPICE definition). *)
-
-val pnjlim : vnew:float -> vold:float -> nvt:float -> vcrit:float -> float
-(** SPICE junction-voltage limiting: clamp the Newton update of a
-    junction voltage to avoid overflow-driven divergence. *)

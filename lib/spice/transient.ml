@@ -41,20 +41,36 @@ let collect_breakpoints net ~tstop =
 
 (* Acceptance test for the predictor-based step control: the
    trapezoidal corrector must stay within a generous band around the
-   linear prediction from the two previous points. *)
+   linear prediction from the two previous points.  [lte_ok] decides
+   and [lte_blame] attributes a rejection, through this one band. *)
+let[@inline] lte_tol opts xp xi =
+  (* [Float.max] of the magnitudes, NaN-propagating, written out: a
+     call would box (see [Engine.max_mag]) *)
+  let a = Float.abs xp and b = Float.abs xi in
+  let m = if a >= b || Float.is_nan a then a else b in
+  opts.Engine.lte_abstol +. (opts.Engine.lte_reltol_factor *. opts.Engine.reltol *. m)
+
 let lte_ok opts xpred x =
   let band = ref true in
-  let reltol = opts.Engine.lte_reltol_factor *. opts.Engine.reltol
-  and abstol = opts.Engine.lte_abstol in
-  Array.iteri
-    (fun i xp ->
-      let tol = abstol +. (reltol *. Float.max (Float.abs xp) (Float.abs x.(i))) in
-      (* negated [<=] so a NaN corrector or prediction rejects; an
-         infinite one would pass its own infinite tolerance *)
-      let d = Float.abs (x.(i) -. xp) in
-      if not (Float.is_finite d && d <= tol) then band := false)
-    xpred;
+  for i = 0 to Array.length xpred - 1 do
+    (* negated [<=] so a NaN corrector or prediction rejects; an
+       infinite one would pass its own infinite tolerance *)
+    let d = Float.abs (x.(i) -. xpred.(i)) in
+    if not (Float.is_finite d && d <= lte_tol opts xpred.(i) x.(i)) then band := false
+  done;
   !band
+
+(* the node that forced an LTE rejection and its |x - xpred| / tol *)
+let lte_blame opts xpred x =
+  let worst = ref (-1) and wratio = ref 0.0 in
+  for i = 0 to Array.length xpred - 1 do
+    let ratio = Float.abs (x.(i) -. xpred.(i)) /. lte_tol opts xpred.(i) x.(i) in
+    if ratio > !wratio then begin
+      wratio := ratio;
+      worst := i
+    end
+  done;
+  (!worst, !wratio)
 
 (* Recorded snapshots live in one flat row-major matrix that doubles
    on demand — one blit per accepted step instead of an [Array.copy]
@@ -371,9 +387,12 @@ let stepper_advance st =
               st.st_lte <- st.st_lte + 1;
               (* blame scan only; the accept/reject decision above is
                  [lte_ok]'s alone, so recording cannot flip a step *)
-              Introspect.note_lte st.st_introspect ~time:t_next ~h:h_step ~xpred ~x
-                ~reltol:(st.st_opts.Engine.lte_reltol_factor *. st.st_opts.Engine.reltol)
-                ~abstol:st.st_opts.Engine.lte_abstol ~cascade:(st.st_streak + 1);
+              (match st.st_introspect with
+              | None -> ()
+              | Some r ->
+                  let worst, ratio = lte_blame st.st_opts xpred x in
+                  Introspect.note_lte r ~time:t_next ~h:h_step ~worst ~ratio
+                    ~cascade:(st.st_streak + 1));
               None
             end
           end

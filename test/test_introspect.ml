@@ -83,6 +83,11 @@ let test_recorder_captures () =
     (fun (row : I.newton_row) ->
       Alcotest.(check bool) "finite delta" true (Float.is_finite row.I.nr_delta))
     (I.newton_rows r);
+  (* blame and the accept/reject decision share one tolerance *)
+  List.iter
+    (fun (row : I.lte_row) ->
+      Alcotest.(check bool) "blamed node left its LTE band" true (row.I.lr_ratio > 1.0))
+    (I.lte_rows r);
   List.iter
     (fun c ->
       Alcotest.(check bool) "cause has a name" true (String.length (I.cause_name c) > 0))

@@ -253,6 +253,43 @@ let test_chain_runs_sparse () =
   Alcotest.(check int) "bypassed loads" 52137 stats.E.bypassed_loads
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: junction evaluation and the Newton loop box nothing, so
+   a warm DC solve allocates little more than its result and a
+   transient little more than its per-step bookkeeping *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+(* bypass off: every load full-evaluates every junction device *)
+let warm_dc_words net =
+  let sim = E.compile ~options:{ E.default_options with E.bypass = false } net in
+  let x = E.dc_operating_point sim in
+  snd (minor_words (fun () -> E.dc_from sim x))
+
+let check_warm_dc name net =
+  let w = warm_dc_words net in
+  Alcotest.(check bool) (Printf.sprintf "%s: %.0f words <= 128" name w) true (w <= 128.0)
+
+let test_warm_dc_allocation () =
+  let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
+  check_warm_dc "8-stage chain" chain.Cml_cells.Chain.builder.Cml_cells.Builder.net;
+  let c432 = Cml_logic.Bench_circuits.c432_surrogate () in
+  check_warm_dc "c432 surrogate"
+    (Cml_cells.Compile.netlist (Cml_cells.Compile.compile ~freq:200e6 c432))
+
+let test_transient_allocation () =
+  let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
+  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
+  let sim = E.compile net in
+  let r, w = minor_words (fun () -> T.run sim net (T.config ~tstop:10e-9 ~max_step:10e-12 ())) in
+  let per_iter = w /. float_of_int r.T.stats.T.newton_iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per Newton iteration <= 48" per_iter)
+    true (per_iter <= 48.0)
+
+(* ------------------------------------------------------------------ *)
 (* Monte-Carlo: one symbolic analysis per netlist per run *)
 
 module MC = Cml_dft.Montecarlo
@@ -374,6 +411,13 @@ let () =
             test_transient_amortises_symbolic;
           Alcotest.test_case "8-stage chain runs sparse by default" `Quick
             test_chain_runs_sparse;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "warm bypass-off dc_from allocates <= 128 words" `Quick
+            test_warm_dc_allocation;
+          Alcotest.test_case "chain transient allocates <= 48 words per iteration" `Quick
+            test_transient_allocation;
         ] );
       ( "montecarlo",
         [

@@ -358,17 +358,17 @@ let test_no_convergence_exception () =
   | _ -> Alcotest.fail "expected No_convergence"
   | exception E.No_convergence _ -> ())
 
-let test_models_limexp_continuity () =
-  let below = Cml_spice.Models.limexp 79.999 and above = Cml_spice.Models.limexp 80.001 in
+let test_limexp_continuity () =
+  let below = E.limexp 79.999 and above = E.limexp 80.001 in
   Alcotest.(check bool) "continuous and increasing" true (above > below && below > 0.0)
 
-let test_models_pnjlim_passthrough () =
+let test_pnjlim_passthrough () =
   (* small updates are untouched *)
-  let v = Cml_spice.Models.pnjlim ~vnew:0.61 ~vold:0.6 ~nvt:vt ~vcrit:0.7 in
+  let v = E.pnjlim ~vnew:0.61 ~vold:0.6 ~nvt:vt ~vcrit:0.7 in
   check_close "passthrough" 0.61 v
 
-let test_models_pnjlim_clamps () =
-  let v = Cml_spice.Models.pnjlim ~vnew:5.0 ~vold:0.8 ~nvt:vt ~vcrit:0.7 in
+let test_pnjlim_clamps () =
+  let v = E.pnjlim ~vnew:5.0 ~vold:0.8 ~nvt:vt ~vcrit:0.7 in
   Alcotest.(check bool) "clamped far below 5" true (v < 1.0)
 
 let test_bjt_report () =
@@ -529,6 +529,27 @@ let prop_bypass_matches_full_eval =
             row)
         on.T.data;
       !dev <= 10.0 *. E.default_options.E.vntol)
+
+(* A fresh sim's bypass caches hold no stamps, so its first load must
+   full-evaluate every junction device.  Every junction here sits at
+   0 V, where a cache that started at 0 V would pass the bypass test
+   and replay empty stamps; the second load does replay. *)
+let test_first_load_full_evaluates () =
+  let net = N.create () in
+  let a = N.node net "a" in
+  N.vsource net ~name:"V1" ~pos:a ~neg:N.gnd (W.Dc 0.0);
+  N.diode net ~name:"D1" ~anode:a ~cathode:N.gnd ();
+  N.bjt net ~name:"Q1" ~c:a ~b:a ~e:N.gnd ();
+  (* max_iter = 0: each Newton call is exactly one load *)
+  let sim = E.compile ~options:{ E.default_options with E.max_iter = 0 } net in
+  let x0 = Array.make (E.unknown_count sim) 0.0 in
+  let load () = ignore (E.newton sim ~time:0.0 ~integ:E.Dcop x0) in
+  load ();
+  let s = E.solver_stats sim in
+  Alcotest.(check int) "first load: both junction devices" 2 s.E.device_loads;
+  Alcotest.(check int) "first load: no cache replayed" 0 s.E.bypassed_loads;
+  load ();
+  Alcotest.(check int) "second load: both caches replayed" 2 (E.solver_stats sim).E.bypassed_loads
 
 let test_transient_stats_accounting () =
   let chain = Cml_cells.Chain.build ~stages:3 ~freq:1e9 () in
@@ -1053,15 +1074,17 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "no convergence raises" `Quick test_no_convergence_exception;
-          Alcotest.test_case "limexp continuity" `Quick test_models_limexp_continuity;
-          Alcotest.test_case "pnjlim passthrough" `Quick test_models_pnjlim_passthrough;
-          Alcotest.test_case "pnjlim clamps" `Quick test_models_pnjlim_clamps;
+          Alcotest.test_case "limexp continuity" `Quick test_limexp_continuity;
+          Alcotest.test_case "pnjlim passthrough" `Quick test_pnjlim_passthrough;
+          Alcotest.test_case "pnjlim clamps" `Quick test_pnjlim_clamps;
           Alcotest.test_case "bjt operating-point report" `Quick test_bjt_report;
           Alcotest.test_case "report on dual emitters" `Quick test_bjt_report_multi_emitter;
           Alcotest.test_case "acceptance rejects NaN" `Quick test_acceptance_rejects_nan;
           Alcotest.test_case "acceptance rejects infinities" `Quick
             test_acceptance_rejects_infinite;
           Alcotest.test_case "c432 pivot fallback re-pivots" `Quick test_c432_pivot_fallback;
+          Alcotest.test_case "first load full-evaluates every junction" `Quick
+            test_first_load_full_evaluates;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
