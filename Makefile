@@ -5,7 +5,7 @@
 DUNE ?= dune
 LINT := $(DUNE) exec --no-build bin/cmldft.exe -- lint
 
-.PHONY: all build test paper fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity fixtures check perf clean
+.PHONY: all build test paper fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity cone-parity fixtures check perf clean
 
 all: build
 
@@ -190,6 +190,14 @@ campaign-parity: build
 	  diff $$dir/batched.body $$dir/unbatched.body; rm -rf $$dir; exit 1; \
 	fi
 
+# The cone path must not change a classification: every defect site
+# of the c432 surrogate's default DUT, simulated on its fanout cone
+# (the campaign's path) and on the whole faulty netlist, must get the
+# same classes.  Prints each site's measurement deviation, supply
+# current and boundary-source draw; about 80 s on two cores.
+cone-parity: build
+	$(DUNE) exec --no-build bench/main.exe -- --jobs 2 cone-parity
+
 # Regenerate the committed decks in examples/netlists/ from the cell
 # library (they are kept in git so `lint-examples` needs no codegen).
 fixtures: build
@@ -208,7 +216,7 @@ PERF_JOBS ?= 4
 perf: build
 	$(DUNE) exec bench/main.exe -- perf --jobs $(PERF_JOBS) --json BENCH_spice.json --check
 
-check: build test paper fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity telemetry-overhead
+check: build test paper fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity cone-parity telemetry-overhead
 ifeq ($(CHECK_PERF),1)
 	$(MAKE) perf
 endif

@@ -10,6 +10,7 @@
      dune exec bench/main.exe -- --jobs 4 campaign
      dune exec bench/main.exe -- perf --json BENCH_spice.json
      dune exec bench/main.exe -- overhead --json BENCH_spice.json
+     dune exec bench/main.exe -- --jobs 2 cone-parity
 
    Every check prints [ok] or [MISS]; the process exits 1 after the
    run when any check missed (`make paper` gates the paper's shape
@@ -83,13 +84,15 @@ let () =
   | [ "list" ] ->
       List.iter (fun (name, _) -> print_endline name) experiments;
       print_endline "perf";
-      print_endline "overhead"
+      print_endline "overhead";
+      print_endline "cone-parity"
   | names ->
       List.iter
         (fun name ->
           match name with
           | "perf" -> Perf.run ?json ~check ()
           | "overhead" -> Perf.telemetry_overhead ?json ()
+          | "cone-parity" -> Cone_parity.run ()
           | _ -> (
               match List.assoc_opt name experiments with
               | Some f -> f ()

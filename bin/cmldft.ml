@@ -400,8 +400,11 @@ let campaign_cmd =
     Printf.printf "running %d defects on %s (%d jobs%s)...\n%!" (List.length defects) dut
       (Cml_runtime.Pool.default_jobs ())
       (if no_batch then ", unbatched" else "");
-    Cml_defects.Campaign.run ~freq ~warm_start:(not no_warm_start) ~batch:(not no_batch)
-      ?max_iter ?manifest ~defects ()
+    (* the probes, the healing profile and the recorded "dut" option
+       follow the attacked stage *)
+    let stage = List.find_opt (fun i -> Cml_cells.Chain.stage_name i = dut) (List.init 8 succ) in
+    Cml_defects.Campaign.run ~freq ?dut:stage ~warm_start:(not no_warm_start)
+      ~batch:(not no_batch) ?max_iter ?manifest ~defects ()
   in
   let bench_campaign ~freq ~path ~dut ~no_warm_start ~no_batch ~max_iter ~manifest =
     let circuit = Cml_logic.Bench_format.read_file ~path in
@@ -457,6 +460,8 @@ let campaign_cmd =
               exit 2)
     in
     print_entries c;
+    Option.iter (Printf.printf "cone: %s\n")
+      (Cml_telemetry.Manifest.cone_line c.Cml_defects.Campaign.variants);
     print_utilization ~wall_s:c.Cml_defects.Campaign.wall_s c.Cml_defects.Campaign.utilization;
     match manifest with Some path -> Printf.printf "wrote %s\n" path | None -> ()
   in

@@ -1,4 +1,5 @@
 module E = Cml_spice.Engine
+module N = Cml_spice.Netlist
 module T = Cml_spice.Transient
 
 type measurement = {
@@ -65,29 +66,32 @@ let chain_probe_set chain ~dut =
     stages;
   }
 
-(* The unknowns a probe set samples in one compiled sim: both sides of
-   the input and every named pair, plus the rail supply branch when
-   present — whose index comes from that sim's unknown layout. *)
+(* The nets a probe set samples: both sides of the input and every
+   named pair. *)
+let probe_nodes ps =
+  List.concat_map
+    (fun (name, d) ->
+      [ (name ^ ".p", d.Cml_cells.Builder.p); (name ^ ".n", d.Cml_cells.Builder.n) ])
+    (("in", ps.input) :: ps.pairs)
+
+(* The rail supply branch of one compiled sim, when present. *)
+let supply_probe sim =
+  match E.branch_unknown sim "vdd" with exception Not_found -> [] | br -> [ ("i(vdd)", br) ]
+
+(* The unknowns a probe set samples in one compiled sim of the golden
+   layout: the probe nets plus the rail supply branch. *)
 let probes ps sim =
-  let pair (name, d) =
-    [
-      (name ^ ".p", E.node_unknown d.Cml_cells.Builder.p);
-      (name ^ ".n", E.node_unknown d.Cml_cells.Builder.n);
-    ]
-  in
-  let nodes = List.concat_map pair (("in", ps.input) :: ps.pairs) in
-  match E.branch_unknown sim "vdd" with
-  | exception Not_found -> nodes
-  | br -> ("i(vdd)", br) :: nodes
+  supply_probe sim @ List.map (fun (name, nd) -> (name, E.node_unknown nd)) (probe_nodes ps)
 
 (* Extract the measurement (and the robust final-output plateau
    levels, the nominal levels of a reference run) from a finished
-   run's streamed probes.  Everything the classifier needs comes from
-   the observers, never from the dense trajectory — which is what lets
-   variants run with [record_every = 0]. *)
-let analyze ps ?nominal obs ~freq ~tstop =
+   run's streamed probes, looked up by name through [samples].
+   Everything the classifier needs comes from the observers, never
+   from the dense trajectory — which is what lets variants run with
+   [record_every = 0]. *)
+let analyze ps ?nominal samples ~freq ~tstop =
   let wave name =
-    let times, values = T.probe_samples obs name in
+    let times, values = samples name in
     Cml_wave.Wave.create times values
   in
   let t_from = tstop /. 2.0 in
@@ -145,24 +149,42 @@ let analyze ps ?nominal obs ~freq ~tstop =
     },
     Cml_wave.Measure.levels wp_fin ~t_from )
 
-(* Compile and simulate one netlist, streaming the probe set.  [share]
-   sees the compiled sim before its run — where a variant is offered
-   its slice's symbolic LU donor. *)
-let measure_full ?engine_options ?(share = ignore) ?guide ?breakpoints ?(record_every = 1)
-    ?nominal ps net ~freq ~tstop =
+(* Compile one netlist.  [share] sees the compiled sim before its run
+   — where a variant is offered its slice's symbolic LU donor. *)
+let compile ?engine_options ?(share = ignore) net =
   let sim = E.compile ?options:engine_options net in
   share sim;
-  let cfg = T.config ~tstop ~max_step:10e-12 ~record_every () in
+  sim
+
+let simulate ?guide ?breakpoints ?(record_every = 1) sim obs net ~tstop =
+  T.run ?guide ?breakpoints ~observers:obs sim net
+    (T.config ~tstop ~max_step:10e-12 ~record_every ())
+
+(* Simulate one netlist streaming the probe set, and measure it. *)
+let measure_full ?engine_options ?share ?guide ?breakpoints ?record_every ?nominal ps net ~freq
+    ~tstop =
+  let sim = compile ?engine_options ?share net in
   let obs = T.observers (probes ps sim) in
-  let r = T.run ?guide ?breakpoints ~observers:obs sim net cfg in
-  let m, levels = analyze ps ?nominal obs ~freq ~tstop in
-  (m, r, levels)
+  let r = simulate ?guide ?breakpoints ?record_every sim obs net ~tstop in
+  let m, levels = analyze ps ?nominal (T.probe_samples obs) ~freq ~tstop in
+  (m, r, levels, obs)
 
 let measure_chain ?engine_options ?guide ?breakpoints ?record_every ?nominal chain net ~freq
     ~tstop ~dut =
-  let m, _, _ =
+  let m, _, _, _ =
     measure_full ?engine_options ?guide ?breakpoints ?record_every ?nominal
       (chain_probe_set chain ~dut) net ~freq ~tstop
+  in
+  m
+
+let design_probe_set ~input ~dut ~final =
+  { input; pairs = [ ("dut", dut); ("fin", final) ]; dut = "dut"; final = "fin"; stages = [] }
+
+let measure_design ?engine_options ?guide ?breakpoints ?record_every ~input ~dut ~final net ~freq
+    ~tstop =
+  let m, _, _, _ =
+    measure_full ?engine_options ?guide ?breakpoints ?record_every
+      (design_probe_set ~input ~dut ~final) net ~freq ~tstop
   in
   m
 
@@ -233,9 +255,11 @@ let healing_histogram entries =
   List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
 
 (* What a finished variant tells the run lifecycle: its class labels,
-   the manifest's per-variant numbers (measurement, healing depth,
-   solver stats) and the run event's healing label and step count. *)
-let report entry stats =
+   the manifest's per-variant numbers (measurement, healing depth, the
+   unknowns of the netlist it was measured on, solver stats, and the
+   [cone] numbers of a variant routed to a cone) and the run event's
+   healing label and step count. *)
+let report entry run cone =
   let failed, classes, meas =
     match entry.outcome with
     | Failed _ -> (true, [ "failed" ], [])
@@ -254,10 +278,12 @@ let report entry stats =
           | None -> [] )
   in
   let solver, steps =
-    match stats with
+    match run with
     | None -> ([], 0)
-    | Some (s : T.stats) ->
+    | Some (r : T.result) ->
+        let s = r.T.stats in
         ( [
+            ("unknowns", float_of_int (E.unknown_count r.T.sim));
             ("accepted_steps", float_of_int s.T.accepted_steps);
             ("rejected_steps", float_of_int s.T.rejected_steps);
             ("lte_rejections", float_of_int s.T.lte_rejections);
@@ -271,7 +297,7 @@ let report entry stats =
   in
   {
     Cml_runtime.Variant_loop.classes;
-    metrics = meas @ solver;
+    metrics = meas @ solver @ cone;
     healing = healing_label entry;
     failed;
     steps;
@@ -281,6 +307,9 @@ let to_manifest ?seed ?(options = []) t =
   let spans = Cml_telemetry.Trace.aggregate (Cml_telemetry.Trace.peek ()) in
   Cml_telemetry.Manifest.create ?seed ~options ~healing:(healing_histogram t.entries)
     ~variants:t.variants ~metrics:t.metrics ~spans ~kind:"campaign" ()
+
+let m_cone_variants = Cml_telemetry.Metrics.counter "campaign.cone_variants"
+let m_cone_fallbacks = Cml_telemetry.Metrics.counter "campaign.cone_fallbacks"
 
 (* The one campaign driver behind [run] and [run_design]: simulate the
    fault-free circuit once, then every defect variant through the
@@ -296,9 +325,10 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
     Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
   (* the stimulus is shared by every variant, and defect injection
      only ever adds resistors and capacitors, so the fault-free
-     breakpoint schedule is valid for all of them *)
+     breakpoint schedule is valid for all of them — cones included,
+     whose PWL boundary knots must not become breakpoints *)
   let breakpoints = T.collect_breakpoints golden ~tstop in
-  let reference, ref_traj, nominal =
+  let reference, ref_traj, nominal, ref_obs =
     measure_full ?engine_options ~breakpoints ps golden ~freq ~tstop
   in
   (* the nominal trajectory seeds every variant's Newton solves;
@@ -306,6 +336,44 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
      layout (an open adds a node) and falls back to cold seeding
      whenever the variant diverges from the nominal path *)
   let guide = if warm_start then Some ref_traj else None in
+  (* A variant whose fanout cone is at most half the design simulates
+     only that cone ({!Cone}), its boundary forced to the nominal
+     waveforms.  Probes outside the cone read the reference streams,
+     and the supply current is the reference's with the cone's nominal
+     share swapped for the variant's own. *)
+  let cone_of = Cone.plan golden ~reference:ref_traj defects in
+  (* kept only when some variant takes a cone: the streams outlive the
+     reference run *)
+  let ref_samples =
+    if List.exists (fun d -> Option.is_some (cone_of d)) defects then T.probe_list ref_obs else []
+  in
+  let reference_samples name =
+    match List.find_opt (fun (n, _, _) -> n = name) ref_samples with
+    | Some (_, times, values) -> (times, values)
+    | None -> raise Not_found
+  in
+  let cone_probes cone sim =
+    supply_probe sim
+    @ List.filter_map
+        (fun (name, nd) ->
+          Option.map (fun c -> (name, E.node_unknown c)) (Cone.node cone (N.node_name golden nd)))
+        (probe_nodes ps)
+  in
+  let on_cone ~share cone faulty =
+    let sim = compile ?engine_options ~share faulty in
+    let draw = Cone.meter cone sim in
+    let obs = T.observers ~on_step:(Cone.record draw) (cone_probes cone sim) in
+    let guide = if warm_start then Some (Cone.guide cone) else None in
+    let r = simulate ?guide ~breakpoints ~record_every:0 sim obs faulty ~tstop in
+    let samples name =
+      match T.probe_samples obs name with s -> s | exception Not_found -> reference_samples name
+    in
+    let m, _ = analyze ps ~nominal samples ~freq ~tstop in
+    let supply_current =
+      reference.supply_current -. Cone.nominal_supply cone +. m.supply_current
+    in
+    ({ m with supply_current }, r, Cone.peak draw)
+  in
   let options =
     options
     @ [
@@ -332,23 +400,50 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
         (fun donor -> E.share_symbolic ~donor sim)
         (Hashtbl.find_opt donors (E.unknown_count sim))
     in
+    let measured m (r : T.result) =
+      let width = E.unknown_count r.T.sim in
+      if not (Hashtbl.mem donors width) then Hashtbl.add donors width r.T.sim;
+      (Measured (m, classify ~proc ~reference m), Some r)
+    in
+    let full defect =
+      match Inject.apply golden defect with
+      | exception (Not_found | Invalid_argument _) -> (Failed "injection failed", None)
+      | faulty -> (
+          match
+            measure_full ?engine_options ~share ?guide ~breakpoints ~record_every:0 ~nominal ps
+              faulty ~freq ~tstop
+          with
+          | m, r, _, _ -> measured m r
+          | exception E.No_convergence msg -> (Failed msg, None))
+    in
+    (* the cone is abandoned for the full netlist when it does not
+       converge, or when a boundary source on a non-ideal net delivers
+       more than a tail current: the defect then reaches back into a
+       driver the cone does not simulate *)
+    let fallback defect cone_metrics =
+      Cml_telemetry.Metrics.incr m_cone_fallbacks;
+      (full defect, ("fallback", 1.0) :: cone_metrics)
+    in
     fun defect ->
-      let outcome, stats =
-        match Inject.apply golden defect with
-        | exception (Not_found | Invalid_argument _) -> (Failed "injection failed", None)
-        | faulty -> (
-            match
-              measure_full ?engine_options ~share ?guide ~breakpoints ~record_every:0 ~nominal ps
-                faulty ~freq ~tstop
-            with
-            | m, r, _ ->
-                let width = E.unknown_count r.T.sim in
-                if not (Hashtbl.mem donors width) then Hashtbl.add donors width r.T.sim;
-                (Measured (m, classify ~proc ~reference m), Some r.T.stats)
-            | exception E.No_convergence msg -> (Failed msg, None))
+      let cone_variant =
+        Option.bind (cone_of defect) (fun cone ->
+            match Inject.apply (Cone.netlist cone) defect with
+            | faulty -> Some (cone, faulty)
+            | exception (Not_found | Invalid_argument _) -> None)
+      in
+      let (outcome, run), cone_metrics =
+        match cone_variant with
+        | None -> (full defect, [])
+        | Some (cone, faulty) -> (
+            match on_cone ~share cone faulty with
+            | m, r, draw when draw <= proc.Cml_cells.Process.i_tail ->
+                Cml_telemetry.Metrics.incr m_cone_variants;
+                (measured m r, [ ("fallback", 0.0); ("boundary_draw", draw) ])
+            | _, _, draw -> fallback defect [ ("boundary_draw", draw) ]
+            | exception E.No_convergence _ -> fallback defect [])
       in
       let entry = { defect; outcome } in
-      (entry, report entry stats)
+      (entry, report entry run cone_metrics)
   in
   let v =
     Cml_runtime.Variant_loop.run window ~kind:"campaign" ~item:"variant" ?jobs
@@ -382,11 +477,8 @@ let run_design ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?tstop ?jobs
     ?(preflight = true) ?(warm_start = true) ?(batch = true) ?max_iter ?manifest
     ?(options = []) ~golden ~input ~dut ~final ~defects () =
   let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
-  let ps =
-    { input; pairs = [ ("dut", dut); ("fin", final) ]; dut = "dut"; final = "fin"; stages = [] }
-  in
   campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?manifest ~options
-    ~golden ps defects
+    ~golden (design_probe_set ~input ~dut ~final) defects
 
 let summary t =
   let count p = List.length (List.filter p t.entries) in

@@ -87,6 +87,22 @@ val measure_chain :
     @raise Engine.No_convergence on solver failure (callers of {!run}
     get it folded into [Failed]). *)
 
+val measure_design :
+  ?engine_options:Cml_spice.Engine.options ->
+  ?guide:Cml_spice.Transient.result ->
+  ?breakpoints:float array ->
+  ?record_every:int ->
+  input:Cml_cells.Builder.diff ->
+  dut:Cml_cells.Builder.diff ->
+  final:Cml_cells.Builder.diff ->
+  Cml_spice.Netlist.t -> freq:float -> tstop:float ->
+  measurement
+(** {!measure_chain} for a compiled design, probed as {!run_design}
+    probes it: the whole (possibly faulty) netlist is simulated, so
+    this is the full-netlist measurement a cone variant approximates.
+    There is no healing profile.
+    @raise Engine.No_convergence on solver failure. *)
+
 val run :
   ?proc:Cml_cells.Process.t ->
   ?freq:float ->
@@ -131,6 +147,23 @@ val run :
     {!Cml_spice.Transient.run} of its own sim, so [cmldft explain]
     re-simulates it step for step.
 
+    A variant whose fanout cone ({!Cone}) has at most half the golden
+    netlist's unknowns simulates only that cone, every net the cone
+    reads from outside forced to its waveform in the fault-free run
+    (warm-started from that run projected onto the cone).  Its
+    probes outside the cone read the fault-free streams, and its
+    [supply_current] is the fault-free one with the cone's nominal
+    share replaced by the variant's own cone current.  The variant is
+    re-run on the full netlist (a fallback) when the cone run does not
+    converge, or when a boundary source on a non-ideal net delivers
+    more than [proc.i_tail] at any accepted step.  The cone decision
+    depends on the design and the defect only; on the default 8-stage
+    chain it only applies to defects in stage 8.  The manifest records
+    each variant's [unknowns]; a cone-routed variant also records
+    [fallback] (0 or 1) and [boundary_draw] (A), and the
+    [campaign.cone_variants] / [campaign.cone_fallbacks] counters
+    count the variants measured on a cone and the fallbacks.
+
     [max_iter] caps Newton iterations per solve (default: the engine's
     100) for every compiled sim of the run, reference included — a
     stress knob that makes marginal defects fail solves visibly for
@@ -172,7 +205,10 @@ val run_design :
     ([degraded_at] and [healing_depth] are [None]) and the manifest's
     healing histogram reads "clean".  On a sparse-sized design the
     slices' shared symbolic analysis means the campaign pays for one
-    column ordering per layout per slice, not one per defect. *)
+    column ordering per layout per slice, not one per defect.  The
+    cone rule of {!run} applies: on the c432 surrogate, the default
+    DUT's cone is 430 of 949 unknowns, so its variants run on the
+    cone. *)
 
 val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
 (** The run manifest [?manifest] writes; exposed so callers can stamp

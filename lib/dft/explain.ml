@@ -251,16 +251,24 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
     | None -> fail "variant %S matches no defect site of stage %s" variant.M.v_name prefix
   in
   let breakpoints = T.collect_breakpoints golden ~tstop in
-  (* same warm start the campaign used: the fault-free trajectory
-     seeds the variant's DC solve and rescues diverging steps *)
-  let guide =
-    if not warm_start then None
-    else
-      let sim0 = E.compile ?options:engine_options golden in
-      Some (T.run ~breakpoints sim0 golden (T.config ~tstop ~max_step:10e-12 ()))
+  let reference =
+    let sim0 = E.compile ?options:engine_options golden in
+    T.run ~breakpoints sim0 golden (T.config ~tstop ~max_step:10e-12 ())
   in
+  (* replay on the netlist the campaign measured the variant on: its
+     fanout cone when the campaign routed it there and kept the cone
+     result, else the whole chain.  Either way the warm start is the
+     campaign's: the fault-free trajectory (projected onto the cone)
+     seeds the variant's DC solve and rescues diverging steps. *)
+  let net, guide =
+    match Cml_defects.Cone.plan golden ~reference [ defect ] defect with
+    | Some cone when List.assoc_opt "fallback" variant.M.v_metrics <> Some 1.0 ->
+        (Cml_defects.Cone.netlist cone, Cml_defects.Cone.guide cone)
+    | Some _ | None -> (golden, reference)
+  in
+  let guide = if warm_start then Some guide else None in
   let faulty =
-    match Cml_defects.Inject.apply golden defect with
+    match Cml_defects.Inject.apply net defect with
     | f -> f
     | exception (Not_found | Invalid_argument _) ->
         fail "defect %S no longer injects into the rebuilt chain" variant.M.v_name

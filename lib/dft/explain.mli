@@ -3,7 +3,11 @@
     Given a finished campaign — a {!Cml_telemetry.Manifest} or a
     [cml-dft-events/1] JSONL stream — pick one variant, rebuild its
     faulty netlist from the recorded options (the built-in buffer
-    chain plus one {!Cml_defects.Sites} defect), re-simulate it with a
+    chain plus one {!Cml_defects.Sites} defect) as the campaign
+    simulated it — the defect's fanout cone ({!Cml_defects.Cone}) when
+    the campaign's cone rule picks it, unless the manifest records the
+    variant's [fallback] to the full chain (an events stream records
+    none, so its cone variants replay the cone run) — re-simulate it with a
     solver-introspection recorder attached ({!Cml_spice.Introspect})
     and distil the recording into a {!Cml_telemetry.Postmortem}
     document: convergence narrative, worst-nets / worst-devices

@@ -204,6 +204,27 @@ let slowest ?(n = 5) t =
   let sorted = List.sort (fun a b -> compare b.v_seconds a.v_seconds) t.variants in
   List.filteri (fun i _ -> i < n) sorted
 
+let cone_line variants =
+  let metric k v = List.assoc_opt k v.v_metrics in
+  let smallest vs =
+    List.fold_left (fun acc v -> Float.min acc (Option.get (metric "unknowns" v))) infinity vs
+  in
+  match List.filter (fun v -> metric "unknowns" v <> None) variants with
+  | [] -> None
+  | measured ->
+      let m = List.length variants in
+      let on_cone = List.filter (fun v -> metric "fallback" v = Some 0.0) measured in
+      let fallbacks = List.length (List.filter (fun v -> metric "fallback" v = Some 1.0) variants) in
+      Some
+        (if on_cone <> [] then
+           Printf.sprintf "%d of %d variants on a %.0f-unknown cone, %d fallbacks"
+             (List.length on_cone) m (smallest on_cone) fallbacks
+         else if fallbacks > 0 then
+           Printf.sprintf "0 of %d variants on a cone, %d fallbacks" m fallbacks
+         else
+           Printf.sprintf "0 of %d variants on a cone (full netlist, %.0f unknowns)" m
+             (smallest measured))
+
 let render_text ?(top = 5) t =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
@@ -229,6 +250,7 @@ let render_text ?(top = 5) t =
         (get "solver.ordering.amd")
         (get "solver.ordering.natural")
   | Some _ | None -> ());
+  Option.iter (line "cone    : %s") (cone_line t.variants);
   if t.variants <> [] then begin
     line "";
     line "classification (%d variants):" (List.length t.variants);

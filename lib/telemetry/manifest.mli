@@ -73,6 +73,15 @@ val class_histogram : t -> (string * int) list
 
 val slowest : ?n:int -> t -> variant list
 
+val cone_line : variant list -> string option
+(** How a campaign's variants were simulated, from their [unknowns]
+    and [fallback] metrics: ["N of M variants on a K-unknown cone, F
+    fallbacks"], where K is the smallest cone a variant was measured
+    on, or ["0 of M variants on a cone (full netlist, K unknowns)"]
+    when no variant was routed to a cone.  [None] when no variant
+    records [unknowns] (a manifest written before the cone path). *)
+
 val render_text : ?top:int -> t -> string
-(** The [cmldft report] body: classification histogram, slowest
-    variants, metrics (with histogram percentiles), span summary. *)
+(** The [cmldft report] body: the {!cone_line}, classification
+    histogram, slowest variants, metrics (with histogram percentiles),
+    span summary. *)

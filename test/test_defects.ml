@@ -306,6 +306,146 @@ let test_campaign_run_design_smoke () =
   in
   Alcotest.(check bool) "a tail pipe is detectable" true tail_pipe_flagged
 
+(* ------------------------------------------------------------------ *)
+(* Fanout-cone variants *)
+
+module Cone = Cml_defects.Cone
+module C = Cml_defects.Campaign
+module E = Cml_spice.Engine
+module T = Cml_spice.Transient
+
+let c432 () = Cml_cells.Compile.compile ~freq:200e6 (Cml_logic.Bench_circuits.c432_surrogate ())
+
+let labels = function C.Failed _ -> [ "failed" ] | C.Measured (_, f) -> C.flag_labels f
+
+let test_cone_shapes () =
+  let design = c432 () in
+  let golden = Cml_cells.Compile.netlist design in
+  Alcotest.(check string) "default DUT" "n36" (Cml_cells.Compile.default_dut design);
+  let cone = Cone.extract golden ~cells:[ "n36" ] in
+  Alcotest.(check int) "unknowns" 430 (Cone.unknowns cone);
+  Alcotest.(check int) "golden unknowns" 949 (Cone.golden_unknowns cone);
+  Alcotest.(check bool) "under half: selected" true (Cone.selected cone);
+  Alcotest.(check int) "boundary sources" 64 (List.length (Cone.boundary cone));
+  Alcotest.(check int) "on ideal nets" 6 (List.length (List.filter snd (Cone.boundary cone)));
+  (* 46 cells own devices; with the free NOT aliases they drive, the
+     cone covers 55 of the 153 registered cells *)
+  Alcotest.(check int) "device-owning cells" 46 (List.length (Cone.cells cone));
+  let owner name = List.hd (String.split_on_char '.' name) in
+  let registered = Cml_cells.Builder.cells design.Cml_cells.Compile.builder in
+  let in_cone (_, (d : B.diff)) = List.mem (owner (N.node_name golden d.B.p)) (Cone.cells cone) in
+  Alcotest.(check (pair int int)) "registered cells" (55, 153)
+    (List.length (List.filter in_cone registered), List.length registered);
+  let chain = (Cml_cells.Chain.build ~stages:8 ~freq:100e6 ()).Cml_cells.Chain.builder.B.net in
+  for d = 2 to 8 do
+    let cone = Cone.extract chain ~cells:[ Cml_cells.Chain.stage_name d ] in
+    let stage = Printf.sprintf "stage %d" d in
+    Alcotest.(check (list string)) (stage ^ " cells")
+      (List.init (10 - d) (fun i -> Cml_cells.Chain.stage_name (d - 1 + i)))
+      (Cone.cells cone);
+    Alcotest.(check int) (stage ^ " unknowns") (32 - (3 * (d - 2))) (Cone.unknowns cone);
+    Alcotest.(check bool) (stage ^ " selected") (d = 8) (Cone.selected cone)
+  done
+
+(* A five-gate design whose output buffer's cone (the buffer and its
+   driver) is 21 of 44 unknowns: every site of the buffer must
+   classify on the cone exactly as on the whole netlist, and the two
+   tail shorts that reach back into the driver must fall back. *)
+let test_cone_design_parity () =
+  let circuit =
+    Cml_logic.Bench_format.of_string
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nn1 = AND(a, b)\nn2 = OR(b, c)\n\
+       n3 = XOR(n1, n2)\nn4 = AND(n3, b)\ny = BUF(n4)\n"
+  in
+  let d = Cml_cells.Compile.compile ~freq:200e6 circuit in
+  let golden = Cml_cells.Compile.netlist d in
+  let defects = Cml_defects.Sites.enumerate golden ~prefix:"y" ~pipe_values:[ 4e3 ] in
+  let dut = Option.get (Cml_cells.Compile.find_cell d "y") in
+  let input = d.Cml_cells.Compile.input and freq = 200e6 and tstop = 5e-9 in
+  let camp = C.run_design ~freq ~tstop ~jobs:1 ~input ~dut ~final:dut ~golden ~defects () in
+  let full defect =
+    let m = C.measure_design ~input ~dut ~final:dut (Cml_defects.Inject.apply golden defect) ~freq ~tstop in
+    labels (C.Measured (m, C.classify ~proc:Cml_cells.Process.default ~reference:camp.C.reference m))
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check (list string)) (D.describe e.C.defect) (full e.C.defect) (labels e.C.outcome))
+    camp.C.entries;
+  let metric k (v : Cml_telemetry.Manifest.variant) = List.assoc_opt k v.v_metrics in
+  let fell_back = List.filter (fun v -> metric "fallback" v = Some 1.0) camp.C.variants in
+  Alcotest.(check (list string)) "fallbacks" [ "c-e short on y.q3"; "b-c short on y.q3" ]
+    (List.map (fun (v : Cml_telemetry.Manifest.variant) -> v.v_name) fell_back);
+  Alcotest.(check bool) "every other site on the cone" true
+    (List.for_all
+       (fun v -> metric "fallback" v = Some 1.0 || metric "unknowns" v <= Some 22.0)
+       camp.C.variants);
+  Alcotest.(check (option string)) "summary line"
+    (Some "24 of 26 variants on a 21-unknown cone, 2 fallbacks")
+    (Cml_telemetry.Manifest.cone_line camp.C.variants)
+
+(* On the 8-stage chain only stage 8 passes the cone rule.  Its tail
+   C-E short saturates stage 7, whose base-collector junction then
+   draws about 1 A through the ideal boundary source on x6.op — a
+   current the real driver's load resistor would stop — so the variant
+   must fall back and classify as the full chain does. *)
+let test_cone_chain_fallback () =
+  let freq = 100e6 and tstop = 20e-9 in
+  let chain = Cml_cells.Chain.build ~stages:8 ~freq () in
+  let golden = chain.Cml_cells.Chain.builder.B.net in
+  let short = D.Terminal_short { device = "x8.q3"; t1 = "c"; t2 = "e" } in
+  let pipe = D.Pipe { device = "x8.q3"; r = 1e3 } in
+  let camp = C.run ~freq ~tstop ~dut:8 ~jobs:1 ~defects:[ short; pipe ] () in
+  let full defect =
+    let m = C.measure_chain chain (Cml_defects.Inject.apply golden defect) ~freq ~tstop ~dut:8 in
+    labels (C.Measured (m, C.classify ~proc:Cml_cells.Process.default ~reference:camp.C.reference m))
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check (list string)) (D.describe e.C.defect) (full e.C.defect) (labels e.C.outcome))
+    camp.C.entries;
+  let metrics =
+    List.map (fun (v : Cml_telemetry.Manifest.variant) -> v.v_metrics) camp.C.variants
+  in
+  let get k m = Option.get (List.assoc_opt k m) in
+  (match metrics with
+  | [ s; p ] ->
+      Alcotest.(check (float 0.0)) "short falls back" 1.0 (get "fallback" s);
+      Alcotest.(check bool) "short's draw exceeds a tail current" true
+        (get "boundary_draw" s > Cml_cells.Process.default.Cml_cells.Process.i_tail);
+      Alcotest.(check (float 0.0)) "short measured on the chain" 32.0 (get "unknowns" s);
+      Alcotest.(check (float 0.0)) "pipe stays on the cone" 0.0 (get "fallback" p);
+      Alcotest.(check (float 0.0)) "pipe's cone" 14.0 (get "unknowns" p)
+  | _ -> Alcotest.fail "two variants expected");
+  let counter name =
+    match List.assoc_opt name camp.C.metrics with
+    | Some (Cml_telemetry.Metrics.Counter n) -> n
+    | Some _ | None -> 0
+  in
+  Alcotest.(check (pair int int)) "cone counters" (1, 1)
+    (counter "campaign.cone_variants", counter "campaign.cone_fallbacks")
+
+(* The guide's t = 0 row is the reference operating point on the
+   cone's nodes, so it is a DC point of the cone: Newton only has to
+   fill in the branch currents (the boundary ones start at 0). *)
+let test_cone_projected_dc () =
+  let golden = Cml_cells.Compile.netlist (c432 ()) in
+  let tstop = 0.3e-9 in
+  let reference =
+    T.run
+      ~breakpoints:(T.collect_breakpoints golden ~tstop)
+      (E.compile golden) golden
+      (T.config ~tstop ~max_step:10e-12 ())
+  in
+  let cone = Cone.drive (Cone.extract golden ~cells:[ "n36" ]) ~reference in
+  let sim = E.compile (Cone.netlist cone) in
+  Alcotest.(check int) "compiled unknowns" 430 (E.unknown_count sim);
+  match E.newton sim ~time:0.0 ~integ:E.Dcop (Cone.guide cone).T.data.(0) with
+  | None -> Alcotest.fail "projected row did not converge"
+  | Some (_, iters) ->
+      Alcotest.(check bool) (Printf.sprintf "%d iterations <= 2" iters) true (iters <= 2);
+      Alcotest.(check bool) "cone draws part of the supply" true
+        (Cone.nominal_supply cone > 0.0)
+
 let () =
   Alcotest.run "defects"
     [
@@ -338,6 +478,14 @@ let () =
           Alcotest.test_case "compiled design smoke" `Slow test_campaign_run_design_smoke;
           Alcotest.test_case "bad resistance fails one variant" `Slow
             test_campaign_bad_resistance_fails_one_variant;
+        ] );
+      ( "cone",
+        [
+          Alcotest.test_case "c432 and chain cone shapes" `Quick test_cone_shapes;
+          Alcotest.test_case "design sites classify as on the full netlist" `Slow
+            test_cone_design_parity;
+          Alcotest.test_case "chain stage-8 tail short falls back" `Slow test_cone_chain_fallback;
+          Alcotest.test_case "projected t = 0 row is a cone DC point" `Slow test_cone_projected_dc;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_batch_matches_sequential ] );
