@@ -194,7 +194,9 @@ campaign-parity: build
 # of the c432 surrogate's default DUT, simulated on its fanout cone
 # (the campaign's path) and on the whole faulty netlist, must get the
 # same classes.  Prints each site's measurement deviation, supply
-# current and boundary-source draw; about 80 s on two cores.
+# current and boundary-source draw, then each path's Newton
+# iterations, LU refactorizations and chord steps; about 30-35 s on
+# two cores.
 cone-parity: build
 	$(DUNE) exec --no-build bench/main.exe -- --jobs 2 cone-parity
 

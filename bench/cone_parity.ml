@@ -6,8 +6,10 @@
    Per site it prints both class sets (one when they agree), the worst
    deviation of the DUT and final-output measurements (levels and
    swing), the supply current of both runs and the largest current a
-   boundary source on a non-ideal net delivered.  Exits 1 when any
-   site's classes differ. *)
+   boundary source on a non-ideal net delivered.  Per path it prints the
+   Newton iterations, numeric LU refactorizations and chord steps
+   (iterations that reused an older LU factor) its transients took.
+   Exits 1 when any site's classes differ. *)
 
 module D = Cml_defects
 module C = D.Campaign
@@ -24,6 +26,17 @@ let labels = function C.Failed _ -> [ "failed" ] | C.Measured (_, f) -> C.flag_l
 
 let worst pairs = List.fold_left (fun acc (a, b) -> Float.max acc (Float.abs (a -. b))) 0.0 pairs
 
+module M = Cml_telemetry.Metrics
+
+(* the solver counters the transients of one path published *)
+let solver_line name before after =
+  let d = M.diff before after in
+  let count k = match List.assoc_opt k d with Some (M.Counter n) -> n | Some _ | None -> 0 in
+  Printf.printf "cone-parity: %s: %d Newton iterations, %d numeric refactorizations, %d chord steps\n"
+    name (count "solver.newton_iters")
+    (count "solver.numeric_refactorizations")
+    (count "solver.chord_steps")
+
 let run () =
   let design = Cml_cells.Compile.compile ~freq (Cml_logic.Bench_format.read_file ~path) in
   let dut_name = Cml_cells.Compile.default_dut design in
@@ -35,9 +48,9 @@ let run () =
   Printf.printf "cone-parity: %s, %d sites of %s, %g MHz, %g ns, %d jobs\n%!" path
     (List.length defects) dut_name (freq /. 1e6) (tstop *. 1e9)
     (Cml_runtime.Pool.default_jobs ());
-  let t0 = now_s () in
+  let t0 = now_s () and m0 = M.snapshot () in
   let c = C.run_design ~freq ~tstop ~golden ~input ~dut ~final ~defects () in
-  let t1 = now_s () in
+  let t1 = now_s () and m1 = M.snapshot () in
   (* the full-netlist runs, warm-started like a campaign variant *)
   let breakpoints = T.collect_breakpoints golden ~tstop in
   let guide =
@@ -58,7 +71,7 @@ let run () =
             | exception E.No_convergence msg -> C.Failed msg))
       defects
   in
-  let t2 = now_s () in
+  let t2 = now_s () and m2 = M.snapshot () in
   let differ = ref 0 and fallbacks = ref 0 in
   Printf.printf "%-40s %-8s %10s %10s %9s %9s %9s  %s\n" "site" "path" "dut dV" "final dV"
     "Icone mA" "Ifull mA" "draw mA" "classes";
@@ -106,4 +119,6 @@ let run () =
   Printf.printf
     "cone-parity: %d/%d identical classes, %d fallbacks; campaign %.1f s, full netlist %.1f s\n"
     (n - !differ) n !fallbacks (t1 -. t0) (t2 -. t1);
+  solver_line "campaign (reference + cone variants)" m0 m1;
+  solver_line "full netlist (reference + variants)" m1 m2;
   if !differ > 0 then exit 1

@@ -1,8 +1,8 @@
 (* Bechamel micro-benchmarks of the simulator kernels (sparse LU, the
    dense reference LU, the numeric-only refactorization, MNA assembly
    via a warm DC solve, Newton DC, one transient of the paper's
-   8-buffer chain, waveform measurements) plus two system-level probes
-   of the execution runtime:
+   8-buffer chain and one of the c432 surrogate, waveform measurements)
+   plus two system-level probes of the execution runtime:
 
    - solver reuse: how many full symbolic factorizations vs cheap
      numeric refactorizations a chain transient performs (the sparse
@@ -101,6 +101,8 @@ let tests () =
   let c432_net, c432_a, c432_n = Lazy.force c432 in
   let c432_rhs = Array.init c432_n (fun i -> sin (float_of_int i)) in
   let c432_amd = Cml_numerics.Sparse_lu.factorize ~ordering:Cml_numerics.Sparse_lu.Amd c432_a in
+  let c432_refactor = Cml_numerics.Sparse_lu.factorize c432_a in
+  let c432_out = Array.make c432_n 0.0 in
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let chain_net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let mc = Lazy.force mc_nominals in
@@ -134,6 +136,17 @@ let tests () =
           (Cml_numerics.Sparse_lu.solve
              (Cml_numerics.Sparse_lu.repivot c432_amd c432_a)
              c432_rhs)));
+    (* the numeric kernels a c432 Newton iteration runs, without
+       bounds checks: one refactorization in the engine's order and
+       one solve into a caller-owned vector *)
+    Test.make ~name:"c432 LU refactorize+solve" (Staged.stage (fun () ->
+        assert (Cml_numerics.Sparse_lu.refactorize c432_refactor c432_a);
+        Cml_numerics.Sparse_lu.solve_into c432_refactor c432_rhs c432_out));
+    (* the campaign's reference run in miniature: large enough that
+       the engine reuses older LU factors (chord steps) *)
+    Test.make ~name:"c432 transient (0.5 ns)" (Staged.stage (fun () ->
+        let sim = E.compile c432_net in
+        ignore (T.run sim c432_net (T.config ~tstop:0.5e-9 ~max_step:10e-12 ()))));
     Test.make ~name:"c432 DC operating point" (Staged.stage (fun () ->
         ignore (E.dc_operating_point (E.compile c432_net))));
     Test.make ~name:"c432 warm dc_from at its operating point" (Staged.stage (fun () ->

@@ -41,10 +41,14 @@ val refactorize : factor -> Sparse.csc -> bool
 (** [refactorize f a] redoes only the numeric elimination of
     {!factorize}, in place, reusing the pivot order and the L/U
     patterns computed symbolically for a matrix with [a]'s pattern —
-    no DFS, no pivot search, no allocation.  Returns [false], leaving
-    [f] unusable, when the pattern does not match ({!reusable}) or a
-    recycled pivot has degraded below the stability threshold; the
-    caller must then {!repivot} (or {!factorize} afresh). *)
+    no DFS, no pivot search, no allocation, no bounds checks (every
+    index comes from arrays [f] owns and validated when it was built).
+    Returns [false], leaving [f] unusable, when the pattern does not
+    match ({!reusable}) or a recycled pivot has degraded below the
+    stability threshold; the caller must then {!repivot} (or
+    {!factorize} afresh).
+    @raise Invalid_argument when [a.values] does not hold exactly one
+    value per stored entry. *)
 
 val repivot : factor -> Sparse.csc -> factor
 (** [repivot f a] is [factorize a] with the column order kept from
@@ -62,8 +66,31 @@ val solve : factor -> float array -> float array
 
 val solve_into : factor -> float array -> float array -> unit
 (** [solve_into f b x] writes the solution of [A x = b] into the
-    caller-owned [x] — zero allocation.  [x] must not be [b]
-    (checked); every component of [x] is overwritten. *)
+    caller-owned [x] — zero allocation, no bounds checks inside the
+    triangular solves.  Every component of [x] is overwritten.
+    @raise Invalid_argument when [b] or [x] is not of the factor's
+    dimension, or [x] is [b].  These checks guard memory, so they are
+    not [assert]s: [-noassert] keeps them. *)
+
+val solve_residual_into :
+  factor -> Sparse.csc -> float array -> float array -> float array -> unit
+(** [solve_residual_into f a x b d] writes into [d] the solution of
+    [F d = b - A x], with [F] the matrix [f] factors and [A] the
+    current values of [a] — the step of a chord iteration, which keeps
+    an older factor [F] of [a]'s pattern.  The residual is one O(nnz)
+    pass through the pattern [f] owns, fused into {!solve_into}'s
+    scatter; no bounds checks, no allocation.  Every entry of [A]
+    enters (a zero [x.(j)] too), so a non-finite entry poisons [d].
+    @raise Invalid_argument when [a] is not {!reusable} by [f], an
+    array has the wrong length, or [d] is [b] or [x]. *)
+
+val refactor_work : factor -> int
+(** Multiply-adds of one {!refactorize}, from the symbolic pattern:
+    over the stored U entries, the length of the L column each one
+    updates (an off-diagonal entry [(k, j)] updates column [k], the
+    diagonal scales column [j]; lengths include L's unit diagonal).
+    What a caller weighs against the cost of an extra iteration when
+    it decides whether to keep an older factor. *)
 
 val lu_nnz : factor -> int * int
 (** Stored entries in [(L, U)]; for diagnostics. *)

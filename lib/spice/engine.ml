@@ -61,6 +61,16 @@ type bcache = {
 (* capacitor companion state: voltage and current at the last accepted step *)
 type cstate = { mutable vprev : float; mutable iprev : float }
 
+(* Factor-reuse (chord) state, float-only like the device state above. *)
+type chord = {
+  mutable f_geq : float;
+      (** geq of the matrix the factor in [lu] was built from; NaN when
+          that factor is not usable *)
+  mutable f_gshunt : float;  (** ... and its gshunt *)
+  mutable step1 : float;  (** max |dx| of this Newton call's last step *)
+  mutable step2 : float;  (** ... and of the step before it *)
+}
+
 type sdev =
   | SRes of { i : int; j : int; g : float }
   | SCap of { i : int; j : int; c : float; cs : cstate }
@@ -138,7 +148,8 @@ type sim = {
   mutable n_full_evals : int;  (** junction full evaluations in the last load *)
   mutable rt_loaded : bool;  (** at least one [load] since compile / invalidation *)
   mutable rt_have_factor : bool;
-      (** [lu] matches the matrix of the last factored load *)
+      (** [lu] is the factor of the last load's matrix (false after a
+          chord step, which solved with an older one) *)
   mutable rt_matrix_unchanged : bool;  (** last load's matrix = previous load's *)
   mutable rt_system_identical : bool;  (** last load's matrix {e and} RHS = previous load's *)
   mutable rt_geq : float;  (** [Dcop] is encoded as 0.0; a [Tran] geq is always > 0 *)
@@ -148,6 +159,13 @@ type sim = {
   mutable rt_trap : bool;
   mutable n_reused_factors : int;
   mutable n_skipped_solves : int;
+  (* Factor reuse across matrices (chord steps), see [chord_allowed]. *)
+  chord : chord;
+  mutable chord_pays : bool;
+      (** refactoring the installed symbolic analysis costs more than
+          the extra iterations a chord step causes *)
+  mutable chord_run : int;  (** chord steps in the current Newton call *)
+  mutable n_chord_steps : int;
 }
 
 type integ = Dcop | Tran of { geq : float; trap : bool }
@@ -379,6 +397,10 @@ let compile ?(options = default_options) net =
     rt_trap = false;
     n_reused_factors = 0;
     n_skipped_solves = 0;
+    chord = { f_geq = nan; f_gshunt = nan; step1 = infinity; step2 = infinity };
+    chord_pays = false;
+    chord_run = 0;
+    n_chord_steps = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -686,13 +708,59 @@ let note_fallback sim f =
   in
   Introspect.note_lu_fallback sim.introspect ~reason
 
-let solve_linear_into sim out =
+(* Factor reuse across matrices.  A chord step keeps the factor [F] of
+   an older Jacobian and solves [F d = rhs - A x] for the freshly
+   assembled system [A x = rhs]; [x + d] has the Newton root as its
+   fixed point, only the convergence rate drops from quadratic to
+   linear.  It pays on a system whose numeric refactorization costs
+   more than the assembly and solve of the extra iterations it causes
+   ([install_factor] weighs the two), and is taken only while:
+   - the factor was built at the current load's geq and gshunt, in a
+     transient (the DC homotopy stays exact Newton);
+   - the iteration contracts: the last step's max |dx| is at most
+     [chord_contraction] (rho) times the step before it.  An iterate
+     accepted at a step below the Newton tolerance then lies within
+     rho / (1 - rho) = 1 tolerance of the root;
+   - fewer than [chord_max_run] chord steps ran in this Newton call;
+   - device bypass is on: [bypass = false] asks for the exact
+     linearisation at every iterate. *)
+let chord_contraction = 0.5
+
+let chord_max_run = 5
+
+let chord_allowed sim =
+  let c = sim.chord in
+  sim.chord_pays && sim.opts.bypass && sim.rt_geq > 0.0 && c.f_geq = sim.rt_geq
+  && c.f_gshunt = sim.rt_gshunt
+  && sim.chord_run < chord_max_run
+  && c.step1 <= chord_contraction *. c.step2
+
+(* A new symbolic analysis is in [lu]: price its refactorization
+   against one more iteration's assembly (the stamps) and solve. *)
+let install_factor sim f =
+  sim.lu <- Some f;
+  let nl, nu = Cml_numerics.Sparse_lu.lu_nnz f in
+  sim.chord_pays <-
+    Cml_numerics.Sparse_lu.refactor_work f > 2 * (Array.length sim.slots + nl + nu)
+
+(* [out] receives the next iterate from the current one [x]. *)
+let solve_linear_into sim x out =
   match sim.lu with
   | Some f when sim.rt_matrix_unchanged && sim.rt_have_factor ->
       sim.n_reused_factors <- sim.n_reused_factors + 1;
       Cml_numerics.Sparse_lu.solve_into f sim.rhs out
+  | Some f when chord_allowed sim ->
+      sim.n_chord_steps <- sim.n_chord_steps + 1;
+      sim.chord_run <- sim.chord_run + 1;
+      (* the factor is no longer the last load's *)
+      sim.rt_have_factor <- false;
+      Cml_numerics.Sparse_lu.solve_residual_into f sim.a x sim.rhs out;
+      for i = 0 to sim.nunk - 1 do
+        out.(i) <- x.(i) +. out.(i)
+      done
   | lu ->
       sim.rt_have_factor <- false;
+      sim.chord.f_geq <- nan;
       let a = sim.a in
       (* the pattern of an MNA Jacobian is fixed across Newton
          iterations and timesteps, so the symbolic work (DFS reach,
@@ -701,7 +769,7 @@ let solve_linear_into sim out =
          back to a full factorization with a fresh pivot order in the
          kept column order, which depends on the pattern only *)
       let install f =
-        sim.lu <- Some f;
+        install_factor sim f;
         sim.n_symbolic <- sim.n_symbolic + 1;
         f
       in
@@ -727,7 +795,7 @@ let solve_linear_into sim out =
                 sim.donor <- None;
                 match Cml_numerics.Sparse_lu.adopt_symbolic d a with
                 | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
-                    sim.lu <- Some f;
+                    install_factor sim f;
                     sim.n_shared <- sim.n_shared + 1;
                     f
                 | Some f ->
@@ -740,6 +808,8 @@ let solve_linear_into sim out =
           end
       in
       sim.rt_have_factor <- true;
+      sim.chord.f_geq <- sim.rt_geq;
+      sim.chord.f_gshunt <- sim.rt_gshunt;
       Cml_numerics.Sparse_lu.solve_into f sim.rhs out
 
 type solver_stats = {
@@ -755,6 +825,7 @@ type solver_stats = {
   bjt_bypassed : int;
   reused_factorizations : int;
   skipped_solves : int;
+  chord_steps : int;
   fallback_small_pivot : int;
   fallback_unstable_pivot : int;
   fallback_pattern : int;
@@ -783,6 +854,7 @@ let solver_stats sim =
     bjt_bypassed = sim.n_bjt_bypassed;
     reused_factorizations = sim.n_reused_factors;
     skipped_solves = sim.n_skipped_solves;
+    chord_steps = sim.n_chord_steps;
     fallback_small_pivot = sim.n_fb_small_pivot;
     fallback_unstable_pivot = sim.n_fb_unstable_pivot;
     fallback_pattern = sim.n_fb_pattern;
@@ -814,6 +886,7 @@ let zero_stats =
     bjt_bypassed = 0;
     reused_factorizations = 0;
     skipped_solves = 0;
+    chord_steps = 0;
     fallback_small_pivot = 0;
     fallback_unstable_pivot = 0;
     fallback_pattern = 0;
@@ -858,6 +931,7 @@ let m_device_loads = M.counter "engine.device_loads"
 let m_bypassed = M.counter "engine.bypassed_loads"
 let m_reused = M.counter "solver.reused_factorizations"
 let m_skipped = M.counter "solver.skipped_solves"
+let m_chord = M.counter "solver.chord_steps"
 let m_shared = M.counter "solver.shared_symbolic"
 let m_lu_fill = M.gauge "solver.lu_fill_nnz"
 let m_lu_fill_ratio = M.gauge "solver.lu_fill_ratio"
@@ -882,6 +956,7 @@ let publish_metrics ?(since = zero_stats) sim =
   M.add m_bypassed (now.bypassed_loads - since.bypassed_loads);
   M.add m_reused (now.reused_factorizations - since.reused_factorizations);
   M.add m_skipped (now.skipped_solves - since.skipped_solves);
+  M.add m_chord (now.chord_steps - since.chord_steps);
   M.add m_shared (now.shared_symbolic - since.shared_symbolic);
   M.add m_diode_loads (now.diode_loads - since.diode_loads);
   M.add m_diode_bypassed (now.diode_bypassed - since.diode_bypassed);
@@ -934,6 +1009,17 @@ let set_junction_states sim x =
     | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ()
   done
 
+(* Shift this step's max |xn - x| into the chord contraction guard; a
+   NaN step sticks, and stops the chord. *)
+let note_step c ~n x xn =
+  let d = ref 0.0 in
+  for i = 0 to n - 1 do
+    let a = Float.abs (xn.(i) -. x.(i)) in
+    if a > !d || Float.is_nan a then d := a
+  done;
+  c.step2 <- c.step1;
+  c.step1 <- !d
+
 (* The iterate loop works entirely in the per-sim workspace ([ws_x],
    [ws_xnew], the matrix and its LU factor) and allocates nothing
    (a toplevel function, so not even a closure per solve); only the
@@ -954,15 +1040,18 @@ let rec iterate sim ~time ~integ ~srcscale ~gshunt iter =
        Skip the solve and accept [x] directly; this is bit-exact
        with the unskipped path.  A non-finite [x] (an infinite
        junction voltage passes the bypass test) would be solved back
-       forever and never pass [converged]: give up at once. *)
-    if iter > 0 && sim.rt_system_identical then begin
+       forever and never pass [converged]: give up at once.  After a
+       chord step [x] did not solve the previous system exactly (the
+       factor is not the last load's), so the skip does not apply. *)
+    if iter > 0 && sim.rt_system_identical && sim.rt_have_factor then begin
       sim.n_skipped_solves <- sim.n_skipped_solves + 1;
       if converged sim x x then Some (Cml_numerics.Vec.copy x, iter) else None
     end
     else
-      match solve_linear_into sim xn with
+      match solve_linear_into sim x xn with
       | exception Cml_numerics.Sparse_lu.Singular _ -> None
       | () ->
+          if sim.chord_pays then note_step sim.chord ~n:sim.nunk x xn;
           (match sim.introspect with
           | None -> ()
           | Some _ as ro ->
@@ -984,6 +1073,9 @@ let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
   let tok = Cml_telemetry.Trace.start () in
   set_junction_states sim x0;
   Array.blit x0 0 sim.ws_x 0 sim.nunk;
+  sim.chord_run <- 0;
+  sim.chord.step1 <- infinity;
+  sim.chord.step2 <- infinity;
   let result = iterate sim ~time ~integ ~srcscale ~gshunt 0 in
   (match result with
   | None -> Introspect.note_newton_fail sim.introspect ~time

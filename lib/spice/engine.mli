@@ -14,8 +14,15 @@ type options = {
           evaluation of a junction device whose terminal voltages are
           within a tenth of the reltol/vntol convergence tolerance of
           its last full evaluation, replaying the cached stamps
-          instead.  Node voltages stay within 10 x [vntol] of the
-          bypass-off solution. *)
+          instead.  Device bypass alone keeps node voltages within
+          10 x [vntol] of the bypass-off solution.  It also enables
+          factor reuse: on a system whose LU refactorization costs
+          more than an extra iteration's assembly and solve, a Newton
+          iteration may solve with an older factor (a chord step,
+          counted in {!solver_stats.chord_steps}); node voltages then
+          stay within one Newton tolerance ([vntol + reltol * |v|]) of
+          the bypass-off solution.  [false] evaluates the exact
+          linearisation at every iterate. *)
   lte_reltol_factor : float;
       (** multiplier on [reltol] for the transient local-truncation
           error acceptance test (default 30.0) *)
@@ -150,6 +157,11 @@ type solver_stats = {
           the whole system (matrix {e and} RHS) was bit-identical to
           the one the previous iteration just solved — the solution is
           the current iterate, exactly *)
+  chord_steps : int;
+      (** Newton iterations that solved with the factor of an older
+          Jacobian (a chord step) instead of refactoring; 0 with
+          [bypass = false] and on systems whose refactorization is
+          cheaper than an extra iteration *)
   fallback_small_pivot : int;
       (** stability fallbacks to a full factorization because a
           recycled pivot fell below the absolute threshold *)
@@ -222,6 +234,7 @@ val publish_metrics : ?since:solver_stats -> sim -> unit
     [engine.bypassed_loads], per-class [engine.diode_*] /
     [engine.bjt_*], [solver.*_refactorizations],
     [solver.reused_factorizations], [solver.skipped_solves],
+    [solver.chord_steps],
     [solver.shared_symbolic], [solver.fallback.*],
     [solver.lu_fill_nnz], [solver.lu_fill_ratio],
     [solver.lu_pivot_growth], [solver.lu_condition],

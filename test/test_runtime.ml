@@ -166,20 +166,40 @@ let refactor_gen =
     array_size (return n) (float_range (-10.0) 10.0) >>= fun rhs ->
     return (n, entries, values', rhs))
 
-let prop_refactorize_matches_factorize =
-  QCheck2.Test.make ~name:"refactorize agrees with fresh factorize" ~count:300 refactor_gen
+(* Strictly dominant: the random entries are off the diagonal, at most
+   4n of them of magnitude at most 1, so a diagonal of 4n + 1 beats
+   every row and column sum.  Every pivot search then keeps the
+   diagonal, on the first values and on the second alike. *)
+let dominant_gen =
+  QCheck2.Gen.map
     (fun (n, entries, values', rhs) ->
-      let diag = float_of_int (4 * n) in
+      let off_diagonal = List.filter (fun ((i, j, _), _) -> i <> j) (List.combine entries values') in
+      let entries, values' = List.split off_diagonal in
+      (n, entries, values', rhs))
+    refactor_gen
+
+let prop_refactorize_matches_factorize =
+  QCheck2.Test.make ~name:"refactorize agrees with fresh factorize" ~count:300 dominant_gen
+    (fun (n, entries, values', rhs) ->
+      let module Lu = Cml_numerics.Sparse_lu in
+      let diag = float_of_int ((4 * n) + 1) in
       let pat, a = build_system n entries diag in
-      let f = Cml_numerics.Sparse_lu.factorize a in
+      let f = Lu.factorize a in
       (* second Newton iteration: same pattern, new off-diagonal values *)
       restamp pat a (values' @ List.init n (fun _ -> diag));
-      if not (Cml_numerics.Sparse_lu.refactorize f a) then
+      if not (Lu.refactorize f a) then
         QCheck2.Test.fail_report "refactorize refused a well-conditioned system"
       else
-        let x = Cml_numerics.Sparse_lu.solve f rhs in
-        let x' = Cml_numerics.Sparse_lu.solve (Cml_numerics.Sparse_lu.factorize a) rhs in
-        Cml_numerics.Vec.max_abs_diff x x' < 1e-8)
+        let solve f =
+          let x = Array.make n 0.0 in
+          Lu.solve_into f rhs x;
+          x
+        in
+        let x = solve f in
+        (* the same pivots and the same arithmetic order: identical to
+           a fresh pivot search on the new values *)
+        x = solve (Lu.repivot f a)
+        && Cml_numerics.Vec.max_abs_diff x (Lu.solve (Lu.factorize a) rhs) < 1e-8)
 
 let prop_refactorize_residual =
   QCheck2.Test.make ~name:"refactorize solve has small residual" ~count:300 refactor_gen
@@ -203,6 +223,36 @@ let test_refactorize_rejects_foreign_matrix () =
     "structurally equal but distinct storage is rejected" false
     (Cml_numerics.Sparse_lu.reusable f b);
   Alcotest.(check bool) "refactorize refuses it" false (Cml_numerics.Sparse_lu.refactorize f b)
+
+(* The kernels index without bounds checks, so a caller array of the
+   wrong length must be refused before any access. *)
+let test_kernels_reject_wrong_lengths () =
+  let module Lu = Cml_numerics.Sparse_lu in
+  let _, a = build_system 5 [ (0, 1, -1.0); (3, 2, 0.5) ] 10.0 in
+  let f = Lu.factorize a in
+  let v = Array.make 5 1.0 and out = Array.make 5 0.0 in
+  let rejects name g =
+    Alcotest.(check bool) name true (match g () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "short values" (fun () -> Lu.refactorize f { a with values = Array.make 3 1.0 });
+  rejects "long values" (fun () -> Lu.refactorize f { a with values = Array.make 99 1.0 });
+  rejects "short rhs" (fun () -> Lu.solve_into f (Array.make 4 1.0) out);
+  rejects "long rhs" (fun () -> Lu.solve_into f (Array.make 6 1.0) out);
+  rejects "short output" (fun () -> Lu.solve_into f v (Array.make 4 0.0));
+  rejects "output aliases rhs" (fun () -> Lu.solve_into f v v);
+  rejects "chord: short values" (fun () ->
+      Lu.solve_residual_into f { a with values = Array.make 3 1.0 } v v out);
+  rejects "chord: short x" (fun () -> Lu.solve_residual_into f a (Array.make 4 1.0) v out);
+  rejects "chord: short output" (fun () -> Lu.solve_residual_into f a v v (Array.make 4 0.0));
+  rejects "chord: output aliases x" (fun () -> Lu.solve_residual_into f a out v out);
+  (* refused calls leave the factor intact: the chord step from x
+     lands on the solution of A x' = b *)
+  Alcotest.(check bool) "still refactorizes" true (Lu.refactorize f a);
+  let x = Array.init 5 float_of_int in
+  Lu.solve_residual_into f a x v out;
+  let x' = Array.mapi (fun i d -> x.(i) +. d) out in
+  Alcotest.(check bool) "x + d solves A x' = b" true
+    (Cml_numerics.Vec.max_abs_diff x' (Lu.solve f v) < 1e-12)
 
 let test_refactorize_rejects_degenerate_pivot () =
   let pat, a = build_system 4 [ (0, 1, -1.0); (1, 0, -1.0) ] 8.0 in
@@ -250,7 +300,8 @@ let test_chain_runs_sparse () =
     (stats.E.symbolic_factorizations >= 1);
   Alcotest.(check int) "newton iterations" 2608 stats.E.newton_iters;
   Alcotest.(check int) "device loads" 62592 stats.E.device_loads;
-  Alcotest.(check int) "bypassed loads" 52137 stats.E.bypassed_loads
+  Alcotest.(check int) "bypassed loads" 52137 stats.E.bypassed_loads;
+  Alcotest.(check int) "no factor reuse: refactoring is cheap" 0 stats.E.chord_steps
 
 (* ------------------------------------------------------------------ *)
 (* Allocation: junction evaluation and the Newton loop box nothing, so
@@ -371,6 +422,40 @@ let test_mc_matches_natural_order () =
   in
   Alcotest.(check bool) (Printf.sprintf "vouts within 10 x vntol (%.2e V)" dev) true (dev <= tol)
 
+(* Factor reuse is a property of the input: only a system whose
+   refactorization costs more than an extra iteration's assembly and
+   solve takes chord steps.  The full c432 surrogate (949 unknowns)
+   does; its 430-unknown n36 cone and the N = 45 sharing block (150
+   unknowns) do not. *)
+let test_factor_reuse_rule () =
+  let chord sim = (E.solver_stats sim).E.chord_steps in
+  let tstop = 0.5e-9 in
+  let cfg = T.config ~tstop ~max_step:10e-12 () in
+  let design = Cml_cells.Compile.compile ~freq:200e6 (Cml_logic.Bench_circuits.c432_surrogate ()) in
+  let golden = Cml_cells.Compile.netlist design in
+  let breakpoints = T.collect_breakpoints golden ~tstop in
+  let full = E.compile golden in
+  let reference = T.run ~breakpoints full golden cfg in
+  (* pinned like the chain's counts.  An identical system after a
+     chord step still has a residual, so the identical-system skip
+     fires only after exact solves: once on this run. *)
+  let s = E.solver_stats full in
+  Alcotest.(check int) "c432 newton iterations" 753 s.E.newton_iters;
+  Alcotest.(check int) "c432 chord steps" 514 s.E.chord_steps;
+  Alcotest.(check int) "c432 numeric refactorizations" 235 s.E.numeric_refactorizations;
+  Alcotest.(check int) "c432 skipped solves" 1 s.E.skipped_solves;
+  let cone = Cml_defects.Cone.drive (Cml_defects.Cone.extract golden ~cells:[ "n36" ]) ~reference in
+  let cnet = Cml_defects.Cone.netlist cone in
+  let csim = E.compile cnet in
+  ignore (T.run ~guide:(Cml_defects.Cone.guide cone) ~breakpoints csim cnet cfg);
+  Alcotest.(check int) "n36 cone" 0 (chord csim);
+  let net = (sharing45 ()).Cml_dft.Sharing.builder.Cml_cells.Builder.net in
+  let ssim = E.compile net in
+  ignore (E.dc_operating_point ssim);
+  Alcotest.(check int) "N=45 sharing dc" 0 (chord ssim);
+  ignore (T.run ssim net cfg);
+  Alcotest.(check int) "N=45 sharing transient" 0 (chord ssim)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -407,10 +492,14 @@ let () =
             test_refactorize_rejects_foreign_matrix;
           Alcotest.test_case "rejects degenerate pivot" `Quick
             test_refactorize_rejects_degenerate_pivot;
+          Alcotest.test_case "kernels reject wrong lengths" `Quick
+            test_kernels_reject_wrong_lengths;
           Alcotest.test_case "transient amortises symbolic analysis" `Slow
             test_transient_amortises_symbolic;
           Alcotest.test_case "8-stage chain runs sparse by default" `Quick
             test_chain_runs_sparse;
+          Alcotest.test_case "factor reuse only where refactoring costs more" `Slow
+            test_factor_reuse_rule;
         ] );
       ( "allocation",
         [

@@ -530,6 +530,38 @@ let prop_bypass_matches_full_eval =
         on.T.data;
       !dev <= 10.0 *. E.default_options.E.vntol)
 
+(* On the c432 surrogate (949 unknowns) the refactorization costs more
+   than an extra Newton iteration, so the default options also reuse
+   older LU factors (chord steps); bypass off evaluates the exact
+   linearisation at every iterate.  Every sample must stay within one
+   Newton tolerance, vntol + reltol * |v|. *)
+let test_bypass_c432_within_newton_tol () =
+  let design = Cml_cells.Compile.compile ~freq:200e6 (Cml_logic.Bench_circuits.c432_surrogate ()) in
+  let net = Cml_cells.Compile.netlist design in
+  let run options =
+    let sim = E.compile ~options net in
+    let r = T.run sim net (T.config ~tstop:0.5e-9 ~max_step:10e-12 ()) in
+    (r, (E.solver_stats sim).E.chord_steps)
+  in
+  let on, chord_on = run E.default_options in
+  let off, chord_off = run { E.default_options with E.bypass = false } in
+  Alcotest.(check bool) (Printf.sprintf "chord steps with bypass (%d)" chord_on) true (chord_on > 0);
+  Alcotest.(check int) "no chord step without bypass" 0 chord_off;
+  Alcotest.(check bool) "same time points" true (on.T.times = off.T.times);
+  let o = E.default_options in
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun i v ->
+          let w = off.T.data.(k).(i) in
+          let tol = o.E.vntol +. (o.E.reltol *. Float.max (Float.abs v) (Float.abs w)) in
+          worst := Float.max !worst (Float.abs (v -. w) /. tol))
+        row)
+    on.T.data;
+  Alcotest.(check bool) (Printf.sprintf "worst deviation %.3f Newton tolerances" !worst) true
+    (!worst <= 1.0)
+
 (* A fresh sim's bypass caches hold no stamps, so its first load must
    full-evaluate every junction device.  Every junction here sits at
    0 V, where a cache that started at 0 V would pass the bypass test
@@ -1096,5 +1128,9 @@ let () =
             prop_observer_parity_with_dense;
             prop_bypass_matches_full_eval;
             prop_non_finite_stamps_rejected;
+          ]
+        @ [
+            Alcotest.test_case "device bypass keeps c432 within one Newton tolerance" `Slow
+              test_bypass_c432_within_newton_tol;
           ] );
     ]
