@@ -1,7 +1,8 @@
-(* Bechamel micro-benchmarks of the simulator kernels (sparse LU, the
-   dense reference LU, the numeric-only refactorization, MNA assembly
-   via a warm DC solve, Newton DC, one transient of the paper's
-   8-buffer chain and one of the c432 surrogate, waveform measurements)
+(* Bechamel micro-benchmarks of the simulator kernels (sparse LU and
+   the c432 column ordering, the dense reference LU, the numeric-only
+   refactorization, MNA assembly via a warm DC solve, Newton DC, one
+   transient of the paper's 8-buffer chain and one of the c432
+   surrogate, waveform measurements)
    plus two system-level probes of the execution runtime:
 
    - solver reuse: how many full symbolic factorizations vs cheap
@@ -129,6 +130,14 @@ let tests () =
           (Cml_numerics.Sparse_lu.solve
              (Cml_numerics.Sparse_lu.factorize ~ordering:Cml_numerics.Sparse_lu.Amd c432_a)
              c432_rhs)));
+    (* the column ordering alone, and the path a fresh c432
+       operating point takes: [Auto] prices the natural order only up
+       to its cutoff, then orders with amd *)
+    Test.make ~name:"c432 AMD ordering" (Staged.stage (fun () ->
+        ignore (Cml_numerics.Ordering.amd_with_fill c432_a)));
+    Test.make ~name:"c432 LU factor+solve (auto)" (Staged.stage (fun () ->
+        ignore
+          (Cml_numerics.Sparse_lu.solve (Cml_numerics.Sparse_lu.factorize c432_a) c432_rhs)));
     (* a stability fallback's full factorization: a fresh pivot
        search in the column order the first factorization chose *)
     Test.make ~name:"c432 LU repivot+solve (kept amd order)" (Staged.stage (fun () ->

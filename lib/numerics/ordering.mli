@@ -23,11 +23,13 @@ val envelope_bound : Sparse.csc -> int
     One [O(nnz)] scan; lets [Auto] dismiss banded systems without
     building the elimination tree. *)
 
-val natural_fill : Sparse.csc -> int
+val natural_fill : ?cap:int -> Sparse.csc -> int
 (** [fill_estimate a ~order:(identity n)], computed with an
     elimination-tree row-count pass in [O(nnz(A) + fill)] instead of
     the quotient-graph elimination — cheap enough to run on every
-    factorization as the [Auto] ordering's first look. *)
+    factorization as the [Auto] ordering's first look.  With [~cap]
+    the count stops once it passes [cap]: the result is exact when it
+    is at most [cap], and otherwise only known to exceed it. *)
 
 val fill_estimate : Sparse.csc -> order:int array -> int
 (** Entries of the strictly lower triangle of the symbolic factor when

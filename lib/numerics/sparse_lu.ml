@@ -155,17 +155,19 @@ let choose_ordering ordering (a : Sparse.csc) =
         (* banded / near-banded: even the envelope bound says the
            factor stays small, one O(nnz) scan and we are done *)
         (Ordering.identity n, true, "natural")
+      else if Ordering.natural_fill ~cap:cutoff a <= cutoff then
+        (Ordering.identity n, true, "natural")
       else begin
-        let fn = Ordering.natural_fill a in
-        if fn <= cutoff then (Ordering.identity n, true, "natural")
-        else begin
-          (* commit to whichever order the symbolic elimination says
-             fills less; for the structurally symmetric patterns MNA
-             produces the estimate is the exact factor size, so "amd"
-             is only ever reported when it genuinely wins *)
-          let qa, fa = Ordering.amd_with_fill a in
-          if fa < fn then (qa, false, "amd") else (Ordering.identity n, true, "natural")
-        end
+        (* commit to whichever order the symbolic elimination says
+           fills less; for the structurally symmetric patterns MNA
+           produces the estimate is the exact factor size, so "amd"
+           is only ever reported when it genuinely wins.  The natural
+           fill is past the cutoff, so an amd fill within it wins
+           outright; otherwise the natural count only needs to run
+           until it passes the amd fill *)
+        let qa, fa = Ordering.amd_with_fill a in
+        if fa <= cutoff || Ordering.natural_fill ~cap:fa a > fa then (qa, false, "amd")
+        else (Ordering.identity n, true, "natural")
       end
 
 (* The numeric core of a full factorization in a given column order:

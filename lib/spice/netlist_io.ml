@@ -39,13 +39,15 @@ let parse_value token =
     if k = 0 then None
     else begin
       let num, suffix = split_at k in
+      (* a literal that overflows (1e999, 1e300t) is no value either *)
+      let finite v = if Float.is_finite v then Some v else None in
       match float_of_string_opt num with
       | None -> None
       | Some v -> (
-          if suffix = "" then Some v
+          if suffix = "" then finite v
           else
             match List.assoc_opt suffix suffixes with
-            | Some mult -> Some (v *. mult)
+            | Some mult -> finite (v *. mult)
             | None -> None)
     end
   end
@@ -291,7 +293,10 @@ let of_string text =
     | [ ".end" ] | [ ".END" ] -> ()
     | kind :: name :: rest -> begin
         match (String.uppercase_ascii kind, rest) with
-        | "R", [ n1; n2; v ] -> Netlist.resistor net ~name (node n1) (node n2) (value_exn line v)
+        | "R", [ n1; n2; v ] ->
+            let r = value_exn line v in
+            if r <= 0.0 then fail line "non-positive resistance %S" v;
+            Netlist.resistor net ~name (node n1) (node n2) r
         | "C", [ n1; n2; v ] -> Netlist.capacitor net ~name (node n1) (node n2) (value_exn line v)
         | "D", a :: k :: params ->
             Netlist.diode net ~name
@@ -324,8 +329,12 @@ let of_string text =
       end
     | _ -> fail line "malformed card"
   in
-  (try List.iter parse_card (logical_lines text)
-   with Invalid_argument msg -> fail 0 "%s" msg);
+  (* [Netlist]'s own rejections (a duplicate name, say) are reported at
+     the line the offending card starts on *)
+  List.iter
+    (fun ((line, _) as card) ->
+      try parse_card card with Invalid_argument msg -> fail line "%s" msg)
+    (logical_lines text);
   net
 
 let write_file ~path net =

@@ -33,7 +33,9 @@ val to_string : Netlist.t -> string
 
 val of_string : string -> Netlist.t
 (** Parse a netlist.
-    @raise Parse_error on malformed input. *)
+    @raise Parse_error on malformed input, at the line the offending
+    card starts on: a bad token, a non-positive resistance, or a card
+    {!Netlist} rejects (a duplicate device name). *)
 
 val write_file : path:string -> Netlist.t -> unit
 
@@ -42,7 +44,8 @@ val read_file : path:string -> Netlist.t
 
 val parse_value : string -> float option
 (** Parse one numeric token with engineering suffixes
-    (["2.2k"] = 2200, ["10p"] = 1e-11, ["3meg"] = 3e6). *)
+    (["2.2k"] = 2200, ["10p"] = 1e-11, ["3meg"] = 3e6); [None] for
+    anything else, including a literal that overflows to infinity. *)
 
 val format_value : float -> string
 (** Render a value with an engineering suffix when exact. *)

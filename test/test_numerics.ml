@@ -447,7 +447,9 @@ let prop_auto_fill_no_worse =
       nnz Cml_numerics.Sparse_lu.Auto <= nnz Cml_numerics.Sparse_lu.Natural)
 
 (* The fast fill counters Auto's decision rests on must agree exactly
-   with replaying the order through the quotient-graph elimination. *)
+   with replaying the order through the quotient-graph elimination —
+   the list-based reference's, so the check stays independent of the
+   array kernel. *)
 let prop_fill_counters_agree =
   QCheck2.Test.make ~name:"natural_fill / amd_with_fill match fill_estimate" ~count:200
     mna_system_gen (fun sys ->
@@ -456,8 +458,8 @@ let prop_fill_counters_agree =
       let n = a.Cml_numerics.Sparse.n in
       let q, fa = O.amd_with_fill a in
       let fn = O.natural_fill a in
-      fn = O.fill_estimate a ~order:(O.identity n)
-      && fa = O.fill_estimate a ~order:q
+      fn = Ordering_reference.fill_estimate a ~order:(O.identity n)
+      && fa = Ordering_reference.fill_estimate a ~order:q
       && fn <= O.envelope_bound a)
 
 (* Auto's cutoff is relative to nnz(A): natural stays while its fill
@@ -582,6 +584,149 @@ let test_repivot_pattern_mismatch () =
         (L.ordering_name (L.repivot f a)))
     [ ("same size, other pattern", 16); ("other size", 20) ]
 
+(* ------------------------------------------------------------------ *)
+(* The array-based ordering against the list-based reference *)
+
+module O = Cml_numerics.Ordering
+
+(* Unsymmetric patterns with the shapes a nodal Jacobian has and a
+   few it rarely has: symmetric conductance stamps, one-sided entries
+   (controlled sources), up to three rail rows coupled to over half
+   the unknowns, and unknowns with no off-diagonal entry at all (with
+   [n = 1] among them).  The diagonal dominates every row, so every
+   ordering policy can factor it. *)
+let ordering_pattern_gen ?(min_n = 1) ?(max_n = 70) () =
+  QCheck2.Gen.(
+    int_range min_n max_n >>= fun n ->
+    list_size (int_range 0 (2 * n)) (triple bool (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    >>= fun stamps ->
+    list_size (int_range 0 3) (pair (int_range 0 (n - 1)) (float_range 0.5 0.95))
+    >>= fun rails -> int >>= fun seed -> return (n, stamps, rails, seed))
+
+let ordering_pattern (n, stamps, rails, seed) =
+  let st = Random.State.make [| seed |] in
+  let t = Cml_numerics.Sparse.triplet_create n in
+  let off i j = if i <> j then Cml_numerics.Sparse.add t i j (Random.State.float st 2.0 -. 1.0) in
+  List.iter
+    (fun (symmetric, i, j) ->
+      off i j;
+      if symmetric then off j i)
+    stamps;
+  List.iter
+    (fun (r, density) ->
+      for j = 0 to n - 1 do
+        if Random.State.float st 1.0 < density then begin
+          off r j;
+          off j r
+        end
+      done)
+    rails;
+  for i = 0 to n - 1 do
+    Cml_numerics.Sparse.add t i i (float_of_int (n + 1))
+  done;
+  Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress t)
+
+let shuffled st n =
+  let p = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  p
+
+let prop_ordering_matches_reference =
+  QCheck2.Test.make ~name:"amd / amd_with_fill / fill_estimate match the list reference"
+    ~count:300 (ordering_pattern_gen ()) (fun ((n, _, _, seed) as g) ->
+      let a = ordering_pattern g in
+      let q, fa = O.amd_with_fill a in
+      let forced = [ O.identity n; q; shuffled (Random.State.make [| seed |]) n ] in
+      (q, fa) = Ordering_reference.amd_with_fill a
+      && O.amd a = Ordering_reference.amd a
+      && List.for_all
+           (fun order ->
+             O.fill_estimate a ~order = Ordering_reference.fill_estimate a ~order)
+           forced)
+
+(* a capped natural count is exact up to its cap and past it otherwise *)
+let prop_natural_fill_cap =
+  QCheck2.Test.make ~name:"natural_fill ~cap is exact within the cap" ~count:300
+    QCheck2.Gen.(pair (ordering_pattern_gen ()) (int_range 0 400))
+    (fun (g, cap) ->
+      let a = ordering_pattern g in
+      let fn = O.natural_fill a and capped = O.natural_fill ~cap a in
+      if fn <= cap then capped = fn else capped > cap)
+
+(* Auto's decision as it read before the natural count was capped:
+   the full natural fill against the cutoff, then against amd's fill,
+   both counted by the list reference. *)
+let uncapped_auto a =
+  let n = a.Cml_numerics.Sparse.n in
+  let cutoff = 2 * Cml_numerics.Sparse.nnz a in
+  if n < 16 || O.envelope_bound a <= cutoff then "natural"
+  else
+    let fn = Ordering_reference.fill_estimate a ~order:(O.identity n) in
+    if fn <= cutoff then "natural"
+    else if snd (Ordering_reference.amd_with_fill a) < fn then "amd"
+    else "natural"
+
+(* Up to 300 unknowns: random couplings only fill past Auto's cutoff,
+   where both counts are compared, on the larger patterns. *)
+let prop_capped_auto_decision =
+  QCheck2.Test.make ~name:"capped Auto picks the uncapped decision" ~count:200
+    (ordering_pattern_gen ~min_n:16 ~max_n:300 ())
+    (fun g ->
+      let a = ordering_pattern g in
+      L.ordering_name (L.factorize a) = uncapped_auto a)
+
+let test_ordering_edge_sizes () =
+  let empty = csc_of_entries [] 0 and one = csc_of_entries [ (0, 0, 1.0) ] 1 in
+  Alcotest.(check (pair (array int) int)) "n = 0" ([||], 0) (O.amd_with_fill empty);
+  Alcotest.(check (pair (array int) int)) "n = 1" ([| 0 |], 0) (O.amd_with_fill one);
+  Alcotest.(check int) "n = 0 natural fill" 0 (O.natural_fill empty);
+  Alcotest.check_raises "not a permutation"
+    (Invalid_argument "Ordering.fill_estimate: order is not a permutation") (fun () ->
+      ignore (O.fill_estimate (csc_of_entries (arrow 4) 4) ~order:[| 0; 1; 1; 3 |]))
+
+(* The engine's Jacobian pattern of a netlist, which is all an
+   ordering reads. *)
+let jacobian_pattern net =
+  let module E = Cml_spice.Engine in
+  let sim = E.compile net in
+  let g, _ = E.newton_system sim (Array.make (E.unknown_count sim) 0.0) in
+  csc_of_entries g (E.unknown_count sim)
+
+(* The two designs whose ordering the workloads pay for, pinned to
+   the list reference's full orders (and a digest of them, so the pin
+   does not rest on the reference alone) and fills. *)
+let check_pinned_order name a ~n ~fill ~digest =
+  let q, fa = O.amd_with_fill a in
+  let order_text = String.concat "," (Array.to_list (Array.map string_of_int q)) in
+  Alcotest.(check int) (name ^ " unknowns") n a.Cml_numerics.Sparse.n;
+  Alcotest.(check int) (name ^ " amd fill") fill fa;
+  Alcotest.(check bool)
+    (name ^ " order is the reference's")
+    true
+    (Ordering_reference.amd_with_fill a = (q, fa));
+  Alcotest.(check string)
+    (name ^ " order digest")
+    digest
+    (Digest.to_hex (Digest.string order_text));
+  Alcotest.(check int) (name ^ " fill_estimate of the order") fill (O.fill_estimate a ~order:q)
+
+let test_pinned_orders () =
+  let c432 =
+    Cml_cells.Compile.netlist
+      (Cml_cells.Compile.compile ~freq:200e6 (Cml_logic.Bench_circuits.c432_surrogate ()))
+  in
+  check_pinned_order "c432 surrogate" (jacobian_pattern c432) ~n:949 ~fill:9465
+    ~digest:"66d6ebac89cbd4c646a65f32c1c33bd3";
+  let sharing = Cml_dft.Sharing.build ~multi_emitter:true ~n:45 () in
+  check_pinned_order "N=45 sharing"
+    (jacobian_pattern sharing.Cml_dft.Sharing.builder.Cml_cells.Builder.net)
+    ~n:150 ~fill:832 ~digest:"646b2b454b5c9774134a1b7c91141ddf"
+
 let () =
   let qc = List.map (fun t -> QCheck_alcotest.to_alcotest t) in
   Alcotest.run "numerics"
@@ -628,6 +773,11 @@ let () =
             test_repivot_after_unstable_pivot;
           Alcotest.test_case "repivot on another pattern" `Quick test_repivot_pattern_mismatch;
         ] );
+      ( "ordering",
+        [
+          Alcotest.test_case "edge sizes" `Quick test_ordering_edge_sizes;
+          Alcotest.test_case "c432 and N=45 orders pinned" `Quick test_pinned_orders;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "mean/std" `Quick test_stats_mean_std;
@@ -649,6 +799,9 @@ let () =
             prop_amd_solve_matches_natural;
             prop_auto_fill_no_worse;
             prop_fill_counters_agree;
+            prop_ordering_matches_reference;
+            prop_natural_fill_cap;
+            prop_capped_auto_decision;
             prop_repivot_matches_factorize;
           ] );
     ]

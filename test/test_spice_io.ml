@@ -41,7 +41,7 @@ let test_parse_value_suffixes () =
 let test_parse_value_garbage () =
   List.iter
     (fun s -> Alcotest.(check (option (float 0.0))) s None (Io.parse_value s))
-    [ "abc"; ""; "1x"; "k2"; "--3" ]
+    [ "abc"; ""; "1x"; "k2"; "--3"; "inf"; "nan"; "1e999"; "-1e999"; "1e300t" ]
 
 let test_format_value_roundtrip () =
   List.iter
@@ -123,7 +123,8 @@ let test_roundtrip_buffer_chain () =
   let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let text = Io.to_string net in
   let back = Io.of_string text in
-  Alcotest.(check bool) "round-trip equal" true (netlists_equal net back)
+  Alcotest.(check bool) "round-trip equal" true (netlists_equal net back);
+  Alcotest.(check string) "rendered again unchanged" text (Io.to_string back)
 
 let test_roundtrip_preserves_simulation () =
   let chain = Cml_cells.Chain.build_dc ~stages:3 ~value:true () in
@@ -178,12 +179,26 @@ let test_parse_errors_carry_line_numbers () =
   attempt "R r1 a b\n" 1;
   attempt "* ok\nX what a b c\n" 2;
   attempt "V v1 a 0 PULSE(1 2 3)\n" 1;
-  attempt "R r1 a b 1x\n" 1
+  attempt "R r1 a b 1x\n" 1;
+  (* values the engine would reject fail in the reader, at their card *)
+  attempt "R r1 a 0 1k\nC c1 a 0 1e999\n" 2;
+  attempt "V v1 a 0 DC 1\nR r1 a 0 0\n" 2;
+  attempt "R r1 a 0 -5\n" 1
 
+(* a rejection by [Netlist] itself is located at its card, and a
+   continued card at the line it starts on *)
 let test_parse_duplicate_name_rejected () =
-  match Io.of_string "R r1 a b 100\nR r1 a c 100\n" with
-  | _ -> Alcotest.fail "expected error"
-  | exception Io.Parse_error _ -> ()
+  let attempt text expected_line =
+    match Io.of_string text with
+    | _ -> Alcotest.failf "expected parse error for %S" text
+    | exception Io.Parse_error { line; message } ->
+        Alcotest.(check (pair int string))
+          ("error of " ^ text)
+          (expected_line, "duplicate device name: r1")
+          (line, message)
+  in
+  attempt "R r1 a 0 1k\n* comment\nR r1 b 0 1k\n" 3;
+  attempt "R r1 a 0 1k\nR r1 b 0\n+ 1k\n" 2
 
 let test_file_roundtrip () =
   let chain = Cml_cells.Chain.build_dc ~stages:2 ~value:false () in
