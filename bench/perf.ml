@@ -57,12 +57,14 @@ let c432 =
      List.iter (fun (i, j, v) -> Cml_numerics.Sparse.add tr i j v) g;
      (net, Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress tr), n))
 
-(* One Monte-Carlo sample pair on the paper's N = 45 sharing block, as
-   [Montecarlo.run] does it after the nominal solves: perturb, compile,
-   adopt the nominal sim's symbolic LU analysis and warm-start the DC
-   solve, for the fault-free and the faulty netlist.  The nominal sims
-   are built once; the perturbation seed is fixed so every run does
-   the same work. *)
+(* One Monte-Carlo sample pair on the paper's N = 45 sharing block
+   after the nominal solves: perturb, then either compile and adopt the
+   nominal sim's symbolic LU analysis ([mc_sample_pair], the path
+   before [Engine.revalue]) or re-value the nominal sim's layout
+   ([mc_sample_pair_revalue], what [Montecarlo.run] does), and
+   warm-start the DC solve, for the fault-free and the faulty netlist.
+   The nominal sims are built once; the perturbation seed is fixed so
+   every run does the same work. *)
 let mc_nominals =
   lazy
     (let built = Cml_dft.Sharing.build ~multi_emitter:true ~n:45 () in
@@ -89,6 +91,13 @@ let mc_sample_pair nominals =
     (fun (net, donor, x0) ->
       let sim = E.compile (Cml_defects.Variation.perturb ~seed:1 net) in
       E.share_symbolic ~donor sim;
+      ignore (E.dc_from sim x0))
+    nominals
+
+let mc_sample_pair_revalue nominals =
+  List.iter
+    (fun (net, like, x0) ->
+      let sim = E.revalue like (Cml_defects.Variation.perturb ~seed:1 net) in
       ignore (E.dc_from sim x0))
     nominals
 
@@ -178,6 +187,8 @@ let tests () =
           (T.run_batch lanes chain_net cfg)));
     Test.make ~name:"Monte-Carlo sample pair (N=45, warm)" (Staged.stage (fun () ->
         mc_sample_pair mc));
+    Test.make ~name:"Monte-Carlo sample pair (N=45, warm, revalue)" (Staged.stage (fun () ->
+        mc_sample_pair_revalue mc));
     Test.make ~name:"crossing detection (5k samples)" (Staged.stage (fun () ->
         ignore (Cml_wave.Measure.crossings wave ~level:3.0)));
   ]

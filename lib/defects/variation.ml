@@ -36,24 +36,20 @@ let factor st sigma =
 
 let perturb ?(spec = default_spec) ~seed net =
   let st = Random.State.make [| seed; 0x5EED |] in
-  let out = N.copy net in
-  N.iter_devices net (fun d ->
-      match d with
-      | N.Resistor ({ name; r; _ } as dev) ->
-          N.set_device out name (N.Resistor { dev with r = r *. factor st spec.resistor_sigma })
-      | N.Capacitor ({ name; c; _ } as dev) ->
-          N.set_device out name (N.Capacitor { dev with c = c *. factor st spec.capacitor_sigma })
-      | N.Bjt ({ name; model; _ } as dev) ->
-          let model =
-            {
-              model with
-              M.q_is = model.M.q_is *. factor st spec.is_sigma;
-              M.q_bf = model.M.q_bf *. factor st spec.beta_sigma;
-            }
-          in
-          N.set_device out name (N.Bjt { dev with model })
-      | N.Diode ({ name; model; _ } as dev) ->
-          let model = { model with M.d_is = model.M.d_is *. factor st spec.is_sigma } in
-          N.set_device out name (N.Diode { dev with model })
-      | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Vccs _ -> ());
-  out
+  N.map_devices net (function
+    | N.Resistor ({ r; _ } as dev) -> N.Resistor { dev with r = r *. factor st spec.resistor_sigma }
+    | N.Capacitor ({ c; _ } as dev) ->
+        N.Capacitor { dev with c = c *. factor st spec.capacitor_sigma }
+    | N.Bjt ({ model; _ } as dev) ->
+        let model =
+          {
+            model with
+            M.q_is = model.M.q_is *. factor st spec.is_sigma;
+            M.q_bf = model.M.q_bf *. factor st spec.beta_sigma;
+          }
+        in
+        N.Bjt { dev with model }
+    | N.Diode ({ model; _ } as dev) ->
+        let model = { model with M.d_is = model.M.d_is *. factor st spec.is_sigma } in
+        N.Diode { dev with model }
+    | (N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Vccs _) as d -> d)

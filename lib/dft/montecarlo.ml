@@ -40,12 +40,12 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let lo, hi = Readout.thresholds Readout.default_config ~vtest:vtest_value in
   let decision = (lo +. hi) /. 2.0 in
   (* the unperturbed sims and operating points: process variation
-     moves values, not topology, so every perturbed sample's Newton
-     solve can start from its netlist's nominal solution ([dc_from]
-     falls back to the homotopy ladder when a sample strays too far)
-     and adopt the nominal sim's symbolic LU analysis — one column
+     moves values, not topology, so every perturbed sample re-values
+     its netlist's nominal sim — one compiled layout and one column
      ordering per netlist for the whole run (an unstable pivot falls
-     back to a fresh factorization) *)
+     back to a fresh factorization) — and its Newton solve starts from
+     the nominal solution ([dc_from] falls back to the homotopy ladder
+     when a sample strays too far) *)
   let nominal net =
     if warm_start then
       let sim = E.compile net in
@@ -55,14 +55,10 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let nom_good = nominal golden and nom_bad = nominal faulty in
   let measure net nom k =
     let perturbed = Cml_defects.Variation.perturb ~spec ~seed:(seed + k) net in
-    let sim = E.compile perturbed in
-    let x =
-      match nom with
-      | Some (donor, x0) when Array.length x0 = E.unknown_count sim ->
-          E.share_symbolic ~donor sim;
-          E.dc_from sim x0
-      | Some _ | None -> E.dc_operating_point sim
+    let sim =
+      match nom with Some (like, _) -> E.revalue like perturbed | None -> E.compile perturbed
     in
+    let x = match nom with Some (_, x0) -> E.dc_from sim x0 | None -> E.dc_operating_point sim in
     E.publish_metrics sim;
     let vfb = E.voltage x built.Sharing.readout.Readout.vfb in
     let vout = E.voltage x built.Sharing.readout.Readout.vout in
@@ -77,7 +73,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
     ]
   in
   (* each sample derives its own perturbed netlist from (seed + k)
-     and compiles a fresh sim, so samples are independent variants of
+     and a sim of its own, so samples are independent variants of
      the shared run loop; its contiguous slices (one pool task each)
      pay the per-task wake-up/handoff cost per slice, not per sample *)
   let sample k =
@@ -126,7 +122,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
      paced by allocation; with the shared symbolic analysis a run no
      longer allocates a fresh set of LU arrays per sample, so the
      major GC falls behind the per-sample garbage (perturbed netlists,
-     compiled sims) and back-to-back runs grow the heap — about 15%
+     re-valued sims) and back-to-back runs grow the heap — about 15%
      peak RSS on the N = 45 run — although live data stays the same.
      One collection per run costs far less than a sample. *)
   Gc.full_major ();

@@ -277,7 +277,10 @@ let resolve_slots ~nv sdevs ~count place =
   Array.iter (fun d -> stamp_coords d resolve) sdevs;
   slots
 
-let compile ?(options = default_options) net =
+(* The compiled devices of a netlist, in netlist order: the node
+   unknown count, the unknown count, the device records and the branch
+   unknown of every voltage source and VCVS. *)
+let build_devices net =
   let nv = Netlist.node_count net - 1 in
   let sdevs = ref [] in
   let branches = Hashtbl.create 8 in
@@ -340,35 +343,23 @@ let compile ?(options = default_options) net =
         emit (SVccs { p = u npos; n = u nneg; cp = u cpos; cn = u cneg; gm })
   in
   Netlist.iter_devices net compile_device;
-  let nunk = nv + !nbranch in
-  let sdevs = Array.of_list (List.rev !sdevs) in
-  let soff, count = stamp_offsets ~nv sdevs in
-  (* the pattern comes from the stamp coordinates alone; each stamp's
-     slot is the CSC position its triplet entry merged into.  The
-     triplet is dropped once compressed. *)
-  let trip = Cml_numerics.Sparse.triplet_create ~capacity:count nunk in
-  let entries = ref 0 in
-  let place i j =
-    Cml_numerics.Sparse.add trip i j 0.0;
-    incr entries;
-    !entries - 1
-  in
-  let slots = resolve_slots ~nv sdevs ~count place in
-  let pat = Cml_numerics.Sparse.compress trip in
-  let csc_pos = Cml_numerics.Sparse.entry_of_triplet pat in
-  Array.iteri (fun s k -> if k >= 0 then slots.(s) <- csc_pos.(k)) slots;
+  (nv, nv + !nbranch, Array.of_list (List.rev !sdevs), branches)
+
+(* A sim over compiled devices and a resolved layout, with fresh
+   solver state; [a] must hold zero values owned by this sim. *)
+let make_sim ~options ~nv ~nunk ~sdevs ~branches ~a ~slots ~soff ~donor =
   {
     opts = options;
     nv;
     nunk;
     sdevs;
     branches;
-    a = Cml_numerics.Sparse.csc_of_pattern pat;
+    a;
     lu = None;
     n_symbolic = 0;
     n_numeric = 0;
     n_shared = 0;
-    donor = None;
+    donor;
     slots;
     soff;
     rhs = Array.make nunk 0.0;
@@ -402,6 +393,77 @@ let compile ?(options = default_options) net =
     chord_run = 0;
     n_chord_steps = 0;
   }
+
+let compile ?(options = default_options) net =
+  let nv, nunk, sdevs, branches = build_devices net in
+  let soff, count = stamp_offsets ~nv sdevs in
+  (* the pattern comes from the stamp coordinates alone; each stamp's
+     slot is the CSC position its triplet entry merged into.  The
+     triplet is dropped once compressed. *)
+  let trip = Cml_numerics.Sparse.triplet_create ~capacity:count nunk in
+  let entries = ref 0 in
+  let place i j =
+    Cml_numerics.Sparse.add trip i j 0.0;
+    incr entries;
+    !entries - 1
+  in
+  let slots = resolve_slots ~nv sdevs ~count place in
+  let pat = Cml_numerics.Sparse.compress trip in
+  let csc_pos = Cml_numerics.Sparse.entry_of_triplet pat in
+  Array.iteri (fun s k -> if k >= 0 then slots.(s) <- csc_pos.(k)) slots;
+  make_sim ~options ~nv ~nunk ~sdevs ~branches ~a:(Cml_numerics.Sparse.csc_of_pattern pat)
+    ~slots ~soff ~donor:None
+
+(* What a compiled device is, for [revalue]'s error. *)
+let sdev_kind sdevs di =
+  if di >= Array.length sdevs then "none"
+  else
+    match sdevs.(di) with
+    | SRes _ -> "resistor"
+    | SCap _ -> "capacitor"
+    | SDiode _ -> "diode"
+    | SBjt { name; _ } -> "bjt " ^ name
+    | SVsrc _ -> "vsource"
+    | SIsrc _ -> "isource"
+    | SVcvs _ -> "vcvs"
+    | SVccs _ -> "vccs"
+
+(* Same constructor on the same unknowns: the device stamps the same
+   coordinates in the same order. *)
+let same_stamps d d' =
+  match (d, d') with
+  | SRes { i; j; _ }, SRes { i = i'; j = j'; _ } | SCap { i; j; _ }, SCap { i = i'; j = j'; _ } ->
+      i = i' && j = j'
+  | SDiode { a; k; _ }, SDiode { a = a'; k = k'; _ } -> a = a' && k = k'
+  | SBjt { c; b; e; _ }, SBjt { c = c'; b = b'; e = e'; _ } -> c = c' && b = b' && e = e'
+  | SVsrc { p; n; br; _ }, SVsrc { p = p'; n = n'; br = br'; _ } -> p = p' && n = n' && br = br'
+  | SIsrc { p; n; _ }, SIsrc { p = p'; n = n'; _ } -> p = p' && n = n'
+  | ( SVcvs { p; n; cp; cn; br; _ },
+      SVcvs { p = p'; n = n'; cp = cp'; cn = cn'; br = br'; _ } ) ->
+      p = p' && n = n' && cp = cp' && cn = cn' && br = br'
+  | SVccs { p; n; cp; cn; _ }, SVccs { p = p'; n = n'; cp = cp'; cn = cn'; _ } ->
+      p = p' && n = n' && cp = cp' && cn = cn'
+  | (SRes _ | SCap _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _), _ -> false
+
+let revalue like net =
+  let nv, nunk, sdevs, branches = build_devices net in
+  if nv <> like.nv || nunk <> like.nunk then
+    invalid_arg
+      (Printf.sprintf "Engine.revalue: %d node and %d total unknowns, the layout has %d and %d"
+         nv nunk like.nv like.nunk);
+  let n = Array.length sdevs and n' = Array.length like.sdevs in
+  for di = 0 to max n n' - 1 do
+    if di >= n || di >= n' || not (same_stamps sdevs.(di) like.sdevs.(di)) then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.revalue: compiled device %d (%s) differs from the layout's (%s) in kind or \
+            terminals"
+           di (sdev_kind sdevs di) (sdev_kind like.sdevs di))
+  done;
+  let values = Array.make (Array.length like.a.values) 0.0 in
+  make_sim ~options:like.opts ~nv ~nunk ~sdevs ~branches
+    ~a:{ like.a with Cml_numerics.Sparse.values }
+    ~slots:like.slots ~soff:like.soff ~donor:like.lu
 
 (* ------------------------------------------------------------------ *)
 (* Assembly.

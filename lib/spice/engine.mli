@@ -59,6 +59,23 @@ val compile : ?options:options -> Netlist.t -> sim
     capacitance is left out; a NaN one is kept.
     @raise Invalid_argument on a non-positive resistance. *)
 
+val revalue : sim -> Netlist.t -> sim
+(** [revalue like net] compiles [net], whose device sequence and
+    terminals must be those of the netlist [like] was compiled from
+    (only values may differ, as after [Variation.perturb]), without
+    rebuilding the layout: the new sim shares [like]'s stamp slots and
+    CSC pattern (with its own zeroed values), and offers [like]'s
+    installed factor as its symbolic donor, as {!share_symbolic}
+    would.  It has its own device state, workspaces and counters and
+    [like]'s options, and solves bit-identically to
+    [compile net] after [share_symbolic ~donor:like].  [like] is only
+    read, so concurrent domains may re-value from it while it runs no
+    solve.
+    @raise Invalid_argument naming the first compiled device whose
+    kind or terminals differ (a capacitance at or below zero drops a
+    compiled device), or when the node or unknown counts differ; and
+    on a non-positive resistance, like {!compile}. *)
+
 val options : sim -> options
 val unknown_count : sim -> int
 
@@ -220,10 +237,7 @@ val share_symbolic : donor:sim -> sim -> unit
     ordering, L/U patterns, pivot order) to [sim], to be adopted at
     its first factorization if the Jacobian patterns match — the
     batch scheduler calls this so K lanes of one design run one
-    symbolic analysis and K numeric refactorizations, and the
-    Monte-Carlo harness so every perturbed sample reuses its nominal
-    netlist's analysis ([Variation.perturb] moves values, not
-    topology).  A stale or
+    symbolic analysis and K numeric refactorizations.  A stale or
     mismatched offer is harmless: adoption silently falls back to a
     full factorization.  No-op unless the donor has factored. *)
 

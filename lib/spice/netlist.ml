@@ -141,6 +141,39 @@ let iter_devices t f =
     f t.devs.(i)
   done
 
+(* Same kind, same name and the same node on every terminal. *)
+let same_site d d' =
+  String.equal (device_name d) (device_name d')
+  &&
+  match (d, d') with
+  | Resistor { n1; n2; _ }, Resistor { n1 = n1'; n2 = n2'; _ }
+  | Capacitor { n1; n2; _ }, Capacitor { n1 = n1'; n2 = n2'; _ }
+  | Diode { anode = n1; cathode = n2; _ }, Diode { anode = n1'; cathode = n2'; _ }
+  | Vsource { npos = n1; nneg = n2; _ }, Vsource { npos = n1'; nneg = n2'; _ }
+  | Isource { npos = n1; nneg = n2; _ }, Isource { npos = n1'; nneg = n2'; _ } ->
+      n1 = n1' && n2 = n2'
+  | Bjt { collector = c; base = b; emitters = e; _ }, Bjt { collector; base; emitters; _ } ->
+      c = collector && b = base && (e == emitters || e = emitters)
+  | ( Vcvs { npos = p; nneg = n; cpos = cp; cneg = cn; _ },
+      Vcvs { npos; nneg; cpos; cneg; _ } )
+  | ( Vccs { npos = p; nneg = n; cpos = cp; cneg = cn; _ },
+      Vccs { npos; nneg; cpos; cneg; _ } ) ->
+      p = npos && n = nneg && cp = cpos && cn = cneg
+  | (Resistor _ | Capacitor _ | Diode _ | Bjt _ | Vsource _ | Isource _ | Vcvs _ | Vccs _), _ ->
+      false
+
+let map_devices t f =
+  let out = copy t in
+  for i = 0 to t.ndev - 1 do
+    let d = f t.devs.(i) in
+    if not (same_site t.devs.(i) d) then
+      invalid_arg
+        ("Netlist.map_devices: device " ^ device_name t.devs.(i)
+       ^ " changed kind, name or terminals");
+    out.devs.(i) <- d
+  done;
+  out
+
 let get_device t name =
   match Hashtbl.find_opt t.dev_index name with
   | Some i -> t.devs.(i)

@@ -77,6 +77,12 @@ val devices : t -> device list
 
 val iter_devices : t -> (device -> unit) -> unit
 
+val map_devices : t -> (device -> device) -> t
+(** [map_devices t f] is a copy of [t] with every device [d] replaced
+    by [f d], applied in insertion order.  [f] may change values only.
+    @raise Invalid_argument if [f d] has another kind, name or
+    terminals than [d]. *)
+
 val get_device : t -> string -> device
 (** @raise Not_found if no device has that name. *)
 

@@ -70,6 +70,56 @@ let test_perturbed_circuit_still_works () =
     true
     (out > 3.1 && out < 3.5)
 
+(* [perturb] maps devices in place; the reference replaces them by
+   name.  Both must draw the same numbers in the same order and build
+   the same netlist, on the N = 45 sharing block (the Monte-Carlo
+   workload) and on the compiled c432 surrogate, at both sigma sets. *)
+let test_perturb_matches_reference () =
+  let sharing =
+    (Dft.Sharing.build ~multi_emitter:true ~n:45 ()).Dft.Sharing.builder.Cml_cells.Builder.net
+  in
+  let c432 =
+    Cml_cells.Compile.netlist
+      (Cml_cells.Compile.compile ~freq:200e6 (L.Bench_circuits.c432_surrogate ()))
+  in
+  let check name net ~seeds =
+    for seed = 0 to seeds - 1 do
+      let spec = if seed mod 2 = 0 then V.default_spec else V.tight_spec in
+      let p = V.perturb ~spec ~seed net and r = Variation_reference.perturb ~spec ~seed net in
+      if N.devices p <> N.devices r || N.node_count p <> N.node_count r then
+        Alcotest.failf "%s, seed %d: perturb differs from the reference" name seed
+    done
+  in
+  check "N = 45 sharing block" sharing ~seeds:200;
+  check "c432" c432 ~seeds:10
+
+let test_map_devices_keeps_sites () =
+  let net = chain_net () in
+  let first = fst (List.hd (resistor_values net)) in
+  let rename = function
+    | N.Resistor r when r.name = first -> N.Resistor { r with name = first ^ "'" }
+    | d -> d
+  in
+  let rewire = function
+    | N.Resistor r when r.name = first -> N.Resistor { r with n2 = r.n1 }
+    | d -> d
+  in
+  let message =
+    Printf.sprintf "Netlist.map_devices: device %s changed kind, name or terminals" first
+  in
+  Alcotest.check_raises "a renamed device" (Invalid_argument message) (fun () ->
+      ignore (N.map_devices net rename));
+  Alcotest.check_raises "a moved terminal" (Invalid_argument message) (fun () ->
+      ignore (N.map_devices net rewire));
+  let scaled =
+    N.map_devices net (function N.Resistor r -> N.Resistor { r with r = 2.0 *. r.r } | d -> d)
+  in
+  Alcotest.(check bool) "original untouched" true (resistor_values net <> resistor_values scaled);
+  Alcotest.(check bool) "values doubled" true
+    (List.for_all2
+       (fun (_, r0) (_, r1) -> r1 = 2.0 *. r0)
+       (resistor_values net) (resistor_values scaled))
+
 (* ------------------------------------------------------------------ *)
 (* Monte Carlo *)
 
@@ -319,6 +369,9 @@ let () =
           Alcotest.test_case "magnitude bounded" `Quick test_perturb_magnitude;
           Alcotest.test_case "sources untouched" `Quick test_perturb_sources_untouched;
           Alcotest.test_case "perturbed circuit works" `Quick test_perturbed_circuit_still_works;
+          Alcotest.test_case "perturb matches the set_device reference" `Quick
+            test_perturb_matches_reference;
+          Alcotest.test_case "map_devices keeps every site" `Quick test_map_devices_keeps_sites;
         ] );
       ( "montecarlo",
         [

@@ -1044,6 +1044,149 @@ let prop_non_finite_stamps_rejected =
       in
       newton_gives_up && dc_ok)
 
+(* ------------------------------------------------------------------ *)
+(* Re-valued sims *)
+
+type rdev = R of float | C of float | D | Q | I of float
+
+(* A random netlist on nodes [1 .. n] (plus ground) driven by a pulsed
+   source on node 1, every node leaking to ground so nothing floats. *)
+let random_netlist (n, devs, v) =
+  let net = N.create () in
+  let node k = if k = 0 then N.gnd else N.node net (Printf.sprintf "n%d" k) in
+  N.vsource net ~name:"v1" ~pos:(node 1) ~neg:N.gnd
+    (W.Pulse
+       {
+         v1 = 0.0;
+         v2 = v;
+         delay = 0.2e-9;
+         rise = 0.1e-9;
+         fall = 0.1e-9;
+         width = 1.0;
+         period = 0.0;
+       });
+  List.iteri
+    (fun k (d, i, j, l) ->
+      let name = Printf.sprintf "d%d" k and i = node i and j = node j and l = node l in
+      match d with
+      | R r -> N.resistor net ~name i j r
+      | C c -> N.capacitor net ~name i j c
+      | D -> N.diode net ~name ~anode:i ~cathode:j ()
+      | Q -> N.bjt net ~name ~c:i ~b:j ~e:l ()
+      | I a -> N.isource net ~name ~pos:i ~neg:j (W.Dc a))
+    devs;
+  for k = 1 to n do
+    N.resistor net ~name:(Printf.sprintf "leak%d" k) (node k) N.gnd 1e5
+  done;
+  net
+
+let gen_random_netlist =
+  QCheck2.Gen.(
+    int_range 1 5 >>= fun n ->
+    let dev =
+      oneof
+        [
+          map (fun r -> R r) (float_range 100.0 10e3);
+          map (fun c -> C c) (float_range 1e-13 1e-11);
+          return D;
+          return Q;
+          map (fun a -> I a) (float_range 1e-5 1e-3);
+        ]
+    in
+    let nd = int_range 0 n in
+    list_size (int_range 1 10) (quad dev nd nd nd) >>= fun devs ->
+    float_range 0.5 3.0 >>= fun v -> return (n, devs, v))
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* DC from the nominal solution, then a short transient from there:
+   the solution, the samples (or the failure) and every solver
+   counter. *)
+let dc_and_transient sim net x0 =
+  match E.dc_from sim x0 with
+  | exception E.No_convergence m -> Error m
+  | x ->
+      let dc_stats = E.solver_stats sim in
+      let tran =
+        match T.run ~x0:x sim net (T.config ~tstop:1e-9 ~max_step:0.1e-9 ()) with
+        | r -> Ok (r.T.times, r.T.data)
+        | exception E.No_convergence m -> Error m
+      in
+      Ok (x, dc_stats, tran, E.solver_stats sim)
+
+let same_transients a b =
+  match (a, b) with
+  | Ok (ta, wa), Ok (tb, wb) ->
+      same_floats ta tb && Array.length wa = Array.length wb && Array.for_all2 same_floats wa wb
+  | Error ma, Error mb -> ma = mb
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_revalue_matches_compile =
+  QCheck2.Test.make ~name:"revalue is bit-identical to compile + share_symbolic" ~count:60
+    QCheck2.Gen.(pair gen_random_netlist (pair bool small_nat))
+    (fun (spec, (scale, seed)) ->
+      let net = random_netlist spec in
+      let nominal = E.compile net in
+      match E.dc_operating_point nominal with
+      | exception E.No_convergence _ -> QCheck2.assume_fail ()
+      | x0 -> (
+          let varied =
+            if scale then
+              N.map_devices net (function
+                | N.Resistor r -> N.Resistor { r with r = r.r *. (1.0 +. (0.01 *. float seed)) }
+                | d -> d)
+            else Cml_defects.Variation.perturb ~seed net
+          in
+          let fresh = E.compile varied in
+          E.share_symbolic ~donor:nominal fresh;
+          let revalued = E.revalue nominal varied in
+          match (dc_and_transient fresh varied x0, dc_and_transient revalued varied x0) with
+          | Error ma, Error mb -> ma = mb
+          | Ok (xa, da, wa, sa), Ok (xb, db, wb, sb) ->
+              same_floats xa xb && compare da db = 0 && same_transients wa wb && compare sa sb = 0
+          | Ok _, Error _ | Error _, Ok _ -> false))
+
+(* Anything but a value change is rejected, naming the first compiled
+   device that differs. *)
+let test_revalue_rejects_topology () =
+  let build ?(c = 1e-12) ?(moved = false) ?(extra = false) ?(node = false) () =
+    let net = N.create () in
+    let a = N.node net "a" and b = N.node net "b" and o = N.node net "o" in
+    N.vsource net ~name:"v1" ~pos:a ~neg:N.gnd (W.Dc 1.0);
+    N.resistor net ~name:"r1" a b 1e3;
+    N.diode net ~name:"d1" ~anode:b ~cathode:(if moved then o else N.gnd) ();
+    N.capacitor net ~name:"c1" b N.gnd c;
+    N.resistor net ~name:"r2" b o 1e3;
+    N.resistor net ~name:"r3" o N.gnd 1e3;
+    if extra then N.resistor net ~name:"r4" a o 1e3;
+    if node then ignore (N.node net "spare");
+    net
+  in
+  let like = E.compile (build ()) in
+  ignore (E.dc_operating_point like);
+  let rejects name message net =
+    Alcotest.check_raises name (Invalid_argument message) (fun () -> ignore (E.revalue like net))
+  in
+  (* compiled devices: v1, r1, d1 and its junction capacitance, c1,
+     r2, r3 *)
+  let differs di this layout =
+    Printf.sprintf
+      "Engine.revalue: compiled device %d (%s) differs from the layout's (%s) in kind or terminals"
+      di this layout
+  in
+  rejects "a moved terminal" (differs 2 "diode" "diode") (build ~moved:true ());
+  rejects "an added device" (differs 7 "resistor" "none") (build ~extra:true ());
+  rejects "a capacitance set to 0" (differs 4 "resistor" "capacitor") (build ~c:0.0 ());
+  rejects "a different node count"
+    "Engine.revalue: 4 node and 5 total unknowns, the layout has 3 and 4"
+    (build ~node:true ());
+  (* the values alone may change *)
+  let sim = E.revalue like (build ~c:2e-12 ()) in
+  ignore (E.dc_operating_point sim);
+  Alcotest.(check int) "the layout's analysis adopted" 1 (E.solver_stats sim).E.shared_symbolic
+
 let () =
   Alcotest.run "spice"
     [
@@ -1117,6 +1260,8 @@ let () =
           Alcotest.test_case "c432 pivot fallback re-pivots" `Quick test_c432_pivot_fallback;
           Alcotest.test_case "first load full-evaluates every junction" `Quick
             test_first_load_full_evaluates;
+          Alcotest.test_case "revalue rejects a changed topology" `Quick
+            test_revalue_rejects_topology;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -1128,6 +1273,7 @@ let () =
             prop_observer_parity_with_dense;
             prop_bypass_matches_full_eval;
             prop_non_finite_stamps_rejected;
+            prop_revalue_matches_compile;
           ]
         @ [
             Alcotest.test_case "device bypass keeps c432 within one Newton tolerance" `Slow
