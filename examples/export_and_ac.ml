@@ -65,10 +65,10 @@ let () =
   let pts = Cml_spice.Ac.run sim ~source:"vb" ~freqs in
   List.iter
     (fun p ->
+      let gain = Cml_spice.Ac.magnitude p vfb in
       Printf.printf "  %9.0f MHz : loop gain = %6.3f (%.1f dB)\n"
         (p.Cml_spice.Ac.freq /. 1e6)
-        (Cml_spice.Ac.magnitude p vfb)
-        (Cml_spice.Ac.gain_db p vfb))
+        gain (20.0 *. Float.log10 gain))
     pts;
   print_endline "\n(a low-frequency loop gain above one makes the closed comparator";
   print_endline " regenerative - the origin of the Fig. 12 hysteresis; the gain";

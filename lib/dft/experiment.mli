@@ -56,8 +56,6 @@ val amplitude_thresholds :
   ?detect_drop:float ->
   ?jobs:int ->
   ?preflight:bool ->
-  ?warm_start:bool ->
-  ?manifest:string ->
   variant:variant ->
   freq:float ->
   pipe_values:float list ->
@@ -69,24 +67,21 @@ val amplitude_thresholds :
     paper's 0.57 V for variant 1, 0.35 V for variant 2).
     [detect_drop] is the vout drop counted as a detection (default
     0.15 V, comparable to the variant-3 comparator threshold).
-    Rows run in parallel over [jobs] domains.  Unless [warm_start] is
-    [false], the fault-free monitored chain is simulated once and its
-    trajectory seeds every row's Newton solves.  [manifest] writes a
-    {!Cml_telemetry.Manifest} (kind ["sweep"]) to the given path. *)
+    Rows run in parallel over [jobs] domains.  The fault-free
+    monitored chain is simulated once and its trajectory seeds every
+    row's Newton solves. *)
 
 val swing_vs_frequency :
   ?proc:Cml_cells.Process.t ->
   ?jobs:int ->
   ?preflight:bool ->
-  ?manifest:string ->
   pipe:float option ->
   freqs:float list ->
   unit ->
   (float * float * float) list
 (** Figure 5: [(freq, vlow, vhigh)] of the monitored gate output for
     one pipe value across stimulus frequencies; one parallel task per
-    frequency.  [manifest] writes a {!Cml_telemetry.Manifest} (kind
-    ["sweep"]) to the given path. *)
+    frequency. *)
 
 type hysteresis = {
   sweep : (float * float * float) list;

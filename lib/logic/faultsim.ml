@@ -75,12 +75,7 @@ let coverage ?jobs c ~initial ~patterns =
      to pay the pool handoff for *)
   let hits =
     Cml_runtime.Pool.parallel_map_batches ?jobs
-      (fun slice ->
-        (* per-fault labels would cost more than the simulation of a
-           fault; report whole slices to the progress lanes instead *)
-        let r = Array.map (detects c ~initial ~patterns) slice in
-        Cml_telemetry.Progress.note_items (Array.length slice);
-        r)
+      (Array.map (detects c ~initial ~patterns))
       faults
   in
   let detected = Array.fold_left (fun n hit -> if hit then n + 1 else n) 0 hits in

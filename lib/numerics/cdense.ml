@@ -4,8 +4,6 @@ exception Singular of int
 
 let create n = { n; re = Array.make (n * n) 0.0; im = Array.make (n * n) 0.0 }
 
-let dim m = m.n
-
 let clear m =
   Array.fill m.re 0 (m.n * m.n) 0.0;
   Array.fill m.im 0 (m.n * m.n) 0.0

@@ -9,7 +9,6 @@ type t
 exception Singular of int
 
 val create : int -> t
-val dim : t -> int
 val clear : t -> unit
 
 val add_entry : t -> int -> int -> re:float -> im:float -> unit

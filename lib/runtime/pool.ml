@@ -190,8 +190,6 @@ type t = {
   work_done : Condition.t;
   mutable generation : int;
   mutable job : job option;
-  mutable stopping : bool;
-  mutable domains : unit Domain.t list;
 }
 
 let drain job =
@@ -217,22 +215,19 @@ let worker t id =
   let seen = ref 0 in
   let rec loop () =
     Mutex.lock t.mutex;
-    while (not t.stopping) && t.generation = !seen do
+    while t.generation = !seen do
       Condition.wait t.work_ready t.mutex
     done;
-    if t.stopping then Mutex.unlock t.mutex
-    else begin
-      seen := t.generation;
-      let job = match t.job with Some j -> j | None -> assert false in
-      Mutex.unlock t.mutex;
-      (* workers beyond the job's parallelism cap only acknowledge *)
-      if id + 1 < job.active then drain job;
-      Mutex.lock t.mutex;
-      job.unfinished <- job.unfinished - 1;
-      if job.unfinished = 0 then Condition.broadcast t.work_done;
-      Mutex.unlock t.mutex;
-      loop ()
-    end
+    seen := t.generation;
+    let job = match t.job with Some j -> j | None -> assert false in
+    Mutex.unlock t.mutex;
+    (* workers beyond the job's parallelism cap only acknowledge *)
+    if id + 1 < job.active then drain job;
+    Mutex.lock t.mutex;
+    job.unfinished <- job.unfinished - 1;
+    if job.unfinished = 0 then Condition.broadcast t.work_done;
+    Mutex.unlock t.mutex;
+    loop ()
   in
   loop ()
 
@@ -246,22 +241,12 @@ let create ~workers =
       work_done = Condition.create ();
       generation = 0;
       job = None;
-      stopping = false;
-      domains = [];
     }
   in
-  t.domains <- List.init workers (fun id -> Domain.spawn (fun () -> worker t id));
+  for id = 0 to workers - 1 do
+    ignore (Domain.spawn (fun () -> worker t id) : unit Domain.t)
+  done;
   t
-
-let size t = t.workers
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stopping <- true;
-  Condition.broadcast t.work_ready;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.domains;
-  t.domains <- []
 
 (* Run [run 0 .. run (total-1)] across the pool; not re-entrant (one
    job at a time per pool, submitted from a single domain). *)

@@ -89,24 +89,3 @@ val utilization_since : (int * domain_stats) list -> (int * domain_stats) list
 val reset_stall_watermarks : unit -> unit
 (** Zero every domain's longest-stall watermark.  Only safe at a
     quiescent point (no batch in flight). *)
-
-(** {1 Explicit pools}
-
-    For callers that want their own worker domains rather than the
-    shared global pool (tests, long-lived servers). *)
-
-type t
-
-val create : workers:int -> t
-(** Spawn [workers] domains ([0] is valid and fully sequential; the
-    submitting domain always participates as an extra worker). *)
-
-val size : t -> int
-(** Worker-domain count (excluding the submitter). *)
-
-val map : t -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Like {!parallel_map} on this pool.  Not re-entrant: one batch at
-    a time, submitted from a single domain. *)
-
-val shutdown : t -> unit
-(** Join all worker domains.  The pool must be idle. *)

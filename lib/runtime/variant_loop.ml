@@ -46,7 +46,7 @@ let run w ~kind ~item ?jobs ?max_batch ~options ~name ~slice xs =
         Tel.Trace.finish ~cat:kind
           ~args:(if tok >= 0L then [ (item, Tel.Trace.S label) ] else [])
           item tok;
-        Tel.Progress.variant_finish ~failed:r.failed;
+        Tel.Progress.variant_finish ~failed:r.failed ~steps:r.steps;
         Tel.Events.variant_done ev_run
           {
             Tel.Events.ev_idx = idx;

@@ -31,4 +31,3 @@ let phase_deg point nd =
   let re, im = complex_of point nd in
   Float.atan2 im re *. 180.0 /. Float.pi
 
-let gain_db point nd = 20.0 *. Float.log10 (Float.max 1e-30 (magnitude point nd))

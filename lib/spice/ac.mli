@@ -28,5 +28,3 @@ val magnitude : point -> Netlist.node -> float
 val phase_deg : point -> Netlist.node -> float
 (** Phase of V(node) in degrees. *)
 
-val gain_db : point -> Netlist.node -> float
-(** 20 log10 |V(node)| (the excitation has unit magnitude). *)

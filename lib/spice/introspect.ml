@@ -4,8 +4,8 @@
    [Engine.set_introspect]), so batched lanes tag their records per
    lane for free — each lane owns its sim, hence its recorder.  Every
    hot-path entry point takes a [t option] and performs exactly one
-   match when disabled, the same contract as
-   {!Cml_telemetry.Progress.note_step}: the engine stores the option
+   match when disabled, the same contract as the observer dispatch
+   {!Transient.observe}: the engine stores the option
    once and passes it through, so a disabled simulation pays one load
    and one branch per hook, nothing else.  All O(n) work (delta-norm
    scans, LTE blame scans) happens strictly inside the [Some] arm;

@@ -8,8 +8,8 @@
     stability fallback.  Batched lanes each own a sim, so attaching
     one recorder per lane tags everything per lane.
 
-    Contract (the same as {!Cml_telemetry.Progress.note_step}): every
-    [note_*] entry point takes a [t option] and costs one call and one
+    Contract (the same as the observer dispatch {!Transient.observe}):
+    every [note_*] entry point takes a [t option] and costs one call and one
     match when the option is [None] — all scanning work lives inside
     the [Some] arm.  A recorder only reads solver state; attaching one
     never changes a bit of the simulated waveform (qcheck-enforced). *)

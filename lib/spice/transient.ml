@@ -142,8 +142,6 @@ let observe obs t x =
         o.ob_probes;
       (match o.ob_on_step with None -> () | Some f -> f t x)
 
-let probe_names o = Array.to_list (Array.map (fun p -> p.pb_name) o.ob_probes)
-
 let probe_length o = Cml_numerics.Fbuf.length o.ob_times
 
 let probe_samples o name =
@@ -408,9 +406,6 @@ let stepper_advance st =
         st.st_h_prev <- h_step;
         st.st_t <- t_next;
         st.st_accepted <- st.st_accepted + 1;
-        (* live-progress hook: one atomic load + branch when no run is
-           being observed (gated by `make telemetry-overhead`) *)
-        Cml_telemetry.Progress.note_step ();
         Introspect.note_dt st.st_introspect ~t:t_next ~h:h_step
           ~cause:
             (if attempt_guided then Introspect.cause_guide

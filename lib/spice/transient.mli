@@ -86,8 +86,6 @@ val observe : observers option -> float -> float array -> unit
     the overhead benchmark can measure the observers-disabled cost of
     the hook — callers of {!run} never need it. *)
 
-val probe_names : observers -> string list
-
 val probe_length : observers -> int
 (** Samples recorded so far (accepted steps observed, including the
     initial point). *)

@@ -1,14 +1,13 @@
 (* Streaming run events: an append-only JSONL stream describing one
    run's lifecycle (cml-dft-events/1), written while the run is in
-   flight so a `cmldft watch` (or a server-mode client) can follow
-   along.
+   flight so a `cmldft watch` can follow along.
 
    Determinism contract: workers finish variants in whatever order
    the pool schedules, but the stream must not depend on that — the
    acceptance bar is byte-identical streams modulo timestamps at any
    [--jobs].  So workers never write the stream; they deposit each
    finished variant into an indexed slot (a plain write made visible
-   by an atomic ready flag), and a single pump reassembles the
+   by an atomic ready flag) and then pump, under one mutex, the
    contiguous prefix in variant-index order, exactly like
    {!Cml_runtime.Pool.parallel_map} reassembles results.  Heartbeats
    fire at work milestones (every [total/8] emitted variants), not on
@@ -19,17 +18,19 @@
    (oversubscription depends on the core count) and are dropped
    entirely by {!normalize}.
 
-   The pump runs from a {!Progress.ticker} thread while the run is in
-   flight (liveness) and once more at {!finish} (completeness); since
-   emission order is a pure function of the slot prefix, pump timing
-   cannot change the stream. *)
+   The stream can only change when a variant is deposited, so the
+   depositing worker pumps right after its deposit: a variant that
+   completes the prefix emits it, one that lands past a gap emits
+   nothing and is emitted by whichever deposit later fills the gap.
+   Since emission order is a pure function of the slot prefix, which
+   domain pumps cannot change the stream. *)
 
 let schema = "cml-dft-events/1"
 
 (* ------------------------------------------------------------------ *)
 (* Sink: one run-event stream, JSONL, line-buffered under a mutex so
-   worker-side warnings and the pump thread interleave at line
-   granularity only. *)
+   worker-side warnings and pumps interleave at line granularity
+   only. *)
 
 type sink = {
   sk_oc : out_channel;
@@ -165,7 +166,6 @@ type run = {
   mutable r_steps : int;
   r_hb_every : int;
   r_est : Estimator.t;
-  mutable r_ticker : Progress.ticker option;
 }
 
 let inert kind =
@@ -181,7 +181,6 @@ let inert kind =
     r_steps = 0;
     r_hb_every = 1;
     r_est = Estimator.create ~total:0 ~now_s:0.0;
-    r_ticker = None;
   }
 
 let heartbeat_json r s =
@@ -208,7 +207,7 @@ let heartbeat_json r s =
 
 (* Emit the contiguous ready prefix, interleaving milestone
    heartbeats.  Holding [r_mutex] across emission keeps the stream's
-   variant order identical to index order whichever thread pumps. *)
+   variant order identical to index order whichever domain pumps. *)
 let pump r =
   match r.r_sink with
   | None -> ()
@@ -278,27 +277,25 @@ let run_start ~kind ~total ?jobs ?(options = []) () =
                      Json.Num (float_of_int (Domain.recommended_domain_count ())) );
                  ]);
            ]);
-      let r =
-        {
-          r_sink = Some s;
-          r_kind = kind;
-          r_total = total;
-          r_slots = Array.make (max 1 total) None;
-          r_ready = Array.init (max 1 total) (fun _ -> Atomic.make 0);
-          r_mutex = Mutex.create ();
-          r_emitted = 0;
-          r_failed = 0;
-          r_steps = 0;
-          r_hb_every = max 1 (total / 8);
-          r_est = Estimator.create ~total ~now_s:(t_s s);
-          r_ticker = None;
-        }
-      in
-      r.r_ticker <- Some (Progress.ticker ~period_s:0.25 (fun () -> pump r));
-      r
+      {
+        r_sink = Some s;
+        r_kind = kind;
+        r_total = total;
+        r_slots = Array.make (max 1 total) None;
+        r_ready = Array.init (max 1 total) (fun _ -> Atomic.make 0);
+        r_mutex = Mutex.create ();
+        r_emitted = 0;
+        r_failed = 0;
+        r_steps = 0;
+        r_hb_every = max 1 (total / 8);
+        r_est = Estimator.create ~total ~now_s:(t_s s);
+      }
 
 (* Worker-side deposit: plain slot write, then the atomic ready flag
-   publishes it to the pump (release/acquire pairing). *)
+   publishes it (release/acquire pairing), then a pump.  The flag is
+   set before the pump takes [r_mutex], so any pump that missed it is
+   followed by this one: the last deposit always leaves the whole run
+   emitted. *)
 let variant_done r v =
   match r.r_sink with
   | None -> ()
@@ -306,7 +303,8 @@ let variant_done r v =
       if v.ev_idx < 0 || v.ev_idx >= r.r_total then
         invalid_arg "Events.variant_done: index out of range";
       r.r_slots.(v.ev_idx) <- Some v;
-      Atomic.set r.r_ready.(v.ev_idx) 1
+      Atomic.set r.r_ready.(v.ev_idx) 1;
+      pump r
 
 let warning ~key message =
   match Atomic.get current with
@@ -322,15 +320,9 @@ let warning ~key message =
            ])
 
 let finish r ~classes ~wall_s ~utilization =
-  (match r.r_ticker with
-  | Some t ->
-      r.r_ticker <- None;
-      Progress.stop_ticker t
-  | None -> ());
   match r.r_sink with
   | None -> ()
   | Some s ->
-      pump r;
       Progress.set_enabled false;
       emit s
         (Json.Obj

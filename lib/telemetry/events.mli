@@ -10,10 +10,9 @@
     is a pure function of the run's inputs — {!normalize} strips
     ["timing"] and drops [warning] events, and what remains is
     byte-identical at any [--jobs].  Workers deposit finished
-    variants into indexed slots; a single pump (a {!Progress.ticker}
-    thread while running, {!finish} at the end) reassembles the
-    contiguous prefix in order, so scheduling order never leaks into
-    the stream. *)
+    variants into indexed slots, and each deposit emits the contiguous
+    prefix of deposited variants in index order, so scheduling order
+    never leaks into the stream. *)
 
 val schema : string
 (** ["cml-dft-events/1"]. *)
@@ -64,23 +63,20 @@ type run
 
 val run_start :
   kind:string -> total:int -> ?jobs:int -> ?options:(string * string) list -> unit -> run
-(** Start a tracked run: emits [run_start], resets and enables
-    {!Progress}, and begins pumping on a ticker thread.  With no sink
-    installed the returned tracker is inert and every later call on
-    it is a cheap no-op. *)
+(** Start a tracked run: emits [run_start] and resets and enables
+    {!Progress}.  With no sink installed the returned tracker is inert
+    and every later call on it is a cheap no-op. *)
 
 val variant_done : run -> variant -> unit
-(** Deposit a finished variant (worker-domain safe; emission happens
-    later, in index order). *)
-
-val pump : run -> unit
-(** Emit the contiguous finished prefix now.  Called automatically by
-    the ticker and {!finish}; exposed for tests. *)
+(** Deposit a finished variant and emit the contiguous prefix of
+    deposited variants (with milestone heartbeats) in index order.  A
+    variant deposited past a gap is emitted by the deposit that fills
+    the gap.  Worker-domain safe. *)
 
 val finish :
   run -> classes:(string * int) list -> wall_s:float -> utilization:domain_util list -> unit
-(** Stop the ticker, emit the remaining variants, the [utilization]
-    snapshot and [run_end], and disable {!Progress}. *)
+(** Emit the [utilization] snapshot and [run_end], and disable
+    {!Progress}.  Every variant must have been deposited. *)
 
 val warning : key:string -> string -> unit
 (** Emit a [warning] event on the installed sink (no-op without
@@ -148,10 +144,6 @@ type state = {
   w_wall_s : float option;
   w_finished : bool;
 }
-
-val state_empty : state
-
-val state_update : state -> Json.t -> state
 
 val state_of_events : Json.t list -> state
 

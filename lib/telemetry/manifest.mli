@@ -22,7 +22,7 @@ type variant = {
 }
 
 type t = {
-  kind : string;  (** ["campaign"], ["montecarlo"], ["sweep"], ... *)
+  kind : string;  (** ["campaign"] or ["montecarlo"] *)
   tool : string;
   git : string;  (** [git describe --always --dirty], or ["unknown"] *)
   created : string;  (** UTC ISO-8601, informative only *)

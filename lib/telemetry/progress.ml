@@ -1,17 +1,14 @@
 (* Per-domain progress cells.
 
-   A long run (defect campaign, Monte-Carlo sweep, fault simulation)
-   advances on worker domains; the observatory wants to see that
-   movement while it happens.  Each domain owns one cell of atomic
-   counters — variants started / done / failed, accepted solver steps
-   — plus the label of the item it is currently chewing on.  Owners
-   bump their own cell (uncontended atomics, no lock); a sampler on
-   any other domain reads all cells at once.
-
-   Same disabled-cost discipline as {!Trace}: every hook is one
-   atomic load and a branch when the observatory is off, so the
-   accepted-step hook can live inside the transient step loop
-   (gated by [make telemetry-overhead]). *)
+   A long run (defect campaign, Monte-Carlo sweep) advances on worker
+   domains; the observatory wants to see that movement while it
+   happens.  Each domain owns one cell of atomic counters — variants
+   started / done / failed, accepted solver steps — plus the label of
+   the item it is currently chewing on.  Owners bump their own cell
+   (uncontended atomics, no lock) at variant boundaries, where the
+   variant's step count is already known; a sampler on any other
+   domain reads all cells at once.  Disabled, every hook is one
+   atomic load and a branch. *)
 
 type cell = {
   started : int Atomic.t;
@@ -62,20 +59,11 @@ let variant_start label =
     Atomic.incr c.started
   end
 
-let variant_finish ~failed =
+let variant_finish ~failed ~steps =
   if Atomic.get enabled_flag then begin
     let c = Domain.DLS.get cell_key in
-    Atomic.incr (if failed then c.failed else c.done_)
-  end
-
-let[@inline] note_step () =
-  if Atomic.get enabled_flag then Atomic.incr (Domain.DLS.get cell_key).steps
-
-let note_items n =
-  if Atomic.get enabled_flag && n > 0 then begin
-    let c = Domain.DLS.get cell_key in
-    ignore (Atomic.fetch_and_add c.started n);
-    ignore (Atomic.fetch_and_add c.done_ n)
+    Atomic.incr (if failed then c.failed else c.done_);
+    ignore (Atomic.fetch_and_add c.steps steps)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -109,11 +97,6 @@ let sample () =
   in
   List.sort (fun a b -> compare a.s_domain b.s_domain) rows
 
-let totals rows =
-  List.fold_left
-    (fun (st, dn, fl, sp) s -> (st + s.s_started, dn + s.s_done, fl + s.s_failed, sp + s.s_steps))
-    (0, 0, 0, 0) rows
-
 (* Zeroing is only safe from the submitting domain while no worker is
    recording — the same quiescence every {!Trace.drain} site already
    has (before a run starts, after the pool barrier). *)
@@ -129,29 +112,3 @@ let reset () =
       Atomic.set c.steps 0;
       c.label <- "")
     cells
-
-(* ------------------------------------------------------------------ *)
-(* Ticker: a system thread (not a domain — an extra domain taxes every
-   minor collection, a sleeping thread costs nothing) that fires [f]
-   every [period_s] until stopped.  [f] runs on the ticker thread, so
-   it must only touch thread-safe state — sampling cells and pumping
-   an event sink qualify. *)
-
-type ticker = { t_stop : bool Atomic.t; t_thread : Thread.t }
-
-let ticker ~period_s f =
-  let stop = Atomic.make false in
-  let thread =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get stop) do
-          Thread.delay period_s;
-          if not (Atomic.get stop) then f ()
-        done)
-      ()
-  in
-  { t_stop = stop; t_thread = thread }
-
-let stop_ticker t =
-  Atomic.set t.t_stop true;
-  Thread.join t.t_thread

@@ -3,9 +3,9 @@
     Worker domains report run progress (variants started / done /
     failed, accepted solver steps, current item label) into a cell
     they own; a sampler on any domain snapshots every cell at once.
-    Disabled cost is one atomic load and a branch per hook — cheap
-    enough for the transient step loop, and gated by
-    [make telemetry-overhead] alongside the {!Trace} hooks.
+    Hooks fire at variant boundaries only — nothing here sits on a
+    solver hot path — and cost one atomic load and a branch while
+    disabled.
 
     Cells are process-global and cumulative; a run calls {!reset}
     before its first hook (from the submitting domain, while the pool
@@ -22,17 +22,9 @@ val set_enabled : bool -> unit
 val variant_start : string -> unit
 (** Mark one variant started on this domain and set its label. *)
 
-val variant_finish : failed:bool -> unit
-(** Mark the variant done (or failed) on this domain. *)
-
-val note_step : unit -> unit
-(** One accepted solver step on this domain.  Hot path: the transient
-    integrator calls this per accepted step. *)
-
-val note_items : int -> unit
-(** [n] items started and finished at once — for sub-variant-grained
-    work (logic fault simulation) where per-item labels would cost
-    more than the items. *)
+val variant_finish : failed:bool -> steps:int -> unit
+(** Mark the variant done (or failed) on this domain and credit its
+    [steps] accepted solver steps. *)
 
 (** {1 Sampling} *)
 
@@ -47,21 +39,7 @@ type sample = {
 
 val sample : unit -> sample list
 (** Snapshot of every registered cell, sorted by domain id.  Safe
-    from any thread or domain while owners are recording. *)
-
-val totals : sample list -> int * int * int * int
-(** Summed [(started, done, failed, steps)]. *)
+    from any domain while owners are recording. *)
 
 val reset : unit -> unit
 (** Zero every cell.  Only safe while no other domain is recording. *)
-
-(** {1 Ticker} — the lightweight sampler loop. *)
-
-type ticker
-
-val ticker : period_s:float -> (unit -> unit) -> ticker
-(** Run [f] every [period_s] seconds on a system thread until
-    {!stop_ticker}.  [f] must only touch thread-safe state. *)
-
-val stop_ticker : ticker -> unit
-(** Stop the loop and join the thread (waits at most one period). *)

@@ -8,7 +8,7 @@
      path: every domain appends to its own buffer (domain-local
      storage), and buffers are only merged by {!drain} from the
      submitting domain once the worker pool is quiescent — exactly
-     the barrier {!Cml_runtime.Pool.map} already provides;
+     the barrier {!Cml_runtime.Pool.parallel_map} already provides;
    - drained events are globally ordered by (timestamp, domain id),
      so two drains of the same single-domain workload produce
      identical streams and a Perfetto load shows one time axis. *)
@@ -135,12 +135,6 @@ let warn_once ~key message =
         }
   end
 
-(* test hook: forget which warnings already fired *)
-let reset_warnings () =
-  Mutex.lock warned_mutex;
-  Hashtbl.reset warned;
-  Mutex.unlock warned_mutex
-
 (* ------------------------------------------------------------------ *)
 (* Draining and sinks *)
 
@@ -215,26 +209,6 @@ let write_chrome ~path events =
       output_string oc (Json.to_compact_string (chrome_event ev)))
     events;
   output_string oc "\n],\"displayTimeUnit\":\"ns\"}\n";
-  close_out oc
-
-let jsonl_event ev =
-  let phase, dur =
-    match ev.ph with Complete d -> ("span", [ ("dur_ns", Json.Num (Int64.to_float d)) ]) | Instant -> ("instant", [])
-  in
-  Json.Obj
-    ([
-       ("name", Json.Str ev.name);
-       ("cat", Json.Str ev.cat);
-       ("kind", Json.Str phase);
-       ("ts_ns", Json.Num (Int64.to_float ev.ts));
-       ("tid", Json.Num (float_of_int ev.tid));
-     ]
-    @ dur
-    @ match ev.args with [] -> [] | args -> [ ("args", args_json args) ])
-
-let write_jsonl ~path events =
-  let oc = open_out path in
-  List.iter (fun ev -> output_string oc (Json.to_compact_string (jsonl_event ev) ^ "\n")) events;
   close_out oc
 
 (* ------------------------------------------------------------------ *)

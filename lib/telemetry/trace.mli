@@ -7,7 +7,7 @@
     to its own buffer — no lock on the record path — and {!drain}
     merges the buffers into one (timestamp, domain)-ordered stream
     once the workload is quiescent, which is exactly what
-    {!Cml_runtime.Pool.map}'s completion barrier guarantees.
+    {!Cml_runtime.Pool.parallel_map}'s completion barrier guarantees.
 
     Tracing is off by default.  Disabled, {!start}/{!finish} cost one
     atomic load and a branch and allocate nothing, so they may sit on
@@ -51,9 +51,6 @@ val warn_once : key:string -> string -> unit
 (** Print [message] to stderr and (when tracing) record a ["warn"]
     instant — once per [key] per process. *)
 
-val reset_warnings : unit -> unit
-(** Test hook: forget which {!warn_once} keys already fired. *)
-
 (** {1 Draining and sinks} *)
 
 val drain : unit -> event list
@@ -73,9 +70,6 @@ val chrome_string : event list -> string
 
 val write_chrome : path:string -> event list -> unit
 (** Chrome trace JSON, one event per line. *)
-
-val write_jsonl : path:string -> event list -> unit
-(** Compact JSONL sink: one event object per line, ns timestamps. *)
 
 (** {1 Aggregation} *)
 

@@ -7,6 +7,10 @@
    - a real campaign's event stream normalizes identically at
      jobs = 1 and jobs = 4, and replaying it agrees with the run
      manifest (variant count, class histogram, step totals);
+   - a deposit emits the contiguous deposited prefix in index order,
+     and nothing while an earlier variant is still missing;
+   - progress lanes credit a variant's steps at its finish, and only
+     while progress recording is enabled;
    - the watch state fold and renderer are pure functions of the
      stream;
    - trend analysis units (sparkline scaling, regression flags,
@@ -172,6 +176,66 @@ let test_events_replay_parity () =
       Alcotest.(check bool) "utilization items cover the variants" true
         (items >= List.length campaign_defects)
   | _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Deposit-time emission: the stream moves only when the prefix does *)
+
+let variant_ev idx name =
+  {
+    Ev.ev_idx = idx;
+    ev_name = name;
+    ev_classes = [];
+    ev_healing = None;
+    ev_failed = false;
+    ev_steps = 10 * (idx + 1);
+    ev_seconds = 0.0;
+  }
+
+let done_names path =
+  List.filter_map
+    (fun j ->
+      if Json.member "ev" j = Some (Json.Str "variant_done") then
+        Option.bind (Json.member "name" j) Json.to_str
+      else None)
+    (Ev.read_file path)
+
+let test_deposit_emits_prefix () =
+  with_tmp [ "_prefix.jsonl" ] @@ function
+  | [ path ] ->
+      Ev.install (Ev.open_sink path);
+      Fun.protect ~finally:Ev.close @@ fun () ->
+      let r = Ev.run_start ~kind:"test" ~total:2 () in
+      Ev.variant_done r (variant_ev 1 "b");
+      Alcotest.(check (list string)) "variant past a gap emits nothing" [] (done_names path);
+      Ev.variant_done r (variant_ev 0 "a");
+      Alcotest.(check (list string)) "filling the gap emits both, in index order" [ "a"; "b" ]
+        (done_names path);
+      Ev.finish r ~classes:[] ~wall_s:0.0 ~utilization:[];
+      Alcotest.(check int) "finish adds no variant" 2 (List.length (done_names path))
+  | _ -> assert false
+
+let test_progress_credits_steps () =
+  let module P = Cml_telemetry.Progress in
+  let self = (Domain.self () :> int) in
+  let lane () = List.find_opt (fun s -> s.P.s_domain = self) (P.sample ()) in
+  let steps () = match lane () with Some s -> s.P.s_steps | None -> 0 in
+  P.reset ();
+  P.set_enabled false;
+  P.variant_finish ~failed:false ~steps:5;
+  Alcotest.(check int) "disabled: no steps credited" 0 (steps ());
+  P.set_enabled true;
+  Fun.protect ~finally:(fun () -> P.set_enabled false) @@ fun () ->
+  P.variant_start "v";
+  P.variant_finish ~failed:false ~steps:7;
+  P.variant_start "w";
+  P.variant_finish ~failed:true ~steps:3;
+  match lane () with
+  | Some s ->
+      Alcotest.(check int) "enabled: steps summed" 10 s.P.s_steps;
+      Alcotest.(check int) "one done" 1 s.P.s_done;
+      Alcotest.(check int) "one failed" 1 s.P.s_failed;
+      Alcotest.(check string) "last label" "w" s.P.s_label
+  | None -> Alcotest.fail "no lane for this domain"
 
 (* ------------------------------------------------------------------ *)
 (* Watch state fold: a pure function of the stream *)
@@ -359,7 +423,11 @@ let () =
         [
           Alcotest.test_case "jobs=1/4 determinism and manifest parity" `Slow
             test_events_replay_parity;
+          Alcotest.test_case "deposit emits the contiguous prefix" `Quick
+            test_deposit_emits_prefix;
         ] );
+      ( "progress",
+        [ Alcotest.test_case "variant_finish credits steps" `Quick test_progress_credits_steps ] );
       ( "watch", [ Alcotest.test_case "state fold and render" `Quick test_watch_state_fold ] );
       ( "trend",
         [
