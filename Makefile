@@ -89,15 +89,23 @@ diagnose-smoke: build
 # committed fixture: lint the gate-level netlist clean, derate a DFT
 # plan for it, then compile the ~950-unknown transistor netlist and
 # converge a DC operating point (exercising the fill-reducing LU
-# ordering).  Budgeted at five seconds so the compile+solve path
-# stays interactive.
+# ordering).  The operating point must start from the compiled
+# design's nodeset and converge in at most 10 Newton iterations (3-4
+# expected; ~55 from 0 V).  Budgeted at five seconds so the
+# compile+solve path stays interactive.
 compile-smoke: build
 	@start=$$(date +%s%N); \
 	$(LINT) --fail-on error examples/netlists/c432_surrogate.bench >/dev/null || exit 1; \
 	$(DUNE) exec --no-build bin/cmldft.exe -- plan examples/netlists/c432_surrogate.bench \
 	  --derate >/dev/null || exit 1; \
-	$(DUNE) exec --no-build bin/cmldft.exe -- op --bench examples/netlists/c432_surrogate.bench \
-	  || exit 1; \
+	out=$$($(DUNE) exec --no-build bin/cmldft.exe -- op --bench \
+	  examples/netlists/c432_surrogate.bench) || exit 1; \
+	echo "$$out"; \
+	iters=$$(echo "$$out" | sed -n 's/^solver: \([0-9]*\) Newton iters.*/\1/p'); \
+	if [ -z "$$iters" ] || [ $$iters -gt 10 ]; then \
+	  echo "compile-smoke: FAILED (DC operating point took $${iters:-?} > 10 Newton iterations)"; \
+	  exit 1; \
+	fi; \
 	elapsed_ms=$$((($$(date +%s%N) - start) / 1000000)); \
 	echo "compile-smoke: OK ($${elapsed_ms} ms)"; \
 	if [ $$elapsed_ms -ge 5000 ]; then \

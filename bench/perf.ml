@@ -113,6 +113,8 @@ let tests () =
   let c432_amd = Cml_numerics.Sparse_lu.factorize ~ordering:Cml_numerics.Sparse_lu.Amd c432_a in
   let c432_refactor = Cml_numerics.Sparse_lu.factorize c432_a in
   let c432_out = Array.make c432_n 0.0 in
+  let c432_unseeded = Cml_spice.Netlist.copy c432_net in
+  Cml_spice.Netlist.clear_nodeset c432_unseeded;
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let chain_net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let mc = Lazy.force mc_nominals in
@@ -165,8 +167,12 @@ let tests () =
     Test.make ~name:"c432 transient (0.5 ns)" (Staged.stage (fun () ->
         let sim = E.compile c432_net in
         ignore (T.run sim c432_net (T.config ~tstop:0.5e-9 ~max_step:10e-12 ()))));
+    (* plain Newton from the compiled design's nodeset (3-4
+       iterations), and the zero-start homotopy path without it *)
     Test.make ~name:"c432 DC operating point" (Staged.stage (fun () ->
         ignore (E.dc_operating_point (E.compile c432_net))));
+    Test.make ~name:"c432 DC operating point (zero start)" (Staged.stage (fun () ->
+        ignore (E.dc_operating_point (E.compile c432_unseeded))));
     Test.make ~name:"c432 warm dc_from at its operating point" (Staged.stage (fun () ->
         ignore (E.dc_from c432_sim c432_x)));
     Test.make ~name:"chain warm dc_from at its operating point" (Staged.stage (fun () ->

@@ -769,6 +769,10 @@ let op_cmd =
             Printf.printf
               "solver: %d Newton iters, ordering %s, nnz(L+U) %d, fill ratio %.2f\n"
               s.E.newton_iters s.E.lu_ordering s.E.lu_nnz_factors s.E.lu_fill_ratio;
+            Printf.printf "start: %s\n"
+              (if s.E.seeded_starts = 0 then "0 V (no nodeset), homotopy"
+               else if s.E.seed_fallbacks = 0 then "nodeset (logic-consistent cell templates)"
+               else "nodeset failed, fell back to the 0 V homotopy");
             Printf.printf "%-12s %10s %10s\n" "output" "true" "complement";
             List.iter
               (fun (nm, d) ->

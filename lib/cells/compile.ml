@@ -54,6 +54,54 @@ let with_drive (b : Builder.t) k =
     in
     { b with Builder.proc = proc }
 
+(* The constructor of a physical cell over its fan-in pairs in
+   [gate_fanins] order, with a tag naming it in template keys; [None]
+   for inputs, free NOTs and flip-flops. *)
+let constructor = function
+  | C.And _ -> Some ("and2", fun bl ~name i -> Gates.and2 bl ~name ~a:i.(0) ~b:i.(1))
+  | C.Or _ -> Some ("or2", fun bl ~name i -> Gates.or2 bl ~name ~a:i.(0) ~b:i.(1))
+  | C.Xor _ -> Some ("xor2", fun bl ~name i -> Gates.xor2 bl ~name ~a:i.(0) ~b:i.(1))
+  | C.Mux _ -> Some ("mux21", fun bl ~name i -> Gates.mux21 bl ~name ~sel:i.(0) ~a:i.(1) ~b:i.(2))
+  | C.Buf _ -> Some ("buf", fun bl ~name i -> Buffer_cell.add bl ~name ~input:i.(0))
+  | C.Input _ | C.Not _ | C.Dff _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* DC seeds.  A template is the DC solution of one cell on its own,
+   its inputs driven at the standard CML levels: the voltages of the
+   nodes its constructor creates, in creation order.  It is a pure
+   function of (drive-scaled process, cell kind, input values), so one
+   process-wide table serves every compile. *)
+
+let templates : (Process.t * string * bool list, float array) Hashtbl.t = Hashtbl.create 64
+let templates_lock = Mutex.create ()
+
+let solve_template (proc, _, levels) construct =
+  let bld = Builder.create ~proc () in
+  let inputs =
+    List.mapi (fun k value -> Builder.diff_dc_input bld ~name:(Printf.sprintf "in%d" k) ~value)
+      levels
+  in
+  let first = N.node_count bld.Builder.net in
+  ignore (construct bld ~name:"cell" (Array.of_list inputs));
+  let count = N.node_count bld.Builder.net - first in
+  let module E = Cml_spice.Engine in
+  let x = E.dc_operating_point (E.compile bld.Builder.net) in
+  Array.init count (fun k -> E.voltage x (first + k))
+
+let template key construct =
+  match Mutex.protect templates_lock (fun () -> Hashtbl.find_opt templates key) with
+  | Some t -> t
+  | None ->
+      (* solved outside the lock; a racing domain solves the same
+         template, and the first one stored wins *)
+      let t = solve_template key construct in
+      Mutex.protect templates_lock (fun () ->
+          match Hashtbl.find_opt templates key with
+          | Some t' -> t'
+          | None ->
+              Hashtbl.add templates key t;
+              t)
+
 let default_stimuli (c : C.t) =
   List.mapi (fun k (name, _) -> (name, if k = 0 then Toggle else Const (k land 1 = 1))) c.inputs
 
@@ -100,24 +148,27 @@ let compile ?(proc = Process.default) ?(freq = 100e6) ?stimuli (c : C.t) =
     let b' = with_drive bld (drive_of_fanout fanout.(id)) in
     let out = f b' in
     if not (b' == bld) then bld.Builder.cells <- b'.Builder.cells;
-    nets.(id) <- out
+    nets.(id) <- out;
+    b'.Builder.proc
   in
+  (* per physical combinational cell: its process, kind, constructor
+     and the first node id and count of the nodes it created *)
+  let built = ref [] in
   Array.iter
     (fun id ->
       let name = names.(id) in
       match c.C.gates.(id) with
-      | C.Input _ | C.Dff _ -> ()
-      | C.And (a, b) ->
-          build_cell id (fun bl -> Gates.and2 bl ~name ~a:nets.(a) ~b:nets.(b))
-      | C.Or (a, b) -> build_cell id (fun bl -> Gates.or2 bl ~name ~a:nets.(a) ~b:nets.(b))
-      | C.Xor (a, b) -> build_cell id (fun bl -> Gates.xor2 bl ~name ~a:nets.(a) ~b:nets.(b))
-      | C.Mux { sel; a; b } ->
-          build_cell id (fun bl ->
-              Gates.mux21 bl ~name ~sel:nets.(sel) ~a:nets.(a) ~b:nets.(b))
-      | C.Buf a -> build_cell id (fun bl -> Buffer_cell.add bl ~name ~input:nets.(a))
       | C.Not a ->
           nets.(id) <- Builder.swap nets.(a);
-          Builder.register_cell bld ~name ~outputs:nets.(id))
+          Builder.register_cell bld ~name ~outputs:nets.(id)
+      | g ->
+          Option.iter
+            (fun (kind, construct) ->
+              let inputs = Array.of_list (List.map (fun a -> nets.(a)) (gate_fanins g)) in
+              let first = N.node_count net in
+              let proc = build_cell id (fun bl -> construct bl ~name inputs) in
+              built := (id, proc, kind, construct, first, N.node_count net - first) :: !built)
+            (constructor g))
     c.C.order;
   (* flip-flops last, once their data nets exist; the plain name is
      registered as an alias of the slave output so campaign/plan
@@ -127,7 +178,7 @@ let compile ?(proc = Process.default) ?(freq = 100e6) ?stimuli (c : C.t) =
       match c.C.gates.(id) with
       | C.Dff { d } ->
           let name = names.(id) in
-          build_cell id (fun bl -> Latch.dff bl ~name ~d:nets.(d) ~clk);
+          ignore (build_cell id (fun bl -> Latch.dff bl ~name ~d:nets.(d) ~clk));
           Builder.register_cell bld ~name ~outputs:nets.(id)
       | C.Input _ | C.And _ | C.Or _ | C.Xor _ | C.Not _ | C.Buf _ | C.Mux _ -> ())
     c.dffs;
@@ -139,6 +190,35 @@ let compile ?(proc = Process.default) ?(freq = 100e6) ?stimuli (c : C.t) =
         | (name, id) :: _ -> (name, nets.(id))
         | [] -> invalid_arg "Compile.compile: circuit has no inputs")
   in
+  (* The DC seed of a combinational design: the rails and inputs at
+     their t = 0 source values, every cell at its template for the
+     logic state at t = 0, filled in node-creation order.  A design
+     with flip-flops gets none: its state at t = 0 is not a function
+     of the inputs. *)
+  if Array.length c.dffs = 0 then begin
+    let proc = bld.Builder.proc in
+    let hi = proc.Process.vgnd and lo = Process.v_low proc in
+    N.set_nodeset net bld.Builder.vgnd hi;
+    N.set_nodeset net bld.Builder.vbias (Process.v_bias proc);
+    let levels =
+      List.map
+        (fun (declared, id) ->
+          (* a toggling input starts low *)
+          let value = match stimulus_of declared with Toggle -> false | Const v -> v in
+          N.set_nodeset net nets.(id).Builder.p (if value then hi else lo);
+          N.set_nodeset net nets.(id).Builder.n (if value then lo else hi);
+          Cml_logic.Value.of_bool value)
+        c.inputs
+    in
+    let values = Cml_logic.Sim.eval c [||] ~inputs:(Array.of_list levels) in
+    (* binary inputs and no flip-flops: every net evaluates to T or F *)
+    List.iter
+      (fun (id, proc, kind, construct, first, count) ->
+        let levels = List.map (fun a -> values.(a) = Cml_logic.Value.T) (gate_fanins c.C.gates.(id)) in
+        let t = template (proc, kind, levels) construct in
+        if Array.length t = count then Array.iteri (fun k v -> N.set_nodeset net (first + k) v) t)
+      (List.rev !built)
+  end;
   {
     circuit = c;
     builder = bld;

@@ -166,6 +166,12 @@ type sim = {
           the extra iterations a chord step causes *)
   mutable chord_run : int;  (** chord steps in the current Newton call *)
   mutable n_chord_steps : int;
+  seed : float array option;
+      (** the netlist's nodeset as a start vector (unset nodes and
+          branch currents at 0), tried by [dc_operating_point] before
+          the zero-start homotopy *)
+  mutable n_seeded : int;  (** DC solves started from [seed] *)
+  mutable n_seed_fallbacks : int;  (** ... of which fell back to the homotopy *)
 }
 
 type integ = Dcop | Tran of { geq : float; trap : bool }
@@ -347,7 +353,7 @@ let build_devices net =
 
 (* A sim over compiled devices and a resolved layout, with fresh
    solver state; [a] must hold zero values owned by this sim. *)
-let make_sim ~options ~nv ~nunk ~sdevs ~branches ~a ~slots ~soff ~donor =
+let make_sim ~options ~nv ~nunk ~sdevs ~branches ~a ~slots ~soff ~donor ~seed =
   {
     opts = options;
     nv;
@@ -392,7 +398,19 @@ let make_sim ~options ~nv ~nunk ~sdevs ~branches ~a ~slots ~soff ~donor =
     chord_pays = false;
     chord_run = 0;
     n_chord_steps = 0;
+    seed;
+    n_seeded = 0;
+    n_seed_fallbacks = 0;
   }
+
+(* The netlist's nodeset as a start vector, [None] without one. *)
+let seed_of net ~nunk =
+  match Netlist.nodeset net with
+  | [] -> None
+  | set ->
+      let x = Array.make nunk 0.0 in
+      List.iter (fun (nd, v) -> x.(node_unknown nd) <- v) set;
+      Some x
 
 let compile ?(options = default_options) net =
   let nv, nunk, sdevs, branches = build_devices net in
@@ -412,7 +430,7 @@ let compile ?(options = default_options) net =
   let csc_pos = Cml_numerics.Sparse.entry_of_triplet pat in
   Array.iteri (fun s k -> if k >= 0 then slots.(s) <- csc_pos.(k)) slots;
   make_sim ~options ~nv ~nunk ~sdevs ~branches ~a:(Cml_numerics.Sparse.csc_of_pattern pat)
-    ~slots ~soff ~donor:None
+    ~slots ~soff ~donor:None ~seed:(seed_of net ~nunk)
 
 (* What a compiled device is, for [revalue]'s error. *)
 let sdev_kind sdevs di =
@@ -463,7 +481,7 @@ let revalue like net =
   let values = Array.make (Array.length like.a.values) 0.0 in
   make_sim ~options:like.opts ~nv ~nunk ~sdevs ~branches
     ~a:{ like.a with Cml_numerics.Sparse.values }
-    ~slots:like.slots ~soff:like.soff ~donor:like.lu
+    ~slots:like.slots ~soff:like.soff ~donor:like.lu ~seed:(seed_of net ~nunk)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly.
@@ -888,6 +906,8 @@ type solver_stats = {
   reused_factorizations : int;
   skipped_solves : int;
   chord_steps : int;
+  seeded_starts : int;
+  seed_fallbacks : int;
   fallback_small_pivot : int;
   fallback_unstable_pivot : int;
   fallback_pattern : int;
@@ -917,6 +937,8 @@ let solver_stats sim =
     reused_factorizations = sim.n_reused_factors;
     skipped_solves = sim.n_skipped_solves;
     chord_steps = sim.n_chord_steps;
+    seeded_starts = sim.n_seeded;
+    seed_fallbacks = sim.n_seed_fallbacks;
     fallback_small_pivot = sim.n_fb_small_pivot;
     fallback_unstable_pivot = sim.n_fb_unstable_pivot;
     fallback_pattern = sim.n_fb_pattern;
@@ -949,6 +971,8 @@ let zero_stats =
     reused_factorizations = 0;
     skipped_solves = 0;
     chord_steps = 0;
+    seeded_starts = 0;
+    seed_fallbacks = 0;
     fallback_small_pivot = 0;
     fallback_unstable_pivot = 0;
     fallback_pattern = 0;
@@ -1188,11 +1212,27 @@ let dc_homotopy sim ~time x0 =
           in
           src_walk (zeros sim) 0.0 0.1 60)
 
+(* Plain Newton from the nodeset, when the netlist has one; [None]
+   sends the caller to the zero-start homotopy. *)
+let seeded sim ~time =
+  match sim.seed with
+  | None -> None
+  | Some x0 -> (
+      sim.n_seeded <- sim.n_seeded + 1;
+      match newton sim ~time ~integ:Dcop x0 with
+      | Some (x, _) -> Some x
+      | None ->
+          sim.n_seed_fallbacks <- sim.n_seed_fallbacks + 1;
+          None)
+
 let dc_operating_point ?(time = 0.0) sim =
   Cml_telemetry.Trace.with_span ~cat:"sim" "dc" (fun () ->
-      match dc_homotopy sim ~time (zeros sim) with
+      match seeded sim ~time with
       | Some x -> x
-      | None -> raise (No_convergence "dc operating point"))
+      | None -> (
+          match dc_homotopy sim ~time (zeros sim) with
+          | Some x -> x
+          | None -> raise (No_convergence "dc operating point")))
 
 let dc_from ?(time = 0.0) sim x0 =
   Cml_telemetry.Trace.with_span ~cat:"sim" "dc" (fun () ->

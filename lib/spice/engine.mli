@@ -55,7 +55,8 @@ val compile : ?options:options -> Netlist.t -> sim
     slot, so a matrix entry is the sum of its stamps in device order.
     The linear solves run a sparse LU ({!Cml_numerics.Sparse_lu}): one
     symbolic analysis per Jacobian pattern, then numeric-only
-    refactorizations (see {!solver_stats}).  A non-positive
+    refactorizations (see {!solver_stats}).  The netlist's nodeset
+    becomes the start vector of {!dc_operating_point}.  A non-positive
     capacitance is left out; a NaN one is kept.
     @raise Invalid_argument on a non-positive resistance. *)
 
@@ -67,8 +68,8 @@ val revalue : sim -> Netlist.t -> sim
     CSC pattern (with its own zeroed values), and offers [like]'s
     installed factor as its symbolic donor, as {!share_symbolic}
     would.  It has its own device state, workspaces and counters and
-    [like]'s options, and solves bit-identically to
-    [compile net] after [share_symbolic ~donor:like].  [like] is only
+    [like]'s options and [net]'s nodeset, and solves bit-identically
+    to [compile net] after [share_symbolic ~donor:like].  [like] is only
     read, so concurrent domains may re-value from it while it runs no
     solve.
     @raise Invalid_argument naming the first compiled device whose
@@ -117,8 +118,12 @@ val converged : sim -> float array -> float array -> bool
     entry of either vector is NaN or infinite. *)
 
 val dc_operating_point : ?time:float -> sim -> float array
-(** DC solution with sources evaluated at [time] (default 0); tries
-    plain Newton, then gmin stepping, then source stepping.
+(** DC solution with sources evaluated at [time] (default 0).  When
+    the compiled netlist carries a nodeset ({!Netlist.set_nodeset}),
+    plain Newton starts from it (unset nodes at 0 V); if that fails,
+    or without a nodeset, it tries plain Newton from 0 V, then gmin
+    stepping, then source stepping (counted in
+    {!solver_stats.seeded_starts} and {!solver_stats.seed_fallbacks}).
     @raise No_convergence if all strategies fail. *)
 
 val dc_from : ?time:float -> sim -> float array -> float array
@@ -179,6 +184,12 @@ type solver_stats = {
           Jacobian (a chord step) instead of refactoring; 0 with
           [bypass = false] and on systems whose refactorization is
           cheaper than an extra iteration *)
+  seeded_starts : int;
+      (** {!dc_operating_point} calls that started Newton from the
+          netlist's nodeset *)
+  seed_fallbacks : int;
+      (** of {!field-seeded_starts}, how many failed to converge and
+          fell back to the zero-start homotopy *)
   fallback_small_pivot : int;
       (** stability fallbacks to a full factorization because a
           recycled pivot fell below the absolute threshold *)

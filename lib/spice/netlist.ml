@@ -26,6 +26,9 @@ type t = {
   mutable nnodes : int;
   dev_index : (string, int) Hashtbl.t;
   mutable gensym : int;
+  mutable nodeset : float array;
+      (* per node id, its nodeset voltage, NaN where unset; [||] when
+         the netlist has none *)
 }
 
 let create () =
@@ -38,6 +41,7 @@ let create () =
       nnodes = 1;
       dev_index = Hashtbl.create 64;
       gensym = 0;
+      nodeset = [||];
     }
   in
   Hashtbl.replace t.node_ids "0" 0;
@@ -53,6 +57,7 @@ let copy t =
     nnodes = t.nnodes;
     dev_index = Hashtbl.copy t.dev_index;
     gensym = t.gensym;
+    nodeset = Array.copy t.nodeset;
   }
 
 let node t name =
@@ -85,6 +90,29 @@ let node_name t id =
   t.node_names.(id)
 
 let find_node t name = Hashtbl.find_opt t.node_ids name
+
+let set_nodeset t nd v =
+  if nd <= 0 || nd >= t.nnodes then
+    invalid_arg (Printf.sprintf "Netlist.set_nodeset: no node %d" nd);
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "Netlist.set_nodeset: non-finite value %g" v);
+  let len = Array.length t.nodeset in
+  if nd >= len then begin
+    let bigger = Array.make (Array.length t.node_names) Float.nan in
+    Array.blit t.nodeset 0 bigger 0 len;
+    t.nodeset <- bigger
+  end;
+  t.nodeset.(nd) <- v
+
+let clear_nodeset t = t.nodeset <- [||]
+
+let nodeset t =
+  let out = ref [] in
+  for nd = min (Array.length t.nodeset) t.nnodes - 1 downto 1 do
+    let v = t.nodeset.(nd) in
+    if not (Float.is_nan v) then out := (nd, v) :: !out
+  done;
+  !out
 
 let device_name = function
   | Resistor { name; _ }

@@ -32,7 +32,8 @@ type t
 val create : unit -> t
 
 val copy : t -> t
-(** Deep copy; mutations of the copy do not affect the original. *)
+(** Deep copy, nodeset included; mutations of the copy do not affect
+    the original. *)
 
 val node : t -> string -> node
 (** [node t name] returns the node called [name], creating it if
@@ -47,6 +48,23 @@ val node_count : t -> int
 val node_name : t -> node -> string
 
 val find_node : t -> string -> node option
+
+(** {2 Nodeset}
+
+    A SPICE-style nodeset: initial guesses for node voltages that
+    {!Engine.dc_operating_point} starts Newton from before its
+    zero-start homotopy.  It is a hint, never a constraint.  {!copy}
+    and {!map_devices} keep it. *)
+
+val set_nodeset : t -> node -> float -> unit
+(** @raise Invalid_argument for ground, a node the netlist does not
+    have, or a non-finite voltage. *)
+
+val clear_nodeset : t -> unit
+
+val nodeset : t -> (node * float) list
+(** The set nodes and their voltages, in node order; [[]] when the
+    netlist has no nodeset. *)
 
 (* Device constructors; every device must have a unique name. *)
 

@@ -136,6 +136,19 @@ let to_string net =
       | Netlist.Vccs { name; npos; nneg; cpos; cneg; gm } ->
           line "G %s %s %s %s %s %s" name (node npos) (node nneg) (node cpos) (node cneg)
             (format_value gm));
+  (* nodeset cards in the order the device cards first name their
+     nodes, which is the node order of the re-read netlist; a node no
+     device names cannot be read back, so it is left out *)
+  let set = Array.make (Netlist.node_count net) Float.nan in
+  List.iter (fun (nd, v) -> set.(nd) <- v) (Netlist.nodeset net);
+  Netlist.iter_devices net (fun d ->
+      List.iter
+        (fun (_, nd) ->
+          if not (Float.is_nan set.(nd)) then begin
+            line ".nodeset V(%s)=%s" (node nd) (format_value set.(nd));
+            set.(nd) <- Float.nan
+          end)
+        (Netlist.device_terminals d));
   Buffer.add_string b ".end\n";
   Buffer.contents b
 
@@ -284,13 +297,42 @@ let parse_waveform line tokens =
     end
   | [] -> fail line "missing source waveform"
 
+(* [V ( node ) =value] entries of a .nodeset card; the value may also
+   stand apart from its [=] *)
+let rec nodeset_entries line = function
+  | [] -> []
+  | v :: "(" :: name :: ")" :: rest when String.uppercase_ascii v = "V" ->
+      let value, rest =
+        match rest with
+        | "=" :: tok :: rest -> (tok, rest)
+        | tok :: rest when String.length tok > 1 && tok.[0] = '=' ->
+            (String.sub tok 1 (String.length tok - 1), rest)
+        | _ -> fail line "expected =VALUE after V(%s) in .nodeset" name
+      in
+      (name, value_exn line value) :: nodeset_entries line rest
+  | tok :: _ -> fail line "expected V(<node>)=<value> in .nodeset, got %S" tok
+
 let of_string text =
   let net = Netlist.create () in
   let node name = Netlist.node net name in
+  (* .nodeset cards name nodes the device cards create, so they apply
+     after every device card *)
+  let nodesets = ref [] in
+  let apply_nodeset (line, entries) =
+    List.iter
+      (fun (name, v) ->
+        match Netlist.find_node net name with
+        | Some nd -> Netlist.set_nodeset net nd v
+        | None -> fail line "unknown node %S in .nodeset" name)
+      entries
+  in
   let parse_card (line, s) =
     let tokens = tokenize line s in
     match tokens with
     | [ ".end" ] | [ ".END" ] -> ()
+    | kind :: entries when String.uppercase_ascii kind = ".NODESET" ->
+        if entries = [] then fail line "empty .nodeset card";
+        nodesets := (line, nodeset_entries line entries) :: !nodesets
     | kind :: name :: rest -> begin
         match (String.uppercase_ascii kind, rest) with
         | "R", [ n1; n2; v ] ->
@@ -331,10 +373,9 @@ let of_string text =
   in
   (* [Netlist]'s own rejections (a duplicate name, say) are reported at
      the line the offending card starts on *)
-  List.iter
-    (fun ((line, _) as card) ->
-      try parse_card card with Invalid_argument msg -> fail line "%s" msg)
-    (logical_lines text);
+  let at_line f ((line, _) as card) = try f card with Invalid_argument msg -> fail line "%s" msg in
+  List.iter (at_line parse_card) (logical_lines text);
+  List.iter (at_line apply_nodeset) (List.rev !nodesets);
   net
 
 let write_file ~path net =

@@ -17,8 +17,15 @@
     I ib n1 0 DC 1u
     E e1 out 0 cp cn 10
     G g1 out 0 cp cn 1m
+    .nodeset V(x1.op)=3.3 V(x1.on)=3.05
     .end
     v}
+
+    A [.nodeset] card lists DC start guesses ({!Netlist.set_nodeset})
+    for nodes the device cards name, in any order relative to them;
+    the writer emits one card per set node after the devices, in the
+    order the device cards first name the nodes (a node no device
+    names is left out).
 
     Values accept engineering suffixes ([f p n u m k meg g t]) and the
     [e] exponent notation.  Node ["0"] is ground.  Device parameters
@@ -34,8 +41,10 @@ val to_string : Netlist.t -> string
 val of_string : string -> Netlist.t
 (** Parse a netlist.
     @raise Parse_error on malformed input, at the line the offending
-    card starts on: a bad token, a non-positive resistance, or a card
-    {!Netlist} rejects (a duplicate device name). *)
+    card starts on: a bad token, a non-positive resistance, a
+    [.nodeset] entry on an unknown node (or ground) or with a
+    non-finite value, or a card {!Netlist} rejects (a duplicate device
+    name). *)
 
 val write_file : path:string -> Netlist.t -> unit
 

@@ -399,6 +399,110 @@ let test_compile_dc_converges () =
         Alcotest.failf "%s differential |%.3f - %.3f| exceeds 2 swings" nm vp vn)
     d.Cp.outputs
 
+(* ------------------------------------------------------------------ *)
+(* DC seeds of compiled combinational designs *)
+
+let c432_at ?proc levels =
+  let circuit = L.Bench_circuits.c432_surrogate () in
+  let stimuli =
+    List.mapi
+      (fun i (name, _) -> (name, if i = 0 then Cp.Toggle else Cp.Const levels.(i - 1)))
+      circuit.L.Circuit.inputs
+  in
+  Cp.compile ?proc ~freq:200e6 ~stimuli circuit
+
+let c432_levels st =
+  Array.init
+    (List.length (L.Bench_circuits.c432_surrogate ()).L.Circuit.inputs - 1)
+    (fun _ -> Random.State.bool st)
+
+(* largest |x - x'| over the node unknowns, in Newton tolerances *)
+let newton_tolerances sim x x' =
+  let o = E.options sim in
+  let worst = ref 0.0 in
+  for i = 0 to E.node_unknowns sim - 1 do
+    let tol = o.E.vntol +. (o.E.reltol *. Float.max (Float.abs x.(i)) (Float.abs x'.(i))) in
+    worst := Float.max !worst (Float.abs (x.(i) -. x'.(i)) /. tol)
+  done;
+  !worst
+
+let zero_start net =
+  let net = N.copy net in
+  N.clear_nodeset net;
+  let sim = E.compile net in
+  E.dc_operating_point sim
+
+(* 20 fixed (logic state, perturbation seed) points of c432: plain
+   Newton from the template seed converges in at most 5 iterations,
+   onto the operating point the zero-start homotopy reaches. *)
+let test_seed_c432_points () =
+  for k = 0 to 19 do
+    let st = Random.State.make [| 24; k |] in
+    let design = c432_at (c432_levels st) in
+    let net = Cml_defects.Variation.perturb ~seed:(1000 + k) (Cp.netlist design) in
+    let sim = E.compile net in
+    let x = E.dc_operating_point sim in
+    let s = E.solver_stats sim in
+    let what = Printf.sprintf "point %d" k in
+    Alcotest.(check (pair int int)) (what ^ ": seeded, no fallback") (1, 0)
+      (s.E.seeded_starts, s.E.seed_fallbacks);
+    if s.E.newton_iters > 5 then
+      Alcotest.failf "%s: %d Newton iterations from the seed" what s.E.newton_iters;
+    let dev = newton_tolerances sim x (zero_start net) in
+    if dev > 1.0 then Alcotest.failf "%s: %.3f Newton tolerances off the zero start" what dev
+  done
+
+(* A nodeset that starts nowhere near the solution costs one fallback
+   and still lands on the zero-start point. *)
+let test_seed_bad_nodeset () =
+  let net = N.copy (Cp.netlist (c432_at (c432_levels (Random.State.make [| 24 |])))) in
+  for nd = 1 to N.node_count net - 1 do
+    N.set_nodeset net nd 50.0
+  done;
+  let sim = E.compile net in
+  let x = E.dc_operating_point sim in
+  let s = E.solver_stats sim in
+  Alcotest.(check (pair int int)) "one seeded start, one fallback" (1, 1)
+    (s.E.seeded_starts, s.E.seed_fallbacks);
+  let dev = newton_tolerances sim x (zero_start net) in
+  if dev > 1.0 then Alcotest.failf "%.3f Newton tolerances off the zero start" dev
+
+(* The netlist copies keep the seed; a cone netlist and a clocked
+   design carry none. *)
+let test_seed_carriers () =
+  let design = c432_at (c432_levels (Random.State.make [| 24 |])) in
+  let golden = Cp.netlist design in
+  let set = N.nodeset golden in
+  Alcotest.(check int) "every node seeded" (N.node_count golden - 1) (List.length set);
+  let keeps what net = Alcotest.(check bool) (what ^ " keeps the nodeset") true (N.nodeset net = set) in
+  keeps "copy" (N.copy golden);
+  keeps "map_devices" (N.map_devices golden Fun.id);
+  keeps "Variation.perturb" (Cml_defects.Variation.perturb ~seed:7 golden);
+  keeps "Inject.apply"
+    (Cml_defects.Inject.apply golden (Cml_defects.Defect.Pipe { device = "n36.q3"; r = 2e3 }));
+  let tstop = 20e-12 in
+  let reference = T.run (E.compile golden) golden (T.config ~tstop ~max_step:10e-12 ()) in
+  let cone = Cml_defects.Cone.drive (Cml_defects.Cone.extract golden ~cells:[ "n36" ]) ~reference in
+  Alcotest.(check int) "cone netlist" 0 (List.length (N.nodeset (Cml_defects.Cone.netlist cone)));
+  let s27 = Cp.netlist (Cp.compile ~freq:200e6 (L.Bench_format.s27 ())) in
+  Alcotest.(check int) "clocked s27" 0 (List.length (N.nodeset s27))
+
+(* Templates are a pure function of their key: two compiles, and two
+   compiles racing on an uncached process from two domains, give
+   bit-identical nodesets. *)
+let test_seed_deterministic () =
+  let bits net = List.map (fun (nd, v) -> (nd, Int64.bits_of_float v)) (N.nodeset net) in
+  let levels = c432_levels (Random.State.make [| 24 |]) in
+  let once ?proc () = bits (Cp.netlist (c432_at ?proc levels)) in
+  Alcotest.(check bool) "two compiles" true (once () = once ());
+  let proc = Cml_cells.Process.with_tail_current proc 0.6e-3 in
+  let racers = List.init 2 (fun _ -> Domain.spawn (fun () -> once ~proc ())) in
+  match List.map Domain.join racers with
+  | [ a; b ] ->
+      Alcotest.(check bool) "two domains" true (a = b);
+      Alcotest.(check bool) "and a third compile after them" true (a = once ~proc ())
+  | _ -> assert false
+
 let () =
   Alcotest.run "cells"
     [
@@ -455,5 +559,14 @@ let () =
           Alcotest.test_case "physical cells and defaults" `Quick
             test_compile_physical_and_defaults;
           Alcotest.test_case "s27 DC converges" `Quick test_compile_dc_converges;
+        ] );
+      ( "dc-seed",
+        [
+          Alcotest.test_case "c432 points converge from the seed" `Slow test_seed_c432_points;
+          Alcotest.test_case "bad nodeset falls back" `Quick test_seed_bad_nodeset;
+          Alcotest.test_case "copies keep it, cones and clocked designs lack it" `Quick
+            test_seed_carriers;
+          Alcotest.test_case "bit-identical across compiles and domains" `Quick
+            test_seed_deterministic;
         ] );
     ]

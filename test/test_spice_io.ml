@@ -200,6 +200,50 @@ let test_parse_duplicate_name_rejected () =
   attempt "R r1 a 0 1k\n* comment\nR r1 b 0 1k\n" 3;
   attempt "R r1 a 0 1k\nR r1 b 0\n+ 1k\n" 2
 
+(* A compiled c432 carries a nodeset on every node; the deck keeps it
+   by node name, bit for bit, and the re-read netlist starts its DC
+   solve from it. *)
+let test_nodeset_roundtrip () =
+  let design = Cml_cells.Compile.compile (Cml_logic.Bench_circuits.c432_surrogate ()) in
+  let net = Cml_cells.Compile.netlist design in
+  let text = Io.to_string net in
+  let back = Io.of_string text in
+  let named net = List.map (fun (nd, v) -> (N.node_name net nd, v)) (N.nodeset net) in
+  let sorted l = List.sort compare l in
+  Alcotest.(check int) "every node seeded" (N.node_count net - 1) (List.length (N.nodeset net));
+  Alcotest.(check bool) "nodeset round-trips" true (sorted (named net) = sorted (named back));
+  Alcotest.(check string) "rendered again unchanged" text (Io.to_string back);
+  let sim = E.compile back in
+  ignore (E.dc_operating_point sim);
+  let s = E.solver_stats sim in
+  Alcotest.(check (pair int int)) "seeded start, no fallback" (1, 0)
+    (s.E.seeded_starts, s.E.seed_fallbacks)
+
+(* a .nodeset card is rejected at its line: an unknown node, ground, a
+   non-finite or malformed value *)
+let test_nodeset_errors () =
+  let deck = "V v1 a 0 DC 1\nR r1 a b 1k\nR r2 b 0 1k\n" in
+  let attempt card =
+    let text = deck ^ card ^ "\n.end\n" in
+    match Io.of_string text with
+    | _ -> Alcotest.failf "expected parse error for %S" card
+    | exception Io.Parse_error { line; _ } -> Alcotest.(check int) ("line of " ^ card) 4 line
+  in
+  List.iter attempt
+    [
+      ".nodeset V(c)=1";
+      ".nodeset V(0)=1";
+      ".nodeset V(b)=1e999";
+      ".nodeset V(b)=nan";
+      ".nodeset V(b)";
+      ".nodeset b=1";
+      ".nodeset";
+    ];
+  let net = Io.of_string (".nodeset V(b)=0.5 v(a) = 1\n" ^ deck) in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "entries before the devices they name" [ ("a", 1.0); ("b", 0.5) ]
+    (List.map (fun (nd, v) -> (N.node_name net nd, v)) (N.nodeset net))
+
 let test_file_roundtrip () =
   let chain = Cml_cells.Chain.build_dc ~stages:2 ~value:false () in
   let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
@@ -393,6 +437,8 @@ let () =
           Alcotest.test_case "error line numbers" `Quick test_parse_errors_carry_line_numbers;
           Alcotest.test_case "duplicate names" `Quick test_parse_duplicate_name_rejected;
           Alcotest.test_case "file round-trip" `Quick test_file_roundtrip;
+          Alcotest.test_case "c432 nodeset round-trip" `Quick test_nodeset_roundtrip;
+          Alcotest.test_case "nodeset errors at their card" `Quick test_nodeset_errors;
         ] );
       ( "cdense",
         [
