@@ -179,11 +179,10 @@ explain-smoke: build
 	  echo "explain-smoke: FAILED time budget (>= 5000 ms)"; exit 1; \
 	fi
 
-# Slicing is a pure scheduling choice: the default chain campaign on
-# two domains (16-defect slices) and the unbatched sequential one
-# (slices of one defect) must print byte-identical per-defect lines
-# and summary.  The header line (job count) and the utilization table
-# (wall times) are excluded.
+# Scheduling leaves results alone: the default chain campaign on two
+# domains and the unbatched sequential one must print byte-identical
+# per-defect lines and summary.  The header line (job count) and the
+# utilization table (wall times) are excluded.
 campaign-parity: build
 	@dir=$$(mktemp -d); \
 	$(DUNE) exec --no-build bin/cmldft.exe -- campaign --jobs 2 > $$dir/batched.txt \

@@ -149,21 +149,13 @@ let analyze ps ?nominal samples ~freq ~tstop =
     },
     Cml_wave.Measure.levels wp_fin ~t_from )
 
-(* Compile one netlist.  [share] sees the compiled sim before its run
-   — where a variant is offered its slice's symbolic LU donor. *)
-let compile ?engine_options ?(share = ignore) net =
-  let sim = E.compile ?options:engine_options net in
-  share sim;
-  sim
-
 let simulate ?guide ?breakpoints ?(record_every = 1) sim obs net ~tstop =
   T.run ?guide ?breakpoints ~observers:obs sim net
     (T.config ~tstop ~max_step:10e-12 ~record_every ())
 
 (* Simulate one netlist streaming the probe set, and measure it. *)
-let measure_full ?engine_options ?share ?guide ?breakpoints ?record_every ?nominal ps net ~freq
-    ~tstop =
-  let sim = compile ?engine_options ?share net in
+let measure_full ?engine_options ?guide ?breakpoints ?record_every ?nominal ps net ~freq ~tstop =
+  let sim = E.compile ?options:engine_options net in
   let obs = T.observers (probes ps sim) in
   let r = simulate ?guide ?breakpoints ?record_every sim obs net ~tstop in
   let m, levels = analyze ps ?nominal (T.probe_samples obs) ~freq ~tstop in
@@ -313,8 +305,8 @@ let m_cone_fallbacks = Cml_telemetry.Metrics.counter "campaign.cone_fallbacks"
 
 (* The one campaign driver behind [run] and [run_design]: simulate the
    fault-free circuit once, then every defect variant through the
-   shared run lifecycle ({!Cml_runtime.Variant_loop}), in slices of at
-   most 16 variants ([batch = false]: slices of one). *)
+   shared run lifecycle ({!Cml_runtime.Variant_loop}), in pool tasks of
+   at most 16 variants ([batch = false]: one variant per task). *)
 let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?manifest ~options
     ~golden ps defects =
   let window = Cml_runtime.Variant_loop.start () in
@@ -359,8 +351,8 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
           Option.map (fun c -> (name, E.node_unknown c)) (Cone.node cone (N.node_name golden nd)))
         (probe_nodes ps)
   in
-  let on_cone ~share cone faulty =
-    let sim = compile ?engine_options ~share faulty in
+  let on_cone cone faulty =
+    let sim = E.compile ?options:engine_options faulty in
     let draw = Cone.meter cone sim in
     let obs = T.observers ~on_step:(Cone.record draw) (cone_probes cone sim) in
     let guide = if warm_start then Some (Cone.guide cone) else None in
@@ -385,70 +377,55 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
       ]
     @ match max_iter with None -> [] | Some n -> [ ("max_iter", string_of_int n) ]
   in
-  (* Within a slice, the first completed variant of each unknown layout
-     donates its sparse symbolic analysis to the slice's later variants
-     of that layout ({!Cml_spice.Engine.share_symbolic}): one column
-     ordering per layout per slice instead of one per defect.  Variants
-     keep no dense trajectory ([record_every = 0]): classification is
-     pure probe work.  Each variant injects into its own copy of the
-     netlist and compiles its own sim, so slices share only read-only
-     state and can run on worker domains. *)
-  let slice () =
-    let donors = Hashtbl.create 2 in
-    let share sim =
-      Option.iter
-        (fun donor -> E.share_symbolic ~donor sim)
-        (Hashtbl.find_opt donors (E.unknown_count sim))
+  (* Variants keep no dense trajectory ([record_every = 0]):
+     classification is pure probe work.  Each variant injects into its
+     own copy of the netlist and compiles its own sim, so variants share
+     only read-only state and can run on worker domains. *)
+  let measured m (r : T.result) = (Measured (m, classify ~proc ~reference m), Some r) in
+  let full defect =
+    match Inject.apply golden defect with
+    | exception (Not_found | Invalid_argument _) -> (Failed "injection failed", None)
+    | faulty -> (
+        match
+          measure_full ?engine_options ?guide ~breakpoints ~record_every:0 ~nominal ps faulty ~freq
+            ~tstop
+        with
+        | m, r, _, _ -> measured m r
+        | exception E.No_convergence msg -> (Failed msg, None))
+  in
+  (* the cone is abandoned for the full netlist when it does not
+     converge, or when a boundary source on a non-ideal net delivers
+     more than a tail current: the defect then reaches back into a
+     driver the cone does not simulate *)
+  let fallback defect cone_metrics =
+    Cml_telemetry.Metrics.incr m_cone_fallbacks;
+    (full defect, ("fallback", 1.0) :: cone_metrics)
+  in
+  let variant defect =
+    let cone_variant =
+      Option.bind (cone_of defect) (fun cone ->
+          match Inject.apply (Cone.netlist cone) defect with
+          | faulty -> Some (cone, faulty)
+          | exception (Not_found | Invalid_argument _) -> None)
     in
-    let measured m (r : T.result) =
-      let width = E.unknown_count r.T.sim in
-      if not (Hashtbl.mem donors width) then Hashtbl.add donors width r.T.sim;
-      (Measured (m, classify ~proc ~reference m), Some r)
+    let (outcome, run), cone_metrics =
+      match cone_variant with
+      | None -> (full defect, [])
+      | Some (cone, faulty) -> (
+          match on_cone cone faulty with
+          | m, r, draw when draw <= proc.Cml_cells.Process.i_tail ->
+              Cml_telemetry.Metrics.incr m_cone_variants;
+              (measured m r, [ ("fallback", 0.0); ("boundary_draw", draw) ])
+          | _, _, draw -> fallback defect [ ("boundary_draw", draw) ]
+          | exception E.No_convergence _ -> fallback defect [])
     in
-    let full defect =
-      match Inject.apply golden defect with
-      | exception (Not_found | Invalid_argument _) -> (Failed "injection failed", None)
-      | faulty -> (
-          match
-            measure_full ?engine_options ~share ?guide ~breakpoints ~record_every:0 ~nominal ps
-              faulty ~freq ~tstop
-          with
-          | m, r, _, _ -> measured m r
-          | exception E.No_convergence msg -> (Failed msg, None))
-    in
-    (* the cone is abandoned for the full netlist when it does not
-       converge, or when a boundary source on a non-ideal net delivers
-       more than a tail current: the defect then reaches back into a
-       driver the cone does not simulate *)
-    let fallback defect cone_metrics =
-      Cml_telemetry.Metrics.incr m_cone_fallbacks;
-      (full defect, ("fallback", 1.0) :: cone_metrics)
-    in
-    fun defect ->
-      let cone_variant =
-        Option.bind (cone_of defect) (fun cone ->
-            match Inject.apply (Cone.netlist cone) defect with
-            | faulty -> Some (cone, faulty)
-            | exception (Not_found | Invalid_argument _) -> None)
-      in
-      let (outcome, run), cone_metrics =
-        match cone_variant with
-        | None -> (full defect, [])
-        | Some (cone, faulty) -> (
-            match on_cone ~share cone faulty with
-            | m, r, draw when draw <= proc.Cml_cells.Process.i_tail ->
-                Cml_telemetry.Metrics.incr m_cone_variants;
-                (measured m r, [ ("fallback", 0.0); ("boundary_draw", draw) ])
-            | _, _, draw -> fallback defect [ ("boundary_draw", draw) ]
-            | exception E.No_convergence _ -> fallback defect [])
-      in
-      let entry = { defect; outcome } in
-      (entry, report entry run cone_metrics)
+    let entry = { defect; outcome } in
+    (entry, report entry run cone_metrics)
   in
   let v =
     Cml_runtime.Variant_loop.run window ~kind:"campaign" ~item:"variant" ?jobs
       ~max_batch:(if batch then 16 else 1)
-      ~options ~name:Defect.describe ~slice (Array.of_list defects)
+      ~options ~name:Defect.describe ~variant (Array.of_list defects)
   in
   let t =
     {

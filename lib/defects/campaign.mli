@@ -139,11 +139,9 @@ val run :
     seeding.
 
     Variants run in contiguous slices of at most 16 defects (one pool
-    task each).  Within a slice, the first completed variant of each
-    unknown layout offers its symbolic LU analysis to the slice's
-    later variants of that layout ({!Cml_spice.Engine.share_symbolic}).
-    [batch = false] means slices of one defect through the same code.
-    Every variant is exactly one
+    task each); [batch = false] means slices of one defect.  The
+    slicing is a pure scheduling choice: results are bit-identical
+    either way.  Every variant is exactly one
     {!Cml_spice.Transient.run} of its own sim, so [cmldft explain]
     re-simulates it step for step.
 
@@ -203,10 +201,9 @@ val run_design :
     (e.g. the bench path) to the manifest options.  There is no
     stage chain, so measurements carry no healing profile
     ([degraded_at] and [healing_depth] are [None]) and the manifest's
-    healing histogram reads "clean".  On a sparse-sized design the
-    slices' shared symbolic analysis means the campaign pays for one
-    column ordering per layout per slice, not one per defect.  The
-    cone rule of {!run} applies: on the c432 surrogate, the default
+    healing histogram reads "clean".  Variants of one topology (the
+    same site at another pipe resistance) share one compiled layout
+    and column ordering ({!Cml_spice.Engine.compile}).  The cone rule of {!run} applies: on the c432 surrogate, the default
     DUT's cone is 430 of 949 unknowns, so its variants run on the
     cone. *)
 

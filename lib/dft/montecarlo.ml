@@ -40,12 +40,12 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let lo, hi = Readout.thresholds Readout.default_config ~vtest:vtest_value in
   let decision = (lo +. hi) /. 2.0 in
   (* the unperturbed sims and operating points: process variation
-     moves values, not topology, so every perturbed sample re-values
-     its netlist's nominal sim — one compiled layout and one column
-     ordering per netlist for the whole run (an unstable pivot falls
-     back to a fresh factorization) — and its Newton solve starts from
-     the nominal solution ([dc_from] falls back to the homotopy ladder
-     when a sample strays too far) *)
+     moves values, not topology, so every perturbed sample compiles on
+     its netlist's nominal layout and adopts the nominal sim's pivot
+     order — one symbolic analysis per netlist for the whole run (an
+     unstable pivot falls back to a fresh factorization) — and its
+     Newton solve starts from the nominal solution ([dc_from] falls
+     back to the homotopy ladder when a sample strays too far) *)
   let nominal net =
     if warm_start then
       let sim = E.compile net in
@@ -55,9 +55,8 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let nom_good = nominal golden and nom_bad = nominal faulty in
   let measure net nom k =
     let perturbed = Cml_defects.Variation.perturb ~spec ~seed:(seed + k) net in
-    let sim =
-      match nom with Some (like, _) -> E.revalue like perturbed | None -> E.compile perturbed
-    in
+    let sim = E.compile perturbed in
+    Option.iter (fun (donor, _) -> E.share_symbolic ~donor sim) nom;
     let x = match nom with Some (_, x0) -> E.dc_from sim x0 | None -> E.dc_operating_point sim in
     E.publish_metrics sim;
     let vfb = E.voltage x built.Sharing.readout.Readout.vfb in
@@ -92,8 +91,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   in
   let v =
     Cml_runtime.Variant_loop.run window ~kind:"montecarlo" ~item:"sample" ?jobs
-      ~options:run_options ~name:(Printf.sprintf "sample %d")
-      ~slice:(fun () -> sample)
+      ~options:run_options ~name:(Printf.sprintf "sample %d") ~variant:sample
       (Array.init samples Fun.id)
   in
   let count p = Array.fold_left (fun acc o -> if p o then acc + 1 else acc) 0 v.results in
@@ -122,7 +120,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
      paced by allocation; with the shared symbolic analysis a run no
      longer allocates a fresh set of LU arrays per sample, so the
      major GC falls behind the per-sample garbage (perturbed netlists,
-     re-valued sims) and back-to-back runs grow the heap — about 15%
+     sample sims) and back-to-back runs grow the heap — about 15%
      peak RSS on the N = 45 run — although live data stays the same.
      One collection per run costs far less than a sample. *)
   Gc.full_major ();

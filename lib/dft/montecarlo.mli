@@ -48,13 +48,13 @@ val run :
     Unless [warm_start] is [false], the unperturbed fault-free and
     faulty netlists are solved once and every sample's Newton starts
     from the matching nominal operating point, falling back to the
-    cold homotopies when a sample diverges.  Each sample re-values
-    its netlist's nominal sim ({!Cml_spice.Engine.revalue}): it shares
-    the nominal stamp layout and adopts its symbolic LU analysis, so a
-    run compiles one layout and computes one column ordering per
-    netlist instead of one per sample.  The run ends
-    with one full major collection, which keeps the peak heap of
-    back-to-back runs flat.
+    cold homotopies when a sample diverges.  Each sample compiles on
+    its netlist's nominal layout ({!Cml_spice.Engine.compile} shares
+    it by topology) and adopts the nominal sim's symbolic LU analysis
+    ({!Cml_spice.Engine.share_symbolic}), so a run builds one layout
+    and one symbolic analysis per netlist instead of one per sample.
+    The run ends with one full major collection, which keeps the peak
+    heap of back-to-back runs flat.
 
     [manifest] writes a {!Cml_telemetry.Manifest} JSON document to the
     given path after the run. *)

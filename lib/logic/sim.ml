@@ -7,36 +7,25 @@ let random_state (c : Circuit.t) ~seed =
   Array.init (Array.length c.Circuit.dffs) (fun _ ->
       Value.of_bool (Random.State.bool st))
 
-(* position of each dff gate id in the state vector *)
-let dff_slot (c : Circuit.t) =
-  let tbl = Hashtbl.create 16 in
-  Array.iteri (fun slot gid -> Hashtbl.replace tbl gid slot) c.Circuit.dffs;
-  tbl
-
 let eval (c : Circuit.t) state ~inputs =
-  let n = Array.length c.Circuit.gates in
-  let values = Array.make n Value.X in
-  let slots = dff_slot c in
-  let input_values = Hashtbl.create 8 in
+  let values = Array.make (Array.length c.Circuit.gates) Value.X in
+  (* the sources first: the i-th declared input takes [inputs.(i)] (X
+     past its end), each flip-flop its state slot *)
   List.iteri
-    (fun i (name, _) ->
-      if i < Array.length inputs then Hashtbl.replace input_values name inputs.(i))
+    (fun i (_, gid) -> if i < Array.length inputs then values.(gid) <- inputs.(i))
     c.Circuit.inputs;
+  Array.iteri (fun slot gid -> values.(gid) <- state.(slot)) c.Circuit.dffs;
   Array.iter
     (fun gid ->
-      let v =
-        match c.Circuit.gates.(gid) with
-        | Circuit.Input name -> (
-            match Hashtbl.find_opt input_values name with Some v -> v | None -> Value.X)
+      values.(gid) <-
+        (match c.Circuit.gates.(gid) with
+        | Circuit.Input _ | Circuit.Dff _ -> values.(gid)
         | Circuit.And (a, b) -> Value.v_and values.(a) values.(b)
         | Circuit.Or (a, b) -> Value.v_or values.(a) values.(b)
         | Circuit.Xor (a, b) -> Value.v_xor values.(a) values.(b)
         | Circuit.Not a -> Value.v_not values.(a)
         | Circuit.Buf a -> values.(a)
-        | Circuit.Mux { sel; a; b } -> Value.v_mux ~sel:values.(sel) ~a:values.(a) ~b:values.(b)
-        | Circuit.Dff _ -> state.(Hashtbl.find slots gid)
-      in
-      values.(gid) <- v)
+        | Circuit.Mux { sel; a; b } -> Value.v_mux ~sel:values.(sel) ~a:values.(a) ~b:values.(b)))
     c.Circuit.order;
   values
 

@@ -282,9 +282,15 @@ let factor_in_order ~q ~q_identity ~ordering_label ~l_cap ~u_cap (a : Sparse.csc
     last_failure = None;
   }
 
-let factorize ?(ordering = Auto) (a : Sparse.csc) =
-  let q, q_identity, ordering_label = choose_ordering ordering a in
+type order = int array * bool * string
+
+let column_order ?(ordering = Auto) a = choose_ordering ordering a
+
+let factorize_in (q, q_identity, ordering_label) (a : Sparse.csc) =
+  if Array.length q <> a.Sparse.n then invalid_arg "Sparse_lu.factorize_in: order dimension";
   factor_in_order ~q ~q_identity ~ordering_label ~l_cap:256 ~u_cap:256 a
+
+let factorize ?ordering a = factorize_in (column_order ?ordering a) a
 
 let reusable f (a : Sparse.csc) =
   f.n = a.Sparse.n && f.a_colptr == a.Sparse.colptr && f.a_rowind == a.Sparse.rowind
@@ -519,7 +525,7 @@ let health f (a : Sparse.csc) =
   }
 
 (* Sharing a symbolic analysis between structurally identical systems
-   (batch lanes of one compiled design): the index arrays, pivot order
+   (Monte-Carlo samples of one netlist): the index arrays, pivot order
    and column order are immutable after [factorize], so a second
    matrix with the same pattern *content* can reuse them wholesale and
    only needs its own numeric storage.  The adopted factor starts with

@@ -31,6 +31,16 @@ val factorize : ?ordering:ordering -> Sparse.csc -> factor
     elimination.
     @raise Singular on structural or numeric singularity. *)
 
+type order
+(** The column order {!factorize} derives from a pattern alone. *)
+
+val column_order : ?ordering:ordering -> Sparse.csc -> order
+
+val factorize_in : order -> Sparse.csc -> factor
+(** {!factorize} in a given column order: bit-identical to [factorize a]
+    when the order is that of [a]'s pattern.
+    @raise Invalid_argument when the order is for another dimension. *)
+
 val reusable : factor -> Sparse.csc -> bool
 (** Whether the factor's symbolic analysis applies to this matrix:
     same dimension and the {e same} pattern arrays (physical

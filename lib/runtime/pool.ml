@@ -374,11 +374,11 @@ let parallel_list_map ?jobs f l =
 (* ------------------------------------------------------------------ *)
 (* Size-aware slice scheduling.
 
-   Callers that amortise per-slice work (a shared symbolic LU analysis,
-   a fault-simulation pattern block) want a contiguous *slice* of the
-   input as the unit of pool work, not a single element: one pool task
-   per slice also pays the wake-up/handoff cost once per slice, while
-   preserving the deterministic element order of [parallel_map].
+   Callers that amortise per-slice work (a fault-simulation pattern
+   block) want a contiguous *slice* of the input as the unit of pool
+   work, not a single element: one pool task per slice also pays the
+   wake-up/handoff cost once per slice, while preserving the
+   deterministic element order of [parallel_map].
    Slices are sized to give each active domain about four tasks (tail
    balancing), capped at the caller's [max_batch]. *)
 

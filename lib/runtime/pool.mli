@@ -47,8 +47,8 @@ val parallel_map_batches :
   ?jobs:int -> ?max_batch:int -> ('a array -> 'b array) -> 'a array -> 'b array
 (** [parallel_map_batches f arr] splits [arr] into contiguous slices,
     applies [f] to each slice (one pool task per slice, so [f] can
-    amortise per-slice work — a shared symbolic LU analysis, a
-    fault-simulation pattern block — across the slice's elements) and
+    amortise per-slice work — a fault-simulation pattern block — and
+    the per-task hand-off across the slice's elements) and
     concatenates the results in order: the output is element-for-element
     the concatenation of [f] over the slices, deterministically.  Slice
     sizes target ~4 tasks per active domain, capped at [max_batch]

@@ -24,7 +24,7 @@ type 'b t = {
 
 let seconds_since t0 = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0)
 
-let run w ~kind ~item ?jobs ?max_batch ~options ~name ~slice xs =
+let run w ~kind ~item ?jobs ?max_batch ~options ~name ~variant xs =
   let m_items = Tel.Metrics.counter (Printf.sprintf "%s.%ss" kind item) in
   let m_seconds = Tel.Metrics.histogram (Printf.sprintf "%s.%s_seconds" kind item) in
   let ev_run = Tel.Events.run_start ~kind ~total:(Array.length xs) ?jobs ~options () in
@@ -32,14 +32,13 @@ let run w ~kind ~item ?jobs ?max_batch ~options ~name ~slice xs =
   Pool.reset_stall_watermarks ();
   let wall_t0 = Tel.Clock.now_ns () in
   let run_slice indexed =
-    let work = slice () in
     Array.map
       (fun (idx, x) ->
         let label = name x in
         Tel.Progress.variant_start label;
         let tok = Tel.Trace.start () in
         let t0 = Tel.Clock.now_ns () in
-        let y, r = work x in
+        let y, r = variant x in
         let seconds = seconds_since t0 in
         Tel.Metrics.incr m_items;
         Tel.Metrics.observe m_seconds seconds;

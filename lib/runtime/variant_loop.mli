@@ -42,16 +42,14 @@ val run :
   ?max_batch:int ->
   options:(string * string) list ->
   name:('a -> string) ->
-  slice:(unit -> 'a -> 'b * report) ->
+  variant:('a -> 'b * report) ->
   'a array ->
   'b t
-(** [run w ~kind ~item ~options ~name ~slice xs] runs one variant per
-    element of [xs] in contiguous slices of at most [max_batch]
-    elements ({!Pool.parallel_map_batches} over [jobs] domains).
-    [slice ()] is called once per slice and returns the per-variant
-    function, so a slice can share state between its variants (a
-    symbolic LU donor); results must not depend on the slicing beyond
-    that.
+(** [run w ~kind ~item ~options ~name ~variant xs] runs [variant] on
+    every element of [xs] in contiguous slices of at most [max_batch]
+    elements ({!Pool.parallel_map_batches} over [jobs] domains, one
+    pool task per slice).  The slicing is a pure scheduling choice:
+    [variant] must not depend on which slice or domain runs it.
 
     Around each variant: {!Cml_telemetry.Progress} start/finish, an
     [item] span in category [kind], the wall time (also counted into

@@ -114,8 +114,11 @@ type sim = {
       (** where each matrix stamp lands, in assembly order (the gshunt
           diagonal of every node unknown, then each device's stamps):
           an index into the CSC [values] of [a], or -1 for a ground
-          row or column *)
+          row or column; shared by every sim of one layout *)
   soff : int array;  (** [soff.(di)]: index in [slots] of device [di]'s first stamp *)
+  order : Cml_numerics.Sparse_lu.order;
+      (** the LU column order of [a]'s pattern, kept by every full
+          factorization *)
   rhs : float array;
   ws_x : float array;  (** Newton workspace: current iterate *)
   ws_xnew : float array;  (** Newton workspace: linear-solve output *)
@@ -267,22 +270,6 @@ let stamp_offsets ~nv sdevs =
   in
   (soff, !count)
 
-(* The slot of each of those [count] stamps: [place i j] for a stamp at
-   unknowns (i, j), called once per stamp in assembly order, or -1 when
-   [i] or [j] is ground. *)
-let resolve_slots ~nv sdevs ~count place =
-  let slots = Array.make count (-1) in
-  let k = ref 0 in
-  let resolve i j =
-    if i >= 0 && j >= 0 then slots.(!k) <- place i j;
-    incr k
-  in
-  for i = 0 to nv - 1 do
-    resolve i i
-  done;
-  Array.iter (fun d -> stamp_coords d resolve) sdevs;
-  slots
-
 (* The compiled devices of a netlist, in netlist order: the node
    unknown count, the unknown count, the device records and the branch
    unknown of every voltage source and VCVS. *)
@@ -351,23 +338,152 @@ let build_devices net =
   Netlist.iter_devices net compile_device;
   (nv, nv + !nbranch, Array.of_list (List.rev !sdevs), branches)
 
-(* A sim over compiled devices and a resolved layout, with fresh
-   solver state; [a] must hold zero values owned by this sim. *)
-let make_sim ~options ~nv ~nunk ~sdevs ~branches ~a ~slots ~soff ~donor ~seed =
+(* The netlist's nodeset as a start vector, [None] without one. *)
+let seed_of net ~nunk =
+  match Netlist.nodeset net with
+  | [] -> None
+  | set ->
+      let x = Array.make nunk 0.0 in
+      List.iter (fun (nd, v) -> x.(node_unknown nd) <- v) set;
+      Some x
+
+(* ------------------------------------------------------------------ *)
+(* Layouts.  A device's first stamp, each stamp's slot, the CSC
+   pattern and the LU column order of that pattern are a pure function
+   of the compiled device structure, so one process-wide table of the
+   last [layout_bound] structures serves every netlist of a topology.
+   Entries hold no values and no pivot order (both depend on values):
+   races between domains, eviction and lookup order change speed,
+   never results. *)
+
+type layout = {
+  l_key : int array;
+  l_soff : int array;
+  l_slots : int array;
+  l_pattern : Cml_numerics.Sparse.csc;  (** its [values] are [[||]] *)
+  l_order : Cml_numerics.Sparse_lu.order;
+}
+
+(* A device's shape tag and the unknowns its stamps sit on, packed 20
+   bits per unknown (ground is 0) into [word] and, for the controlled
+   sources, [extra].  A key is [nv; nunk; device count], then every
+   device's word, then every extra: equal keys mean equal stamp offsets
+   and coordinates.  Exact while the unknowns fit: see [layout_of]. *)
+let pack tag x y z = tag lor ((x + 1) lsl 3) lor ((y + 1) lsl 23) lor ((z + 1) lsl 43)
+
+let word = function
+  | SRes { i; j; _ } | SCap { i; j; _ } | SDiode { a = i; k = j; _ } -> pack 0 i j (-1)
+  | SBjt { c; b; e; _ } -> pack 1 c b e
+  | SVsrc { p; n; br; _ } -> pack 2 p n br
+  | SIsrc _ -> 3
+  | SVcvs { p; n; cp; _ } -> pack 4 p n cp
+  | SVccs { p; n; cp; _ } -> pack 5 p n cp
+
+let extra = function
+  | SVcvs { cn; br; _ } -> pack 0 cn br (-1)
+  | SVccs { cn; _ } -> pack 0 cn (-1) (-1)
+  | SRes _ | SCap _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ -> 0
+
+let key_of ~nv ~nunk sdevs =
+  Array.concat [ [| nv; nunk; Array.length sdevs |]; Array.map word sdevs; Array.map extra sdevs ]
+
+(* [key = key_of ~nv ~nunk sdevs], without building the right side *)
+let key_matches ~nv ~nunk sdevs (key : int array) =
+  let nd = Array.length sdevs in
+  let rec from di =
+    di = nd
+    || (key.(3 + di) = word sdevs.(di) && key.(3 + nd + di) = extra sdevs.(di) && from (di + 1))
+  in
+  Array.length key = 3 + (2 * nd) && key.(0) = nv && key.(1) = nunk && from 0
+
+let layout_bound = 8
+
+(* filled round-robin: the oldest entry makes room for a new one *)
+let layouts : layout option array = Array.make layout_bound None
+let layouts_next = ref 0
+let layouts_lock = Mutex.create ()
+
+(* under [layouts_lock] *)
+let find_layout ~nv ~nunk sdevs =
+  Array.find_map
+    (function Some l when key_matches ~nv ~nunk sdevs l.l_key -> Some l | _ -> None)
+    layouts
+
+(* A new layout and the zero values of the matrix it compressed. *)
+let build_layout ~nv ~nunk sdevs =
+  let soff, count = stamp_offsets ~nv sdevs in
+  let trip = Cml_numerics.Sparse.triplet_create ~capacity:count nunk in
+  (* each stamp's triplet entry, then its CSC slot; -1 for a ground row
+     or column *)
+  let slots = Array.make count (-1) and s = ref 0 and entries = ref 0 in
+  let add i j =
+    if i >= 0 && j >= 0 then begin
+      Cml_numerics.Sparse.add trip i j 0.0;
+      slots.(!s) <- !entries;
+      incr entries
+    end;
+    incr s
+  in
+  for i = 0 to nv - 1 do
+    add i i
+  done;
+  Array.iter (fun d -> stamp_coords d add) sdevs;
+  let pat = Cml_numerics.Sparse.compress trip in
+  let csc_pos = Cml_numerics.Sparse.entry_of_triplet pat in
+  Array.iteri (fun s k -> if k >= 0 then slots.(s) <- csc_pos.(k)) slots;
+  let a = Cml_numerics.Sparse.csc_of_pattern pat in
+  ( {
+      l_key = key_of ~nv ~nunk sdevs;
+      l_soff = soff;
+      l_slots = slots;
+      l_pattern = { a with Cml_numerics.Sparse.values = [||] };
+      l_order = Cml_numerics.Sparse_lu.column_order a;
+    },
+    a.Cml_numerics.Sparse.values )
+
+(* The layout of compiled devices and zero matrix values of its own.
+   A missing layout is built outside the lock; when a racing domain
+   stored the same key first, its entry is used, so every sim of one
+   structure shares one set of arrays.  A design beyond [pack]'s 20
+   bits per unknown is laid out, not kept. *)
+let layout_of ~nv ~nunk sdevs =
+  let keyed = nunk < 1 lsl 20 in
+  let find () = if keyed then find_layout ~nv ~nunk sdevs else None in
+  match Mutex.protect layouts_lock find with
+  | Some l -> (l, Array.make (Cml_numerics.Sparse.nnz l.l_pattern) 0.0)
+  | None ->
+      let l, values = build_layout ~nv ~nunk sdevs in
+      let stored =
+        Mutex.protect layouts_lock (fun () ->
+            match find () with
+            | Some l' -> l'
+            | None ->
+                if keyed then begin
+                  layouts.(!layouts_next) <- Some l;
+                  layouts_next := (!layouts_next + 1) mod layout_bound
+                end;
+                l)
+      in
+      (stored, values)
+
+let compile ?(options = default_options) net =
+  let nv, nunk, sdevs, branches = build_devices net in
+  let l, values = layout_of ~nv ~nunk sdevs in
   {
     opts = options;
     nv;
     nunk;
     sdevs;
     branches;
-    a;
+    a = { l.l_pattern with values };
     lu = None;
     n_symbolic = 0;
     n_numeric = 0;
     n_shared = 0;
-    donor;
-    slots;
-    soff;
+    donor = None;
+    slots = l.l_slots;
+    soff = l.l_soff;
+    order = l.l_order;
     rhs = Array.make nunk 0.0;
     ws_x = Array.make nunk 0.0;
     ws_xnew = Array.make nunk 0.0;
@@ -398,90 +514,10 @@ let make_sim ~options ~nv ~nunk ~sdevs ~branches ~a ~slots ~soff ~donor ~seed =
     chord_pays = false;
     chord_run = 0;
     n_chord_steps = 0;
-    seed;
+    seed = seed_of net ~nunk;
     n_seeded = 0;
     n_seed_fallbacks = 0;
   }
-
-(* The netlist's nodeset as a start vector, [None] without one. *)
-let seed_of net ~nunk =
-  match Netlist.nodeset net with
-  | [] -> None
-  | set ->
-      let x = Array.make nunk 0.0 in
-      List.iter (fun (nd, v) -> x.(node_unknown nd) <- v) set;
-      Some x
-
-let compile ?(options = default_options) net =
-  let nv, nunk, sdevs, branches = build_devices net in
-  let soff, count = stamp_offsets ~nv sdevs in
-  (* the pattern comes from the stamp coordinates alone; each stamp's
-     slot is the CSC position its triplet entry merged into.  The
-     triplet is dropped once compressed. *)
-  let trip = Cml_numerics.Sparse.triplet_create ~capacity:count nunk in
-  let entries = ref 0 in
-  let place i j =
-    Cml_numerics.Sparse.add trip i j 0.0;
-    incr entries;
-    !entries - 1
-  in
-  let slots = resolve_slots ~nv sdevs ~count place in
-  let pat = Cml_numerics.Sparse.compress trip in
-  let csc_pos = Cml_numerics.Sparse.entry_of_triplet pat in
-  Array.iteri (fun s k -> if k >= 0 then slots.(s) <- csc_pos.(k)) slots;
-  make_sim ~options ~nv ~nunk ~sdevs ~branches ~a:(Cml_numerics.Sparse.csc_of_pattern pat)
-    ~slots ~soff ~donor:None ~seed:(seed_of net ~nunk)
-
-(* What a compiled device is, for [revalue]'s error. *)
-let sdev_kind sdevs di =
-  if di >= Array.length sdevs then "none"
-  else
-    match sdevs.(di) with
-    | SRes _ -> "resistor"
-    | SCap _ -> "capacitor"
-    | SDiode _ -> "diode"
-    | SBjt { name; _ } -> "bjt " ^ name
-    | SVsrc _ -> "vsource"
-    | SIsrc _ -> "isource"
-    | SVcvs _ -> "vcvs"
-    | SVccs _ -> "vccs"
-
-(* Same constructor on the same unknowns: the device stamps the same
-   coordinates in the same order. *)
-let same_stamps d d' =
-  match (d, d') with
-  | SRes { i; j; _ }, SRes { i = i'; j = j'; _ } | SCap { i; j; _ }, SCap { i = i'; j = j'; _ } ->
-      i = i' && j = j'
-  | SDiode { a; k; _ }, SDiode { a = a'; k = k'; _ } -> a = a' && k = k'
-  | SBjt { c; b; e; _ }, SBjt { c = c'; b = b'; e = e'; _ } -> c = c' && b = b' && e = e'
-  | SVsrc { p; n; br; _ }, SVsrc { p = p'; n = n'; br = br'; _ } -> p = p' && n = n' && br = br'
-  | SIsrc { p; n; _ }, SIsrc { p = p'; n = n'; _ } -> p = p' && n = n'
-  | ( SVcvs { p; n; cp; cn; br; _ },
-      SVcvs { p = p'; n = n'; cp = cp'; cn = cn'; br = br'; _ } ) ->
-      p = p' && n = n' && cp = cp' && cn = cn' && br = br'
-  | SVccs { p; n; cp; cn; _ }, SVccs { p = p'; n = n'; cp = cp'; cn = cn'; _ } ->
-      p = p' && n = n' && cp = cp' && cn = cn'
-  | (SRes _ | SCap _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _), _ -> false
-
-let revalue like net =
-  let nv, nunk, sdevs, branches = build_devices net in
-  if nv <> like.nv || nunk <> like.nunk then
-    invalid_arg
-      (Printf.sprintf "Engine.revalue: %d node and %d total unknowns, the layout has %d and %d"
-         nv nunk like.nv like.nunk);
-  let n = Array.length sdevs and n' = Array.length like.sdevs in
-  for di = 0 to max n n' - 1 do
-    if di >= n || di >= n' || not (same_stamps sdevs.(di) like.sdevs.(di)) then
-      invalid_arg
-        (Printf.sprintf
-           "Engine.revalue: compiled device %d (%s) differs from the layout's (%s) in kind or \
-            terminals"
-           di (sdev_kind sdevs di) (sdev_kind like.sdevs di))
-  done;
-  let values = Array.make (Array.length like.a.values) 0.0 in
-  make_sim ~options:like.opts ~nv ~nunk ~sdevs ~branches
-    ~a:{ like.a with Cml_numerics.Sparse.values }
-    ~slots:like.slots ~soff:like.soff ~donor:like.lu ~seed:(seed_of net ~nunk)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly.
@@ -853,7 +889,7 @@ let solve_linear_into sim x out =
         sim.n_symbolic <- sim.n_symbolic + 1;
         f
       in
-      let fresh_factorize () = install (Cml_numerics.Sparse_lu.factorize a) in
+      let fresh_factorize () = install (Cml_numerics.Sparse_lu.factorize_in sim.order a) in
       let repivot f = install (Cml_numerics.Sparse_lu.repivot f a) in
       let f =
         match lu with
@@ -864,11 +900,11 @@ let solve_linear_into sim x out =
             note_fallback sim f;
             repivot f
         | None -> begin
-            (* first factorization: a donor sim of the same design may
-               have offered its symbolic analysis — adopt it (ordering,
-               patterns, pivot order) and only run the numeric
-               elimination, unless its pivot order is unstable for this
-               sim's values *)
+            (* first factorization, in the layout's column order.  A
+               donor sim of the same layout may have offered its
+               symbolic analysis — adopt it (patterns, pivot order) and
+               only run the numeric elimination, unless its pivot order
+               is unstable for this sim's values *)
             match sim.donor with
             | None -> fresh_factorize ()
             | Some d -> begin
@@ -998,6 +1034,8 @@ let device_label sim di =
     | SDiode { a; k; _ } -> Printf.sprintf "diode[%d-%d]" (a + 1) (k + 1)
     | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ ->
         Printf.sprintf "device[%d]" di
+
+let jacobian sim = sim.a
 
 let share_symbolic ~donor sim = if Option.is_some donor.lu then sim.donor <- donor.lu
 

@@ -57,25 +57,20 @@ val compile : ?options:options -> Netlist.t -> sim
     symbolic analysis per Jacobian pattern, then numeric-only
     refactorizations (see {!solver_stats}).  The netlist's nodeset
     becomes the start vector of {!dc_operating_point}.  A non-positive
-    capacitance is left out; a NaN one is kept.
+    capacitance is left out; a NaN one is kept.  The layout (stamp
+    slots, CSC pattern, LU column order) depends only on the device
+    structure, so sims of one topology share it: a process-wide table
+    keeps the last {!layout_bound} layouts, and a hit builds only the
+    device records.  Hit or miss, a sim solves bit-identically.
     @raise Invalid_argument on a non-positive resistance. *)
 
-val revalue : sim -> Netlist.t -> sim
-(** [revalue like net] compiles [net], whose device sequence and
-    terminals must be those of the netlist [like] was compiled from
-    (only values may differ, as after [Variation.perturb]), without
-    rebuilding the layout: the new sim shares [like]'s stamp slots and
-    CSC pattern (with its own zeroed values), and offers [like]'s
-    installed factor as its symbolic donor, as {!share_symbolic}
-    would.  It has its own device state, workspaces and counters and
-    [like]'s options and [net]'s nodeset, and solves bit-identically
-    to [compile net] after [share_symbolic ~donor:like].  [like] is only
-    read, so concurrent domains may re-value from it while it runs no
-    solve.
-    @raise Invalid_argument naming the first compiled device whose
-    kind or terminals differ (a capacitance at or below zero drops a
-    compiled device), or when the node or unknown counts differ; and
-    on a non-positive resistance, like {!compile}. *)
+val layout_bound : int
+(** How many layouts {!compile}'s table keeps (8); a new one replaces
+    the oldest. *)
+
+val jacobian : sim -> Cml_numerics.Sparse.csc
+(** The sim's Jacobian: the pattern arrays are its layout's, the
+    values its own, as the last load left them. *)
 
 val options : sim -> options
 val unknown_count : sim -> int
@@ -152,9 +147,9 @@ type solver_stats = {
       (** numeric-only refactorizations reusing the cached symbolic
           analysis — the cheap per-Newton-iteration path *)
   shared_symbolic : int;
-      (** symbolic analyses adopted wholesale from a donor sim via
-          {!share_symbolic} instead of being recomputed — batch lanes
-          of one design pay for one ordering + pattern analysis *)
+      (** symbolic analyses (L/U patterns and pivot order) adopted
+          from a donor sim via {!share_symbolic} instead of being
+          recomputed *)
   newton_iters : int;
       (** Newton iterations (assemble + linear solve) since
           {!compile} *)
@@ -246,9 +241,10 @@ val lu_fill : sim -> (int * int) option
 val share_symbolic : donor:sim -> sim -> unit
 (** Offer the donor's cached sparse symbolic analysis (column
     ordering, L/U patterns, pivot order) to [sim], to be adopted at
-    its first factorization if the Jacobian patterns match — the
-    batch scheduler calls this so K lanes of one design run one
-    symbolic analysis and K numeric refactorizations.  A stale or
+    its first factorization if the Jacobian patterns match.  The pivot
+    order depends on the donor's values, so the caller must fix the
+    donor by program order (Monte-Carlo samples adopt their nominal
+    sim's) for results not to depend on scheduling.  A stale or
     mismatched offer is harmless: adoption silently falls back to a
     full factorization.  No-op unless the donor has factored. *)
 

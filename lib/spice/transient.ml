@@ -469,11 +469,9 @@ let run ?x0 ?guide ?breakpoints ?observers sim net cfg =
   stepper_finish st
 
 (* ------------------------------------------------------------------ *)
-(* Batch runs: one [run] per lane, in lane order.  What a batch shares
-   is the sparse symbolic analysis: every lane after the first
-   completed one is offered that lane's factorization
-   ({!Engine.share_symbolic}), so K lanes of one design pay for one
-   column ordering.  A lane that diverges fails alone. *)
+(* Batch runs: one [run] per lane, in lane order, each lane on its own
+   sim ({!Engine.compile} shares one topology's layout).  A lane that
+   diverges fails alone. *)
 
 type lane_result =
   | Lane_done of result
@@ -499,23 +497,18 @@ let run_batch ?guide ?breakpoints lanes net cfg =
     M.incr m_batch_runs;
     M.add m_batch_lanes n;
     M.observe m_batch_size (float_of_int n);
-    let donor = ref None in
     Array.map
       (fun (sim, observers) ->
         if Engine.unknown_count sim <> width then begin
           M.incr m_batch_incompatible;
           Lane_incompatible
         end
-        else begin
-          Option.iter (fun d -> Engine.share_symbolic ~donor:d sim) !donor;
+        else
           match run ?guide ~breakpoints ?observers sim net cfg with
-          | r ->
-              if Option.is_none !donor then donor := Some sim;
-              Lane_done r
+          | r -> Lane_done r
           | exception Engine.No_convergence msg ->
               M.incr m_batch_diverged;
-              Lane_failed msg
-        end)
+              Lane_failed msg)
       lanes
   end
 

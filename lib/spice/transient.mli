@@ -158,8 +158,8 @@ type lane_result =
       (** the lane's Newton solve failed at [min_step] (the
           {!Engine.No_convergence} message) or its DC start diverged *)
   | Lane_incompatible
-      (** the lane's unknown count differs from lane 0's, so it cannot
-          share lane 0's symbolic analysis — it was not run *)
+      (** the lane's unknown count differs from lane 0's, so it is not
+          a variant of lane 0's design — it was not run *)
 
 val run_batch :
   ?guide:result ->
@@ -169,13 +169,11 @@ val run_batch :
   config ->
   lane_result array
 (** Run every lane (a compiled variant of one stimulus, plus its probe
-    set) through {!run}, one after the other in lane order.  Every lane
-    after the first completed one is offered that lane's symbolic
-    analysis ({!Engine.share_symbolic}), so the batch pays for one
-    column ordering and pattern analysis.  Each lane is therefore
-    exactly a scalar {!run} of its sim: a lane whose symbolic analysis is adopted may pick other
-    pivots than a fresh factorization would, nothing else differs.  A
-    lane that diverges fails alone ([Lane_failed]).
+    set) through {!run}, one after the other in lane order.  Lanes of
+    one topology share its compiled layout and column ordering
+    ({!Engine.compile}), nothing else: each lane is exactly a scalar
+    {!run} of its sim.  A lane that diverges fails alone
+    ([Lane_failed]).
 
     Lane 0's unknown count fixes the batch width; lanes with a
     different layout are reported [Lane_incompatible] without running.

@@ -183,6 +183,41 @@ let test_eval_x_propagates () =
   let values = L.Sim.eval c (L.Sim.initial c V.X) ~inputs:[| V.T |] in
   Alcotest.(check bool) "some X present" true (Array.exists (fun v -> v = V.X) values)
 
+(* Every gate evaluated in topological order, each primary input
+   looked up by name: what [Sim.eval] computed before it assigned the
+   inputs by position.  For combinational circuits only. *)
+let eval_by_name (c : C.t) ~inputs =
+  let named = List.mapi (fun i (name, _) -> (name, inputs.(i))) c.C.inputs in
+  let values = Array.make (Array.length c.C.gates) V.X in
+  Array.iter
+    (fun gid ->
+      values.(gid) <-
+        (match c.C.gates.(gid) with
+        | C.Input name -> List.assoc name named
+        | C.And (a, b) -> V.v_and values.(a) values.(b)
+        | C.Or (a, b) -> V.v_or values.(a) values.(b)
+        | C.Xor (a, b) -> V.v_xor values.(a) values.(b)
+        | C.Not a -> V.v_not values.(a)
+        | C.Buf a -> values.(a)
+        | C.Mux { sel; a; b } -> V.v_mux ~sel:values.(sel) ~a:values.(a) ~b:values.(b)
+        | C.Dff _ -> Alcotest.fail "unexpected flip-flop"))
+    c.C.order;
+  values
+
+let test_eval_c432_by_position () =
+  let c = L.Bench_circuits.c432_surrogate () in
+  let st = Random.State.make [| 432 |] in
+  for k = 1 to 20 do
+    let inputs =
+      Array.of_list
+        (List.map (fun _ -> [| V.F; V.T; V.X |].(Random.State.int st 3)) c.C.inputs)
+    in
+    Alcotest.(check (array val_eq))
+      (Printf.sprintf "vector %d" k)
+      (eval_by_name c ~inputs)
+      (L.Sim.eval c [||] ~inputs)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Patterns *)
 
@@ -608,6 +643,7 @@ let () =
           Alcotest.test_case "shift register" `Quick test_shift_register_moves;
           Alcotest.test_case "traffic fsm period" `Quick test_traffic_fsm_cycles;
           Alcotest.test_case "x propagation" `Quick test_eval_x_propagates;
+          Alcotest.test_case "c432 inputs by position" `Quick test_eval_c432_by_position;
           Alcotest.test_case "multiplier vectors" `Quick test_multiplier_vectors;
           QCheck_alcotest.to_alcotest prop_multiplier_correct;
         ] );

@@ -135,6 +135,32 @@ let test_campaign_parallel_matches_sequential () =
     (Cml_defects.Campaign.summary seq)
     (Cml_defects.Campaign.summary par)
 
+(* Slicing is a pure scheduling choice: the same site at two pipe
+   values (one topology, so one shared layout) and the site's other
+   defects give the same measurement floats, exactly, whether every
+   variant runs alone on one domain or in slices on two. *)
+let test_campaign_slicing_parity () =
+  let golden = Cml_cells.Chain.build ~stages:4 ~freq:1e9 () in
+  let defects =
+    List.filteri
+      (fun i _ -> i < 6)
+      (Cml_defects.Sites.enumerate golden.Cml_cells.Chain.builder.Cml_cells.Builder.net
+         ~prefix:"x2" ~pipe_values:[ 2e3; 6e3 ])
+  in
+  let run ~jobs ~batch =
+    Cml_defects.Campaign.run ~stages:4 ~freq:1e9 ~dut:2 ~tstop:4e-9 ~jobs ~batch ~defects ()
+  in
+  let alone = run ~jobs:1 ~batch:false and sliced = run ~jobs:2 ~batch:true in
+  Alcotest.(check bool) "entries identical" true
+    (compare alone.Cml_defects.Campaign.entries sliced.Cml_defects.Campaign.entries = 0);
+  List.iter2
+    (fun (a : Cml_telemetry.Manifest.variant) (b : Cml_telemetry.Manifest.variant) ->
+      Alcotest.(check bool)
+        (a.Cml_telemetry.Manifest.v_name ^ " metrics identical")
+        true
+        (compare a.Cml_telemetry.Manifest.v_metrics b.Cml_telemetry.Manifest.v_metrics = 0))
+    alone.Cml_defects.Campaign.variants sliced.Cml_defects.Campaign.variants
+
 (* ------------------------------------------------------------------ *)
 (* Incremental sparse LU *)
 
@@ -486,6 +512,8 @@ let () =
         [
           Alcotest.test_case "parallel campaign matches sequential" `Slow
             test_campaign_parallel_matches_sequential;
+          Alcotest.test_case "slicing leaves measurements bit-identical" `Slow
+            test_campaign_slicing_parity;
         ] );
       ( "incremental-lu",
         [

@@ -799,11 +799,11 @@ let test_run_batch_matches_scalar () =
       (stats.(lane) = scalar.T.stats)
   done
 
-let test_run_batch_shares_symbolic () =
-  (* K lanes of one design pay for one symbolic analysis: lane
-     0 factors, the others adopt its ordering and patterns through the
-     batch donor path, and the adoption must not change the
-     trajectory *)
+let test_run_batch_shares_layout () =
+  (* lanes of one design share its compiled layout (pattern arrays,
+     stamp slots, column order) and nothing else: no lane adopts
+     another's pivot order, so every lane is bit-identical to a scalar
+     run of the same netlist *)
   let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
   let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
@@ -811,9 +811,7 @@ let test_run_batch_shares_symbolic () =
   let idx = E.node_unknown out.Cml_cells.Builder.p in
   let probe () = T.observers [ ("out", idx) ] in
   let scalar_obs = probe () in
-  ignore
-    (T.run ~observers:scalar_obs (E.compile net) net
-       (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
+  ignore (T.run ~observers:scalar_obs (E.compile net) net cfg);
   let lane_obs = Array.init 3 (fun _ -> probe ()) in
   let sims = Array.map (fun _ -> E.compile net) lane_obs in
   let lanes = Array.mapi (fun i obs -> (sims.(i), Some obs)) lane_obs in
@@ -823,29 +821,29 @@ let test_run_batch_shares_symbolic () =
       | T.Lane_failed msg -> Alcotest.failf "lane failed: %s" msg
       | T.Lane_incompatible -> Alcotest.fail "lane incompatible")
     (T.run_batch lanes net cfg);
-  let stats i = E.solver_stats sims.(i) in
-  Alcotest.(check bool) "lane 0 did the symbolic analysis" true
-    ((stats 0).E.symbolic_factorizations >= 1);
-  Alcotest.(check int) "lane 0 adopted nothing" 0 (stats 0).E.shared_symbolic;
-  for i = 1 to 2 do
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d adopted the donor's symbolic" i)
-      1 (stats i).E.shared_symbolic;
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d ran no symbolic of its own" i)
-      0 (stats i).E.symbolic_factorizations
-  done;
-  let _, v0 = T.probe_samples lane_obs.(0) "out" in
-  for lane = 1 to 2 do
-    let _, v = T.probe_samples lane_obs.(lane) "out" in
-    Alcotest.(check (array (float 0.0)))
-      (Printf.sprintf "lane %d bit-identical to lane 0" lane)
-      v0 v
-  done;
+  let a0 = E.jacobian sims.(0) in
   let _, vs = T.probe_samples scalar_obs "out" in
-  let last a = a.(Array.length a - 1) in
-  Alcotest.(check bool) "final probe value matches the per-lane-symbolic run" true
-    (Float.abs (last v0 -. last vs) <= 1e-3)
+  for i = 0 to 2 do
+    let a = E.jacobian sims.(i) and stats = E.solver_stats sims.(i) in
+    Alcotest.(check bool)
+      (Printf.sprintf "lane %d shares lane 0's pattern arrays" i)
+      true
+      (a.Cml_numerics.Sparse.colptr == a0.Cml_numerics.Sparse.colptr
+      && a.Cml_numerics.Sparse.rowind == a0.Cml_numerics.Sparse.rowind);
+    Alcotest.(check bool)
+      (Printf.sprintf "lane %d owns its values" i)
+      true
+      (i = 0 || a.Cml_numerics.Sparse.values != a0.Cml_numerics.Sparse.values);
+    Alcotest.(check int) (Printf.sprintf "lane %d adopted nothing" i) 0 stats.E.shared_symbolic;
+    Alcotest.(check bool)
+      (Printf.sprintf "lane %d ran its own pivot search" i)
+      true
+      (stats.E.symbolic_factorizations >= 1);
+    let _, v = T.probe_samples lane_obs.(i) "out" in
+    Alcotest.(check (array (float 0.0)))
+      (Printf.sprintf "lane %d bit-identical to the scalar run" i)
+      vs v
+  done
 
 let test_run_batch_early_retire () =
   (* three layout-compatible lanes; the middle one carries a diode and
@@ -1126,8 +1124,33 @@ let same_transients a b =
   | Error ma, Error mb -> ma = mb
   | Ok _, Error _ | Error _, Ok _ -> false
 
-let prop_revalue_matches_compile =
-  QCheck2.Test.make ~name:"revalue is bit-identical to compile + share_symbolic" ~count:60
+(* [k] (default [E.layout_bound]) topologies no compile has seen:
+   24-node resistor ladders, each with a shunt resistor at node [i] when
+   bit [i - 1] of its fresh serial is set.  [E.layout_bound] of them
+   push every earlier layout out of the table. *)
+let ladders = ref 0
+
+let evict_layouts ?(k = E.layout_bound) () =
+  for _ = 1 to k do
+    incr ladders;
+    let net = N.create () in
+    let nodes = Array.init 24 (fun i -> N.node net (Printf.sprintf "n%d" i)) in
+    N.vsource net ~name:"v" ~pos:nodes.(0) ~neg:N.gnd (W.Dc 1.0);
+    for i = 1 to 23 do
+      N.resistor net ~name:(Printf.sprintf "r%d" i) nodes.(i - 1) nodes.(i) 1e3;
+      if (!ladders lsr (i - 1)) land 1 = 1 then
+        N.resistor net ~name:(Printf.sprintf "g%d" i) nodes.(i) N.gnd 1e4
+    done;
+    ignore (E.compile net)
+  done
+
+let shares_pattern a b =
+  let a = E.jacobian a and b = E.jacobian b in
+  a.Cml_numerics.Sparse.colptr == b.Cml_numerics.Sparse.colptr
+  && a.Cml_numerics.Sparse.rowind == b.Cml_numerics.Sparse.rowind
+
+let prop_layout_hit_matches_miss =
+  QCheck2.Test.make ~name:"a layout hit solves like a miss" ~count:60
     QCheck2.Gen.(pair gen_random_netlist (pair bool small_nat))
     (fun (spec, (scale, seed)) ->
       let net = random_netlist spec in
@@ -1142,53 +1165,90 @@ let prop_revalue_matches_compile =
                 | d -> d)
             else Cml_defects.Variation.perturb ~seed net
           in
-          let fresh = E.compile varied in
-          E.share_symbolic ~donor:nominal fresh;
-          let revalued = E.revalue nominal varied in
-          match (dc_and_transient fresh varied x0, dc_and_transient revalued varied x0) with
+          let hit = E.compile varied in
+          E.share_symbolic ~donor:nominal hit;
+          evict_layouts ();
+          let miss = E.compile varied in
+          E.share_symbolic ~donor:nominal miss;
+          shares_pattern hit nominal
+          && (not (shares_pattern miss nominal))
+          &&
+          match (dc_and_transient hit varied x0, dc_and_transient miss varied x0) with
           | Error ma, Error mb -> ma = mb
           | Ok (xa, da, wa, sa), Ok (xb, db, wb, sb) ->
               same_floats xa xb && compare da db = 0 && same_transients wa wb && compare sa sb = 0
           | Ok _, Error _ | Error _, Ok _ -> false))
 
-(* Anything but a value change is rejected, naming the first compiled
-   device that differs. *)
-let test_revalue_rejects_topology () =
-  let build ?(c = 1e-12) ?(moved = false) ?(extra = false) ?(node = false) () =
-    let net = N.create () in
-    let a = N.node net "a" and b = N.node net "b" and o = N.node net "o" in
-    N.vsource net ~name:"v1" ~pos:a ~neg:N.gnd (W.Dc 1.0);
-    N.resistor net ~name:"r1" a b 1e3;
-    N.diode net ~name:"d1" ~anode:b ~cathode:(if moved then o else N.gnd) ();
-    N.capacitor net ~name:"c1" b N.gnd c;
-    N.resistor net ~name:"r2" b o 1e3;
-    N.resistor net ~name:"r3" o N.gnd 1e3;
-    if extra then N.resistor net ~name:"r4" a o 1e3;
-    if node then ignore (N.node net "spare");
-    net
-  in
-  let like = E.compile (build ()) in
-  ignore (E.dc_operating_point like);
-  let rejects name message net =
-    Alcotest.check_raises name (Invalid_argument message) (fun () -> ignore (E.revalue like net))
-  in
-  (* compiled devices: v1, r1, d1 and its junction capacitance, c1,
-     r2, r3 *)
-  let differs di this layout =
-    Printf.sprintf
-      "Engine.revalue: compiled device %d (%s) differs from the layout's (%s) in kind or terminals"
-      di this layout
-  in
-  rejects "a moved terminal" (differs 2 "diode" "diode") (build ~moved:true ());
-  rejects "an added device" (differs 7 "resistor" "none") (build ~extra:true ());
-  rejects "a capacitance set to 0" (differs 4 "resistor" "capacitor") (build ~c:0.0 ());
-  rejects "a different node count"
-    "Engine.revalue: 4 node and 5 total unknowns, the layout has 3 and 4"
-    (build ~node:true ());
-  (* the values alone may change *)
-  let sim = E.revalue like (build ~c:2e-12 ()) in
-  ignore (E.dc_operating_point sim);
-  Alcotest.(check int) "the layout's analysis adopted" 1 (E.solver_stats sim).E.shared_symbolic
+let c432_net () =
+  Cml_cells.Compile.netlist
+    (Cml_cells.Compile.compile ~freq:200e6 (Cml_logic.Bench_circuits.c432_surrogate ()))
+
+(* DC operating point, then a 1 ns transient from it. *)
+let op_and_transient net sim =
+  let x = E.dc_operating_point sim in
+  let r = T.run ~x0:x sim net (T.config ~tstop:1e-9 ~max_step:10e-12 ()) in
+  (x, r.T.times, r.T.data)
+
+let same_runs (x, t, w) (x', t', w') =
+  same_floats x x' && same_floats t t' && Array.length w = Array.length w'
+  && Array.for_all2 same_floats w w'
+
+let test_c432_compiles_share_layout () =
+  let net = c432_net () in
+  let first = E.compile net in
+  let second = E.compile net in
+  Alcotest.(check bool) "second compile shares colptr and rowind" true
+    (shares_pattern first second);
+  Alcotest.(check bool) "values are not shared" true
+    ((E.jacobian first).Cml_numerics.Sparse.values
+    != (E.jacobian second).Cml_numerics.Sparse.values);
+  Alcotest.(check bool) "DC and 1 ns transient bit-identical" true
+    (same_runs (op_and_transient net first) (op_and_transient net second))
+
+(* Two domains compile one topology the table has not seen, at once:
+   whichever stores its layout first, both sims share that entry and
+   solve bit-identically to a sequential compile on a miss. *)
+let test_concurrent_compiles () =
+  let chain = Cml_cells.Chain.build ~stages:3 ~freq:1e9 () in
+  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
+  let run sim = op_and_transient net sim in
+  evict_layouts ();
+  let domains = Array.init 2 (fun _ -> Domain.spawn (fun () -> E.compile net)) in
+  let sims = Array.map Domain.join domains in
+  Alcotest.(check bool) "both domains share one layout" true (shares_pattern sims.(0) sims.(1));
+  let raced = Array.map run sims in
+  evict_layouts ();
+  let sequential = E.compile net in
+  Alcotest.(check bool) "the sequential compile was a miss" false
+    (shares_pattern sequential sims.(0));
+  let reference = run sequential in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d bit-identical to the sequential compile" i)
+        true (same_runs r reference))
+    raced
+
+(* The table keeps exactly the last [E.layout_bound] layouts: after
+   one fewer new topologies a re-compile still shares the first
+   layout, after that many it is rebuilt, and solves the same. *)
+let test_layout_table_bounded () =
+  let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
+  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
+  evict_layouts ();
+  let first = E.compile net in
+  let x = E.dc_operating_point first in
+  evict_layouts ~k:(E.layout_bound - 1) ();
+  Alcotest.(check bool) "kept while within the bound" true (shares_pattern first (E.compile net));
+  evict_layouts ();
+  let again = E.compile net in
+  Alcotest.(check bool) "evicted past the bound" false (shares_pattern first again);
+  let a = E.jacobian first and a' = E.jacobian again in
+  Alcotest.(check bool) "the rebuilt layout has the same pattern" true
+    (a.Cml_numerics.Sparse.colptr = a'.Cml_numerics.Sparse.colptr
+    && a.Cml_numerics.Sparse.rowind = a'.Cml_numerics.Sparse.rowind);
+  Alcotest.(check bool) "and solves bit-identically" true
+    (same_floats x (E.dc_operating_point again))
 
 let () =
   Alcotest.run "spice"
@@ -1232,7 +1292,7 @@ let () =
           Alcotest.test_case "incompatible guide ignored" `Quick
             test_transient_incompatible_guide_ignored;
           Alcotest.test_case "batch matches scalar" `Slow test_run_batch_matches_scalar;
-          Alcotest.test_case "batch shares symbolic" `Quick test_run_batch_shares_symbolic;
+          Alcotest.test_case "batch shares one layout" `Quick test_run_batch_shares_layout;
           Alcotest.test_case "batch early retire" `Quick test_run_batch_early_retire;
           Alcotest.test_case "batch incompatible lane" `Quick test_run_batch_incompatible_lane;
         ] );
@@ -1263,8 +1323,11 @@ let () =
           Alcotest.test_case "c432 pivot fallback re-pivots" `Quick test_c432_pivot_fallback;
           Alcotest.test_case "first load full-evaluates every junction" `Quick
             test_first_load_full_evaluates;
-          Alcotest.test_case "revalue rejects a changed topology" `Quick
-            test_revalue_rejects_topology;
+          Alcotest.test_case "c432 compiles share one layout" `Quick
+            test_c432_compiles_share_layout;
+          Alcotest.test_case "concurrent compiles of a new topology" `Quick
+            test_concurrent_compiles;
+          Alcotest.test_case "layout table stays bounded" `Quick test_layout_table_bounded;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -1276,7 +1339,7 @@ let () =
             prop_observer_parity_with_dense;
             prop_bypass_matches_full_eval;
             prop_non_finite_stamps_rejected;
-            prop_revalue_matches_compile;
+            prop_layout_hit_matches_miss;
           ]
         @ [
             Alcotest.test_case "device bypass keeps c432 within one Newton tolerance" `Slow
