@@ -1,15 +1,22 @@
 (* The cone-parity gate behind `make cone-parity`: every defect site of
    the c432 surrogate's default DUT is simulated twice, once by
-   [Campaign.run_design] (which routes it to the DUT's fanout cone) and
-   once on the whole faulty netlist, and the two must classify alike.
+   [Campaign.run_design] (which routes it to the DUT's fanout cone and
+   classifies it against the cut reference) and once on the whole
+   faulty netlist, classified against a full-netlist reference of its
+   own, and the two must classify alike.
 
-   Per site it prints both class sets (one when they agree), the worst
-   deviation of the DUT and final-output measurements (levels and
-   swing), the supply current of both runs and the largest current a
-   boundary source on a non-ideal net delivered.  Per path it prints the
-   Newton iterations, numeric LU refactorizations and chord steps
-   (iterations that reused an older LU factor) its transients took.
-   Exits 1 when any site's classes differ. *)
+   It first prints how far the campaign's cut reference (a transient
+   of the toggling input's fanout cone on top of the full DC point)
+   lies from the full-netlist reference: the worst deviation at every
+   boundary net of the DUT's cone, at the DUT and final-output probes
+   (levels, swing, delay) and of the supply current.  Per site it
+   prints both class sets (one when they agree), the worst deviation
+   of the DUT and final-output measurements (levels and swing), the
+   supply current of both runs and the largest current a boundary
+   source on a non-ideal net delivered.  Per path it prints the Newton
+   iterations, numeric LU refactorizations and chord steps (iterations
+   that reused an older LU factor) its transients took.  Exits 1 when
+   any site's classes differ. *)
 
 module D = Cml_defects
 module C = D.Campaign
@@ -37,6 +44,46 @@ let solver_line name before after =
     (count "solver.numeric_refactorizations")
     (count "solver.chord_steps")
 
+(* How far the campaign's reference lies from the full-netlist one:
+   every boundary net of the DUT's cone (the cut run, or the DC value
+   it holds, interpolated at the full run's steps), then the probe
+   measurements and the supply. *)
+let reference_deviation ~golden ~dut_name ~input ~dut ~final ~guide ~full cut =
+  let r = C.design_reference ~input ~dut ~final golden ~freq ~tstop in
+  let traj = D.Cone.full_guide r.C.trajectory in
+  Printf.printf "cone-parity: campaign reference on %s\n"
+    (match r.C.cut with
+    | Some k -> Printf.sprintf "the active cone, %d of %d unknowns" k (E.unknown_count guide.T.sim)
+    | None -> "the full netlist");
+  let column (t : T.result) u = Array.map (fun row -> row.(u)) t.T.data in
+  List.iter
+    (fun (name, ideal) ->
+      let u = E.node_unknown (Option.get (Cml_spice.Netlist.find_node golden name)) in
+      let w = Cml_wave.Wave.create traj.T.times (column traj u) in
+      let dv = ref 0.0 in
+      Array.iteri
+        (fun k t ->
+          dv := Float.max !dv (Float.abs (guide.T.data.(k).(u) -. Cml_wave.Wave.value_at w t)))
+        guide.T.times;
+      Printf.printf "cone-parity: boundary %-16s %s %8.3f mV\n" name
+        (if ideal then "ideal" else "held ") (1e3 *. !dv))
+    (D.Cone.boundary (D.Cone.attacked golden ~cells:[ dut_name ]));
+  let delay = function Some d -> Printf.sprintf "%.1f ps" (d *. 1e12) | None -> "none" in
+  Printf.printf
+    "cone-parity: reference dut dV %.4f mV, final dV %.4f mV, final delay %s vs %s, supply %.4f \
+     vs %.4f mA (%.1f ppm)\n"
+    (1e3
+    *. worst
+         [ (cut.C.dut_vlow, full.C.dut_vlow); (cut.C.dut_vhigh, full.C.dut_vhigh);
+           (cut.C.dut_swing, full.C.dut_swing) ])
+    (1e3
+    *. worst
+         [ (cut.C.final_vlow, full.C.final_vlow); (cut.C.final_vhigh, full.C.final_vhigh);
+           (cut.C.final_swing, full.C.final_swing) ])
+    (delay cut.C.final_delay) (delay full.C.final_delay) (1e3 *. cut.C.supply_current)
+    (1e3 *. full.C.supply_current)
+    (1e6 *. Float.abs (cut.C.supply_current -. full.C.supply_current) /. full.C.supply_current)
+
 let run () =
   let design = Cml_cells.Compile.compile ~freq (Cml_logic.Bench_format.read_file ~path) in
   let dut_name = Cml_cells.Compile.default_dut design in
@@ -51,8 +98,10 @@ let run () =
   let t0 = now_s () and m0 = M.snapshot () in
   let c = C.run_design ~freq ~tstop ~golden ~input ~dut ~final ~defects () in
   let t1 = now_s () and m1 = M.snapshot () in
-  (* the full-netlist runs, warm-started like a campaign variant *)
+  (* the full-netlist side: its own reference measurement, and the
+     full transient that warm-starts its variants like a campaign's *)
   let breakpoints = T.collect_breakpoints golden ~tstop in
+  let reference = C.measure_design ~breakpoints ~input ~dut ~final golden ~freq ~tstop in
   let guide =
     T.run ~breakpoints (E.compile golden) golden (T.config ~tstop ~max_step:10e-12 ())
   in
@@ -66,12 +115,13 @@ let run () =
               C.measure_design ~guide ~breakpoints ~record_every:0 ~input ~dut ~final faulty ~freq
                 ~tstop
             with
-            | m ->
-                C.Measured (m, C.classify ~proc:Cml_cells.Process.default ~reference:c.C.reference m)
+            | m -> C.Measured (m, C.classify ~proc:Cml_cells.Process.default ~reference m)
             | exception E.No_convergence msg -> C.Failed msg))
       defects
   in
   let t2 = now_s () and m2 = M.snapshot () in
+  reference_deviation ~golden ~dut_name ~input ~dut ~final ~guide ~full:reference
+    c.C.reference;
   let differ = ref 0 and fallbacks = ref 0 in
   Printf.printf "%-40s %-8s %10s %10s %9s %9s %9s  %s\n" "site" "path" "dut dV" "final dV"
     "Icone mA" "Ifull mA" "draw mA" "classes";

@@ -460,6 +460,10 @@ let campaign_cmd =
               exit 2)
     in
     print_entries c;
+    Printf.printf "reference: %s\n"
+      (match c.Cml_defects.Campaign.reference_cone with
+      | Some k -> Printf.sprintf "active cone, %d unknowns" k
+      | None -> "full netlist");
     Option.iter (Printf.printf "cone: %s\n")
       (Cml_telemetry.Manifest.cone_line c.Cml_defects.Campaign.variants);
     print_utilization ~wall_s:c.Cml_defects.Campaign.wall_s c.Cml_defects.Campaign.utilization;

@@ -35,6 +35,7 @@ type entry = { defect : Defect.t; outcome : outcome }
    stay structurally equal to a sequential run's. *)
 type t = {
   reference : measurement;
+  reference_cone : int option;
   entries : entry list;
   variants : Cml_telemetry.Manifest.variant list;
   metrics : Cml_telemetry.Metrics.snapshot;
@@ -149,8 +150,8 @@ let analyze ps ?nominal samples ~freq ~tstop =
     },
     Cml_wave.Measure.levels wp_fin ~t_from )
 
-let simulate ?guide ?breakpoints ?(record_every = 1) sim obs net ~tstop =
-  T.run ?guide ?breakpoints ~observers:obs sim net
+let simulate ?x0 ?guide ?breakpoints ?(record_every = 1) sim obs net ~tstop =
+  T.run ?x0 ?guide ?breakpoints ~observers:obs sim net
     (T.config ~tstop ~max_step:10e-12 ~record_every ())
 
 (* Simulate one netlist streaming the probe set, and measure it. *)
@@ -302,11 +303,142 @@ let to_manifest ?seed ?(options = []) t =
 
 let m_cone_variants = Cml_telemetry.Metrics.counter "campaign.cone_variants"
 let m_cone_fallbacks = Cml_telemetry.Metrics.counter "campaign.cone_fallbacks"
+let m_reference_fallbacks = Cml_telemetry.Metrics.counter "campaign.reference_fallbacks"
+
+type reference = {
+  measurement : measurement;
+  nominal : float * float;
+  trajectory : Cone.reference;
+  unknowns : int;
+  cut : int option;
+  samples : string -> float array * float array;
+  breakpoints : float array;
+}
+
+let vdd_current sim x =
+  match E.branch_unknown sim "vdd" with br -> Float.abs x.(br) | exception Not_found -> 0.0
+
+(* The fault-free run every variant is classified against, driven
+   from and guided by.  When the active cone (the fanout of the
+   toggling inputs) passes the cone rule, only it runs a transient, on
+   top of the full netlist's DC operating point: every net outside it
+   holds its DC value.  The full transient runs instead when the cone
+   is too large, when the cut run does not converge, or when a held
+   boundary net must deliver more than a tail current. *)
+let reference ?engine_options ~proc ps golden ~freq ~tstop =
+  let tok = Cml_telemetry.Trace.start () in
+  (* the stimulus is shared by every variant, and defect injection
+     only ever adds resistors and capacitors, so the fault-free
+     breakpoint schedule is valid for all of them — cones included,
+     whose PWL boundary knots must not become breakpoints *)
+  let breakpoints = T.collect_breakpoints golden ~tstop in
+  (* the streams outlive the run: keep them at their exact lengths *)
+  let lookup streams name =
+    match List.find_opt (fun (n, _, _) -> n = name) streams with
+    | Some (_, times, values) -> (times, values)
+    | None -> raise Not_found
+  in
+  let full () =
+    let measurement, r, nominal, obs =
+      measure_full ?engine_options ~breakpoints ps golden ~freq ~tstop
+    in
+    {
+      measurement;
+      nominal;
+      trajectory = Cone.of_run golden r;
+      unknowns = E.unknown_count r.T.sim;
+      cut = None;
+      samples = lookup (T.probe_list obs);
+      breakpoints;
+    }
+  in
+  let cut cone =
+    let gsim = E.compile ?options:engine_options golden in
+    let dc = E.dc_operating_point ~time:0.0 gsim in
+    let op = Cone.operating_point golden gsim dc in
+    let d = Cone.drive cone ~reference:op in
+    let net = Cone.netlist d in
+    let sim = E.compile ?options:engine_options net in
+    let draw = Cone.meter d sim in
+    let on_cut, off_cut =
+      List.partition_map
+        (fun (name, nd) ->
+          match N.find_node net (N.node_name golden nd) with
+          | Some c -> Left (name, E.node_unknown c)
+          | None -> Right (name, dc.(E.node_unknown nd)))
+        (probe_nodes ps)
+    in
+    (* the cone's supply current: the [vdd] branch plus every held
+       boundary source, which delivers what the net's real driver
+       would draw from the rail *)
+    let supply =
+      supply_probe sim
+      @ List.map (fun name -> (name, E.branch_unknown sim name)) (Cone.held_sources d)
+    in
+    let obs = T.observers ~on_step:(Cone.record draw) (supply @ on_cut) in
+    let x0 = Cone.start d in
+    let dc_share = Float.abs (List.fold_left (fun acc (_, k) -> acc +. x0.(k)) 0.0 supply) in
+    let r = simulate ~x0 ~breakpoints sim obs net ~tstop in
+    if not (Cone.peak draw <= proc.Cml_cells.Process.i_tail) then None
+    else begin
+      let streams = T.probe_list obs and times = r.T.times in
+      let total = Array.make (Array.length times) 0.0 in
+      List.iter
+        (fun (name, _, values) ->
+          if List.mem_assoc name supply then
+            Array.iteri (fun k i -> total.(k) <- total.(k) +. i) values)
+        streams;
+      let samples =
+        lookup
+          (("i(vdd)", times, total)
+          :: List.map (fun (name, v) -> (name, times, Array.map (fun _ -> v) times)) off_cut
+          @ List.filter (fun (name, _, _) -> List.mem_assoc name on_cut) streams)
+      in
+      let m, nominal = analyze ps samples ~freq ~tstop in
+      (* the full netlist's DC supply with the cone's DC share swapped
+         for its transient current *)
+      let supply_current = vdd_current gsim dc -. dc_share +. m.supply_current in
+      Some
+        {
+          measurement = { m with supply_current };
+          nominal;
+          trajectory = Cone.with_run op net r;
+          unknowns = E.unknown_count sim;
+          cut = Some (Cone.unknowns cone);
+          samples;
+          breakpoints;
+        }
+    end
+  in
+  let fallback () =
+    Cml_telemetry.Metrics.incr m_reference_fallbacks;
+    full ()
+  in
+  let r =
+    match Cone.active golden with
+    | Some cone when Cone.selected cone -> (
+        match cut cone with
+        | Some r -> r
+        | None -> fallback ()
+        | exception E.No_convergence _ -> fallback ())
+    | Some _ | None -> full ()
+  in
+  Cml_telemetry.Trace.finish ~cat:"campaign"
+    ~args:
+      [
+        ("unknowns", Cml_telemetry.Trace.I r.unknowns);
+        ("path", Cml_telemetry.Trace.S (if r.cut = None then "full" else "cone"));
+      ]
+    "campaign.reference" tok;
+  r
+
+let reference_option = function Some k -> Printf.sprintf "cone:%d" k | None -> "full"
 
 (* The one campaign driver behind [run] and [run_design]: simulate the
-   fault-free circuit once, then every defect variant through the
-   shared run lifecycle ({!Cml_runtime.Variant_loop}), in pool tasks of
-   at most 16 variants ([batch = false]: one variant per task). *)
+   fault-free circuit once ({!reference}), then every defect variant
+   through the shared run lifecycle ({!Cml_runtime.Variant_loop}), in
+   pool tasks of at most 16 variants ([batch = false]: one variant per
+   task). *)
 let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?manifest ~options
     ~golden ps defects =
   let window = Cml_runtime.Variant_loop.start () in
@@ -315,34 +447,23 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   in
   if preflight then
     Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
-  (* the stimulus is shared by every variant, and defect injection
-     only ever adds resistors and capacitors, so the fault-free
-     breakpoint schedule is valid for all of them — cones included,
-     whose PWL boundary knots must not become breakpoints *)
-  let breakpoints = T.collect_breakpoints golden ~tstop in
-  let reference, ref_traj, nominal, ref_obs =
-    measure_full ?engine_options ~breakpoints ps golden ~freq ~tstop
-  in
-  (* the nominal trajectory seeds every variant's Newton solves;
-     [T.run] ignores it for variants whose defect changed the unknown
-     layout (an open adds a node) and falls back to cold seeding
-     whenever the variant diverges from the nominal path *)
-  let guide = if warm_start then Some ref_traj else None in
+  let ref_run = reference ?engine_options ~proc ps golden ~freq ~tstop in
+  let { measurement = reference; nominal; trajectory; breakpoints; cut; _ } = ref_run in
+  (* the reference seeds every variant's Newton solves; [T.run]
+     ignores it for variants whose defect changed the unknown layout
+     (an open adds a node) and falls back to cold seeding whenever the
+     variant diverges from the nominal path *)
+  let guide () = if warm_start then Some (Cone.full_guide trajectory) else None in
   (* A variant whose fanout cone is at most half the design simulates
      only that cone ({!Cone}), its boundary forced to the nominal
      waveforms.  Probes outside the cone read the reference streams,
      and the supply current is the reference's with the cone's nominal
      share swapped for the variant's own. *)
-  let cone_of = Cone.plan golden ~reference:ref_traj defects in
-  (* kept only when some variant takes a cone: the streams outlive the
-     reference run *)
-  let ref_samples =
-    if List.exists (fun d -> Option.is_some (cone_of d)) defects then T.probe_list ref_obs else []
-  in
-  let reference_samples name =
-    match List.find_opt (fun (n, _, _) -> n = name) ref_samples with
-    | Some (_, times, values) -> (times, values)
-    | None -> raise Not_found
+  let cone_of = Cone.plan trajectory defects in
+  (* kept only when some variant takes a cone *)
+  let reference_samples =
+    if List.exists (fun d -> Option.is_some (cone_of d)) defects then ref_run.samples
+    else fun _ -> raise Not_found
   in
   let cone_probes cone sim =
     supply_probe sim
@@ -355,7 +476,7 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
     let sim = E.compile ?options:engine_options faulty in
     let draw = Cone.meter cone sim in
     let obs = T.observers ~on_step:(Cone.record draw) (cone_probes cone sim) in
-    let guide = if warm_start then Some (Cone.guide cone) else None in
+    let guide = if warm_start then Cone.guide cone else None in
     let r = simulate ?guide ~breakpoints ~record_every:0 sim obs faulty ~tstop in
     let samples name =
       match T.probe_samples obs name with s -> s | exception Not_found -> reference_samples name
@@ -374,6 +495,7 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
         ("warm_start", string_of_bool warm_start);
         ("batch", string_of_bool batch);
         ("defects", string_of_int (List.length defects));
+        ("reference", reference_option cut);
       ]
     @ match max_iter with None -> [] | Some n -> [ ("max_iter", string_of_int n) ]
   in
@@ -387,8 +509,8 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
     | exception (Not_found | Invalid_argument _) -> (Failed "injection failed", None)
     | faulty -> (
         match
-          measure_full ?engine_options ?guide ~breakpoints ~record_every:0 ~nominal ps faulty ~freq
-            ~tstop
+          measure_full ?engine_options ?guide:(guide ()) ~breakpoints ~record_every:0 ~nominal ps
+            faulty ~freq ~tstop
         with
         | m, r, _, _ -> measured m r
         | exception E.No_convergence msg -> (Failed msg, None))
@@ -430,6 +552,7 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   let t =
     {
       reference;
+      reference_cone = cut;
       entries = Array.to_list v.results;
       variants = v.variants;
       metrics = v.metrics;
@@ -439,6 +562,14 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   in
   Option.iter (fun path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options t)) manifest;
   t
+
+let chain_reference ?engine_options ?(proc = Cml_cells.Process.default) chain ~freq ~tstop ~dut =
+  reference ?engine_options ~proc (chain_probe_set chain ~dut)
+    chain.Cml_cells.Chain.builder.Cml_cells.Builder.net ~freq ~tstop
+
+let design_reference ?engine_options ?(proc = Cml_cells.Process.default) ~input ~dut ~final golden
+    ~freq ~tstop =
+  reference ?engine_options ~proc (design_probe_set ~input ~dut ~final) golden ~freq ~tstop
 
 let run ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?(stages = 8) ?dut ?tstop ?jobs
     ?(preflight = true) ?(warm_start = true) ?(batch = true) ?max_iter ?manifest ~defects () =

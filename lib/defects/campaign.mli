@@ -45,6 +45,9 @@ type entry = { defect : Defect.t; outcome : outcome }
 
 type t = {
   reference : measurement;  (** fault-free chain measurement *)
+  reference_cone : int option;
+      (** unknowns of the active cone the reference transient ran on
+          ({!reference}); [None] when it ran on the full netlist *)
   entries : entry list;
   variants : Cml_telemetry.Manifest.variant list;
       (** per-variant telemetry, aligned with [entries]: [v_seconds]
@@ -102,6 +105,53 @@ val measure_design :
     this is the full-netlist measurement a cone variant approximates.
     There is no healing profile.
     @raise Engine.No_convergence on solver failure. *)
+
+type reference = {
+  measurement : measurement;  (** what variants are classified against *)
+  nominal : float * float;  (** the final output's plateau levels *)
+  trajectory : Cone.reference;  (** what drives cones and guides full-netlist variants *)
+  unknowns : int;  (** unknowns the reference transient simulated *)
+  cut : int option;  (** [Some] active-cone unknowns for a cut reference, [None] for the full one *)
+  samples : string -> float array * float array;
+      (** the streamed probes by name (["in.p"], ["<pair>.n"],
+          ["i(vdd)"]); a probe outside a cut reads its DC value
+          @raise Not_found for another name *)
+  breakpoints : float array;  (** the golden breakpoint schedule, shared by every variant *)
+}
+(** A campaign's fault-free run.  It is {e cut} when the {e active
+    cone} ({!Cone.active}: the fanout of the inputs whose sources
+    toggle) passes the cone rule ({!Cone.selected}): one DC operating
+    point of the full netlist, then a transient of the active cone
+    alone, its non-ideal boundary nets held at their DC values and its
+    ideal ones driven by their own sources.  Probes in the cone read
+    that run; the supply current is the full DC supply with the
+    cone's DC share swapped for its transient current.  The full
+    transient runs instead when the active cone fails the rule (the
+    chain, a clocked design, several toggling inputs), when the cut
+    run does not converge, or when a held non-ideal boundary net
+    delivers more than [proc.i_tail] at an accepted step (the
+    [campaign.reference_fallbacks] counter counts those two).  The
+    choice depends on the netlist only.  The phase is traced as a
+    [campaign.reference] span with the [unknowns] simulated and the
+    [path] ([cone] or [full]). *)
+
+val chain_reference :
+  ?engine_options:Cml_spice.Engine.options ->
+  ?proc:Cml_cells.Process.t ->
+  Cml_cells.Chain.t -> freq:float -> tstop:float -> dut:int ->
+  reference
+(** The reference {!run} builds for a chain campaign (every stage
+    toggles, so always the full one). *)
+
+val design_reference :
+  ?engine_options:Cml_spice.Engine.options ->
+  ?proc:Cml_cells.Process.t ->
+  input:Cml_cells.Builder.diff ->
+  dut:Cml_cells.Builder.diff ->
+  final:Cml_cells.Builder.diff ->
+  Cml_spice.Netlist.t -> freq:float -> tstop:float ->
+  reference
+(** The reference {!run_design} builds for a compiled design. *)
 
 val run :
   ?proc:Cml_cells.Process.t ->

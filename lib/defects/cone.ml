@@ -1,6 +1,7 @@
 module N = Cml_spice.Netlist
 module E = Cml_spice.Engine
 module T = Cml_spice.Transient
+module W = Cml_spice.Waveform
 
 (* The naming contract: the text before the first dot names the owning
    cell; a dotless name (a rail, ground, the [vdd] source) has none. *)
@@ -15,16 +16,27 @@ let unknown_count net =
     | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vccs _ -> ());
   N.node_count net - 1 + !branches
 
-(* Per node of the netlist, whether an ideal voltage source ties it to
-   ground. *)
-let ideal_nets net =
-  let ideal = Array.make (N.node_count net) false in
+(* A waveform with the opposite sign. *)
+let negate = function
+  | W.Dc v -> W.Dc (-.v)
+  | W.Pulse p -> W.Pulse { p with v1 = -.p.v1; v2 = -.p.v2 }
+  | W.Sine s -> W.Sine { s with offset = -.s.offset; ampl = -.s.ampl }
+  | W.Pwl knots -> W.Pwl (Array.map (fun (t, v) -> (t, -.v)) knots)
+
+(* Per node of the netlist, the voltage of the ideal voltage source
+   that ties it to ground, if one does: the node is then {e ideal}. *)
+let ties net =
+  let tie = Array.make (N.node_count net) None in
   N.iter_devices net (function
-    | N.Vsource { npos; nneg; _ } ->
-        if nneg = N.gnd then ideal.(npos) <- true;
-        if npos = N.gnd then ideal.(nneg) <- true
+    | N.Vsource { npos; nneg; wave; _ } ->
+        if nneg = N.gnd then tie.(npos) <- Some wave;
+        if npos = N.gnd then tie.(nneg) <- Some (negate wave)
     | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vcvs _ | N.Vccs _ -> ());
-  ideal
+  tie
+
+let is_tie = function
+  | N.Vsource { npos; nneg; _ } -> npos = N.gnd || nneg = N.gnd
+  | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vcvs _ | N.Vccs _ -> false
 
 let device_nodes d = List.map snd (N.device_terminals d)
 
@@ -45,6 +57,7 @@ let drive_name net = "drive(" ^ net ^ ")"
 
 type t = {
   golden : N.t;
+  tie : W.t option array;  (** per golden node, its ideal source's voltage *)
   cells : string list;
   devices : N.device list;  (** the golden devices the cone netlist copies *)
   boundary : (N.node * bool) list;  (** golden node, ideal *)
@@ -91,12 +104,14 @@ let defect_cells golden defect =
     | Defect.Resistor_open { device } -> of_device device
     | Defect.Bridge { node1; node2; _ } -> of_net node1 @ of_net node2)
 
-let extract golden ~cells =
-  if cells = [] then invalid_arg "Cone.extract: no cells";
-  let ideal = ideal_nets golden in
-  let net_owner nd = if nd = N.gnd then None else owner (N.node_name golden nd) in
+let cell_of d = owner (N.device_name d)
+let net_owner golden nd = if nd = N.gnd then None else owner (N.node_name golden nd)
+
+(* [roots] closed under fanout: a cell joins when one of its devices
+   touches a non-ideal net a member owns. *)
+let close golden tie roots =
+  let net_owner = net_owner golden in
   let devices = N.devices golden in
-  let cell_of d = owner (N.device_name d) in
   (* fanout: the owner of every non-ideal net a device reads gains the
      device's cell as a reader *)
   let readers = Hashtbl.create 256 in
@@ -108,7 +123,7 @@ let extract golden ~cells =
           List.iter
             (fun nd ->
               match net_owner nd with
-              | Some o when o <> c && not ideal.(nd) -> Hashtbl.add readers o c
+              | Some o when o <> c && tie.(nd) = None -> Hashtbl.add readers o c
               | Some _ | None -> ())
             (device_nodes d))
     devices;
@@ -119,19 +134,7 @@ let extract golden ~cells =
       List.iter add (Hashtbl.find_all readers c)
     end
   in
-  (* roots: the attacked cells and the drivers of their non-ideal
-     inputs *)
-  List.iter
-    (fun d ->
-      match cell_of d with
-      | Some c when List.mem c cells ->
-          List.iter
-            (fun nd ->
-              match net_owner nd with Some o when not ideal.(nd) -> add o | Some _ | None -> ())
-            (device_nodes d)
-      | Some _ | None -> ())
-    devices;
-  List.iter add cells;
+  List.iter add roots;
   let member d = match cell_of d with Some c -> Hashtbl.mem in_cone c | None -> false in
   let cone_devices = List.filter member devices in
   (* every net the cone touches: owned by a cone cell, a rail its ideal
@@ -139,10 +142,11 @@ let extract golden ~cells =
   let touched = Array.make (N.node_count golden) false in
   List.iter (fun d -> List.iter (fun nd -> touched.(nd) <- true) (device_nodes d)) cone_devices;
   let owned nd = match net_owner nd with Some o -> Hashtbl.mem in_cone o | None -> false in
-  let rail nd = nd <> N.gnd && net_owner nd = None && ideal.(nd) in
+  let rail nd = nd <> N.gnd && net_owner nd = None && tie.(nd) <> None in
   let boundary =
     List.filter_map
-      (fun nd -> if touched.(nd) && not (owned nd || rail nd) then Some (nd, ideal.(nd)) else None)
+      (fun nd ->
+        if touched.(nd) && not (owned nd || rail nd) then Some (nd, tie.(nd) <> None) else None)
       (List.init (N.node_count golden - 1) (fun i -> i + 1))
   in
   let rail_source = function
@@ -152,7 +156,7 @@ let extract golden ~cells =
         false
   in
   let devices = List.filter (fun d -> member d || rail_source d) devices in
-  let net = build golden devices boundary (fun _ -> Cml_spice.Waveform.Dc 0.0) in
+  let net = build golden devices boundary (fun _ -> W.Dc 0.0) in
   let cells =
     List.rev
       (List.fold_left
@@ -162,12 +166,47 @@ let extract golden ~cells =
   in
   {
     golden;
+    tie;
     cells;
     devices;
     boundary;
     unknowns = unknown_count net;
     golden_unknowns = unknown_count golden;
   }
+
+let extract golden ~roots =
+  if roots = [] then invalid_arg "Cone.extract: no roots";
+  close golden (ties golden) roots
+
+let attacked golden ~cells =
+  if cells = [] then invalid_arg "Cone.attacked: no cells";
+  let tie = ties golden in
+  (* the drivers of the attacked cells' non-ideal inputs, which a
+     defect can load *)
+  let drivers =
+    List.concat_map
+      (fun d ->
+        match cell_of d with
+        | Some c when List.mem c cells ->
+            List.filter_map
+              (fun nd -> if tie.(nd) = None then net_owner golden nd else None)
+              (device_nodes d)
+        | Some _ | None -> [])
+      (N.devices golden)
+  in
+  close golden tie (cells @ drivers)
+
+let active golden =
+  let tie = ties golden in
+  let toggles nd = match tie.(nd) with Some (W.Dc _) | None -> false | Some _ -> true in
+  let roots =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun d ->
+           if is_tie d || not (List.exists toggles (device_nodes d)) then None else cell_of d)
+         (N.devices golden))
+  in
+  if roots = [] then None else Some (close golden tie roots)
 
 (* The PWL knots of a sampled waveform.  A sample is dropped when it
    lies within [vntol] (below what Newton resolves) of the segment
@@ -202,9 +241,104 @@ let simplify times values =
     Array.of_list (List.rev !kept)
   end
 
+type reference = {
+  r_golden : N.t;
+  r_sim : E.sim;  (** compiled from [r_golden]: the unknown layout of [r_dc] *)
+  r_dc : float array;
+  r_run : (N.t * T.result) option;  (** a dense run and the netlist it simulated *)
+  r_lock : Mutex.t;
+  mutable r_full : T.result option;  (** {!full_guide}, once built *)
+}
+
+let operating_point golden sim x =
+  {
+    r_golden = golden;
+    r_sim = sim;
+    r_dc = x;
+    r_run = None;
+    r_lock = Mutex.create ();
+    r_full = None;
+  }
+
+let with_run r net run = { r with r_run = Some (net, run); r_lock = Mutex.create (); r_full = None }
+let of_run golden run = with_run (operating_point golden run.T.sim run.T.data.(0)) golden run
+
+(* Where each unknown of [sim] (compiled from [net], on golden names)
+   takes its reference value: column [col.(i)] of the run's rows, or
+   the constant [const.(i)] when [col.(i) < 0] — the DC value of a
+   golden unknown the run does not cover, 0 for a source no golden
+   device has (a boundary drive). *)
+let projection r sim net =
+  let n = E.unknown_count sim in
+  let col = Array.make n (-1) and const = Array.make n 0.0 in
+  let run_node name =
+    match r.r_run with
+    | Some (rnet, _) -> Option.map E.node_unknown (N.find_node rnet name)
+    | None -> None
+  in
+  let run_branch name =
+    match r.r_run with
+    | Some (_, run) -> (
+        match E.branch_unknown run.T.sim name with k -> Some k | exception Not_found -> None)
+    | None -> None
+  in
+  let set u run golden =
+    match run with
+    | Some k -> col.(u) <- k
+    | None -> Option.iter (fun g -> const.(u) <- r.r_dc.(g)) golden
+  in
+  for nd = 1 to N.node_count net - 1 do
+    let name = N.node_name net nd in
+    set (E.node_unknown nd) (run_node name)
+      (Option.map E.node_unknown (N.find_node r.r_golden name))
+  done;
+  N.iter_devices net (function
+    | N.Vsource { name; _ } | N.Vcvs { name; _ } -> (
+        match E.branch_unknown r.r_sim name with
+        | g -> set (E.branch_unknown sim name) (run_branch name) (Some g)
+        | exception Not_found -> ())
+    | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vccs _ -> ());
+  fun row -> Array.init n (fun i -> if col.(i) >= 0 then row.(col.(i)) else const.(i))
+
+(* The guide for [sim]: the run projected onto its unknowns. *)
+let guide_on r sim net =
+  Option.map
+    (fun (_, run) ->
+      let project = projection r sim net in
+      { run with T.data = Array.map project run.T.data; sim })
+    r.r_run
+
+let full_guide r =
+  match r.r_run with
+  | None -> invalid_arg "Cone.full_guide: no run"
+  | Some (net, run) when net == r.r_golden -> run
+  | Some _ ->
+      Mutex.protect r.r_lock (fun () ->
+          match r.r_full with
+          | Some g -> g
+          | None ->
+              let g = Option.get (guide_on r r.r_sim r.r_golden) in
+              r.r_full <- Some g;
+              g)
+
+(* A boundary net's drive: an ideal net keeps its own source; any
+   other net follows the run when the run has it, else holds its DC
+   value. *)
+let boundary_wave t r g =
+  match t.tie.(g) with
+  | Some w -> w
+  | None -> (
+      let name = N.node_name t.golden g in
+      match r.r_run with
+      | Some (rnet, run) when N.find_node rnet name <> None ->
+          let u = E.node_unknown (Option.get (N.find_node rnet name)) in
+          W.Pwl (simplify run.T.times (Array.map (fun row -> row.(u)) run.T.data))
+      | Some _ | None -> W.Dc r.r_dc.(E.node_unknown g))
+
 type driven = {
   d_net : N.t;
-  d_guide : T.result;
+  d_guide : T.result option;
+  d_start : float array;
   d_supply : float;
   d_nodes : (string, N.node) Hashtbl.t;  (** cone-owned nets, by name *)
   d_draw : string list;  (** sources of the non-ideal boundary nets *)
@@ -212,6 +346,7 @@ type driven = {
 
 let netlist d = d.d_net
 let guide d = d.d_guide
+let start d = Array.copy d.d_start
 let nominal_supply d = d.d_supply
 let node d name = Hashtbl.find_opt d.d_nodes name
 
@@ -228,35 +363,16 @@ let record m _t x =
   done
 
 let peak m = m.peak.(0)
+let held_sources d = d.d_draw
 
-let drive t ~(reference : T.result) =
+let drive t ~reference:r =
   let golden = t.golden in
-  let times = reference.T.times and rows = reference.T.data in
-  (* PWL knots from the reference samples (strictly increasing times:
-     every one is an accepted step) *)
-  let net =
-    build golden t.devices t.boundary (fun g ->
-        let u = E.node_unknown g in
-        Cml_spice.Waveform.Pwl (simplify times (Array.map (fun row -> row.(u)) rows)))
-  in
+  let net = build golden t.devices t.boundary (boundary_wave t r) in
   let sim = E.compile net in
-  let gsim = reference.T.sim in
-  (* each cone unknown's golden unknown, or -1 for a boundary branch *)
-  let src = Array.make (E.unknown_count sim) (-1) in
-  for nd = 1 to N.node_count net - 1 do
-    match N.find_node golden (N.node_name net nd) with
-    | Some g -> src.(E.node_unknown nd) <- E.node_unknown g
-    | None -> ()
-  done;
-  N.iter_devices net (function
-    | N.Vsource { name; _ } | N.Vcvs { name; _ } -> (
-        match E.branch_unknown gsim name with
-        | g -> src.(E.branch_unknown sim name) <- g
-        | exception Not_found -> ())
-    | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vccs _ -> ());
-  let project row = Array.map (fun g -> if g < 0 then 0.0 else row.(g)) src in
-  let guide = { reference with T.data = Array.map project rows; sim } in
-  let x = E.dc_from ~time:0.0 sim guide.T.data.(0) in
+  let seed =
+    projection r sim net (match r.r_run with Some (_, run) -> run.T.data.(0) | None -> r.r_dc)
+  in
+  let x = E.dc_from ~time:0.0 sim seed in
   let supply = match E.branch_unknown sim "vdd" with br -> Float.abs x.(br) | exception Not_found -> 0.0 in
   let nodes = Hashtbl.create 256 in
   for nd = 1 to N.node_count net - 1 do
@@ -267,7 +383,8 @@ let drive t ~(reference : T.result) =
   done;
   {
     d_net = net;
-    d_guide = guide;
+    d_guide = guide_on r sim net;
+    d_start = x;
     d_supply = supply;
     d_nodes = nodes;
     d_draw =
@@ -276,7 +393,8 @@ let drive t ~(reference : T.result) =
         t.boundary;
   }
 
-let plan golden ~reference defects =
+let plan r defects =
+  let golden = r.r_golden in
   let cones =
     List.fold_left
       (fun acc d ->
@@ -284,10 +402,10 @@ let plan golden ~reference defects =
         | [] -> acc
         | cells when List.mem_assoc cells acc -> acc
         | cells ->
-            let c = extract golden ~cells in
+            let c = attacked golden ~cells in
             let driven =
               if selected c then
-                match drive c ~reference with d -> Some d | exception E.No_convergence _ -> None
+                match drive c ~reference:r with d -> Some d | exception E.No_convergence _ -> None
               else None
             in
             (cells, driven) :: acc)

@@ -15,26 +15,39 @@
     the rails, the bias line and the primary inputs.  Ideal nets carry
     no defect effect, so they never pull their owner into a cone.
 
-    The cone of a set of cells is built in two steps:
-    - its roots are those cells plus the owner of every non-ideal net
-      their devices touch (the drivers of their inputs, which a defect
-      can load);
-    - the cone is the roots closed under fanout: a cell belongs to it
-      when one of its devices touches a non-ideal net a cone cell owns.
+    A cone is a set of {e root} cells closed under fanout: a cell
+    belongs to it when one of its devices touches a non-ideal net a
+    cone cell owns.  Two root rules are used:
+    - a defect's cone ({!attacked}) starts from the attacked cells plus
+      the owner of every non-ideal net their devices touch (the drivers
+      of their inputs, which a defect can load);
+    - the {e active} cone ({!active}) starts from the cells that read a
+      net whose ideal source has a non-DC waveform (the toggling
+      inputs, a clock): outside it, every net stays at its DC value in
+      the fault-free run, apart from back-loading by the active cells.
 
     The cone netlist holds the cone cells' devices, the ideal sources
     of the ownerless rails it touches ([vdd], [vbias]), and one
     voltage source per {e boundary} net: a net the cone reads but no
-    cone cell owns.  {!drive} makes each boundary source a
-    piecewise-linear copy of the net's nominal waveform. *)
+    cone cell owns.  {!drive} gives every boundary source its waveform
+    from a {!reference}. *)
 
 type t
 (** One extracted cone: its cells, boundary and netlist shape.  No
     waveform is attached yet. *)
 
-val extract : Cml_spice.Netlist.t -> cells:string list -> t
-(** The cone of [cells] in the golden netlist.
+val extract : Cml_spice.Netlist.t -> roots:string list -> t
+(** [roots] closed under fanout in the golden netlist.
+    @raise Invalid_argument when [roots] is empty. *)
+
+val attacked : Cml_spice.Netlist.t -> cells:string list -> t
+(** The cone a defect in [cells] can reach: {!extract} from [cells]
+    and the drivers of their non-ideal inputs.
     @raise Invalid_argument when [cells] is empty. *)
+
+val active : Cml_spice.Netlist.t -> t option
+(** The cone of the cells that read a net driven by an ideal source
+    with a non-DC waveform; [None] when no such source exists. *)
 
 val cells : t -> string list
 (** Cone cells, in golden device order. *)
@@ -55,42 +68,71 @@ val selected : t -> bool
     most half the golden netlist's unknowns.  A larger cone saves too
     little to pay for the approximation. *)
 
-type driven
-(** A cone whose boundary is driven from a nominal run. *)
+type reference
+(** A fault-free run cones are driven from and variants are guided
+    by: the golden netlist's DC operating point, optionally with a
+    dense transient ([record_every = 1]) of the golden netlist or of a
+    cone netlist cut from it.  Nets the transient has follow it; every
+    other net holds its DC value. *)
 
-val drive : t -> reference:Cml_spice.Transient.result -> driven
-(** Attach the nominal run of the golden netlist (a dense trajectory,
-    [record_every = 1]):
-    - every boundary source becomes a PWL copy of its net's reference
-      samples;
-    - the guide is the reference trajectory projected onto the cone's
-      unknowns: nodes by name, copied source branches by name, 0 for
-      the boundary branches;
+val operating_point : Cml_spice.Netlist.t -> Cml_spice.Engine.sim -> float array -> reference
+(** [operating_point golden sim x]: the DC point [x] of [sim],
+    compiled from [golden]. *)
+
+val with_run : reference -> Cml_spice.Netlist.t -> Cml_spice.Transient.result -> reference
+(** [with_run r net run] adds the dense transient [run] of [net] —
+    [golden] itself, or a cone netlist ({!netlist}) — to [r]. *)
+
+val of_run : Cml_spice.Netlist.t -> Cml_spice.Transient.result -> reference
+(** A dense transient of the golden netlist itself, whose first row
+    is its DC point. *)
+
+val full_guide : reference -> Cml_spice.Transient.result
+(** The run on the golden netlist's unknowns, a warm-start guide for
+    a full-netlist variant: the run itself when it simulated the
+    golden netlist, else the DC row with the run's nodes and golden
+    source branches scattered in by name (built once, on the first
+    call; safe from worker domains).
+    @raise Invalid_argument when [r] has no run. *)
+
+type driven
+(** A cone whose boundary is driven from a reference. *)
+
+val drive : t -> reference:reference -> driven
+(** Build the cone netlist and solve its DC operating point:
+    - an ideal boundary net keeps its own source's waveform; any other
+      boundary net follows the reference (a PWL copy of the run's
+      samples when the run has the net, else its DC value);
+    - the guide is the reference run projected onto the cone's
+      unknowns: nodes by name, golden source branches by name, 0 for
+      the boundary branches; DC values for what the run lacks;
     - the nominal supply share is the [vdd] branch current of one DC
-      solve of the cone, seeded by the guide's [t = 0] row.
+      solve of the cone, seeded by that projection at [t = 0].
     The PWL knots are not breakpoints: run the cone with the golden
     breakpoint schedule.
     @raise Cml_spice.Engine.No_convergence when that DC solve fails. *)
 
-val plan :
-  Cml_spice.Netlist.t -> reference:Cml_spice.Transient.result -> Defect.t list -> Defect.t ->
-  driven option
-(** [plan golden ~reference defects] extracts and drives one cone per
-    distinct set of attacked cells among [defects] (a defect attacks
-    the owner of its device, or the owners of a bridge's two nets),
-    and returns the
-    lookup a campaign routes each defect through: [Some] cone when
-    {!selected} holds and the cone's DC solve converged, [None] for
-    the full netlist.  The lookup only reads, so worker domains can
-    share it. *)
+val plan : reference -> Defect.t list -> Defect.t -> driven option
+(** [plan reference defects] extracts and drives one {!attacked} cone
+    per distinct set of attacked cells among [defects] (a defect
+    attacks the owner of its device, or the owners of a bridge's two
+    nets), and returns the lookup a campaign routes each defect
+    through: [Some] cone when {!selected} holds and the cone's DC
+    solve converged, [None] for the full netlist.  The lookup only
+    reads, so worker domains can share it. *)
 
 val netlist : driven -> Cml_spice.Netlist.t
 (** The cone netlist with its PWL boundary sources.  Inject a defect
     into a copy ({!Inject.apply} copies). *)
 
-val guide : driven -> Cml_spice.Transient.result
-(** The projected reference trajectory, a warm-start guide for
-    {!Cml_spice.Transient.run} on the cone. *)
+val guide : driven -> Cml_spice.Transient.result option
+(** The projected reference run, a warm-start guide for
+    {!Cml_spice.Transient.run} on the cone; [None] when the reference
+    is a DC point only. *)
+
+val start : driven -> float array
+(** A fresh copy of the cone's DC operating point, the [x0] of a
+    transient of {!netlist}. *)
 
 val nominal_supply : driven -> float
 (** Magnitude of the cone's nominal [vdd] current (A): the share of
@@ -118,3 +160,8 @@ val record : meter -> float -> float array -> unit
 val peak : meter -> float
 (** The largest draw recorded (A); 0 when the cone has no non-ideal
     boundary net, NaN once any draw was NaN. *)
+
+val held_sources : driven -> string list
+(** The sources forcing the non-ideal boundary nets, the ones a
+    {!meter} watches.  Each delivers what the net's real driver would
+    draw from the supply rail. *)

@@ -4,6 +4,7 @@ type window = { snap0 : Tel.Metrics.snapshot; span : int64 }
 
 let start () =
   let snap0 = Tel.Metrics.snapshot () in
+  Tel.Metrics.restart_high_water ();
   { snap0; span = Tel.Trace.start () }
 
 type report = {

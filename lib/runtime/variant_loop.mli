@@ -10,9 +10,11 @@ type window
 (** An open run: the metrics snapshot and run span taken by {!start}. *)
 
 val start : unit -> window
-(** Snapshot the metrics registry and open the run span.  Everything
-    the caller does before {!run} returns — the reference simulation,
-    nominal solves — lands in the run's metrics delta. *)
+(** Snapshot the metrics registry, restart its high-water gauges
+    ({!Cml_telemetry.Metrics.high_water}) and open the run span.
+    Everything the caller does before {!run} returns — the reference
+    simulation, nominal solves — lands in the run's metrics delta, and
+    a high-water gauge reads the largest value the run published. *)
 
 type report = {
   classes : string list;  (** classification labels; [[]] reads as benign *)

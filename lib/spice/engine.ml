@@ -1057,15 +1057,15 @@ let m_reused = M.counter "solver.reused_factorizations"
 let m_skipped = M.counter "solver.skipped_solves"
 let m_chord = M.counter "solver.chord_steps"
 let m_shared = M.counter "solver.shared_symbolic"
-let m_lu_fill = M.gauge "solver.lu_fill_nnz"
-let m_lu_fill_ratio = M.gauge "solver.lu_fill_ratio"
+let m_lu_fill = M.high_water "solver.lu_fill_nnz"
+let m_lu_fill_ratio = M.high_water "solver.lu_fill_ratio"
 let m_ordering_amd = M.counter "solver.ordering.amd"
 let m_ordering_natural = M.counter "solver.ordering.natural"
 let m_fb_small = M.counter "solver.fallback.small_pivot"
 let m_fb_unstable = M.counter "solver.fallback.unstable_pivot"
 let m_fb_pattern = M.counter "solver.fallback.pattern"
-let m_pivot_growth = M.gauge "solver.lu_pivot_growth"
-let m_condition = M.gauge "solver.lu_condition"
+let m_pivot_growth = M.high_water "solver.lu_pivot_growth"
+let m_condition = M.high_water "solver.lu_condition"
 let m_diode_loads = M.counter "engine.diode_loads"
 let m_diode_bypassed = M.counter "engine.diode_bypassed"
 let m_bjt_loads = M.counter "engine.bjt_loads"
@@ -1090,6 +1090,8 @@ let publish_metrics ?(since = zero_stats) sim =
   M.add m_fb_unstable (now.fallback_unstable_pivot - since.fallback_unstable_pivot);
   M.add m_fb_pattern (now.fallback_pattern - since.fallback_pattern);
   if now.lu_nnz_factors > 0 then begin
+    (* high-water gauges: a run reads its worst factor, whatever order
+       its domains publish in *)
     M.set m_lu_fill (float_of_int now.lu_nnz_factors);
     M.set m_lu_fill_ratio now.lu_fill_ratio;
     M.set m_pivot_growth now.lu_pivot_growth;

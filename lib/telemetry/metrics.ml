@@ -8,7 +8,7 @@
 
 type counter = { c : int Atomic.t }
 
-type gauge = { g : float Atomic.t }
+type gauge = { g : float Atomic.t; high_water : bool  (** {!set} only raises it *) }
 
 type histogram = {
   h_lo : float;  (* upper bound of bucket 0 *)
@@ -46,10 +46,13 @@ let counter name =
     (fun () -> C { c = Atomic.make 0 })
     (function C c -> Some c | G _ | H _ -> None)
 
-let gauge name =
+let make_gauge ~high_water name =
   register name
-    (fun () -> G { g = Atomic.make 0.0 })
-    (function G g -> Some g | C _ | H _ -> None)
+    (fun () -> G { g = Atomic.make 0.0; high_water })
+    (function G g when g.high_water = high_water -> Some g | G _ | C _ | H _ -> None)
+
+let gauge = make_gauge ~high_water:false
+let high_water = make_gauge ~high_water:true
 
 (* default histogram shape: 40 geometric buckets doubling from 1 us —
    covers 1 us .. ~9 h, plenty for both per-solve and per-campaign
@@ -74,7 +77,18 @@ let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c.c n)
 
 let incr c = add c 1
 
-let set g v = Atomic.set g.g v
+let rec set g v =
+  if not g.high_water then Atomic.set g.g v
+  else
+    let cur = Atomic.get g.g in
+    if v > cur && not (Atomic.compare_and_set g.g cur v) then set g v
+
+let restart_high_water () =
+  Mutex.lock registry_mutex;
+  Hashtbl.iter
+    (fun _ m -> match m with G g when g.high_water -> Atomic.set g.g 0.0 | G _ | C _ | H _ -> ())
+    registry;
+  Mutex.unlock registry_mutex
 
 let bucket_index h v =
   if not (v > h.h_lo) then 0

@@ -18,6 +18,13 @@ val counter : string -> counter
 
 val gauge : string -> gauge
 
+val high_water : string -> gauge
+(** A gauge that keeps the largest value {!set} since the last
+    {!restart_high_water} (0 before any): its reading does not depend
+    on the order in which worker domains publish.
+    @raise Invalid_argument if the name is registered as another
+    metric type or as a plain gauge. *)
+
 val histogram : ?lo:float -> ?ratio:float -> ?buckets:int -> string -> histogram
 (** Geometric buckets: bucket 0 holds values <= [lo] (default 1e-6),
     each next bucket grows by [ratio] (default 2.0), the last of
@@ -28,6 +35,10 @@ val add : counter -> int -> unit
 val incr : counter -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
+
+val restart_high_water : unit -> unit
+(** Zero every {!high_water} gauge: a run window opens with this, so
+    its snapshot reads the maxima over the window. *)
 
 (** {1 Snapshots} *)
 

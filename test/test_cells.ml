@@ -482,7 +482,7 @@ let test_seed_carriers () =
     (Cml_defects.Inject.apply golden (Cml_defects.Defect.Pipe { device = "n36.q3"; r = 2e3 }));
   let tstop = 20e-12 in
   let reference = T.run (E.compile golden) golden (T.config ~tstop ~max_step:10e-12 ()) in
-  let cone = Cml_defects.Cone.drive (Cml_defects.Cone.extract golden ~cells:[ "n36" ]) ~reference in
+  let cone = Cml_defects.Cone.(drive (attacked golden ~cells:[ "n36" ]) ~reference:(of_run golden reference)) in
   Alcotest.(check int) "cone netlist" 0 (List.length (N.nodeset (Cml_defects.Cone.netlist cone)));
   let s27 = Cp.netlist (Cp.compile ~freq:200e6 (L.Bench_format.s27 ())) in
   Alcotest.(check int) "clocked s27" 0 (List.length (N.nodeset s27))

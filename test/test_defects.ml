@@ -322,7 +322,7 @@ let test_cone_shapes () =
   let design = c432 () in
   let golden = Cml_cells.Compile.netlist design in
   Alcotest.(check string) "default DUT" "n36" (Cml_cells.Compile.default_dut design);
-  let cone = Cone.extract golden ~cells:[ "n36" ] in
+  let cone = Cone.attacked golden ~cells:[ "n36" ] in
   Alcotest.(check int) "unknowns" 430 (Cone.unknowns cone);
   Alcotest.(check int) "golden unknowns" 949 (Cone.golden_unknowns cone);
   Alcotest.(check bool) "under half: selected" true (Cone.selected cone);
@@ -338,7 +338,7 @@ let test_cone_shapes () =
     (List.length (List.filter in_cone registered), List.length registered);
   let chain = (Cml_cells.Chain.build ~stages:8 ~freq:100e6 ()).Cml_cells.Chain.builder.B.net in
   for d = 2 to 8 do
-    let cone = Cone.extract chain ~cells:[ Cml_cells.Chain.stage_name d ] in
+    let cone = Cone.attacked chain ~cells:[ Cml_cells.Chain.stage_name d ] in
     let stage = Printf.sprintf "stage %d" d in
     Alcotest.(check (list string)) (stage ^ " cells")
       (List.init (10 - d) (fun i -> Cml_cells.Chain.stage_name (d - 1 + i)))
@@ -436,15 +436,99 @@ let test_cone_projected_dc () =
       (E.compile golden) golden
       (T.config ~tstop ~max_step:10e-12 ())
   in
-  let cone = Cone.drive (Cone.extract golden ~cells:[ "n36" ]) ~reference in
+  let cone = Cone.drive (Cone.attacked golden ~cells:[ "n36" ]) ~reference:(Cone.of_run golden reference) in
   let sim = E.compile (Cone.netlist cone) in
   Alcotest.(check int) "compiled unknowns" 430 (E.unknown_count sim);
-  match E.newton sim ~time:0.0 ~integ:E.Dcop (Cone.guide cone).T.data.(0) with
+  match E.newton sim ~time:0.0 ~integ:E.Dcop (Option.get (Cone.guide cone)).T.data.(0) with
   | None -> Alcotest.fail "projected row did not converge"
   | Some (_, iters) ->
       Alcotest.(check bool) (Printf.sprintf "%d iterations <= 2" iters) true (iters <= 2);
       Alcotest.(check bool) "cone draws part of the supply" true
         (Cone.nominal_supply cone > 0.0)
+
+(* The c432 campaign's reference runs a transient of the toggling
+   input's fanout cone only (430 of 949 unknowns) on top of the full DC
+   point.  Its measurement must match the full-netlist run's within the
+   classifier's finest margins by far. *)
+let test_cut_reference () =
+  let freq = 250e6 and tstop = 4e-9 in
+  let design = Cml_cells.Compile.compile ~freq (Cml_logic.Bench_circuits.c432_surrogate ()) in
+  let golden = Cml_cells.Compile.netlist design in
+  let input = design.Cml_cells.Compile.input in
+  let dut = Option.get (Cml_cells.Compile.find_cell design "n36") in
+  let final = List.assoc (Cml_cells.Compile.default_output design) design.Cml_cells.Compile.outputs in
+  let r = C.design_reference ~input ~dut ~final golden ~freq ~tstop in
+  Alcotest.(check (option int)) "cut on the active cone" (Some 430) r.C.cut;
+  let cut = r.C.measurement in
+  let full = C.measure_design ~input ~dut ~final golden ~freq ~tstop in
+  let within what tol a b =
+    Alcotest.(check bool) (Printf.sprintf "%s: %g vs %g" what a b) true (Float.abs (a -. b) <= tol)
+  in
+  List.iter
+    (fun (what, f) -> within what 1e-3 (f cut) (f full))
+    [
+      ("dut vlow", fun m -> m.C.dut_vlow);
+      ("dut vhigh", fun m -> m.C.dut_vhigh);
+      ("dut swing", fun m -> m.C.dut_swing);
+      ("final vlow", fun m -> m.C.final_vlow);
+      ("final vhigh", fun m -> m.C.final_vhigh);
+      ("final swing", fun m -> m.C.final_swing);
+    ];
+  (match (cut.C.final_delay, full.C.final_delay) with
+  | Some a, Some b -> within "final delay" 1e-12 a b
+  | _ -> Alcotest.fail "both references must measure a delay");
+  within "supply" (1e-3 *. full.C.supply_current) cut.C.supply_current full.C.supply_current
+
+(* The cut needs a small active cone: the chain (every stage switches),
+   a clocked design (the clock reaches every flip-flop) and a design
+   with two toggling inputs all run the full reference. *)
+let test_full_reference_cases () =
+  let freq = 200e6 and tstop = 0.2e-9 in
+  let chain = Cml_cells.Chain.build ~stages:8 ~freq () in
+  Alcotest.(check (option bool)) "chain's active cone over half" (Some false)
+    (Option.map Cone.selected (Cone.active chain.Cml_cells.Chain.builder.B.net));
+  Alcotest.(check (option int)) "chain" None
+    (C.chain_reference chain ~freq ~tstop ~dut:3).C.cut;
+  let design_cut ?stimuli circuit =
+    let d = Cml_cells.Compile.compile ~freq ?stimuli circuit in
+    let out = snd (List.hd d.Cml_cells.Compile.outputs) in
+    let golden = Cml_cells.Compile.netlist d in
+    (* by the cone rule, not by a fallback *)
+    Alcotest.(check (option bool)) "active cone over half" (Some false)
+      (Option.map Cone.selected (Cone.active golden));
+    let r =
+      C.design_reference ~input:d.Cml_cells.Compile.input ~dut:out ~final:out golden ~freq ~tstop
+    in
+    (r.C.cut, r.C.unknowns, Cone.golden_unknowns (Option.get (Cone.active golden)))
+  in
+  let cut, unknowns, golden_unknowns = design_cut (Cml_logic.Bench_format.s27 ()) in
+  Alcotest.(check (option int)) "clocked s27" None cut;
+  Alcotest.(check int) "s27 ran every unknown" golden_unknowns unknowns;
+  let c432 = Cml_logic.Bench_circuits.c432_surrogate () in
+  let first, second =
+    match c432.Cml_logic.Circuit.inputs with a :: b :: _ -> (fst a, fst b) | _ -> assert false
+  in
+  let stimuli = Cml_cells.Compile.[ (first, Toggle); (second, Toggle) ] in
+  let cut, _, _ = design_cut ~stimuli c432 in
+  Alcotest.(check (option int)) "two toggling inputs" None cut
+
+(* A cut-reference campaign stays deterministic at any slicing. *)
+let test_cut_campaign_slicing () =
+  let freq = 200e6 and tstop = 1e-9 in
+  let design = c432 () in
+  let golden = Cml_cells.Compile.netlist design in
+  let dut = Option.get (Cml_cells.Compile.find_cell design "n36") in
+  let final = List.assoc (Cml_cells.Compile.default_output design) design.Cml_cells.Compile.outputs in
+  let defects =
+    List.filteri (fun i _ -> i < 4) (Cml_defects.Sites.enumerate golden ~prefix:"n36" ~pipe_values:[ 4e3 ])
+  in
+  let run ~jobs ~batch =
+    C.run_design ~freq ~tstop ~jobs ~batch ~golden ~input:design.Cml_cells.Compile.input ~dut ~final
+      ~defects ()
+  in
+  let alone = run ~jobs:1 ~batch:false and sliced = run ~jobs:2 ~batch:true in
+  Alcotest.(check (option int)) "cut reference" (Some 430) alone.C.reference_cone;
+  Alcotest.(check bool) "entries identical" true (compare alone.C.entries sliced.C.entries = 0)
 
 let () =
   Alcotest.run "defects"
@@ -486,6 +570,11 @@ let () =
             test_cone_design_parity;
           Alcotest.test_case "chain stage-8 tail short falls back" `Slow test_cone_chain_fallback;
           Alcotest.test_case "projected t = 0 row is a cone DC point" `Slow test_cone_projected_dc;
+          Alcotest.test_case "cut reference matches the full one" `Slow test_cut_reference;
+          Alcotest.test_case "chain, clocked and two-input designs run the full reference" `Slow
+            test_full_reference_cases;
+          Alcotest.test_case "cut-reference campaign is slicing-independent" `Slow
+            test_cut_campaign_slicing;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_batch_matches_sequential ] );

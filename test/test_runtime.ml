@@ -161,6 +161,37 @@ let test_campaign_slicing_parity () =
         (compare a.Cml_telemetry.Manifest.v_metrics b.Cml_telemetry.Manifest.v_metrics = 0))
     alone.Cml_defects.Campaign.variants sliced.Cml_defects.Campaign.variants
 
+(* The LU gauges are high-water marks over the run window, so a
+   campaign's manifest reads the same worst factor at any --jobs,
+   whichever variant's domain publishes last; running the defects in
+   reverse order makes the last writer differ for certain. *)
+let test_campaign_gauges_parity () =
+  let defects =
+    List.filteri
+      (fun i _ -> i < 6)
+      (Cml_defects.Sites.enumerate
+         (Cml_cells.Chain.build ~stages:4 ~freq:1e9 ()).Cml_cells.Chain.builder.Cml_cells.Builder.net
+         ~prefix:"x2" ~pipe_values:[ 2e3; 6e3 ])
+  in
+  let gauges ~jobs ~batch defects =
+    let c =
+      Cml_defects.Campaign.run ~stages:4 ~freq:1e9 ~dut:2 ~tstop:4e-9 ~jobs ~batch ~defects ()
+    in
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Cml_telemetry.Metrics.Gauge g when String.starts_with ~prefix:"solver." name -> Some (name, g)
+        | Cml_telemetry.Metrics.Gauge _ | Counter _ | Histogram _ -> None)
+      c.Cml_defects.Campaign.metrics
+  in
+  let alone = gauges ~jobs:1 ~batch:false defects in
+  Alcotest.(check (list string)) "LU gauges published"
+    [ "solver.lu_condition"; "solver.lu_fill_nnz"; "solver.lu_fill_ratio"; "solver.lu_pivot_growth" ]
+    (List.map fst alone);
+  let same what g = Alcotest.(check (list (pair string (float 0.0)))) what alone g in
+  same "jobs 2" (gauges ~jobs:2 ~batch:false defects);
+  same "reversed order" (gauges ~jobs:1 ~batch:false (List.rev defects))
+
 (* ------------------------------------------------------------------ *)
 (* Incremental sparse LU *)
 
@@ -473,10 +504,10 @@ let test_factor_reuse_rule () =
   Alcotest.(check int) "c432 chord steps" 514 s.E.chord_steps;
   Alcotest.(check int) "c432 numeric refactorizations" 166 s.E.numeric_refactorizations;
   Alcotest.(check int) "c432 skipped solves" 1 s.E.skipped_solves;
-  let cone = Cml_defects.Cone.drive (Cml_defects.Cone.extract golden ~cells:[ "n36" ]) ~reference in
+  let cone = Cml_defects.Cone.(drive (attacked golden ~cells:[ "n36" ]) ~reference:(of_run golden reference)) in
   let cnet = Cml_defects.Cone.netlist cone in
   let csim = E.compile cnet in
-  ignore (T.run ~guide:(Cml_defects.Cone.guide cone) ~breakpoints csim cnet cfg);
+  ignore (T.run ?guide:(Cml_defects.Cone.guide cone) ~breakpoints csim cnet cfg);
   Alcotest.(check int) "n36 cone" 0 (chord csim);
   let net = (sharing45 ()).Cml_dft.Sharing.builder.Cml_cells.Builder.net in
   let ssim = E.compile net in
@@ -514,6 +545,8 @@ let () =
             test_campaign_parallel_matches_sequential;
           Alcotest.test_case "slicing leaves measurements bit-identical" `Slow
             test_campaign_slicing_parity;
+          Alcotest.test_case "LU gauges do not depend on --jobs" `Slow
+            test_campaign_gauges_parity;
         ] );
       ( "incremental-lu",
         [
