@@ -197,13 +197,15 @@ campaign-parity: build
 	  diff $$dir/batched.body $$dir/unbatched.body; rm -rf $$dir; exit 1; \
 	fi
 
-# The cone path must not change a classification: every defect site
-# of the c432 surrogate's default DUT, simulated on its fanout cone
-# (the campaign's path) and on the whole faulty netlist, must get the
-# same classes.  Prints each site's measurement deviation, supply
-# current and boundary-source draw, then each path's Newton
-# iterations, LU refactorizations and chord steps; about 30-35 s on
-# two cores.
+# The cut and cone paths must not change a classification: every
+# defect site of the c432 surrogate's default DUT, simulated as the
+# campaign does (its cone's cut at the healing depth, the cone when
+# the cut aborts) and on the whole faulty netlist, must get the same
+# classes, and every site measured on the cut must read the full
+# netlist's final output within the cut tolerance.  Prints each
+# site's path, measurement deviation, supply current, boundary-source
+# draw and cut-net deviation, then each path's Newton iterations, LU
+# refactorizations and chord steps; about 40 s on two cores.
 cone-parity: build
 	$(DUNE) exec --no-build bench/main.exe -- --jobs 2 cone-parity
 

@@ -3,20 +3,26 @@
    [Campaign.run_design] (which routes it to the DUT's fanout cone and
    classifies it against the cut reference) and once on the whole
    faulty netlist, classified against a full-netlist reference of its
-   own, and the two must classify alike.
+   own, and the two must classify alike.  A variant measured on its
+   cone's cut at the healing depth must also read the full netlist's
+   final output within the cut tolerance ([Campaign.cut_epsilon]).
 
    It first prints how far the campaign's cut reference (a transient
    of the toggling input's fanout cone on top of the full DC point)
    lies from the full-netlist reference: the worst deviation at every
    boundary net of the DUT's cone, at the DUT and final-output probes
    (levels, swing, delay) and of the supply current.  Per site it
-   prints both class sets (one when they agree), the worst deviation
-   of the DUT and final-output measurements (levels and swing), the
-   supply current of both runs and the largest current a boundary
-   source on a non-ideal net delivered.  Per path it prints the Newton
-   iterations, numeric LU refactorizations and chord steps (iterations
-   that reused an older LU factor) its transients took.  Exits 1 when
-   any site's classes differ. *)
+   prints the path the campaign measured it on (cut, cone or fallback
+   to the full netlist), both class sets (one when they agree), the
+   worst deviation of the DUT and final-output measurements (levels
+   and swing), the supply current of both runs, the largest current a
+   boundary source on a non-ideal net delivered and the worst
+   deviation of a cut net from its reference (on an aborted cut, the
+   one that aborted it).  Per path it prints the Newton iterations,
+   numeric LU refactorizations and chord steps (iterations that reused
+   an older LU factor) its transients took.  Exits 1 when any site's
+   classes differ or a cut site's final output strays beyond the cut
+   tolerance. *)
 
 module D = Cml_defects
 module C = D.Campaign
@@ -122,30 +128,38 @@ let run () =
   let t2 = now_s () and m2 = M.snapshot () in
   reference_deviation ~golden ~dut_name ~input ~dut ~final ~guide ~full:reference
     c.C.reference;
-  let differ = ref 0 and fallbacks = ref 0 in
-  Printf.printf "%-40s %-8s %10s %10s %9s %9s %9s  %s\n" "site" "path" "dut dV" "final dV"
-    "Icone mA" "Ifull mA" "draw mA" "classes";
+  let eps = C.cut_epsilon Cml_cells.Process.default in
+  let differ = ref 0 and strayed = ref 0 in
+  let paths = Hashtbl.create 4 in
+  Printf.printf "%-40s %-8s %10s %10s %9s %9s %9s %9s  %s\n" "site" "path" "dut dV" "final dV"
+    "Icone mA" "Ifull mA" "draw mA" "cut dV" "classes";
   List.iter2
     (fun (e, (v : Cml_telemetry.Manifest.variant)) full ->
       let metric k = List.assoc_opt k v.Cml_telemetry.Manifest.v_metrics in
       let path =
-        match metric "fallback" with Some 1.0 -> "fallback" | Some _ -> "cone" | None -> "full"
+        match (metric "cut_abort", metric "fallback") with
+        | Some 0.0, _ -> "cut"
+        | _, Some 1.0 -> "fallback"
+        | _, Some _ -> "cone"
+        | _, None -> "full"
       in
-      if path = "fallback" then incr fallbacks;
+      Hashtbl.replace paths path (1 + Option.value ~default:0 (Hashtbl.find_opt paths path));
       let mv v = Printf.sprintf "%.3f" (v *. 1e3) in
       let dut_dv, final_dv, i_cone, i_full =
         match (e.C.outcome, full) with
         | C.Measured (a, _), C.Measured (b, _) ->
+            let final =
+              worst
+                [ (a.C.final_vlow, b.C.final_vlow); (a.C.final_vhigh, b.C.final_vhigh);
+                  (a.C.final_swing, b.C.final_swing) ]
+            in
+            if path = "cut" && not (final <= eps) then incr strayed;
             ( Printf.sprintf "%.1f uV"
                 (1e6
                 *. worst
                      [ (a.C.dut_vlow, b.C.dut_vlow); (a.C.dut_vhigh, b.C.dut_vhigh);
                        (a.C.dut_swing, b.C.dut_swing) ]),
-              Printf.sprintf "%.2f mV"
-                (1e3
-                *. worst
-                     [ (a.C.final_vlow, b.C.final_vlow); (a.C.final_vhigh, b.C.final_vhigh);
-                       (a.C.final_swing, b.C.final_swing) ]),
+              Printf.sprintf "%.2f mV" (1e3 *. final),
               mv a.C.supply_current,
               mv b.C.supply_current )
         | _ -> ("-", "-", "-", "-")
@@ -159,16 +173,23 @@ let run () =
             (String.concat " " full_labels)
         end
       in
-      Printf.printf "%-40s %-8s %10s %10s %9s %9s %9s  %s\n" v.Cml_telemetry.Manifest.v_name path
-        dut_dv final_dv i_cone i_full
-        (match metric "boundary_draw" with Some a -> mv a | None -> "-")
+      let opt = function Some a -> mv a | None -> "-" in
+      Printf.printf "%-40s %-8s %10s %10s %9s %9s %9s %9s  %s\n" v.Cml_telemetry.Manifest.v_name
+        path dut_dv final_dv i_cone i_full
+        (opt (metric "boundary_draw"))
+        (opt (metric "cut_deviation"))
         classes)
     (List.combine c.C.entries c.C.variants)
     full;
   let n = List.length defects in
+  let count p = Option.value ~default:0 (Hashtbl.find_opt paths p) in
   Printf.printf
-    "cone-parity: %d/%d identical classes, %d fallbacks; campaign %.1f s, full netlist %.1f s\n"
-    (n - !differ) n !fallbacks (t1 -. t0) (t2 -. t1);
-  solver_line "campaign (reference + cone variants)" m0 m1;
+    "cone-parity: %d/%d identical classes; %d on the cut, %d on the cone, %d fallbacks; campaign \
+     %.1f s, full netlist %.1f s\n"
+    (n - !differ) n (count "cut") (count "cone") (count "fallback") (t1 -. t0) (t2 -. t1);
+  Printf.printf
+    "cone-parity: %d cut sites with the final output beyond %.0f mV of the full netlist\n" !strayed
+    (1e3 *. eps);
+  solver_line "campaign (reference + cut and cone variants)" m0 m1;
   solver_line "full netlist (reference + variants)" m1 m2;
-  if !differ > 0 then exit 1
+  if !differ > 0 || !strayed > 0 then exit 1

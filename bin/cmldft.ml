@@ -359,9 +359,9 @@ let campaign_cmd =
   in
   let no_batch_arg =
     let doc =
-      "Schedule one defect per slice instead of up to 16, so no variant adopts another's \
-       symbolic LU analysis.  Results are unchanged on the buffer chain; \
-       $(b,make campaign-parity) checks that."
+      "Schedule one defect per slice instead of up to 16.  Slicing is a pure scheduling \
+       choice: every variant compiles and solves on its own, so results are identical; \
+       $(b,make campaign-parity) checks that on the buffer chain."
     in
     Arg.(value & flag & info [ "no-batch" ] ~doc)
   in
@@ -466,6 +466,8 @@ let campaign_cmd =
       | None -> "full netlist");
     Option.iter (Printf.printf "cone: %s\n")
       (Cml_telemetry.Manifest.cone_line c.Cml_defects.Campaign.variants);
+    Option.iter (Printf.printf "cut: %s\n")
+      (Cml_telemetry.Manifest.cut_line c.Cml_defects.Campaign.variants);
     print_utilization ~wall_s:c.Cml_defects.Campaign.wall_s c.Cml_defects.Campaign.utilization;
     match manifest with Some path -> Printf.printf "wrote %s\n" path | None -> ()
   in
@@ -1302,7 +1304,9 @@ let explain_cmd =
   in
   let doc =
     "Numerical post-mortem of one campaign variant: pick the slowest or failed variant (or \
-     $(b,--variant)/$(b,--defect)), re-simulate it with solver introspection attached, and \
+     $(b,--variant)/$(b,--defect)), re-simulate it on the netlist the campaign measured it \
+     on (the whole chain or $(b,.bench) design, the defect's fanout cone or the cone's cut) \
+     with solver introspection attached, and \
      report the convergence narrative, worst-net/worst-device hotspots, per-rejection LTE \
      blame, Newton retry blame, the dt timeline and the sparse-LU health summary."
   in

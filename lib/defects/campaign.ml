@@ -79,6 +79,36 @@ let probe_nodes ps =
 let supply_probe sim =
   match E.branch_unknown sim "vdd" with exception Not_found -> [] | br -> [ ("i(vdd)", br) ]
 
+(* The supply current of a run of (a faulty copy of) a cone or cut
+   netlist, summed at every accepted step: the signed sum of its [vdd]
+   branch and every held boundary source, which delivers what the
+   net's real driver would draw from the rail.  One stream, not one
+   per held source (n36's cone holds 58). *)
+type supply = { branches : int array; times : Cml_numerics.Fbuf.t; total : Cml_numerics.Fbuf.t }
+
+let supply_meter d sim =
+  {
+    branches =
+      Array.of_list
+        (List.map snd (supply_probe sim)
+        @ List.map (E.branch_unknown sim) (Cone.held_sources d));
+    times = Cml_numerics.Fbuf.create ();
+    total = Cml_numerics.Fbuf.create ();
+  }
+
+let record_supply s t x =
+  let sum = ref 0.0 in
+  for k = 0 to Array.length s.branches - 1 do
+    sum := !sum +. x.(s.branches.(k))
+  done;
+  Cml_numerics.Fbuf.push s.times t;
+  Cml_numerics.Fbuf.push s.total !sum
+
+(* @raise Not_found for a run with no supply branch *)
+let supply_samples s =
+  if s.branches = [||] then raise Not_found
+  else (Cml_numerics.Fbuf.to_array s.times, Cml_numerics.Fbuf.to_array s.total)
+
 (* The unknowns a probe set samples in one compiled sim of the golden
    layout: the probe nets plus the rail supply branch. *)
 let probes ps sim =
@@ -304,6 +334,21 @@ let to_manifest ?seed ?(options = []) t =
 let m_cone_variants = Cml_telemetry.Metrics.counter "campaign.cone_variants"
 let m_cone_fallbacks = Cml_telemetry.Metrics.counter "campaign.cone_fallbacks"
 let m_reference_fallbacks = Cml_telemetry.Metrics.counter "campaign.reference_fallbacks"
+let m_cut_variants = Cml_telemetry.Metrics.counter "campaign.cut_variants"
+let m_cut_aborts = Cml_telemetry.Metrics.counter "campaign.cut_aborts"
+
+(* How far a cut net may stray from its reference wave before a cut
+   variant re-runs on its cone: swing / 25, 10 mV at the default
+   250 mV swing.  On the c432 surrogate's default DUT, one cell level
+   past the attacked cell, every site's worst deviation over a 5 ns
+   run falls into one of two groups: at most 7.0 mV (benign or
+   healed) or at least 13.0 mV (the fault reaches the next level, or
+   is stuck). *)
+let cut_epsilon proc = proc.Cml_cells.Process.swing /. 25.0
+
+(* Raised by the cut meter from the [on_step] observer with the time
+   and the deviation found; caught around the cut run only. *)
+exception Cut_abort of float * float
 
 type reference = {
   measurement : measurement;
@@ -368,36 +413,26 @@ let reference ?engine_options ~proc ps golden ~freq ~tstop =
           | None -> Right (name, dc.(E.node_unknown nd)))
         (probe_nodes ps)
     in
-    (* the cone's supply current: the [vdd] branch plus every held
-       boundary source, which delivers what the net's real driver
-       would draw from the rail *)
-    let supply =
-      supply_probe sim
-      @ List.map (fun name -> (name, E.branch_unknown sim name)) (Cone.held_sources d)
+    let supply = supply_meter d sim in
+    let on_step t x =
+      Cone.record draw t x;
+      record_supply supply t x
     in
-    let obs = T.observers ~on_step:(Cone.record draw) (supply @ on_cut) in
-    let x0 = Cone.start d in
-    let dc_share = Float.abs (List.fold_left (fun acc (_, k) -> acc +. x0.(k)) 0.0 supply) in
-    let r = simulate ~x0 ~breakpoints sim obs net ~tstop in
+    let obs = T.observers ~on_step on_cut in
+    let r = simulate ~x0:(Cone.start d) ~breakpoints sim obs net ~tstop in
     if not (Cone.peak draw <= proc.Cml_cells.Process.i_tail) then None
     else begin
-      let streams = T.probe_list obs and times = r.T.times in
-      let total = Array.make (Array.length times) 0.0 in
-      List.iter
-        (fun (name, _, values) ->
-          if List.mem_assoc name supply then
-            Array.iteri (fun k i -> total.(k) <- total.(k) +. i) values)
-        streams;
+      let times, total = supply_samples supply in
       let samples =
         lookup
           (("i(vdd)", times, total)
           :: List.map (fun (name, v) -> (name, times, Array.map (fun _ -> v) times)) off_cut
-          @ List.filter (fun (name, _, _) -> List.mem_assoc name on_cut) streams)
+          @ List.filter (fun (name, _, _) -> List.mem_assoc name on_cut) (T.probe_list obs))
       in
       let m, nominal = analyze ps samples ~freq ~tstop in
       (* the full netlist's DC supply with the cone's DC share swapped
          for its transient current *)
-      let supply_current = vdd_current gsim dc -. dc_share +. m.supply_current in
+      let supply_current = vdd_current gsim dc -. Cone.nominal_supply d +. m.supply_current in
       Some
         {
           measurement = { m with supply_current };
@@ -456,36 +491,58 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   let guide () = if warm_start then Some (Cone.full_guide trajectory) else None in
   (* A variant whose fanout cone is at most half the design simulates
      only that cone ({!Cone}), its boundary forced to the nominal
-     waveforms.  Probes outside the cone read the reference streams,
-     and the supply current is the reference's with the cone's nominal
-     share swapped for the variant's own. *)
+     waveforms, and tries the cone's cut at the healing depth first.
+     Probes outside the simulated cells read the reference streams,
+     and the supply current is the reference's with the cone's (or
+     cut's) nominal share swapped for the variant's own. *)
   let cone_of = Cone.plan trajectory defects in
   (* kept only when some variant takes a cone *)
   let reference_samples =
     if List.exists (fun d -> Option.is_some (cone_of d)) defects then ref_run.samples
     else fun _ -> raise Not_found
   in
-  let cone_probes cone sim =
-    supply_probe sim
-    @ List.filter_map
-        (fun (name, nd) ->
-          Option.map (fun c -> (name, E.node_unknown c)) (Cone.node cone (N.node_name golden nd)))
-        (probe_nodes ps)
+  let driven_probes d =
+    List.filter_map
+      (fun (name, nd) ->
+        Option.map (fun c -> (name, E.node_unknown c)) (Cone.node d (N.node_name golden nd)))
+      (probe_nodes ps)
   in
-  let on_cone cone faulty =
+  let eps = cut_epsilon proc in
+  (* One run of a faulty copy of a cone or cut netlist.  The cut meter
+     compares every cut net (a cone has none) with its reference wave
+     at the DC start and at every accepted step; the first deviation
+     beyond [eps] aborts the run. *)
+  let on_driven d faulty =
     let sim = E.compile ?options:engine_options faulty in
-    let draw = Cone.meter cone sim in
-    let obs = T.observers ~on_step:(Cone.record draw) (cone_probes cone sim) in
-    let guide = if warm_start then Cone.guide cone else None in
+    let draw = Cone.meter d sim in
+    let supply = supply_meter d sim in
+    let watched =
+      Array.of_list (List.map (fun (nd, w) -> (E.node_unknown nd, w)) (Cone.watched d))
+    in
+    let worst = [| 0.0 |] in
+    let on_step t x =
+      Cone.record draw t x;
+      record_supply supply t x;
+      Array.iter
+        (fun (u, w) ->
+          let dv = Float.abs (x.(u) -. Cml_spice.Waveform.value w t) in
+          if not (dv <= eps) then raise (Cut_abort (t, dv));
+          if dv > worst.(0) then worst.(0) <- dv)
+        watched
+    in
+    let obs = T.observers ~on_step (driven_probes d) in
+    let guide = if warm_start then Cone.guide d else None in
     let r = simulate ?guide ~breakpoints ~record_every:0 sim obs faulty ~tstop in
     let samples name =
-      match T.probe_samples obs name with s -> s | exception Not_found -> reference_samples name
+      if name = "i(vdd)" then supply_samples supply
+      else
+        match T.probe_samples obs name with
+        | s -> s
+        | exception Not_found -> reference_samples name
     in
     let m, _ = analyze ps ~nominal samples ~freq ~tstop in
-    let supply_current =
-      reference.supply_current -. Cone.nominal_supply cone +. m.supply_current
-    in
-    ({ m with supply_current }, r, Cone.peak draw)
+    let supply_current = reference.supply_current -. Cone.nominal_supply d +. m.supply_current in
+    ({ m with supply_current }, r, Cone.peak draw, worst)
   in
   let options =
     options
@@ -515,34 +572,71 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
         | m, r, _, _ -> measured m r
         | exception E.No_convergence msg -> (Failed msg, None))
   in
+  let inject d defect =
+    match Inject.apply (Cone.netlist d) defect with
+    | faulty -> Some faulty
+    | exception (Not_found | Invalid_argument _) -> None
+  in
   (* the cone is abandoned for the full netlist when it does not
      converge, or when a boundary source on a non-ideal net delivers
      more than a tail current: the defect then reaches back into a
      driver the cone does not simulate *)
-  let fallback defect cone_metrics =
-    Cml_telemetry.Metrics.incr m_cone_fallbacks;
-    (full defect, ("fallback", 1.0) :: cone_metrics)
+  let on_cone defect cone =
+    let fallback cone_metrics =
+      Cml_telemetry.Metrics.incr m_cone_fallbacks;
+      (full defect, ("fallback", 1.0) :: cone_metrics)
+    in
+    match inject cone defect with
+    | None -> (full defect, [])
+    | Some faulty -> (
+        match on_driven cone faulty with
+        | m, r, draw, _ when draw <= proc.Cml_cells.Process.i_tail ->
+            Cml_telemetry.Metrics.incr m_cone_variants;
+            (measured m r, [ ("fallback", 0.0); ("boundary_draw", draw) ])
+        | _, _, draw, _ -> fallback [ ("boundary_draw", draw) ]
+        | exception E.No_convergence _ -> fallback [])
+  in
+  (* the cut is abandoned for the cone when a cut net leaves the
+     reference by more than [eps], when the cut does not converge, or
+     when a held source delivers more than a tail current *)
+  let on_cut defect cone cut faulty =
+    let depth = ("cut", float_of_int Cone.cut_depth) in
+    let abort cut_metrics =
+      Cml_telemetry.Metrics.incr m_cut_aborts;
+      let result, cone_metrics = on_cone defect cone in
+      (result, (depth :: ("cut_abort", 1.0) :: cut_metrics) @ cone_metrics)
+    in
+    match on_driven cut faulty with
+    | m, r, draw, worst when draw <= proc.Cml_cells.Process.i_tail ->
+        Cml_telemetry.Metrics.incr m_cut_variants;
+        ( measured m r,
+          [ depth; ("cut_abort", 0.0); ("cut_deviation", worst.(0)); ("boundary_draw", draw) ] )
+    | _, _, _, worst -> abort [ ("cut_deviation", worst.(0)) ]
+    | exception Cut_abort (t, dv) -> abort [ ("cut_deviation", dv); ("cut_abort_at", t) ]
+    | exception E.No_convergence _ -> abort []
   in
   let variant defect =
-    let cone_variant =
-      Option.bind (cone_of defect) (fun cone ->
-          match Inject.apply (Cone.netlist cone) defect with
-          | faulty -> Some (cone, faulty)
-          | exception (Not_found | Invalid_argument _) -> None)
-    in
-    let (outcome, run), cone_metrics =
-      match cone_variant with
+    let (outcome, run), metrics =
+      match cone_of defect with
       | None -> (full defect, [])
-      | Some (cone, faulty) -> (
-          match on_cone cone faulty with
-          | m, r, draw when draw <= proc.Cml_cells.Process.i_tail ->
-              Cml_telemetry.Metrics.incr m_cone_variants;
-              (measured m r, [ ("fallback", 0.0); ("boundary_draw", draw) ])
-          | _, _, draw -> fallback defect [ ("boundary_draw", draw) ]
-          | exception E.No_convergence _ -> fallback defect [])
+      | Some cone -> (
+          match Cone.cut_of cone with
+          | Some cut -> (
+              match inject cut defect with
+              | Some faulty -> on_cut defect cone cut faulty
+              | None -> on_cone defect cone)
+          | None -> on_cone defect cone)
     in
     let entry = { defect; outcome } in
-    (entry, report entry run cone_metrics)
+    (entry, report entry run metrics)
+  in
+  (* an unexpected exception fails its own variant, never the run *)
+  let variant defect =
+    match variant defect with
+    | v -> v
+    | exception e ->
+        let entry = { defect; outcome = Failed ("internal: " ^ Printexc.to_string e) } in
+        (entry, report entry None [])
   in
   let v =
     Cml_runtime.Variant_loop.run window ~kind:"campaign" ~item:"variant" ?jobs

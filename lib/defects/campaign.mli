@@ -201,16 +201,49 @@ val run :
     (warm-started from that run projected onto the cone).  Its
     probes outside the cone read the fault-free streams, and its
     [supply_current] is the fault-free one with the cone's nominal
-    share replaced by the variant's own cone current.  The variant is
-    re-run on the full netlist (a fallback) when the cone run does not
-    converge, or when a boundary source on a non-ideal net delivers
-    more than [proc.i_tail] at any accepted step.  The cone decision
-    depends on the design and the defect only; on the default 8-stage
-    chain it only applies to defects in stage 8.  The manifest records
-    each variant's [unknowns]; a cone-routed variant also records
-    [fallback] (0 or 1) and [boundary_draw] (A), and the
-    [campaign.cone_variants] / [campaign.cone_fallbacks] counters
-    count the variants measured on a cone and the fallbacks.
+    share replaced by the variant's own cone current; both currents
+    count the [vdd] branch plus every held boundary source
+    ({!Cone.held_sources}).  The variant is re-run on the full netlist
+    (a fallback) when the cone run does not converge, or when a
+    boundary source on a non-ideal net delivers more than
+    [proc.i_tail] at any accepted step.  The cone decision depends on
+    the design and the defect only; on the default 8-stage chain it
+    only applies to defects in stage 8.
+
+    A cone variant first runs on the cone's {e cut} at the healing
+    depth ({!Cone.cut_of}, depth {!Cone.cut_depth}) when that cut has
+    fewer unknowns than the cone: the cells within one fanout level of
+    the attacked cells, plus a fringe of their readers whose outputs
+    are forced to the fault-free waveforms.  A cut meter compares
+    every cut net with its fault-free wave at the DC start and at
+    every accepted step; the first deviation beyond {!cut_epsilon}
+    aborts the cut run and the variant re-runs on the cone (and from
+    there, as above, on the full netlist).  A cut run that does not
+    converge, or whose held boundary sources deliver more than
+    [proc.i_tail], is aborted the same way.  So healing is checked
+    while the variant runs, never assumed: a variant whose DC point
+    already differs one level on aborts before its transient starts,
+    one stuck at its DC state at the first edge that should reach the
+    cut nets.  Probes past the cut read the
+    fault-free streams, and the supply is reconstructed as for a cone
+    from the cut's share.  The chain's stage-8 cone has nothing
+    downstream, so its cut is the cone itself and no chain variant
+    takes one.
+
+    The manifest records each variant's [unknowns] (of the netlist it
+    was measured on); a cone-routed variant also records [fallback]
+    (0 or 1) and [boundary_draw] (A), and a cut-routed one [cut] (its
+    depth), [cut_abort] (0 or 1), [cut_deviation] (V: the worst cut-net
+    deviation, or the one that aborted the cut; absent when the cut run
+    did not converge) and, when the meter aborted it, [cut_abort_at]
+    (s).  The [campaign.cone_variants] /
+    [campaign.cone_fallbacks] counters count the variants measured on
+    a cone and the fallbacks, [campaign.cut_variants] /
+    [campaign.cut_aborts] those measured on a cut and the aborts.
+
+    A variant that raises any other exception fails alone, as
+    [Failed "internal: <exception>"]; the run and its manifest
+    complete.
 
     [max_iter] caps Newton iterations per solve (default: the engine's
     100) for every compiled sim of the run, reference included — a
@@ -253,13 +286,19 @@ val run_design :
     ([degraded_at] and [healing_depth] are [None]) and the manifest's
     healing histogram reads "clean".  Variants of one topology (the
     same site at another pipe resistance) share one compiled layout
-    and column ordering ({!Cml_spice.Engine.compile}).  The cone rule of {!run} applies: on the c432 surrogate, the default
-    DUT's cone is 430 of 949 unknowns, so its variants run on the
-    cone. *)
+    and column ordering ({!Cml_spice.Engine.compile}).  The cone
+    and cut rules of {!run} apply: on the c432 surrogate, the default
+    DUT's cone is 430 of 949 unknowns and its cut at depth 1 is 65, so
+    its variants try the cut and re-run on the cone when it aborts. *)
 
 val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
 (** The run manifest [?manifest] writes; exposed so callers can stamp
     their own options / seed and choose the path. *)
+
+val cut_epsilon : Cml_cells.Process.t -> float
+(** How far (V) a cut net may stray from its reference wave before a
+    cut variant re-runs on its cone ({!run}): [swing /. 25.], 10 mV at
+    the default process. *)
 
 val classify :
   proc:Cml_cells.Process.t -> reference:measurement -> measurement -> flags

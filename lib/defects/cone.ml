@@ -58,23 +58,27 @@ let drive_name net = "drive(" ^ net ^ ")"
 type t = {
   golden : N.t;
   tie : W.t option array;  (** per golden node, its ideal source's voltage *)
-  cells : string list;
-  devices : N.device list;  (** the golden devices the cone netlist copies *)
+  roots : string list;
+  cells : string list;  (** simulated cells: the cone's, or a cut's kept cells *)
+  devices : N.device list;  (** the golden devices the netlist copies *)
   boundary : (N.node * bool) list;  (** golden node, ideal *)
+  forced : N.node list;  (** a cut's fringe outputs, forced to the reference *)
+  watched : N.node list;  (** a cut's cut nets: kept-cell nets the fringe reads *)
   unknowns : int;
   golden_unknowns : int;
 }
 
-(* The cone netlist: its devices on nodes of the same names, and each
-   boundary net forced by a source of waveform [wave]. *)
-let build golden devices boundary wave =
+(* The netlist: its devices on nodes of the same names, and each
+   boundary net and fringe output forced by a source of waveform
+   [wave]. *)
+let build golden devices forced wave =
   let net = N.create () in
   let map nd = if nd = N.gnd then N.gnd else N.node net (N.node_name golden nd) in
   List.iter (fun d -> N.add_device net (remap map d)) devices;
   List.iter
-    (fun (nd, _) ->
+    (fun nd ->
       N.vsource net ~name:(drive_name (N.node_name golden nd)) ~pos:(map nd) ~neg:N.gnd (wave nd))
-    boundary;
+    forced;
   net
 
 let cells t = t.cells
@@ -107,16 +111,12 @@ let defect_cells golden defect =
 let cell_of d = owner (N.device_name d)
 let net_owner golden nd = if nd = N.gnd then None else owner (N.node_name golden nd)
 
-(* [roots] closed under fanout: a cell joins when one of its devices
-   touches a non-ideal net a member owns. *)
-let close golden tie roots =
+(* The fanout graph: the owner of every non-ideal net a device reads
+   gains the device's cell as a reader. *)
+let readers golden tie =
   let net_owner = net_owner golden in
-  let devices = N.devices golden in
-  (* fanout: the owner of every non-ideal net a device reads gains the
-     device's cell as a reader *)
   let readers = Hashtbl.create 256 in
-  List.iter
-    (fun d ->
+  N.iter_devices golden (fun d ->
       match cell_of d with
       | None -> ()
       | Some c ->
@@ -125,8 +125,80 @@ let close golden tie roots =
               match net_owner nd with
               | Some o when o <> c && tie.(nd) = None -> Hashtbl.add readers o c
               | Some _ | None -> ())
-            (device_nodes d))
+            (device_nodes d));
+  readers
+
+(* The netlist shape of the [kept] cells plus a [fringe]: every net
+   they touch is owned by a kept cell, owned by a fringe cell (an
+   output another cell reads is forced), a rail its ideal source
+   drives, or a boundary net. *)
+let assemble golden tie ~roots ~kept ~fringe =
+  let net_owner = net_owner golden in
+  let devices = N.devices golden in
+  let member set d = match cell_of d with Some c -> Hashtbl.mem set c | None -> false in
+  let owned set nd = match net_owner nd with Some o -> Hashtbl.mem set o | None -> false in
+  let simulated = List.filter (fun d -> member kept d || member fringe d) devices in
+  let touched = Array.make (N.node_count golden) false in
+  List.iter (fun d -> List.iter (fun nd -> touched.(nd) <- true) (device_nodes d)) simulated;
+  (* nets another cell than their owner touches in the golden netlist *)
+  let read = Array.make (N.node_count golden) false in
+  let fringe_reads = Array.make (N.node_count golden) false in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun nd ->
+          if nd <> N.gnd && net_owner nd <> cell_of d then begin
+            read.(nd) <- true;
+            if member fringe d then fringe_reads.(nd) <- true
+          end)
+        (device_nodes d))
     devices;
+  let rail nd = nd <> N.gnd && net_owner nd = None && tie.(nd) <> None in
+  let nets = List.init (N.node_count golden - 1) (fun i -> i + 1) in
+  let boundary =
+    List.filter_map
+      (fun nd ->
+        if touched.(nd) && not (owned kept nd || owned fringe nd || rail nd) then
+          Some (nd, tie.(nd) <> None)
+        else None)
+      nets
+  in
+  let forced = List.filter (fun nd -> touched.(nd) && owned fringe nd && read.(nd)) nets in
+  let watched = List.filter (fun nd -> owned kept nd && fringe_reads.(nd)) nets in
+  let rail_source = function
+    | N.Vsource { npos; nneg; _ } ->
+        (npos = N.gnd && rail nneg && touched.(nneg)) || (nneg = N.gnd && rail npos && touched.(npos))
+    | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vcvs _ | N.Vccs _ ->
+        false
+  in
+  let devices = List.filter (fun d -> member kept d || member fringe d || rail_source d) devices in
+  let net = build golden devices (List.map fst boundary @ forced) (fun _ -> W.Dc 0.0) in
+  let cells =
+    List.rev
+      (List.fold_left
+         (fun acc d ->
+           match cell_of d with
+           | Some c when Hashtbl.mem kept c && not (List.mem c acc) -> c :: acc
+           | Some _ | None -> acc)
+         [] devices)
+  in
+  {
+    golden;
+    tie;
+    roots;
+    cells;
+    devices;
+    boundary;
+    forced;
+    watched;
+    unknowns = unknown_count net;
+    golden_unknowns = unknown_count golden;
+  }
+
+(* [roots] closed under fanout: a cell joins when one of its devices
+   touches a non-ideal net a member owns. *)
+let close golden tie roots =
+  let readers = readers golden tie in
   let in_cone = Hashtbl.create 64 in
   let rec add c =
     if not (Hashtbl.mem in_cone c) then begin
@@ -135,44 +207,7 @@ let close golden tie roots =
     end
   in
   List.iter add roots;
-  let member d = match cell_of d with Some c -> Hashtbl.mem in_cone c | None -> false in
-  let cone_devices = List.filter member devices in
-  (* every net the cone touches: owned by a cone cell, a rail its ideal
-     source drives, or a boundary net *)
-  let touched = Array.make (N.node_count golden) false in
-  List.iter (fun d -> List.iter (fun nd -> touched.(nd) <- true) (device_nodes d)) cone_devices;
-  let owned nd = match net_owner nd with Some o -> Hashtbl.mem in_cone o | None -> false in
-  let rail nd = nd <> N.gnd && net_owner nd = None && tie.(nd) <> None in
-  let boundary =
-    List.filter_map
-      (fun nd ->
-        if touched.(nd) && not (owned nd || rail nd) then Some (nd, tie.(nd) <> None) else None)
-      (List.init (N.node_count golden - 1) (fun i -> i + 1))
-  in
-  let rail_source = function
-    | N.Vsource { npos; nneg; _ } ->
-        (npos = N.gnd && rail nneg && touched.(nneg)) || (nneg = N.gnd && rail npos && touched.(npos))
-    | N.Resistor _ | N.Capacitor _ | N.Diode _ | N.Bjt _ | N.Isource _ | N.Vcvs _ | N.Vccs _ ->
-        false
-  in
-  let devices = List.filter (fun d -> member d || rail_source d) devices in
-  let net = build golden devices boundary (fun _ -> W.Dc 0.0) in
-  let cells =
-    List.rev
-      (List.fold_left
-         (fun acc d ->
-           match cell_of d with Some c when not (List.mem c acc) -> c :: acc | Some _ | None -> acc)
-         [] cone_devices)
-  in
-  {
-    golden;
-    tie;
-    cells;
-    devices;
-    boundary;
-    unknowns = unknown_count net;
-    golden_unknowns = unknown_count golden;
-  }
+  assemble golden tie ~roots ~kept:in_cone ~fringe:(Hashtbl.create 1)
 
 let extract golden ~roots =
   if roots = [] then invalid_arg "Cone.extract: no roots";
@@ -207,6 +242,27 @@ let active golden =
          (N.devices golden))
   in
   if roots = [] then None else Some (close golden tie roots)
+
+(* The cut of a cone at [depth] cell levels: the cells at most [depth]
+   reader steps from its roots are kept, the readers of their nets form
+   the fringe. *)
+let cut t ~depth =
+  let readers = readers t.golden t.tie in
+  let kept = Hashtbl.create 16 in
+  let rec visit level cs =
+    let fresh = List.filter (fun c -> not (Hashtbl.mem kept c)) (List.sort_uniq compare cs) in
+    List.iter (fun c -> Hashtbl.replace kept c ()) fresh;
+    if level < depth then visit (level + 1) (List.concat_map (Hashtbl.find_all readers) fresh)
+  in
+  visit 0 t.roots;
+  let fringe = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun c () ->
+      List.iter
+        (fun r -> if not (Hashtbl.mem kept r) then Hashtbl.replace fringe r ())
+        (Hashtbl.find_all readers c))
+    kept;
+  assemble t.golden t.tie ~roots:t.roots ~kept ~fringe
 
 (* The PWL knots of a sampled waveform.  A sample is dropped when it
    lies within [vntol] (below what Newton resolves) of the segment
@@ -340,8 +396,10 @@ type driven = {
   d_guide : T.result option;
   d_start : float array;
   d_supply : float;
-  d_nodes : (string, N.node) Hashtbl.t;  (** cone-owned nets, by name *)
+  d_nodes : (string, N.node) Hashtbl.t;  (** nets of the simulated cells, by name *)
   d_draw : string list;  (** sources of the non-ideal boundary nets *)
+  d_watched : (N.node * W.t) list;  (** a cut's cut nets and their reference waves *)
+  d_cut : driven option;  (** the cone's cut at [cut_depth], when smaller and solved *)
 }
 
 let netlist d = d.d_net
@@ -349,6 +407,8 @@ let guide d = d.d_guide
 let start d = Array.copy d.d_start
 let nominal_supply d = d.d_supply
 let node d name = Hashtbl.find_opt d.d_nodes name
+let watched d = d.d_watched
+let cut_of d = d.d_cut
 
 type meter = { branches : int array; peak : float array  (** one cell: a float-only store *) }
 
@@ -367,13 +427,26 @@ let held_sources d = d.d_draw
 
 let drive t ~reference:r =
   let golden = t.golden in
-  let net = build golden t.devices t.boundary (boundary_wave t r) in
+  let net = build golden t.devices (List.map fst t.boundary @ t.forced) (boundary_wave t r) in
   let sim = E.compile net in
   let seed =
     projection r sim net (match r.r_run with Some (_, run) -> run.T.data.(0) | None -> r.r_dc)
   in
   let x = E.dc_from ~time:0.0 sim seed in
-  let supply = match E.branch_unknown sim "vdd" with br -> Float.abs x.(br) | exception Not_found -> 0.0 in
+  let held =
+    List.filter_map
+      (fun (g, ideal) -> if ideal then None else Some (drive_name (N.node_name golden g)))
+      t.boundary
+  in
+  (* the supply share: the [vdd] branch plus every held source, which
+     delivers what the net's real driver would draw from the rail *)
+  let supply =
+    Float.abs
+      (List.fold_left
+         (fun acc name ->
+           match E.branch_unknown sim name with br -> acc +. x.(br) | exception Not_found -> acc)
+         0.0 ("vdd" :: held))
+  in
   let nodes = Hashtbl.create 256 in
   for nd = 1 to N.node_count net - 1 do
     let name = N.node_name net nd in
@@ -381,20 +454,27 @@ let drive t ~reference:r =
     | Some c when List.mem c t.cells -> Hashtbl.replace nodes name nd
     | Some _ | None -> ()
   done;
+  let cut_net g = Option.get (N.find_node net (N.node_name golden g)) in
   {
     d_net = net;
     d_guide = guide_on r sim net;
     d_start = x;
     d_supply = supply;
     d_nodes = nodes;
-    d_draw =
-      List.filter_map
-        (fun (g, ideal) -> if ideal then None else Some (drive_name (N.node_name golden g)))
-        t.boundary;
+    d_draw = held;
+    d_watched = List.map (fun g -> (cut_net g, boundary_wave t r g)) t.watched;
+    d_cut = None;
   }
+
+(* The cut a cone variant tries first: the cells within this many
+   reader levels of the attacked cells (and their drivers). *)
+let cut_depth = 1
 
 let plan r defects =
   let golden = r.r_golden in
+  let solved t =
+    match drive t ~reference:r with d -> Some d | exception E.No_convergence _ -> None
+  in
   let cones =
     List.fold_left
       (fun acc d ->
@@ -405,7 +485,11 @@ let plan r defects =
             let c = attacked golden ~cells in
             let driven =
               if selected c then
-                match drive c ~reference:r with d -> Some d | exception E.No_convergence _ -> None
+                Option.map
+                  (fun d ->
+                    let k = cut c ~depth:cut_depth in
+                    { d with d_cut = (if k.unknowns < c.unknowns then solved k else None) })
+                  (solved c)
               else None
             in
             (cells, driven) :: acc)

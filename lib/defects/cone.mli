@@ -49,8 +49,20 @@ val active : Cml_spice.Netlist.t -> t option
 (** The cone of the cells that read a net driven by an ideal source
     with a non-DC waveform; [None] when no such source exists. *)
 
+val cut : t -> depth:int -> t
+(** [cut t ~depth]: the part of the cone within [depth] fanout levels
+    of its roots, levels counted on the same reader graph the cone is
+    closed on (the roots are level 0, so an attacked cell's drivers
+    stay in).  The netlist keeps those cells and adds a {e fringe}:
+    every other cell that reads one of their nets.  The fringe keeps
+    the {e cut nets} (the kept nets the fringe reads) at their exact
+    loading; its own outputs are forced to the reference like the
+    boundary nets, but their sources are neither held inputs
+    ({!held_sources}) nor supply.  {!cells} are the kept cells. *)
+
 val cells : t -> string list
-(** Cone cells, in golden device order. *)
+(** Simulated cells (a cut's kept cells, not its fringe), in golden
+    device order. *)
 
 val boundary : t -> (string * bool) list
 (** Boundary nets in golden node order, each with whether it is
@@ -106,11 +118,18 @@ val drive : t -> reference:reference -> driven
     - the guide is the reference run projected onto the cone's
       unknowns: nodes by name, golden source branches by name, 0 for
       the boundary branches; DC values for what the run lacks;
-    - the nominal supply share is the [vdd] branch current of one DC
-      solve of the cone, seeded by that projection at [t = 0].
+    - the nominal supply share is the [vdd] branch current plus the
+      {!held_sources}' currents of one DC solve of the cone, seeded by
+      that projection at [t = 0].
     The PWL knots are not breakpoints: run the cone with the golden
     breakpoint schedule.
     @raise Cml_spice.Engine.No_convergence when that DC solve fails. *)
+
+val cut_depth : int
+(** The depth of the cut a cone variant tries first: 1.  On the c432
+    surrogate's default DUT a cell one level past the attacked cell
+    already tells a healed variant (within 7 mV of the reference) from
+    one whose fault propagates (13 mV or more away). *)
 
 val plan : reference -> Defect.t list -> Defect.t -> driven option
 (** [plan reference defects] extracts and drives one {!attacked} cone
@@ -118,8 +137,20 @@ val plan : reference -> Defect.t list -> Defect.t -> driven option
     attacks the owner of its device, or the owners of a bridge's two
     nets), and returns the lookup a campaign routes each defect
     through: [Some] cone when {!selected} holds and the cone's DC
-    solve converged, [None] for the full netlist.  The lookup only
-    reads, so worker domains can share it. *)
+    solve converged, [None] for the full netlist.  Each cone carries
+    its {!cut} at {!cut_depth} ({!cut_of}) when that cut has fewer
+    unknowns than the cone and its DC solve converged.  The lookup
+    only reads, so worker domains can share it. *)
+
+val cut_of : driven -> driven option
+(** The driven cut of a cone returned by {!plan}; [None] for a cone
+    whose cut is no smaller (the chain's stage-8 cone has nothing
+    downstream), for a cut, and outside {!plan}. *)
+
+val watched : driven -> (Cml_spice.Netlist.node * Cml_spice.Waveform.t) list
+(** A cut's cut nets, as nodes of {!netlist} (and of any faulty copy
+    of it), each with its reference waveform: the PWL copy or DC value
+    a boundary source on that net would get.  [[]] for a cone. *)
 
 val netlist : driven -> Cml_spice.Netlist.t
 (** The cone netlist with its PWL boundary sources.  Inject a defect
@@ -135,12 +166,13 @@ val start : driven -> float array
     transient of {!netlist}. *)
 
 val nominal_supply : driven -> float
-(** Magnitude of the cone's nominal [vdd] current (A): the share of
-    the golden supply current the cone draws. *)
+(** Magnitude of the cone's nominal [vdd] plus {!held_sources} current
+    (A): the share of the golden supply current the cone draws. *)
 
 val node : driven -> string -> Cml_spice.Netlist.node option
-(** The cone node of a golden net, by name, when a cone cell owns the
-    net; [None] for boundary nets and nets outside the cone. *)
+(** The cone node of a golden net, by name, when a simulated cell
+    ({!cells}) owns the net; [None] for boundary nets, a cut's fringe
+    and nets outside the cone. *)
 
 type meter
 (** The boundary draw of one run: the largest current magnitude any

@@ -216,18 +216,48 @@ let decimate n xs =
 
 let dt_point_budget = 120
 
+(* The campaign's golden netlist, candidate defect sites and
+   reference, rebuilt from the run options: a compiled [.bench] design
+   when a "bench" option names one, else the built-in buffer chain. *)
+let rebuild m ~freq ~tstop ?engine_options () =
+  match List.assoc_opt "bench" m.M.options with
+  | Some path ->
+      let module Cp = Cml_cells.Compile in
+      let circuit =
+        match Cml_logic.Bench_format.read_file ~path with
+        | c -> c
+        | exception Sys_error msg -> fail "cannot rebuild the compiled design: %s" msg
+        | exception Cml_logic.Bench_format.Parse_error { line; message } ->
+            fail "%s: bench parse error at line %d: %s" path line message
+      in
+      let design = Cp.compile ~freq circuit in
+      let dut = req_option m "dut" in
+      let dut_pair =
+        match Cp.find_cell design dut with
+        | Some d -> d
+        | None -> fail "no compiled cell %S in %s" dut path
+      in
+      let golden = Cp.netlist design in
+      let final = List.assoc (Cp.default_output design) design.Cp.outputs in
+      let reference =
+        Cml_defects.Campaign.design_reference ?engine_options ~input:design.Cp.input ~dut:dut_pair
+          ~final golden ~freq ~tstop
+      in
+      (golden, dut, reference)
+  | None ->
+      let stages = int_of_float (req_float m "stages") in
+      let dut = int_of_float (req_float m "dut") in
+      let chain = Cml_cells.Chain.build ~stages ~freq () in
+      ( chain.Cml_cells.Chain.builder.Cml_cells.Builder.net,
+        Cml_cells.Chain.stage_name dut,
+        Cml_defects.Campaign.chain_reference ?engine_options chain ~freq ~tstop ~dut )
+
 let explain ?(top = 8) ?(selection = Auto) ~source m =
   if m.M.kind <> "campaign" then
     fail "run kind %S: explain can only re-simulate campaign runs" m.M.kind;
-  if List.mem_assoc "bench" m.M.options then
-    fail
-      "compiled-design campaign (a \"bench\" option is present): explain can only rebuild the \
-       built-in buffer chain";
   let variant, why = select ~selection m in
   let freq = req_float m "freq" in
   let tstop = req_float m "tstop" in
-  let stages = int_of_float (req_float m "stages") in
-  let dut = int_of_float (req_float m "dut") in
   let warm_start = req_option m "warm_start" <> "false" in
   (* honour the campaign's Newton-iteration cap, if it ran with one —
      the re-simulation must fail exactly where the original did *)
@@ -239,37 +269,41 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
         | Some n -> Some { E.default_options with E.max_iter = n }
         | None -> fail "option \"max_iter\" = %S is not an integer" s)
   in
-  let chain = Cml_cells.Chain.build ~stages ~freq () in
-  let golden = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
-  let prefix = Cml_cells.Chain.stage_name dut in
+  let golden, prefix, reference = rebuild m ~freq ~tstop ?engine_options () in
   let candidates = Cml_defects.Sites.enumerate ~pipe_values:(pipe_values m) golden ~prefix in
   let defect =
     match
       List.find_opt (fun d -> Cml_defects.Defect.describe d = variant.M.v_name) candidates
     with
     | Some d -> d
-    | None -> fail "variant %S matches no defect site of stage %s" variant.M.v_name prefix
+    | None -> fail "variant %S matches no defect site of %s" variant.M.v_name prefix
   in
-  let reference = Cml_defects.Campaign.chain_reference ?engine_options chain ~freq ~tstop ~dut in
   let breakpoints = reference.Cml_defects.Campaign.breakpoints in
   let trajectory = reference.Cml_defects.Campaign.trajectory in
-  (* replay on the netlist the campaign measured the variant on: its
-     fanout cone when the campaign routed it there and kept the cone
-     result, else the whole chain.  Either way the warm start is the
-     campaign's: the fault-free run (projected onto the cone) seeds
-     the variant's DC solve and rescues diverging steps. *)
-  let net, guide =
+  (* replay on the netlist the campaign measured the variant on, read
+     from its metrics: the cone's cut when it stayed there, the whole
+     netlist after a fallback, else the cone (an events stream records
+     no metrics, so its cone variants replay the cone run).  Either way
+     the warm start is the campaign's: the fault-free run (projected
+     onto the cone or cut) seeds the variant's DC solve and rescues
+     diverging steps. *)
+  let metric k = List.assoc_opt k variant.M.v_metrics in
+  let path, net, guide =
+    let driven what d = (what, Cml_defects.Cone.netlist d, Cml_defects.Cone.guide d) in
     match Cml_defects.Cone.plan trajectory [ defect ] defect with
-    | Some cone when List.assoc_opt "fallback" variant.M.v_metrics <> Some 1.0 ->
-        (Cml_defects.Cone.netlist cone, Cml_defects.Cone.guide cone)
-    | Some _ | None -> (golden, Some (Cml_defects.Cone.full_guide trajectory))
+    | Some cone when metric "fallback" <> Some 1.0 -> (
+        match (Cml_defects.Cone.cut_of cone, metric "cut_abort") with
+        | Some cut, Some 0.0 ->
+            driven (Printf.sprintf "cut at depth %d" Cml_defects.Cone.cut_depth) cut
+        | _ -> driven "fanout cone" cone)
+    | Some _ | None -> ("full netlist", golden, Some (Cml_defects.Cone.full_guide trajectory))
   in
   let guide = if warm_start then guide else None in
   let faulty =
     match Cml_defects.Inject.apply net defect with
     | f -> f
     | exception (Not_found | Invalid_argument _) ->
-        fail "defect %S no longer injects into the rebuilt chain" variant.M.v_name
+        fail "defect %S no longer injects into the rebuilt circuit" variant.M.v_name
   in
   let sim = E.compile ?options:engine_options faulty in
   let recorder = I.create ~label:variant.M.v_name () in
@@ -373,6 +407,7 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
   (* ---- narrative ---- *)
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+  add "Replayed on the %s (%d unknowns) the campaign measured it on." path (E.unknown_count sim);
   (match tstats with
   | Some s ->
       add "Re-simulated to completion: %d accepted steps, %d rejected (%d LTE, %d Newton)."

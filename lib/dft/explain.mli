@@ -3,11 +3,14 @@
     Given a finished campaign — a {!Cml_telemetry.Manifest} or a
     [cml-dft-events/1] JSONL stream — pick one variant, rebuild its
     faulty netlist from the recorded options (the built-in buffer
-    chain plus one {!Cml_defects.Sites} defect) as the campaign
-    simulated it — the defect's fanout cone ({!Cml_defects.Cone}) when
-    the campaign's cone rule picks it, unless the manifest records the
-    variant's [fallback] to the full chain (an events stream records
-    none, so its cone variants replay the cone run) — re-simulate it with a
+    chain, or the compiled design a ["bench"] option names, plus one
+    {!Cml_defects.Sites} defect of the ["dut"] cell) on the netlist the
+    campaign measured it on, read from the variant's metrics: its
+    cone's cut ({!Cml_defects.Cone.cut_of}) when [cut_abort] is 0, the
+    whole netlist when [fallback] is 1, else the fanout cone
+    ({!Cml_defects.Cone}) when the campaign's cone rule picks one (an
+    events stream records no metrics, so its cone variants replay the
+    cone run) — re-simulate it with a
     solver-introspection recorder attached ({!Cml_spice.Introspect})
     and distil the recording into a {!Cml_telemetry.Postmortem}
     document: convergence narrative, worst-nets / worst-devices

@@ -204,12 +204,15 @@ let slowest ?(n = 5) t =
   let sorted = List.sort (fun a b -> compare b.v_seconds a.v_seconds) t.variants in
   List.filteri (fun i _ -> i < n) sorted
 
+let metric k v = List.assoc_opt k v.v_metrics
+
+let smallest vs =
+  List.fold_left (fun acc v -> Float.min acc (Option.get (metric "unknowns" v))) infinity vs
+
 let cone_line variants =
-  let metric k v = List.assoc_opt k v.v_metrics in
-  let smallest vs =
-    List.fold_left (fun acc v -> Float.min acc (Option.get (metric "unknowns" v))) infinity vs
-  in
-  match List.filter (fun v -> metric "unknowns" v <> None) variants with
+  (* a variant measured on its cone's cut is [cut_line]'s *)
+  let on_cut v = metric "cut_abort" v = Some 0.0 in
+  match List.filter (fun v -> metric "unknowns" v <> None && not (on_cut v)) variants with
   | [] -> None
   | measured ->
       let m = List.length variants in
@@ -224,6 +227,18 @@ let cone_line variants =
          else
            Printf.sprintf "0 of %d variants on a cone (full netlist, %.0f unknowns)" m
              (smallest measured))
+
+let cut_line variants =
+  match List.filter (fun v -> metric "cut_abort" v <> None) variants with
+  | [] -> None
+  | routed ->
+      let on_cut = List.filter (fun v -> metric "cut_abort" v = Some 0.0) routed in
+      Some
+        (Printf.sprintf "%d of %d cone variants on a %scut (depth %.0f), %d aborts"
+           (List.length on_cut) (List.length routed)
+           (if on_cut = [] then "" else Printf.sprintf "%.0f-unknown " (smallest on_cut))
+           (Option.value ~default:nan (metric "cut" (List.hd routed)))
+           (List.length routed - List.length on_cut))
 
 let render_text ?(top = 5) t =
   let b = Buffer.create 1024 in
@@ -251,6 +266,7 @@ let render_text ?(top = 5) t =
         (get "solver.ordering.natural")
   | Some _ | None -> ());
   Option.iter (line "cone    : %s") (cone_line t.variants);
+  Option.iter (line "cut     : %s") (cut_line t.variants);
   if t.variants <> [] then begin
     line "";
     line "classification (%d variants):" (List.length t.variants);

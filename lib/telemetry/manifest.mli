@@ -78,10 +78,19 @@ val cone_line : variant list -> string option
     and [fallback] metrics: ["N of M variants on a K-unknown cone, F
     fallbacks"], where K is the smallest cone a variant was measured
     on, or ["0 of M variants on a cone (full netlist, K unknowns)"]
-    when no variant was routed to a cone.  [None] when no variant
-    records [unknowns] (a manifest written before the cone path). *)
+    when no variant was routed to a cone.  Variants measured on a cut
+    ({!cut_line}) are left out.  [None] when no other variant records
+    [unknowns] (a manifest written before the cone path). *)
+
+val cut_line : variant list -> string option
+(** How a campaign's cone variants fared on their cone's cut, from
+    their [cut], [cut_abort] and [unknowns] metrics: ["N of M cone
+    variants on a K-unknown cut (depth k), A aborts"], where M counts
+    the variants that tried a cut, N those measured on it (K is the
+    smallest such cut) and A those re-run on the cone.  [None] when no
+    variant tried a cut. *)
 
 val render_text : ?top:int -> t -> string
-(** The [cmldft report] body: the {!cone_line}, classification
+(** The [cmldft report] body: the {!cone_line}, the {!cut_line}, classification
     histogram, slowest variants, metrics (with histogram percentiles),
     span summary. *)

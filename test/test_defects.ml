@@ -422,7 +422,19 @@ let test_cone_chain_fallback () =
     | Some _ | None -> 0
   in
   Alcotest.(check (pair int int)) "cone counters" (1, 1)
-    (counter "campaign.cone_variants", counter "campaign.cone_fallbacks")
+    (counter "campaign.cone_variants", counter "campaign.cone_fallbacks");
+  (* stage 8 has nothing downstream: its cut at the healing depth is
+     the cone itself, so no variant tries one *)
+  let cone = Cone.attacked golden ~cells:[ "x8" ] in
+  Alcotest.(check int) "stage-8 cut is the cone" (Cone.unknowns cone)
+    (Cone.unknowns (Cone.cut cone ~depth:Cone.cut_depth));
+  Alcotest.(check bool) "no variant tries a cut" true
+    (List.for_all (fun m -> not (List.mem_assoc "cut" m)) metrics);
+  Alcotest.(check (pair int int)) "cut counters" (0, 0)
+    (counter "campaign.cut_variants", counter "campaign.cut_aborts");
+  let reference = C.chain_reference chain ~freq ~tstop:1e-9 ~dut:8 in
+  Alcotest.(check bool) "the planned cone carries no cut" true
+    (Option.bind (Cone.plan reference.C.trajectory [ pipe ] pipe) Cone.cut_of = None)
 
 (* The guide's t = 0 row is the reference operating point on the
    cone's nodes, so it is a DC point of the cone: Newton only has to
@@ -530,6 +542,134 @@ let test_cut_campaign_slicing () =
   Alcotest.(check (option int)) "cut reference" (Some 430) alone.C.reference_cone;
   Alcotest.(check bool) "entries identical" true (compare alone.C.entries sliced.C.entries = 0)
 
+(* The cut at the healing depth of the c432 default DUT's cone: the DUT
+   and its one reader n72, whose outputs (the cut nets) the three
+   fringe cells n90, n132 and n143 read. *)
+let test_cut_shapes () =
+  let golden = Cml_cells.Compile.netlist (c432 ()) in
+  let cone = Cone.attacked golden ~cells:[ "n36" ] in
+  let cut = Cone.cut cone ~depth:Cone.cut_depth in
+  Alcotest.(check int) "healing depth" 1 Cone.cut_depth;
+  Alcotest.(check (list string)) "kept cells" [ "n36"; "n72" ] (Cone.cells cut);
+  Alcotest.(check int) "unknowns" 65 (Cone.unknowns cut);
+  Alcotest.(check int) "golden unknowns" 949 (Cone.golden_unknowns cut);
+  Alcotest.(check (list string)) "depth 0 keeps the DUT alone" [ "n36" ]
+    (Cone.cells (Cone.cut cone ~depth:0));
+  Alcotest.(check bool) "a deeper cut is larger" true
+    (Cone.unknowns (Cone.cut cone ~depth:2) > Cone.unknowns cut);
+  let boundary = List.map fst (Cone.boundary cut) in
+  Alcotest.(check bool) "the fringe's other inputs are held" true
+    (List.mem "n73.op" boundary && List.mem "n83.on" boundary);
+  Alcotest.(check bool) "the cut nets are simulated, not held" false
+    (List.mem "n72.op" boundary || List.mem "n72.on" boundary)
+
+(* Four n36 sites of the c432 surrogate through the cut at the healing
+   depth.  A zero-deviation site and a healing one stay on the cut; a
+   stuck site aborts at the DC check, a mid-run deviator at a later
+   accepted step; each classifies as on the full netlist. *)
+let test_cut_sites () =
+  let freq = 200e6 and tstop = 1.5e-9 in
+  let design = c432 () in
+  let golden = Cml_cells.Compile.netlist design in
+  let input = design.Cml_cells.Compile.input in
+  let dut = Option.get (Cml_cells.Compile.find_cell design "n36") in
+  let final = List.assoc (Cml_cells.Compile.default_output design) design.Cml_cells.Compile.outputs in
+  let names =
+    [
+      "b-c short on n36.lsn.qf";
+      "C-E pipe (4 kohm) on n36.lsn.qf";
+      "c-e short on n36.q1";
+      "open at c of n36.lsn.qt";
+    ]
+  in
+  let defects =
+    List.filter
+      (fun d -> List.mem (D.describe d) names)
+      (Cml_defects.Sites.enumerate golden ~prefix:"n36" ~pipe_values:[ 4e3 ])
+  in
+  Alcotest.(check int) "four sites" 4 (List.length defects);
+  let camp = C.run_design ~freq ~tstop ~jobs:1 ~input ~dut ~final ~golden ~defects () in
+  let full defect =
+    let m = C.measure_design ~input ~dut ~final (Cml_defects.Inject.apply golden defect) ~freq ~tstop in
+    labels (C.Measured (m, C.classify ~proc:Cml_cells.Process.default ~reference:camp.C.reference m))
+  in
+  let eps = C.cut_epsilon Cml_cells.Process.default in
+  Alcotest.(check (float 1e-12)) "epsilon: swing / 25" 0.010 eps;
+  List.iter2
+    (fun e (v : Cml_telemetry.Manifest.variant) ->
+      let name = v.v_name in
+      let metric k = List.assoc_opt k v.v_metrics in
+      Alcotest.(check (list string)) (name ^ " classes") (full e.C.defect) (labels e.C.outcome);
+      Alcotest.(check (option (float 0.0))) (name ^ " tried the cut") (Some 1.0) (metric "cut");
+      let is what expected key =
+        Alcotest.(check (option (float 0.0))) (name ^ what) expected (metric key)
+      in
+      match name with
+      | "b-c short on n36.lsn.qf" | "C-E pipe (4 kohm) on n36.lsn.qf" ->
+          is " on the cut" (Some 0.0) "cut_abort";
+          is " cut unknowns" (Some 65.0) "unknowns";
+          Alcotest.(check bool) (name ^ " within a mV") true (Option.get (metric "cut_deviation") < 1e-3)
+      | "c-e short on n36.q1" ->
+          is " aborts" (Some 1.0) "cut_abort";
+          is " at the DC check" (Some 0.0) "cut_abort_at";
+          is " on the cone" (Some 0.0) "fallback"
+      | _ ->
+          is " aborts" (Some 1.0) "cut_abort";
+          let at = Option.get (metric "cut_abort_at") in
+          Alcotest.(check bool) (Printf.sprintf "%s mid-run (%g s)" name at) true
+            (at > 0.0 && at < tstop);
+          Alcotest.(check bool) (name ^ " beyond epsilon") true
+            (Option.get (metric "cut_deviation") > eps);
+          is " on the cone" (Some 0.0) "fallback")
+    camp.C.entries camp.C.variants;
+  let counter name =
+    match List.assoc_opt name camp.C.metrics with
+    | Some (Cml_telemetry.Metrics.Counter n) -> n
+    | Some _ | None -> 0
+  in
+  Alcotest.(check (list int)) "cut, abort and cone counters" [ 2; 2; 2 ]
+    (List.map counter [ "campaign.cut_variants"; "campaign.cut_aborts"; "campaign.cone_variants" ]);
+  Alcotest.(check (option string)) "cut line"
+    (Some "2 of 4 cone variants on a 65-unknown cut (depth 1), 2 aborts")
+    (Cml_telemetry.Manifest.cut_line camp.C.variants);
+  let pooled = C.run_design ~freq ~tstop ~jobs:2 ~input ~dut ~final ~golden ~defects () in
+  Alcotest.(check bool) "cut decisions identical at jobs 1 and 2" true
+    (compare camp.C.entries pooled.C.entries = 0)
+
+(* A variant that raises an exception the campaign does not expect
+   fails alone with an "internal" reason, whatever the scheduling.  The
+   poison: a final-output pair whose true side a cone owns and whose
+   complement it does not, so the cone variant's probe analysis
+   compares streams of two different runs. *)
+let test_poisoned_variant () =
+  let circuit =
+    Cml_logic.Bench_format.of_string
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nn1 = AND(a, b)\nn2 = OR(b, c)\n\
+       n3 = XOR(n1, n2)\nn4 = AND(n3, b)\ny = BUF(n4)\n"
+  in
+  let d = Cml_cells.Compile.compile ~freq:200e6 circuit in
+  let golden = Cml_cells.Compile.netlist d in
+  let cell name = Option.get (Cml_cells.Compile.find_cell d name) in
+  let dut = cell "y" in
+  (* "n3" is the compiled AND(a, b), outside y's cone (y and n6) *)
+  let final = { dut with B.n = (cell "n3").B.n } in
+  let defects =
+    List.hd (Cml_defects.Sites.enumerate golden ~prefix:"y" ~pipe_values:[ 4e3 ])
+    :: [ List.hd (Cml_defects.Sites.enumerate golden ~prefix:"n3" ~pipe_values:[ 4e3 ]) ]
+  in
+  let run ~jobs ~batch =
+    C.run_design ~freq:200e6 ~tstop:5e-9 ~jobs ~batch ~input:d.Cml_cells.Compile.input ~dut ~final
+      ~golden ~defects ()
+  in
+  let alone = run ~jobs:1 ~batch:false and pooled = run ~jobs:2 ~batch:true in
+  (match alone.C.entries with
+  | [ { outcome = C.Failed reason; _ }; { outcome = C.Measured _; _ } ] ->
+      Alcotest.(check bool) (reason ^ " is internal") true
+        (String.starts_with ~prefix:"internal: " reason)
+  | _ -> Alcotest.fail "expected the cone variant failed and the full one measured");
+  Alcotest.(check bool) "entries identical at jobs 1 and 2" true
+    (compare alone.C.entries pooled.C.entries = 0)
+
 let () =
   Alcotest.run "defects"
     [
@@ -575,6 +715,10 @@ let () =
             test_full_reference_cases;
           Alcotest.test_case "cut-reference campaign is slicing-independent" `Slow
             test_cut_campaign_slicing;
+          Alcotest.test_case "c432 cut at the healing depth" `Quick test_cut_shapes;
+          Alcotest.test_case "c432 sites on the cut, aborted at DC and mid-run" `Slow
+            test_cut_sites;
+          Alcotest.test_case "a poisoned variant fails alone" `Slow test_poisoned_variant;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_batch_matches_sequential ] );

@@ -215,6 +215,57 @@ let test_explain_deterministic_and_blaming () =
           Alcotest.(check string) "render identical after round-trip" (PM.render_text pm)
             (PM.render_text back)))
 
+(* A compiled-design campaign replays each variant on the netlist it
+   was measured on: a c432 site that stayed on its cone's cut replays
+   the cut, one whose cut aborted replays the cone, each step for step
+   as the campaign ran it. *)
+let test_explain_cut_variants () =
+  let bench = Filename.temp_file "cmldft_c432" ".bench" in
+  let path = Filename.temp_file "cmldft_explain_cut" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ bench; path ])
+    (fun () ->
+      let circuit = Cml_logic.Bench_circuits.c432_surrogate () in
+      Out_channel.with_open_text bench (fun oc ->
+          output_string oc (Cml_logic.Bench_format.to_string circuit));
+      let freq = 200e6 in
+      let design = Cml_cells.Compile.compile ~freq (Cml_logic.Bench_format.read_file ~path:bench) in
+      let golden = Cml_cells.Compile.netlist design in
+      let dut = Option.get (Cml_cells.Compile.find_cell design "n36") in
+      let final =
+        List.assoc (Cml_cells.Compile.default_output design) design.Cml_cells.Compile.outputs
+      in
+      let names = [ "C-E pipe (4 kohm) on n36.lsn.qf"; "open at c of n36.lsn.qt" ] in
+      let defects =
+        List.filter
+          (fun d -> List.mem (D.describe d) names)
+          (Cml_defects.Sites.enumerate golden ~prefix:"n36" ~pipe_values:[ 4e3 ])
+      in
+      ignore
+        (Cml_defects.Campaign.run_design ~freq ~tstop:1.5e-9 ~jobs:1 ~manifest:path
+           ~options:[ ("bench", bench); ("dut", "n36") ]
+           ~golden ~input:design.Cml_cells.Compile.input ~dut ~final ~defects ());
+      let recorded = (Cml_telemetry.Manifest.read ~path).Cml_telemetry.Manifest.variants in
+      List.iter
+        (fun (name, replayed) ->
+          let pm = Cml_dft.Explain.explain_path ~selection:(Cml_dft.Explain.Named name) path in
+          Alcotest.(check string) "selected" name pm.PM.pm_variant;
+          Alcotest.(check bool) (name ^ ": " ^ replayed) true (List.mem replayed pm.PM.pm_narrative);
+          let v = List.find (fun v -> v.Cml_telemetry.Manifest.v_name = name) recorded in
+          List.iter
+            (fun key ->
+              Alcotest.(check (option (float 0.0)))
+                (Printf.sprintf "%s: re-simulated %s equals the manifest's" name key)
+                (List.assoc_opt key v.Cml_telemetry.Manifest.v_metrics)
+                (List.assoc_opt key pm.PM.pm_stats))
+            [ "accepted_steps"; "rejected_steps"; "newton_iters" ])
+        [
+          ( "C-E pipe (4 kohm) on n36.lsn.qf",
+            "Replayed on the cut at depth 1 (65 unknowns) the campaign measured it on." );
+          ( "open at c of n36.lsn.qt",
+            "Replayed on the fanout cone (431 unknowns) the campaign measured it on." );
+        ])
+
 let test_explain_rejects_foreign_sources () =
   let check_fails source =
     match Cml_dft.Explain.explain ~source (Cml_telemetry.Manifest.create ~kind:"op" ()) with
@@ -254,6 +305,8 @@ let () =
             test_explain_deterministic_and_blaming;
           Alcotest.test_case "rejects non-campaign sources" `Quick
             test_explain_rejects_foreign_sources;
+          Alcotest.test_case "replays c432 variants on their cut or cone" `Slow
+            test_explain_cut_variants;
         ] );
       ( "trend", [ Alcotest.test_case "no history yet" `Quick test_trend_no_history ] );
     ]
