@@ -179,23 +179,33 @@ explain-smoke: build
 	  echo "explain-smoke: FAILED time budget (>= 5000 ms)"; exit 1; \
 	fi
 
-# Scheduling leaves results alone: the default chain campaign on two
-# domains and the unbatched sequential one must print byte-identical
-# per-defect lines and summary.  The header line (job count) and the
-# utilization table (wall times) are excluded.
+# Scheduling leaves results alone: each campaign on two domains and
+# unbatched on one must print byte-identical per-defect lines and
+# summary.  Two legs: the default chain campaign (no variant takes a
+# cone or a cut) and the c432 surrogate at 400 MHz, whose variants
+# run on the DUT's cut and cone (26 cut, 51 cone; about 7 s and 11 s
+# on two cores).  The header line (job count) and the utilization
+# table (wall times) are excluded.
 campaign-parity: build
 	@dir=$$(mktemp -d); \
-	$(DUNE) exec --no-build bin/cmldft.exe -- campaign --jobs 2 > $$dir/batched.txt \
-	  || { rm -rf $$dir; exit 1; }; \
-	$(DUNE) exec --no-build bin/cmldft.exe -- campaign --jobs 1 --no-batch > $$dir/unbatched.txt \
-	  || { rm -rf $$dir; exit 1; }; \
-	for f in batched unbatched; do sed '1d;/^utilization/,$$d' $$dir/$$f.txt > $$dir/$$f.body; done; \
-	if [ -s $$dir/batched.body ] && cmp -s $$dir/batched.body $$dir/unbatched.body; then \
-	  echo "campaign-parity: OK ($$(grep -c . $$dir/batched.body) lines)"; rm -rf $$dir; \
-	else \
-	  echo "campaign-parity: FAILED (batched vs unbatched output differs)"; \
-	  diff $$dir/batched.body $$dir/unbatched.body; rm -rf $$dir; exit 1; \
-	fi
+	for leg in chain c432; do \
+	  case $$leg in \
+	    chain) args="" ;; \
+	    c432) args="examples/netlists/c432_surrogate.bench --freq 400e6" ;; \
+	  esac; \
+	  $(DUNE) exec --no-build bin/cmldft.exe -- campaign $$args --jobs 2 > $$dir/batched.txt \
+	    || { rm -rf $$dir; exit 1; }; \
+	  $(DUNE) exec --no-build bin/cmldft.exe -- campaign $$args --jobs 1 --no-batch \
+	    > $$dir/unbatched.txt || { rm -rf $$dir; exit 1; }; \
+	  for f in batched unbatched; do sed '1d;/^utilization/,$$d' $$dir/$$f.txt > $$dir/$$f.body; done; \
+	  if [ -s $$dir/batched.body ] && cmp -s $$dir/batched.body $$dir/unbatched.body; then \
+	    echo "campaign-parity: $$leg OK ($$(grep -c . $$dir/batched.body) lines)"; \
+	  else \
+	    echo "campaign-parity: $$leg FAILED (batched vs unbatched output differs)"; \
+	    diff $$dir/batched.body $$dir/unbatched.body; rm -rf $$dir; exit 1; \
+	  fi; \
+	done; \
+	rm -rf $$dir
 
 # The cut and cone paths must not change a classification: every
 # defect site of the c432 surrogate's default DUT, simulated as the

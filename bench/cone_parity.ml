@@ -58,7 +58,7 @@ let reference_deviation ~golden ~dut_name ~input ~dut ~final ~guide ~full cut =
   let r = C.design_reference ~input ~dut ~final golden ~freq ~tstop in
   let traj = D.Cone.full_guide r.C.trajectory in
   Printf.printf "cone-parity: campaign reference on %s\n"
-    (match r.C.cut with
+    (match r.C.active_cone with
     | Some k -> Printf.sprintf "the active cone, %d of %d unknowns" k (E.unknown_count guide.T.sim)
     | None -> "the full netlist");
   let column (t : T.result) u = Array.map (fun row -> row.(u)) t.T.data in

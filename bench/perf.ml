@@ -300,6 +300,7 @@ let time_campaign ~jobs defects =
    migrated in place into the first history entry. *)
 
 module J = Cml_telemetry.Json
+module Trend = Cml_telemetry.Trend
 
 let entry_json ~jobs ~cores ~kernels ~nunk ~(stats : E.solver_stats) ~ordering ~campaign =
   let t1, tn, ndefects, summaries_match = campaign in
@@ -382,20 +383,6 @@ let entry_kernels entry =
         ks
   | _ -> []
 
-let regression_limit = 1.25
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* The batched-campaign kernel is a whole 8-lane workload (eight
-   compiles, eight DC solves, eight transients) rather than a tight
-   inner loop, so its run-to-run spread is closer to the campaign
-   probe's than to the other kernels'; gate it at the campaign limit. *)
-let kernel_limit name =
-  if contains_sub name "batched campaign" then 1.5 else regression_limit
-
 (* kernels of the new run that got slower than their per-kernel limit
    allows vs the baseline entry: [(name, old_ns, new_ns)] *)
 let regressions ~baseline ~kernels =
@@ -403,15 +390,11 @@ let regressions ~baseline ~kernels =
   List.filter_map
     (fun (name, ns) ->
       match List.assoc_opt name old_kernels with
-      | Some old_ns when old_ns > 0.0 && ns > kernel_limit name *. old_ns ->
+      | Some old_ns when old_ns > 0.0 && ns > Trend.kernel_limit name *. old_ns ->
           Some (name, old_ns, ns)
       | Some _ | None -> None)
     kernels
 
-(* The campaign probe is a whole parallel workload, not a single
-   kernel, so its wall clock carries scheduler and load noise the
-   best-of-N bechamel estimates do not; gate it more loosely. *)
-let campaign_limit = 1.5
 
 let entry_campaign entry =
   match J.member "campaign" entry with
@@ -441,7 +424,7 @@ let campaign_regressions ~baseline ~t1 ~tn =
   | Some (o1, on) ->
       List.filter_map
         (fun (label, old_s, new_s) ->
-          if old_s > 0.0 && new_s > campaign_limit *. old_s then Some (label, old_s, new_s)
+          if old_s > 0.0 && new_s > Trend.campaign_limit *. old_s then Some (label, old_s, new_s)
           else None)
         [ ("campaign probe jobs=1 (s)", o1, t1); ("campaign probe jobs=N (s)", on, tn) ]
 
@@ -589,14 +572,14 @@ let run ?json ?(check = false) () =
               (Printf.sprintf
                  "no kernel regressed more than %.0f%% vs the last entry at jobs=%d \
                   cores=%d (%.0f%% for the batched-campaign kernel)"
-                 ((regression_limit -. 1.0) *. 100.0)
+                 ((Trend.regression_limit -. 1.0) *. 100.0)
                  jobs cores
-                 ((kernel_limit "batched campaign" -. 1.0) *. 100.0));
+                 ((Trend.kernel_limit "batched campaign" -. 1.0) *. 100.0));
             if entry_campaign baseline <> None then
               Util.verdict campaign_ok
                 (Printf.sprintf
                    "campaign probe within %.0f%% of the last entry at jobs=%d cores=%d"
-                   ((campaign_limit -. 1.0) *. 100.0)
+                   ((Trend.campaign_limit -. 1.0) *. 100.0)
                    jobs cores)
             else print_endline "  campaign probe: no timing in the baseline entry, gate skipped"
       end
@@ -619,7 +602,7 @@ let run ?json ?(check = false) () =
    transient executes it, and assert that the sum of the three
    products is under 3% of the recorded baseline transient time.  The
    current transient wall clock is printed alongside for context but
-   only gated at the regular [regression_limit]. *)
+   only gated at the regular [Trend.regression_limit]. *)
 
 let overhead_limit = 0.03
 
@@ -740,9 +723,9 @@ let telemetry_overhead ?json () =
     (Printf.sprintf "disabled telemetry hooks together cost < %.0f%% of the %s chain transient"
        (overhead_limit *. 100.0) denom_what);
   let drifted =
-    match baseline_ns with Some b -> run_ns > regression_limit *. b | None -> false
+    match baseline_ns with Some b -> run_ns > Trend.regression_limit *. b | None -> false
   in
   if drifted then
     Util.verdict false
       (Printf.sprintf "chain transient slower than %.2fx the recorded baseline"
-         regression_limit);
+         Trend.regression_limit);

@@ -361,7 +361,7 @@ let campaign_cmd =
     let doc =
       "Schedule one defect per slice instead of up to 16.  Slicing is a pure scheduling \
        choice: every variant compiles and solves on its own, so results are identical; \
-       $(b,make campaign-parity) checks that on the buffer chain."
+       $(b,make campaign-parity) checks that on the buffer chain and the c432 surrogate."
     in
     Arg.(value & flag & info [ "no-batch" ] ~doc)
   in
@@ -461,7 +461,7 @@ let campaign_cmd =
     in
     print_entries c;
     Printf.printf "reference: %s\n"
-      (match c.Cml_defects.Campaign.reference_cone with
+      (match c.Cml_defects.Campaign.active_cone with
       | Some k -> Printf.sprintf "active cone, %d unknowns" k
       | None -> "full netlist");
     Option.iter (Printf.printf "cone: %s\n")

@@ -35,7 +35,7 @@ type entry = { defect : Defect.t; outcome : outcome }
    stay structurally equal to a sequential run's. *)
 type t = {
   reference : measurement;
-  reference_cone : int option;
+  active_cone : int option;
   entries : entry list;
   variants : Cml_telemetry.Manifest.variant list;
   metrics : Cml_telemetry.Metrics.snapshot;
@@ -75,62 +75,24 @@ let probe_nodes ps =
       [ (name ^ ".p", d.Cml_cells.Builder.p); (name ^ ".n", d.Cml_cells.Builder.n) ])
     (("in", ps.input) :: ps.pairs)
 
-(* The rail supply branch of one compiled sim, when present. *)
-let supply_probe sim =
-  match E.branch_unknown sim "vdd" with exception Not_found -> [] | br -> [ ("i(vdd)", br) ]
-
-(* The supply current of a run of (a faulty copy of) a cone or cut
-   netlist, summed at every accepted step: the signed sum of its [vdd]
-   branch and every held boundary source, which delivers what the
-   net's real driver would draw from the rail.  One stream, not one
-   per held source (n36's cone holds 58). *)
-type supply = { branches : int array; times : Cml_numerics.Fbuf.t; total : Cml_numerics.Fbuf.t }
-
-let supply_meter d sim =
-  {
-    branches =
-      Array.of_list
-        (List.map snd (supply_probe sim)
-        @ List.map (E.branch_unknown sim) (Cone.held_sources d));
-    times = Cml_numerics.Fbuf.create ();
-    total = Cml_numerics.Fbuf.create ();
-  }
-
-let record_supply s t x =
-  let sum = ref 0.0 in
-  for k = 0 to Array.length s.branches - 1 do
-    sum := !sum +. x.(s.branches.(k))
-  done;
-  Cml_numerics.Fbuf.push s.times t;
-  Cml_numerics.Fbuf.push s.total !sum
-
-(* @raise Not_found for a run with no supply branch *)
-let supply_samples s =
-  if s.branches = [||] then raise Not_found
-  else (Cml_numerics.Fbuf.to_array s.times, Cml_numerics.Fbuf.to_array s.total)
-
-(* The unknowns a probe set samples in one compiled sim of the golden
-   layout: the probe nets plus the rail supply branch. *)
-let probes ps sim =
-  supply_probe sim @ List.map (fun (name, nd) -> (name, E.node_unknown nd)) (probe_nodes ps)
+(* A probe of [ps], by name, read from a reference run. *)
+let probe_of ps trajectory name = Cone.samples trajectory (List.assoc name (probe_nodes ps))
 
 (* Extract the measurement (and the robust final-output plateau
    levels, the nominal levels of a reference run) from a finished
-   run's streamed probes, looked up by name through [samples].
-   Everything the classifier needs comes from the observers, never
-   from the dense trajectory — which is what lets variants run with
-   [record_every = 0]. *)
-let analyze ps ?nominal samples ~freq ~tstop =
+   run: its probes by their names in [probe_nodes] through [samples],
+   its supply current from its monitor [mon] (0 without one). *)
+let analyze ps ?nominal mon samples ~freq ~tstop =
   let wave name =
     let times, values = samples name in
     Cml_wave.Wave.create times values
   in
   let t_from = tstop /. 2.0 in
   let supply_current =
-    match wave "i(vdd)" with
+    match Cone.supply mon with
     | exception Not_found -> 0.0
-    | w ->
-        let w = Cml_wave.Wave.map Float.abs w in
+    | times, values ->
+        let w = Cml_wave.Wave.map Float.abs (Cml_wave.Wave.create times values) in
         Cml_wave.Wave.mean (Cml_wave.Wave.sub_range w ~t_from ~t_to:(Cml_wave.Wave.t_end w))
   in
   let wp_dut = wave (ps.dut ^ ".p") and wn_dut = wave (ps.dut ^ ".n") in
@@ -180,36 +142,50 @@ let analyze ps ?nominal samples ~freq ~tstop =
     },
     Cml_wave.Measure.levels wp_fin ~t_from )
 
-let simulate ?x0 ?guide ?breakpoints ?(record_every = 1) sim obs net ~tstop =
-  T.run ?x0 ?guide ?breakpoints ~observers:obs sim net
-    (T.config ~tstop ~max_step:10e-12 ~record_every ())
+(* One run of [sim] (compiled from [net]) streaming the probe nets
+   [node] finds in it, with [mon] on every accepted step, measured;
+   a probe it does not stream reads [outside].  Everything the
+   classifier needs comes from the observers, never from the dense
+   trajectory, which is what lets variants run with
+   [record_every = 0]. *)
+let measure_run ?guide ?breakpoints ?(record_every = 1) ?nominal ~node ~outside ps sim mon net
+    ~freq ~tstop =
+  let probes =
+    List.filter_map
+      (fun (name, nd) -> Option.map (fun c -> (name, E.node_unknown c)) (node nd))
+      (probe_nodes ps)
+  in
+  let obs = T.observers ~on_step:(Cone.observe mon) probes in
+  let r =
+    T.run ?guide ?breakpoints ~observers:obs sim net
+      (T.config ~tstop ~max_step:10e-12 ~record_every ())
+  in
+  let samples name =
+    match T.probe_samples obs name with s -> s | exception Not_found -> outside name
+  in
+  (fst (analyze ps ?nominal mon samples ~freq ~tstop), r)
 
-(* Simulate one netlist streaming the probe set, and measure it. *)
+(* Simulate one whole netlist streaming the probe set, and measure it. *)
 let measure_full ?engine_options ?guide ?breakpoints ?record_every ?nominal ps net ~freq ~tstop =
   let sim = E.compile ?options:engine_options net in
-  let obs = T.observers (probes ps sim) in
-  let r = simulate ?guide ?breakpoints ?record_every sim obs net ~tstop in
-  let m, levels = analyze ps ?nominal (T.probe_samples obs) ~freq ~tstop in
-  (m, r, levels, obs)
+  measure_run ?guide ?breakpoints ?record_every ?nominal ~node:Option.some
+    ~outside:(fun _ -> raise Not_found)
+    ps sim (Cone.monitor sim) net ~freq ~tstop
 
 let measure_chain ?engine_options ?guide ?breakpoints ?record_every ?nominal chain net ~freq
     ~tstop ~dut =
-  let m, _, _, _ =
-    measure_full ?engine_options ?guide ?breakpoints ?record_every ?nominal
-      (chain_probe_set chain ~dut) net ~freq ~tstop
-  in
-  m
+  fst
+    (measure_full ?engine_options ?guide ?breakpoints ?record_every ?nominal
+       (chain_probe_set chain ~dut) net ~freq ~tstop)
 
 let design_probe_set ~input ~dut ~final =
   { input; pairs = [ ("dut", dut); ("fin", final) ]; dut = "dut"; final = "fin"; stages = [] }
 
 let measure_design ?engine_options ?guide ?breakpoints ?record_every ~input ~dut ~final net ~freq
     ~tstop =
-  let m, _, _, _ =
-    measure_full ?engine_options ?guide ?breakpoints ?record_every
-      (design_probe_set ~input ~dut ~final) net ~freq ~tstop
-  in
-  m
+  fst
+    (measure_full ?engine_options ?guide ?breakpoints ?record_every
+       (design_probe_set ~input ~dut ~final) net ~freq ~tstop)
 
 let classify ~proc ~reference m =
   let swing = proc.Cml_cells.Process.swing in
@@ -346,17 +322,12 @@ let m_cut_aborts = Cml_telemetry.Metrics.counter "campaign.cut_aborts"
    is stuck). *)
 let cut_epsilon proc = proc.Cml_cells.Process.swing /. 25.0
 
-(* Raised by the cut meter from the [on_step] observer with the time
-   and the deviation found; caught around the cut run only. *)
-exception Cut_abort of float * float
-
 type reference = {
   measurement : measurement;
   nominal : float * float;
   trajectory : Cone.reference;
   unknowns : int;
-  cut : int option;
-  samples : string -> float array * float array;
+  active_cone : int option;
   breakpoints : float array;
 }
 
@@ -368,8 +339,10 @@ let vdd_current sim x =
    toggling inputs) passes the cone rule, only it runs a transient, on
    top of the full netlist's DC operating point: every net outside it
    holds its DC value.  The full transient runs instead when the cone
-   is too large, when the cut run does not converge, or when a held
-   boundary net must deliver more than a tail current. *)
+   is too large, when the cone run does not converge, or when a held
+   boundary net must deliver more than a tail current.  Either way the
+   run is dense and measured from its own rows: its columns are what
+   probe observers would have streamed. *)
 let reference ?engine_options ~proc ps golden ~freq ~tstop =
   let tok = Cml_telemetry.Trace.start () in
   (* the stimulus is shared by every variant, and defect injection
@@ -377,59 +350,39 @@ let reference ?engine_options ~proc ps golden ~freq ~tstop =
      breakpoint schedule is valid for all of them — cones included,
      whose PWL boundary knots must not become breakpoints *)
   let breakpoints = T.collect_breakpoints golden ~tstop in
-  (* the streams outlive the run: keep them at their exact lengths *)
-  let lookup streams name =
-    match List.find_opt (fun (n, _, _) -> n = name) streams with
-    | Some (_, times, values) -> (times, values)
-    | None -> raise Not_found
+  let dense ?x0 sim net =
+    T.run ?x0 ~breakpoints sim net (T.config ~tstop ~max_step:10e-12 ())
+  in
+  let measure ?driven trajectory (r : T.result) =
+    let mon = Cone.monitor ?driven r.T.sim in
+    Array.iteri (fun k x -> Cone.observe mon r.T.times.(k) x) r.T.data;
+    let m, nominal = analyze ps mon (probe_of ps trajectory) ~freq ~tstop in
+    (m, nominal, Cone.draw mon)
   in
   let full () =
-    let measurement, r, nominal, obs =
-      measure_full ?engine_options ~breakpoints ps golden ~freq ~tstop
-    in
+    let r = dense (E.compile ?options:engine_options golden) golden in
+    let trajectory = Cone.of_run golden r in
+    let measurement, nominal, _ = measure trajectory r in
     {
       measurement;
       nominal;
-      trajectory = Cone.of_run golden r;
+      trajectory;
       unknowns = E.unknown_count r.T.sim;
-      cut = None;
-      samples = lookup (T.probe_list obs);
+      active_cone = None;
       breakpoints;
     }
   in
-  let cut cone =
+  let on_cone cone =
     let gsim = E.compile ?options:engine_options golden in
     let dc = E.dc_operating_point ~time:0.0 gsim in
     let op = Cone.operating_point golden gsim dc in
     let d = Cone.drive cone ~reference:op in
     let net = Cone.netlist d in
-    let sim = E.compile ?options:engine_options net in
-    let draw = Cone.meter d sim in
-    let on_cut, off_cut =
-      List.partition_map
-        (fun (name, nd) ->
-          match N.find_node net (N.node_name golden nd) with
-          | Some c -> Left (name, E.node_unknown c)
-          | None -> Right (name, dc.(E.node_unknown nd)))
-        (probe_nodes ps)
-    in
-    let supply = supply_meter d sim in
-    let on_step t x =
-      Cone.record draw t x;
-      record_supply supply t x
-    in
-    let obs = T.observers ~on_step on_cut in
-    let r = simulate ~x0:(Cone.start d) ~breakpoints sim obs net ~tstop in
-    if not (Cone.peak draw <= proc.Cml_cells.Process.i_tail) then None
-    else begin
-      let times, total = supply_samples supply in
-      let samples =
-        lookup
-          (("i(vdd)", times, total)
-          :: List.map (fun (name, v) -> (name, times, Array.map (fun _ -> v) times)) off_cut
-          @ List.filter (fun (name, _, _) -> List.mem_assoc name on_cut) (T.probe_list obs))
-      in
-      let m, nominal = analyze ps samples ~freq ~tstop in
+    let r = dense ~x0:(Cone.start d) (E.compile ?options:engine_options net) net in
+    let trajectory = Cone.with_run op net r in
+    let m, nominal, draw = measure ~driven:d trajectory r in
+    if not (draw <= proc.Cml_cells.Process.i_tail) then None
+    else
       (* the full netlist's DC supply with the cone's DC share swapped
          for its transient current *)
       let supply_current = vdd_current gsim dc -. Cone.nominal_supply d +. m.supply_current in
@@ -437,13 +390,11 @@ let reference ?engine_options ~proc ps golden ~freq ~tstop =
         {
           measurement = { m with supply_current };
           nominal;
-          trajectory = Cone.with_run op net r;
-          unknowns = E.unknown_count sim;
-          cut = Some (Cone.unknowns cone);
-          samples;
+          trajectory;
+          unknowns = E.unknown_count r.T.sim;
+          active_cone = Some (Cone.unknowns cone);
           breakpoints;
         }
-    end
   in
   let fallback () =
     Cml_telemetry.Metrics.incr m_reference_fallbacks;
@@ -452,7 +403,7 @@ let reference ?engine_options ~proc ps golden ~freq ~tstop =
   let r =
     match Cone.active golden with
     | Some cone when Cone.selected cone -> (
-        match cut cone with
+        match on_cone cone with
         | Some r -> r
         | None -> fallback ()
         | exception E.No_convergence _ -> fallback ())
@@ -462,7 +413,7 @@ let reference ?engine_options ~proc ps golden ~freq ~tstop =
     ~args:
       [
         ("unknowns", Cml_telemetry.Trace.I r.unknowns);
-        ("path", Cml_telemetry.Trace.S (if r.cut = None then "full" else "cone"));
+        ("path", Cml_telemetry.Trace.S (if r.active_cone = None then "full" else "cone"));
       ]
     "campaign.reference" tok;
   r
@@ -482,68 +433,23 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   in
   if preflight then
     Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
-  let ref_run = reference ?engine_options ~proc ps golden ~freq ~tstop in
-  let { measurement = reference; nominal; trajectory; breakpoints; cut; _ } = ref_run in
+  let { measurement = reference; nominal; trajectory; breakpoints; active_cone; _ } =
+    reference ?engine_options ~proc ps golden ~freq ~tstop
+  in
   (* the reference seeds every variant's Newton solves; [T.run]
      ignores it for variants whose defect changed the unknown layout
      (an open adds a node) and falls back to cold seeding whenever the
      variant diverges from the nominal path *)
   let guide () = if warm_start then Some (Cone.full_guide trajectory) else None in
-  (* A variant whose fanout cone is at most half the design simulates
-     only that cone ({!Cone}), its boundary forced to the nominal
-     waveforms, and tries the cone's cut at the healing depth first.
-     Probes outside the simulated cells read the reference streams,
-     and the supply current is the reference's with the cone's (or
-     cut's) nominal share swapped for the variant's own. *)
-  let cone_of = Cone.plan trajectory defects in
-  (* kept only when some variant takes a cone *)
-  let reference_samples =
-    if List.exists (fun d -> Option.is_some (cone_of d)) defects then ref_run.samples
-    else fun _ -> raise Not_found
-  in
-  let driven_probes d =
-    List.filter_map
-      (fun (name, nd) ->
-        Option.map (fun c -> (name, E.node_unknown c)) (Cone.node d (N.node_name golden nd)))
-      (probe_nodes ps)
-  in
-  let eps = cut_epsilon proc in
-  (* One run of a faulty copy of a cone or cut netlist.  The cut meter
-     compares every cut net (a cone has none) with its reference wave
-     at the DC start and at every accepted step; the first deviation
-     beyond [eps] aborts the run. *)
-  let on_driven d faulty =
-    let sim = E.compile ?options:engine_options faulty in
-    let draw = Cone.meter d sim in
-    let supply = supply_meter d sim in
-    let watched =
-      Array.of_list (List.map (fun (nd, w) -> (E.node_unknown nd, w)) (Cone.watched d))
-    in
-    let worst = [| 0.0 |] in
-    let on_step t x =
-      Cone.record draw t x;
-      record_supply supply t x;
-      Array.iter
-        (fun (u, w) ->
-          let dv = Float.abs (x.(u) -. Cml_spice.Waveform.value w t) in
-          if not (dv <= eps) then raise (Cut_abort (t, dv));
-          if dv > worst.(0) then worst.(0) <- dv)
-        watched
-    in
-    let obs = T.observers ~on_step (driven_probes d) in
-    let guide = if warm_start then Cone.guide d else None in
-    let r = simulate ?guide ~breakpoints ~record_every:0 sim obs faulty ~tstop in
-    let samples name =
-      if name = "i(vdd)" then supply_samples supply
-      else
-        match T.probe_samples obs name with
-        | s -> s
-        | exception Not_found -> reference_samples name
-    in
-    let m, _ = analyze ps ~nominal samples ~freq ~tstop in
-    let supply_current = reference.supply_current -. Cone.nominal_supply d +. m.supply_current in
-    ({ m with supply_current }, r, Cone.peak draw, worst)
-  in
+  (* A variant whose fanout cone is at most half the design tries the
+     rungs {!Cone.plan} gives it, the cone's cut at the healing depth
+     first, then the cone, each driven by the nominal waveforms.
+     Probes outside the simulated cells read the reference
+     ({!Cone.samples}), and the supply current is the reference's with
+     the rung's nominal share swapped for the variant's own. *)
+  let rungs_of = Cone.plan trajectory defects in
+  let epsilon = cut_epsilon proc in
+  let i_tail = proc.Cml_cells.Process.i_tail in
   let options =
     options
     @ [
@@ -552,7 +458,7 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
         ("warm_start", string_of_bool warm_start);
         ("batch", string_of_bool batch);
         ("defects", string_of_int (List.length defects));
-        ("reference", reference_option cut);
+        ("reference", reference_option active_cone);
       ]
     @ match max_iter with None -> [] | Some n -> [ ("max_iter", string_of_int n) ]
   in
@@ -569,64 +475,58 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
           measure_full ?engine_options ?guide:(guide ()) ~breakpoints ~record_every:0 ~nominal ps
             faulty ~freq ~tstop
         with
-        | m, r, _, _ -> measured m r
+        | m, r -> measured m r
         | exception E.No_convergence msg -> (Failed msg, None))
   in
-  let inject d defect =
-    match Inject.apply (Cone.netlist d) defect with
-    | faulty -> Some faulty
-    | exception (Not_found | Invalid_argument _) -> None
-  in
-  (* the cone is abandoned for the full netlist when it does not
-     converge, or when a boundary source on a non-ideal net delivers
-     more than a tail current: the defect then reaches back into a
-     driver the cone does not simulate *)
-  let on_cone defect cone =
-    let fallback cone_metrics =
-      Cml_telemetry.Metrics.incr m_cone_fallbacks;
-      (full defect, ("fallback", 1.0) :: cone_metrics)
+  (* One run of a faulty copy of a rung's netlist. *)
+  let on_rung d faulty =
+    let sim = E.compile ?options:engine_options faulty in
+    let mon = Cone.monitor ~driven:d ~epsilon sim in
+    let m, r =
+      measure_run
+        ?guide:(if warm_start then Cone.guide d else None)
+        ~breakpoints ~record_every:0 ~nominal
+        ~node:(fun nd -> Cone.node d (N.node_name golden nd))
+        ~outside:(probe_of ps trajectory) ps sim mon faulty ~freq ~tstop
     in
-    match inject cone defect with
-    | None -> (full defect, [])
-    | Some faulty -> (
-        match on_driven cone faulty with
-        | m, r, draw, _ when draw <= proc.Cml_cells.Process.i_tail ->
-            Cml_telemetry.Metrics.incr m_cone_variants;
-            (measured m r, [ ("fallback", 0.0); ("boundary_draw", draw) ])
-        | _, _, draw, _ -> fallback [ ("boundary_draw", draw) ]
-        | exception E.No_convergence _ -> fallback [])
+    let supply_current = reference.supply_current -. Cone.nominal_supply d +. m.supply_current in
+    ({ m with supply_current }, r, mon)
   in
-  (* the cut is abandoned for the cone when a cut net leaves the
-     reference by more than [eps], when the cut does not converge, or
-     when a held source delivers more than a tail current *)
-  let on_cut defect cone cut faulty =
-    let depth = ("cut", float_of_int Cone.cut_depth) in
-    let abort cut_metrics =
-      Cml_telemetry.Metrics.incr m_cut_aborts;
-      let result, cone_metrics = on_cone defect cone in
-      (result, (depth :: ("cut_abort", 1.0) :: cut_metrics) @ cone_metrics)
-    in
-    match on_driven cut faulty with
-    | m, r, draw, worst when draw <= proc.Cml_cells.Process.i_tail ->
-        Cml_telemetry.Metrics.incr m_cut_variants;
-        ( measured m r,
-          [ depth; ("cut_abort", 0.0); ("cut_deviation", worst.(0)); ("boundary_draw", draw) ] )
-    | _, _, _, worst -> abort [ ("cut_deviation", worst.(0)) ]
-    | exception Cut_abort (t, dv) -> abort [ ("cut_deviation", dv); ("cut_abort_at", t) ]
-    | exception E.No_convergence _ -> abort []
+  (* A variant leaves a rung for the next one (the full netlist after
+     the last) when its run does not converge, when a held source
+     delivers more than a tail current (the defect reaches back into a
+     driver the rung does not simulate), or, on a cut, when a cut net
+     leaves the reference by more than [epsilon].  A defect that does
+     not inject into a rung skips it. *)
+  let rec on_rungs defect = function
+    | [] -> (full defect, [])
+    | d :: rest -> (
+        match Inject.apply (Cone.netlist d) defect with
+        | exception (Not_found | Invalid_argument _) -> on_rungs defect rest
+        | faulty -> (
+            let cut = Cone.depth d in
+            let tag left =
+              match cut with
+              | Some k -> [ ("cut", float_of_int k); ("cut_abort", left) ]
+              | None -> [ ("fallback", left) ]
+            in
+            let deviation mon = if cut = None then [] else [ ("cut_deviation", Cone.deviation mon) ] in
+            let draw mon = [ ("boundary_draw", Cone.draw mon) ] in
+            let leave metrics =
+              Cml_telemetry.Metrics.incr (if cut = None then m_cone_fallbacks else m_cut_aborts);
+              let result, next = on_rungs defect rest in
+              (result, tag 1.0 @ metrics @ next)
+            in
+            match on_rung d faulty with
+            | m, r, mon when Cone.draw mon <= i_tail ->
+                Cml_telemetry.Metrics.incr (if cut = None then m_cone_variants else m_cut_variants);
+                (measured m r, tag 0.0 @ deviation mon @ draw mon)
+            | _, _, mon -> leave (if cut = None then draw mon else deviation mon)
+            | exception Cone.Deviation (t, dv) -> leave [ ("cut_deviation", dv); ("cut_abort_at", t) ]
+            | exception E.No_convergence _ -> leave []))
   in
   let variant defect =
-    let (outcome, run), metrics =
-      match cone_of defect with
-      | None -> (full defect, [])
-      | Some cone -> (
-          match Cone.cut_of cone with
-          | Some cut -> (
-              match inject cut defect with
-              | Some faulty -> on_cut defect cone cut faulty
-              | None -> on_cone defect cone)
-          | None -> on_cone defect cone)
-    in
+    let (outcome, run), metrics = on_rungs defect (rungs_of defect) in
     let entry = { defect; outcome } in
     (entry, report entry run metrics)
   in
@@ -646,7 +546,7 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   let t =
     {
       reference;
-      reference_cone = cut;
+      active_cone;
       entries = Array.to_list v.results;
       variants = v.variants;
       metrics = v.metrics;

@@ -45,7 +45,7 @@ type entry = { defect : Defect.t; outcome : outcome }
 
 type t = {
   reference : measurement;  (** fault-free chain measurement *)
-  reference_cone : int option;
+  active_cone : int option;
       (** unknowns of the active cone the reference transient ran on
           ({!reference}); [None] when it ran on the full netlist *)
   entries : entry list;
@@ -83,7 +83,7 @@ val measure_chain :
     ({!Cml_spice.Transient.observers}), which see every accepted step
     — so [record_every > 1] (default 1) merely thins the retained
     dense trajectory without aliasing the excursion extremes the
-    classifier keys on.  [nominal] supplies the fault-free chain
+    classifier keys on; the supply current is a {!Cone.monitor}'s.  [nominal] supplies the fault-free chain
     output's plateau levels; when present, the per-stage healing
     profile ({!Cml_wave.Health.profile}) fills [degraded_at] /
     [healing_depth], otherwise both are [None].
@@ -109,31 +109,32 @@ val measure_design :
 type reference = {
   measurement : measurement;  (** what variants are classified against *)
   nominal : float * float;  (** the final output's plateau levels *)
-  trajectory : Cone.reference;  (** what drives cones and guides full-netlist variants *)
+  trajectory : Cone.reference;
+      (** the dense run: what drives cones, guides full-netlist
+          variants and gives probes outside a variant's netlist
+          ({!Cone.samples}) *)
   unknowns : int;  (** unknowns the reference transient simulated *)
-  cut : int option;  (** [Some] active-cone unknowns for a cut reference, [None] for the full one *)
-  samples : string -> float array * float array;
-      (** the streamed probes by name (["in.p"], ["<pair>.n"],
-          ["i(vdd)"]); a probe outside a cut reads its DC value
-          @raise Not_found for another name *)
+  active_cone : int option;
+      (** [Some] active-cone unknowns when the transient ran on the
+          active cone, [None] for the full netlist *)
   breakpoints : float array;  (** the golden breakpoint schedule, shared by every variant *)
 }
-(** A campaign's fault-free run.  It is {e cut} when the {e active
-    cone} ({!Cone.active}: the fanout of the inputs whose sources
-    toggle) passes the cone rule ({!Cone.selected}): one DC operating
-    point of the full netlist, then a transient of the active cone
-    alone, its non-ideal boundary nets held at their DC values and its
-    ideal ones driven by their own sources.  Probes in the cone read
-    that run; the supply current is the full DC supply with the
-    cone's DC share swapped for its transient current.  The full
-    transient runs instead when the active cone fails the rule (the
-    chain, a clocked design, several toggling inputs), when the cut
-    run does not converge, or when a held non-ideal boundary net
-    delivers more than [proc.i_tail] at an accepted step (the
+(** A campaign's fault-free run: one dense transient, measured from
+    its own rows (what probe observers would stream): probes through
+    {!Cone.samples}, the supply current and boundary draw through a
+    {!Cone.monitor} replayed over the rows.  It runs on the {e active
+    cone} ({!Cone.active}: the fanout of the toggling inputs) when that
+    passes the cone rule ({!Cone.selected}), on top of the full
+    netlist's DC point: non-ideal boundary nets held at their DC
+    values, probes outside the cone reading theirs, and the supply the
+    full DC supply with the cone's DC share swapped for its transient
+    current.  The full transient runs instead when the active cone
+    fails the rule (the chain, a clocked design, several toggling
+    inputs), when the cone run does not converge, or when a held
+    boundary net delivers more than [proc.i_tail] (the
     [campaign.reference_fallbacks] counter counts those two).  The
-    choice depends on the netlist only.  The phase is traced as a
-    [campaign.reference] span with the [unknowns] simulated and the
-    [path] ([cone] or [full]). *)
+    phase is traced as a [campaign.reference] span with the [unknowns]
+    simulated and the [path] ([cone] or [full]). *)
 
 val chain_reference :
   ?engine_options:Cml_spice.Engine.options ->
@@ -191,55 +192,38 @@ val run :
     Variants run in contiguous slices of at most 16 defects (one pool
     task each); [batch = false] means slices of one defect.  The
     slicing is a pure scheduling choice: results are bit-identical
-    either way.  Every variant is exactly one
+    either way.  The run a variant is measured on is one
     {!Cml_spice.Transient.run} of its own sim, so [cmldft explain]
     re-simulates it step for step.
 
-    A variant whose fanout cone ({!Cone}) has at most half the golden
-    netlist's unknowns simulates only that cone, every net the cone
-    reads from outside forced to its waveform in the fault-free run
-    (warm-started from that run projected onto the cone).  Its
-    probes outside the cone read the fault-free streams, and its
-    [supply_current] is the fault-free one with the cone's nominal
-    share replaced by the variant's own cone current; both currents
-    count the [vdd] branch plus every held boundary source
-    ({!Cone.held_sources}).  The variant is re-run on the full netlist
-    (a fallback) when the cone run does not converge, or when a
-    boundary source on a non-ideal net delivers more than
-    [proc.i_tail] at any accepted step.  The cone decision depends on
-    the design and the defect only; on the default 8-stage chain it
-    only applies to defects in stage 8.
-
-    A cone variant first runs on the cone's {e cut} at the healing
-    depth ({!Cone.cut_of}, depth {!Cone.cut_depth}) when that cut has
-    fewer unknowns than the cone: the cells within one fanout level of
-    the attacked cells, plus a fringe of their readers whose outputs
-    are forced to the fault-free waveforms.  A cut meter compares
-    every cut net with its fault-free wave at the DC start and at
-    every accepted step; the first deviation beyond {!cut_epsilon}
-    aborts the cut run and the variant re-runs on the cone (and from
-    there, as above, on the full netlist).  A cut run that does not
-    converge, or whose held boundary sources deliver more than
-    [proc.i_tail], is aborted the same way.  So healing is checked
-    while the variant runs, never assumed: a variant whose DC point
-    already differs one level on aborts before its transient starts,
-    one stuck at its DC state at the first edge that should reach the
-    cut nets.  Probes past the cut read the
-    fault-free streams, and the supply is reconstructed as for a cone
-    from the cut's share.  The chain's stage-8 cone has nothing
-    downstream, so its cut is the cone itself and no chain variant
-    takes one.
+    Each variant runs on the rungs {!Cone.plan} gives it, in order,
+    then on the full netlist.  A variant whose fanout cone has at most
+    half the golden netlist's unknowns tries the cone's {e cut} at the
+    healing depth ({!Cone.cut_depth}) when it is smaller, then the
+    cone: each driven by the fault-free run (and warm-started from it),
+    probes outside its simulated cells reading that run
+    ({!Cone.samples}), its [supply_current] the fault-free one with the
+    rung's nominal share swapped for its own.  A {!Cone.monitor}
+    watches every accepted step.  The variant leaves a rung when the
+    run does not converge, when a held boundary source delivers more
+    than [proc.i_tail], or, on a cut, when a cut net strays from its
+    fault-free wave by more than {!cut_epsilon}, at the DC start or any
+    later step.  So healing is checked while the variant runs, never
+    assumed.  The rungs depend on the design and the defect only; on
+    the default 8-stage chain only stage-8 defects have a cone, and no
+    cut (nothing lies downstream).
 
     The manifest records each variant's [unknowns] (of the netlist it
-    was measured on); a cone-routed variant also records [fallback]
-    (0 or 1) and [boundary_draw] (A), and a cut-routed one [cut] (its
-    depth), [cut_abort] (0 or 1), [cut_deviation] (V: the worst cut-net
-    deviation, or the one that aborted the cut; absent when the cut run
-    did not converge) and, when the meter aborted it, [cut_abort_at]
-    (s).  The [campaign.cone_variants] /
-    [campaign.cone_fallbacks] counters count the variants measured on
-    a cone and the fallbacks, [campaign.cut_variants] /
-    [campaign.cut_aborts] those measured on a cut and the aborts.
+    was measured on); a variant that ran on a cone also records
+    [fallback] (0 or 1) and, unless its run failed to converge,
+    [boundary_draw] (A), and one that ran on a cut [cut] (its depth),
+    [cut_abort] (0 or 1), [cut_deviation] (V: the worst cut-net
+    deviation, or the one that aborted the cut; absent when the cut
+    run did not converge), [boundary_draw] when it stayed there and,
+    when the deviation aborted it, [cut_abort_at] (s).  The
+    [campaign.cone_variants] / [campaign.cone_fallbacks] counters count
+    the variants measured on a cone and those that left one,
+    [campaign.cut_variants] / [campaign.cut_aborts] the same for cuts.
 
     A variant that raises any other exception fails alone, as
     [Failed "internal: <exception>"]; the run and its manifest
@@ -286,10 +270,10 @@ val run_design :
     ([degraded_at] and [healing_depth] are [None]) and the manifest's
     healing histogram reads "clean".  Variants of one topology (the
     same site at another pipe resistance) share one compiled layout
-    and column ordering ({!Cml_spice.Engine.compile}).  The cone
-    and cut rules of {!run} apply: on the c432 surrogate, the default
-    DUT's cone is 430 of 949 unknowns and its cut at depth 1 is 65, so
-    its variants try the cut and re-run on the cone when it aborts. *)
+    and column ordering ({!Cml_spice.Engine.compile}).  The rungs of
+    {!run} apply: on the c432 surrogate, the default DUT's cone is 430
+    of 949 unknowns and its cut at depth 1 is 65, so its variants try
+    the cut and re-run on the cone when they leave it. *)
 
 val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
 (** The run manifest [?manifest] writes; exposed so callers can stamp

@@ -59,6 +59,7 @@ type t = {
   golden : N.t;
   tie : W.t option array;  (** per golden node, its ideal source's voltage *)
   roots : string list;
+  depth : int option;  (** a cut's depth; [None] for the whole fanout closure *)
   cells : string list;  (** simulated cells: the cone's, or a cut's kept cells *)
   devices : N.device list;  (** the golden devices the netlist copies *)
   boundary : (N.node * bool) list;  (** golden node, ideal *)
@@ -132,7 +133,7 @@ let readers golden tie =
    they touch is owned by a kept cell, owned by a fringe cell (an
    output another cell reads is forced), a rail its ideal source
    drives, or a boundary net. *)
-let assemble golden tie ~roots ~kept ~fringe =
+let assemble golden tie ~roots ~depth ~kept ~fringe =
   let net_owner = net_owner golden in
   let devices = N.devices golden in
   let member set d = match cell_of d with Some c -> Hashtbl.mem set c | None -> false in
@@ -186,6 +187,7 @@ let assemble golden tie ~roots ~kept ~fringe =
     golden;
     tie;
     roots;
+    depth;
     cells;
     devices;
     boundary;
@@ -195,23 +197,29 @@ let assemble golden tie ~roots ~kept ~fringe =
     golden_unknowns = unknown_count golden;
   }
 
-(* [roots] closed under fanout: a cell joins when one of its devices
-   touches a non-ideal net a member owns. *)
-let close golden tie roots =
+(* The cells within [depth] reader levels of [roots] (the roots are
+   level 0), or their whole fanout closure when [depth] is [None], plus
+   a fringe: every other cell that reads one of their nets, none for a
+   closure. *)
+let span golden tie roots ~depth =
   let readers = readers golden tie in
-  let in_cone = Hashtbl.create 64 in
-  let rec add c =
-    if not (Hashtbl.mem in_cone c) then begin
-      Hashtbl.replace in_cone c ();
-      List.iter add (Hashtbl.find_all readers c)
-    end
+  let kept = Hashtbl.create 64 in
+  let rec visit level cs =
+    let fresh = List.filter (fun c -> not (Hashtbl.mem kept c)) (List.sort_uniq compare cs) in
+    List.iter (fun c -> Hashtbl.replace kept c ()) fresh;
+    let deeper = match depth with Some k -> level < k | None -> true in
+    if fresh <> [] && deeper then
+      visit (level + 1) (List.concat_map (Hashtbl.find_all readers) fresh)
   in
-  List.iter add roots;
-  assemble golden tie ~roots ~kept:in_cone ~fringe:(Hashtbl.create 1)
-
-let extract golden ~roots =
-  if roots = [] then invalid_arg "Cone.extract: no roots";
-  close golden (ties golden) roots
+  visit 0 roots;
+  let fringe = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun c () ->
+      List.iter
+        (fun r -> if not (Hashtbl.mem kept r) then Hashtbl.replace fringe r ())
+        (Hashtbl.find_all readers c))
+    kept;
+  assemble golden tie ~roots ~depth ~kept ~fringe
 
 let attacked golden ~cells =
   if cells = [] then invalid_arg "Cone.attacked: no cells";
@@ -229,7 +237,7 @@ let attacked golden ~cells =
         | Some _ | None -> [])
       (N.devices golden)
   in
-  close golden tie (cells @ drivers)
+  span golden tie (cells @ drivers) ~depth:None
 
 let active golden =
   let tie = ties golden in
@@ -241,28 +249,9 @@ let active golden =
            if is_tie d || not (List.exists toggles (device_nodes d)) then None else cell_of d)
          (N.devices golden))
   in
-  if roots = [] then None else Some (close golden tie roots)
+  if roots = [] then None else Some (span golden tie roots ~depth:None)
 
-(* The cut of a cone at [depth] cell levels: the cells at most [depth]
-   reader steps from its roots are kept, the readers of their nets form
-   the fringe. *)
-let cut t ~depth =
-  let readers = readers t.golden t.tie in
-  let kept = Hashtbl.create 16 in
-  let rec visit level cs =
-    let fresh = List.filter (fun c -> not (Hashtbl.mem kept c)) (List.sort_uniq compare cs) in
-    List.iter (fun c -> Hashtbl.replace kept c ()) fresh;
-    if level < depth then visit (level + 1) (List.concat_map (Hashtbl.find_all readers) fresh)
-  in
-  visit 0 t.roots;
-  let fringe = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun c () ->
-      List.iter
-        (fun r -> if not (Hashtbl.mem kept r) then Hashtbl.replace fringe r ())
-        (Hashtbl.find_all readers c))
-    kept;
-  assemble t.golden t.tie ~roots:t.roots ~kept ~fringe
+let cut t ~depth = span t.golden t.tie t.roots ~depth:(Some depth)
 
 (* The PWL knots of a sampled waveform.  A sample is dropped when it
    lies within [vntol] (below what Newton resolves) of the segment
@@ -377,53 +366,47 @@ let full_guide r =
               r.r_full <- Some g;
               g)
 
+(* The run's column of golden net [g], when the run has the net. *)
+let column r g =
+  match r.r_run with
+  | Some (rnet, run) ->
+      Option.map
+        (fun nd -> (run.T.times, T.node_trace run nd))
+        (N.find_node rnet (N.node_name r.r_golden g))
+  | None -> None
+
+let samples r g =
+  match (column r g, r.r_run) with
+  | Some s, _ -> s
+  | None, Some (_, run) -> (run.T.times, Array.map (fun _ -> r.r_dc.(E.node_unknown g)) run.T.times)
+  | None, None -> invalid_arg "Cone.samples: no run"
+
 (* A boundary net's drive: an ideal net keeps its own source; any
    other net follows the run when the run has it, else holds its DC
-   value. *)
+   value ({!samples}' rule). *)
 let boundary_wave t r g =
-  match t.tie.(g) with
-  | Some w -> w
-  | None -> (
-      let name = N.node_name t.golden g in
-      match r.r_run with
-      | Some (rnet, run) when N.find_node rnet name <> None ->
-          let u = E.node_unknown (Option.get (N.find_node rnet name)) in
-          W.Pwl (simplify run.T.times (Array.map (fun row -> row.(u)) run.T.data))
-      | Some _ | None -> W.Dc r.r_dc.(E.node_unknown g))
+  match (t.tie.(g), column r g) with
+  | Some w, _ -> w
+  | None, Some (times, values) -> W.Pwl (simplify times values)
+  | None, None -> W.Dc r.r_dc.(E.node_unknown g)
 
 type driven = {
   d_net : N.t;
+  d_depth : int option;  (** a cut's depth; [None] for a cone *)
   d_guide : T.result option;
   d_start : float array;
   d_supply : float;
   d_nodes : (string, N.node) Hashtbl.t;  (** nets of the simulated cells, by name *)
-  d_draw : string list;  (** sources of the non-ideal boundary nets *)
+  d_held : string list;  (** sources of the non-ideal boundary nets *)
   d_watched : (N.node * W.t) list;  (** a cut's cut nets and their reference waves *)
-  d_cut : driven option;  (** the cone's cut at [cut_depth], when smaller and solved *)
 }
 
 let netlist d = d.d_net
+let depth d = d.d_depth
 let guide d = d.d_guide
 let start d = Array.copy d.d_start
 let nominal_supply d = d.d_supply
 let node d name = Hashtbl.find_opt d.d_nodes name
-let watched d = d.d_watched
-let cut_of d = d.d_cut
-
-type meter = { branches : int array; peak : float array  (** one cell: a float-only store *) }
-
-let meter d sim =
-  { branches = Array.of_list (List.map (E.branch_unknown sim) d.d_draw); peak = [| 0.0 |] }
-
-(* a NaN draw sticks: no later finite one can hide it *)
-let record m _t x =
-  for k = 0 to Array.length m.branches - 1 do
-    let v = Float.abs x.(m.branches.(k)) in
-    if not (Float.is_nan m.peak.(0) || v <= m.peak.(0)) then m.peak.(0) <- v
-  done
-
-let peak m = m.peak.(0)
-let held_sources d = d.d_draw
 
 let drive t ~reference:r =
   let golden = t.golden in
@@ -457,14 +440,72 @@ let drive t ~reference:r =
   let cut_net g = Option.get (N.find_node net (N.node_name golden g)) in
   {
     d_net = net;
+    d_depth = t.depth;
     d_guide = guide_on r sim net;
     d_start = x;
     d_supply = supply;
     d_nodes = nodes;
-    d_draw = held;
+    d_held = held;
     d_watched = List.map (fun g -> (cut_net g, boundary_wave t r g)) t.watched;
-    d_cut = None;
   }
+
+exception Deviation of float * float
+
+type monitor = {
+  supply : int array;  (** the [vdd] branch, then the held sources' *)
+  held : int array;  (** the held sources' branches *)
+  watched : (int * W.t) array;  (** a cut's cut nets and their reference waves *)
+  epsilon : float;
+  times : Cml_numerics.Fbuf.t;
+  total : Cml_numerics.Fbuf.t;  (** the supply sum at each step *)
+  peaks : float array;  (** [| boundary draw; cut-net deviation |]: a float-only store *)
+}
+
+let monitor ?driven ?(epsilon = infinity) sim =
+  let branch name = E.branch_unknown sim name in
+  let vdd = match branch "vdd" with br -> [ br ] | exception Not_found -> [] in
+  let held, watched =
+    match driven with
+    | None -> ([], [])
+    | Some d ->
+        ( List.map branch d.d_held,
+          List.map (fun (nd, w) -> (E.node_unknown nd, w)) d.d_watched )
+  in
+  {
+    supply = Array.of_list (vdd @ held);
+    held = Array.of_list held;
+    watched = Array.of_list watched;
+    epsilon;
+    times = Cml_numerics.Fbuf.create ();
+    total = Cml_numerics.Fbuf.create ();
+    peaks = [| 0.0; 0.0 |];
+  }
+
+let observe m t x =
+  let sum = ref 0.0 in
+  for k = 0 to Array.length m.supply - 1 do
+    sum := !sum +. x.(m.supply.(k))
+  done;
+  Cml_numerics.Fbuf.push m.times t;
+  Cml_numerics.Fbuf.push m.total !sum;
+  (* a NaN draw sticks: no later finite one can hide it *)
+  for k = 0 to Array.length m.held - 1 do
+    let v = Float.abs x.(m.held.(k)) in
+    if not (Float.is_nan m.peaks.(0) || v <= m.peaks.(0)) then m.peaks.(0) <- v
+  done;
+  Array.iter
+    (fun (u, w) ->
+      let dv = Float.abs (x.(u) -. W.value w t) in
+      if not (dv <= m.epsilon) then raise (Deviation (t, dv));
+      if dv > m.peaks.(1) then m.peaks.(1) <- dv)
+    m.watched
+
+let draw m = m.peaks.(0)
+let deviation m = m.peaks.(1)
+
+let supply m =
+  if m.supply = [||] then raise Not_found
+  else (Cml_numerics.Fbuf.to_array m.times, Cml_numerics.Fbuf.to_array m.total)
 
 (* The cut a cone variant tries first: the cells within this many
    reader levels of the attacked cells (and their drivers). *)
@@ -475,24 +516,22 @@ let plan r defects =
   let solved t =
     match drive t ~reference:r with d -> Some d | exception E.No_convergence _ -> None
   in
-  let cones =
+  (* the cone's DC solve gates both rungs; the cut is tried first *)
+  let rungs cells =
+    let c = attacked golden ~cells in
+    match if selected c then solved c else None with
+    | None -> []
+    | Some cone ->
+        let k = cut c ~depth:cut_depth in
+        (if k.unknowns < c.unknowns then Option.to_list (solved k) else []) @ [ cone ]
+  in
+  let plans =
     List.fold_left
       (fun acc d ->
         match defect_cells golden d with
         | [] -> acc
         | cells when List.mem_assoc cells acc -> acc
-        | cells ->
-            let c = attacked golden ~cells in
-            let driven =
-              if selected c then
-                Option.map
-                  (fun d ->
-                    let k = cut c ~depth:cut_depth in
-                    { d with d_cut = (if k.unknowns < c.unknowns then solved k else None) })
-                  (solved c)
-              else None
-            in
-            (cells, driven) :: acc)
+        | cells -> (cells, rungs cells) :: acc)
       [] defects
   in
-  fun d -> Option.join (List.assoc_opt (defect_cells golden d) cones)
+  fun d -> Option.value ~default:[] (List.assoc_opt (defect_cells golden d) plans)

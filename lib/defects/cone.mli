@@ -1,9 +1,10 @@
 (** Fanout-cone restriction of a defect variant.
 
     A defect can only change the waveforms of its own fanout cone.
-    This module cuts that cone out of a golden netlist, so a campaign
-    variant simulates only the cone's unknowns, with every net the cone
-    reads from outside forced to its nominal waveform.
+    This module cuts that cone (or the part of it within a few cell
+    levels of the defect) out of a golden netlist, so a campaign
+    variant simulates only those unknowns, with every net they read
+    from outside forced to its nominal waveform.
 
     It relies on the naming contract {!Inject} and {!Sites} already
     use ({!Cml_cells.Builder}): devices are named [<cell>.<dev>] and
@@ -17,7 +18,10 @@
 
     A cone is a set of {e root} cells closed under fanout: a cell
     belongs to it when one of its devices touches a non-ideal net a
-    cone cell owns.  Two root rules are used:
+    cone cell owns.  A {e cut} is the same closure bounded at a depth
+    of reader levels, plus a {e fringe} of the other readers of its
+    nets; a cone is a cut with no depth bound, and so no fringe.  Two
+    root rules are used:
     - a defect's cone ({!attacked}) starts from the attacked cells plus
       the owner of every non-ideal net their devices touch (the drivers
       of their inputs, which a defect can load);
@@ -26,23 +30,20 @@
       inputs, a clock): outside it, every net stays at its DC value in
       the fault-free run, apart from back-loading by the active cells.
 
-    The cone netlist holds the cone cells' devices, the ideal sources
+    The netlist holds the simulated cells' devices, the ideal sources
     of the ownerless rails it touches ([vdd], [vbias]), and one
     voltage source per {e boundary} net: a net the cone reads but no
     cone cell owns.  {!drive} gives every boundary source its waveform
-    from a {!reference}. *)
+    from a {!reference}, by the rule {!samples} reads a reference by;
+    a {!monitor} watches one run of a driven netlist step by step. *)
 
 type t
 (** One extracted cone: its cells, boundary and netlist shape.  No
     waveform is attached yet. *)
 
-val extract : Cml_spice.Netlist.t -> roots:string list -> t
-(** [roots] closed under fanout in the golden netlist.
-    @raise Invalid_argument when [roots] is empty. *)
-
 val attacked : Cml_spice.Netlist.t -> cells:string list -> t
-(** The cone a defect in [cells] can reach: {!extract} from [cells]
-    and the drivers of their non-ideal inputs.
+(** The cone a defect in [cells] can reach: [cells] and the drivers
+    of their non-ideal inputs, closed under fanout.
     @raise Invalid_argument when [cells] is empty. *)
 
 val active : Cml_spice.Netlist.t -> t option
@@ -57,8 +58,8 @@ val cut : t -> depth:int -> t
     every other cell that reads one of their nets.  The fringe keeps
     the {e cut nets} (the kept nets the fringe reads) at their exact
     loading; its own outputs are forced to the reference like the
-    boundary nets, but their sources are neither held inputs
-    ({!held_sources}) nor supply.  {!cells} are the kept cells. *)
+    boundary nets, but their sources are neither held ({!monitor})
+    nor supply.  {!cells} are the kept cells. *)
 
 val cells : t -> string list
 (** Simulated cells (a cut's kept cells, not its fringe), in golden
@@ -107,21 +108,28 @@ val full_guide : reference -> Cml_spice.Transient.result
     call; safe from worker domains).
     @raise Invalid_argument when [r] has no run. *)
 
+val samples : reference -> Cml_spice.Netlist.node -> float array * float array
+(** [samples r g]: the reference's waveform of golden net [g] as
+    (times, values): the run's column when the run's netlist has the
+    net, else the net's DC value at every time of the run.  A boundary
+    source of {!drive} follows the same rule.
+    @raise Invalid_argument when [r] has no run. *)
+
 type driven
-(** A cone whose boundary is driven from a reference. *)
+(** A cone or cut whose boundary is driven from a reference. *)
 
 val drive : t -> reference:reference -> driven
-(** Build the cone netlist and solve its DC operating point:
+(** Build the netlist and solve its DC operating point:
     - an ideal boundary net keeps its own source's waveform; any other
       boundary net follows the reference (a PWL copy of the run's
       samples when the run has the net, else its DC value);
-    - the guide is the reference run projected onto the cone's
+    - the guide is the reference run projected onto the netlist's
       unknowns: nodes by name, golden source branches by name, 0 for
       the boundary branches; DC values for what the run lacks;
     - the nominal supply share is the [vdd] branch current plus the
-      {!held_sources}' currents of one DC solve of the cone, seeded by
-      that projection at [t = 0].
-    The PWL knots are not breakpoints: run the cone with the golden
+      held boundary sources' currents ({!monitor}) of one DC solve,
+      seeded by that projection at [t = 0].
+    The PWL knots are not breakpoints: run it with the golden
     breakpoint schedule.
     @raise Cml_spice.Engine.No_convergence when that DC solve fails. *)
 
@@ -131,69 +139,72 @@ val cut_depth : int
     already tells a healed variant (within 7 mV of the reference) from
     one whose fault propagates (13 mV or more away). *)
 
-val plan : reference -> Defect.t list -> Defect.t -> driven option
-(** [plan reference defects] extracts and drives one {!attacked} cone
-    per distinct set of attacked cells among [defects] (a defect
+val plan : reference -> Defect.t list -> Defect.t -> driven list
+(** [plan reference defects] drives the netlists of one {!attacked}
+    cone per distinct set of attacked cells among [defects] (a defect
     attacks the owner of its device, or the owners of a bridge's two
     nets), and returns the lookup a campaign routes each defect
-    through: [Some] cone when {!selected} holds and the cone's DC
-    solve converged, [None] for the full netlist.  Each cone carries
-    its {!cut} at {!cut_depth} ({!cut_of}) when that cut has fewer
-    unknowns than the cone and its DC solve converged.  The lookup
-    only reads, so worker domains can share it. *)
+    through: the {e rungs} to try in order.  A cone that fails
+    {!selected}, or whose DC solve does not converge, gives [[]]: the
+    full netlist.  Otherwise the rungs are its {!cut} at {!cut_depth},
+    when that cut has fewer unknowns than the cone and its DC solve
+    converged (the chain's stage-8 cone has nothing downstream, so it
+    has none), then the cone itself.  The lookup only reads, so worker
+    domains can share it. *)
 
-val cut_of : driven -> driven option
-(** The driven cut of a cone returned by {!plan}; [None] for a cone
-    whose cut is no smaller (the chain's stage-8 cone has nothing
-    downstream), for a cut, and outside {!plan}. *)
-
-val watched : driven -> (Cml_spice.Netlist.node * Cml_spice.Waveform.t) list
-(** A cut's cut nets, as nodes of {!netlist} (and of any faulty copy
-    of it), each with its reference waveform: the PWL copy or DC value
-    a boundary source on that net would get.  [[]] for a cone. *)
+val depth : driven -> int option
+(** The depth of a cut; [None] for a cone. *)
 
 val netlist : driven -> Cml_spice.Netlist.t
-(** The cone netlist with its PWL boundary sources.  Inject a defect
-    into a copy ({!Inject.apply} copies). *)
+(** The netlist with its PWL boundary sources.  Inject a defect into a
+    copy ({!Inject.apply} copies). *)
 
 val guide : driven -> Cml_spice.Transient.result option
 (** The projected reference run, a warm-start guide for
-    {!Cml_spice.Transient.run} on the cone; [None] when the reference
-    is a DC point only. *)
+    {!Cml_spice.Transient.run} on the netlist; [None] when the
+    reference is a DC point only. *)
 
 val start : driven -> float array
-(** A fresh copy of the cone's DC operating point, the [x0] of a
-    transient of {!netlist}. *)
+(** A fresh copy of the DC operating point, the [x0] of a transient of
+    {!netlist}. *)
 
 val nominal_supply : driven -> float
-(** Magnitude of the cone's nominal [vdd] plus {!held_sources} current
-    (A): the share of the golden supply current the cone draws. *)
+(** Magnitude of the nominal [vdd] plus held-source current (A): the
+    share of the golden supply current the netlist draws. *)
 
 val node : driven -> string -> Cml_spice.Netlist.node option
-(** The cone node of a golden net, by name, when a simulated cell
+(** The node of a golden net, by name, when a simulated cell
     ({!cells}) owns the net; [None] for boundary nets, a cut's fringe
     and nets outside the cone. *)
 
-type meter
-(** The boundary draw of one run: the largest current magnitude any
-    boundary source on a non-ideal net delivers at an accepted step.
-    A source delivering far more than the nominal base currents means
-    the defect reaches back into a driving cell, which the cone does
-    not simulate. *)
+type monitor
+(** One run's per-step watch: its supply current (the signed sum of
+    the [vdd] branch and every held source, the source forcing a
+    non-ideal boundary net, which delivers what the net's real driver
+    would draw from the rail), its boundary draw (the largest current
+    a held source delivers: far above the nominal base currents, the
+    defect reaches back into a driver the netlist does not simulate)
+    and, on a cut, each cut net's deviation from its reference wave. *)
 
-val meter : driven -> Cml_spice.Engine.sim -> meter
-(** A fresh meter for a sim compiled from (a faulty copy of)
-    {!netlist}. *)
+exception Deviation of float * float
+(** [(t, dv)]: a cut net strayed [dv] volts from its reference wave at
+    time [t], beyond the monitor's [epsilon]. *)
 
-val record : meter -> float -> float array -> unit
-(** The {!Cml_spice.Transient.observers} [on_step] hook that feeds
-    the meter. *)
+val monitor : ?driven:driven -> ?epsilon:float -> Cml_spice.Engine.sim -> monitor
+(** A monitor for [sim], compiled from the golden netlist (no
+    [driven]) or from (a faulty copy of) [driven]'s {!netlist};
+    [epsilon] (default infinity) bounds the cut nets' deviation. *)
 
-val peak : meter -> float
-(** The largest draw recorded (A); 0 when the cone has no non-ideal
-    boundary net, NaN once any draw was NaN. *)
+val observe : monitor -> float -> float array -> unit
+(** The {!Cml_spice.Transient.observers} [on_step] hook.
+    @raise Deviation at the first cut-net deviation beyond [epsilon]. *)
 
-val held_sources : driven -> string list
-(** The sources forcing the non-ideal boundary nets, the ones a
-    {!meter} watches.  Each delivers what the net's real driver would
-    draw from the supply rail. *)
+val draw : monitor -> float
+(** The largest boundary draw (A); NaN once any draw was NaN. *)
+
+val deviation : monitor -> float
+(** The worst cut-net deviation (V). *)
+
+val supply : monitor -> float array * float array
+(** The supply current (times, values).
+    @raise Not_found when the sim has no [vdd] branch. *)

@@ -280,23 +280,28 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
   in
   let breakpoints = reference.Cml_defects.Campaign.breakpoints in
   let trajectory = reference.Cml_defects.Campaign.trajectory in
-  (* replay on the netlist the campaign measured the variant on, read
-     from its metrics: the cone's cut when it stayed there, the whole
-     netlist after a fallback, else the cone (an events stream records
-     no metrics, so its cone variants replay the cone run).  Either way
-     the warm start is the campaign's: the fault-free run (projected
-     onto the cone or cut) seeds the variant's DC solve and rescues
-     diverging steps. *)
+  (* replay on the netlist the campaign measured the variant on: the
+     first of its rungs it did not leave, read from its metrics (a cut
+     it stayed on reads [cut_abort] 0; a cone it left reads [fallback]
+     1), else the whole netlist.  An events stream records no metrics,
+     so its variants replay the cone run.  Either way the warm start is
+     the campaign's: the fault-free run (projected onto the rung)
+     seeds the variant's DC solve and rescues diverging steps. *)
   let metric k = List.assoc_opt k variant.M.v_metrics in
+  let stayed d =
+    match Cml_defects.Cone.depth d with
+    | Some _ -> metric "cut_abort" = Some 0.0
+    | None -> metric "fallback" <> Some 1.0
+  in
   let path, net, guide =
-    let driven what d = (what, Cml_defects.Cone.netlist d, Cml_defects.Cone.guide d) in
-    match Cml_defects.Cone.plan trajectory [ defect ] defect with
-    | Some cone when metric "fallback" <> Some 1.0 -> (
-        match (Cml_defects.Cone.cut_of cone, metric "cut_abort") with
-        | Some cut, Some 0.0 ->
-            driven (Printf.sprintf "cut at depth %d" Cml_defects.Cone.cut_depth) cut
-        | _ -> driven "fanout cone" cone)
-    | Some _ | None -> ("full netlist", golden, Some (Cml_defects.Cone.full_guide trajectory))
+    match List.find_opt stayed (Cml_defects.Cone.plan trajectory [ defect ] defect) with
+    | Some d ->
+        ( (match Cml_defects.Cone.depth d with
+          | Some k -> Printf.sprintf "cut at depth %d" k
+          | None -> "fanout cone"),
+          Cml_defects.Cone.netlist d,
+          Cml_defects.Cone.guide d )
+    | None -> ("full netlist", golden, Some (Cml_defects.Cone.full_guide trajectory))
   in
   let guide = if warm_start then guide else None in
   let faulty =

@@ -5,12 +5,12 @@
     faulty netlist from the recorded options (the built-in buffer
     chain, or the compiled design a ["bench"] option names, plus one
     {!Cml_defects.Sites} defect of the ["dut"] cell) on the netlist the
-    campaign measured it on, read from the variant's metrics: its
-    cone's cut ({!Cml_defects.Cone.cut_of}) when [cut_abort] is 0, the
-    whole netlist when [fallback] is 1, else the fanout cone
-    ({!Cml_defects.Cone}) when the campaign's cone rule picks one (an
-    events stream records no metrics, so its cone variants replay the
-    cone run) — re-simulate it with a
+    campaign measured it on: the first of its rungs
+    ({!Cml_defects.Cone.plan}) it did not leave, read from the
+    variant's metrics (a cut when [cut_abort] is 0, the fanout cone
+    unless [fallback] is 1), else the whole netlist (an events stream
+    records no metrics, so its cone variants replay the cone run) —
+    re-simulate it with a
     solver-introspection recorder attached ({!Cml_spice.Introspect})
     and distil the recording into a {!Cml_telemetry.Postmortem}
     document: convergence narrative, worst-nets / worst-devices

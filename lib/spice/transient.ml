@@ -192,7 +192,8 @@ let nearest_index times t =
 (* The stepper: the step loop's state as an explicit record, so the
    loop body reads as one step's decision (seed, solve, LTE test,
    commit or reject) instead of a dozen loop-local refs.  A [run] is
-   [stepper_create] + [stepper_advance] to [tstop] + [stepper_finish]. *)
+   [stepper_create] + [stepper_start] (the DC point) + [stepper_advance]
+   to [tstop] + [stepper_finish]. *)
 
 type stepper = {
   st_sim : Engine.sim;
@@ -227,7 +228,7 @@ type stepper = {
   mutable st_force_be : bool;
 }
 
-let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
+let stepper_create ?guide ?breakpoints ?observers sim net cfg =
   let opts = Engine.options sim in
   let nunk = Engine.unknown_count sim in
   let breakpoints =
@@ -249,25 +250,6 @@ let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
   let stats0 = Engine.solver_stats sim in
   let t_begin = Cml_telemetry.Clock.now_ns () in
   let span = Cml_telemetry.Trace.start () in
-  let guided_seeds = ref 0 and cold_fallbacks = ref 0 in
-  let x_start =
-    match x0 with
-    | Some x -> x
-    | None -> (
-        match guide with
-        | Some (_, gdata) -> (
-            (* warm DC start from the guide's initial point, falling
-               back to the full homotopy ladder if it diverges *)
-            match Engine.newton sim ~time:0.0 ~integ:Engine.Dcop gdata.(0) with
-            | Some (x, _) ->
-                incr guided_seeds;
-                x
-            | None ->
-                incr cold_fallbacks;
-                Engine.dc_operating_point ~time:0.0 sim)
-        | None -> Engine.dc_operating_point ~time:0.0 sim)
-  in
-  Engine.init_capacitor_states sim x_start;
   let st =
     {
       st_sim = sim;
@@ -288,10 +270,10 @@ let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
       st_accepted = 0;
       st_rejected = 0;
       st_lte = 0;
-      st_guided = !guided_seeds;
-      st_cold = !cold_fallbacks;
-      st_x_n = x_start;
-      st_x_nm1 = x_start;
+      st_guided = 0;
+      st_cold = 0;
+      st_x_n = [||];
+      st_x_nm1 = [||];
       st_xpred = Array.make nunk 0.0;
       st_h_prev = 0.0;
       st_t = 0.0;
@@ -308,6 +290,30 @@ let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
     st.st_bp_index <- st.st_bp_index + 1
   done;
   st
+
+(* The DC start: [x0], else a warm DC solve from the guide's initial
+   point (falling back to the full homotopy ladder if it diverges),
+   else the homotopy ladder. *)
+let stepper_start ?x0 st =
+  let sim = st.st_sim in
+  let x_start =
+    match x0 with
+    | Some x -> x
+    | None -> (
+        match st.st_guide with
+        | Some (_, gdata) -> (
+            match Engine.newton sim ~time:0.0 ~integ:Engine.Dcop gdata.(0) with
+            | Some (x, _) ->
+                st.st_guided <- st.st_guided + 1;
+                x
+            | None ->
+                st.st_cold <- st.st_cold + 1;
+                Engine.dc_operating_point ~time:0.0 sim)
+        | None -> Engine.dc_operating_point ~time:0.0 sim)
+  in
+  Engine.init_capacitor_states sim x_start;
+  st.st_x_n <- x_start;
+  st.st_x_nm1 <- x_start
 
 (* observers see every accepted step; [record_every] only thins the
    dense matrix *)
@@ -462,11 +468,20 @@ let stepper_finish st =
     stats;
   }
 
+(* A run left by an exception (a failed solve, an observer's abort)
+   still publishes its work and closes its span, then re-raises. *)
 let run ?x0 ?guide ?breakpoints ?observers sim net cfg =
-  let st = stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg in
-  stepper_record st 0.0 st.st_x_n;
-  stepper_advance st;
-  stepper_finish st
+  let st = stepper_create ?guide ?breakpoints ?observers sim net cfg in
+  match
+    stepper_start ?x0 st;
+    stepper_record st 0.0 st.st_x_n;
+    stepper_advance st
+  with
+  | () -> stepper_finish st
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (stepper_finish st);
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Batch runs: one [run] per lane, in lane order, each lane on its own

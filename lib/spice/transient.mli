@@ -150,7 +150,12 @@ val run :
     only reads.  Without a recorder each hook is one load and one
     branch (gated in [make telemetry-overhead]).
 
-    @raise Engine.No_convergence when a step fails at [min_step]. *)
+    Every run, one that raises included, closes its [transient]
+    trace span and adds its work to the [transient.*], [solver.*]
+    and [lu.*] metrics before it returns or re-raises.
+
+    @raise Engine.No_convergence when the DC start or a step at
+    [min_step] fails; an exception an observer raises passes through. *)
 
 type lane_result =
   | Lane_done of result  (** the lane ran to [tstop] *)

@@ -11,8 +11,8 @@
    against its best-matching (jobs, cores) history, and wall-clock
    attribution by span group across the manifests.
 
-   The regression limits mirror bench/perf.ml's gate: 1.25x for
-   kernels, 1.5x for the batched-campaign kernel and the campaign
+   The regression limits are the ones bench/perf.ml's gate uses: 1.25x
+   for kernels, 1.5x for the batched-campaign kernel and the campaign
    probe (whole parallel workloads carry scheduler noise a bechamel
    best-of-N does not). *)
 
@@ -87,9 +87,15 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let kernel_limit name = if contains_sub name "batched campaign" then 1.5 else 1.25
-
+let regression_limit = 1.25
 let campaign_limit = 1.5
+
+(* The batched-campaign kernel is a whole 8-lane workload (eight
+   compiles, eight DC solves, eight transients) rather than a tight
+   inner loop, so its run-to-run spread is closer to the campaign
+   probe's than to the other kernels'; gate it at the campaign limit. *)
+let kernel_limit name =
+  if contains_sub name "batched campaign" then campaign_limit else regression_limit
 
 type kernel_trend = {
   k_name : string;

@@ -3,8 +3,16 @@
     BENCH_spice.json history (cml-dft-perf/2), the campaign scaling
     probe against its best-matching (jobs, cores) history, and
     wall-clock attribution by span group across a corpus of run
-    manifests.  Regression limits mirror bench/perf.ml's gate
-    (1.25x per kernel, 1.5x for whole-workload probes). *)
+    manifests.  Its regression limits are bench/perf.ml's gate:
+    slowdown factors of 1.25 per kernel ([regression_limit]) and 1.5
+    ([campaign_limit]) for whole parallel workloads (the campaign
+    probe, the batched-campaign kernel), which carry scheduler noise. *)
+
+val regression_limit : float
+val campaign_limit : float
+
+val kernel_limit : string -> float
+(** A kernel's limit, by name. *)
 
 val sparkline : float list -> string
 (** 8-level unicode block trajectory, scaled to the series' own

@@ -434,7 +434,7 @@ let test_cone_chain_fallback () =
     (counter "campaign.cut_variants", counter "campaign.cut_aborts");
   let reference = C.chain_reference chain ~freq ~tstop:1e-9 ~dut:8 in
   Alcotest.(check bool) "the planned cone carries no cut" true
-    (Option.bind (Cone.plan reference.C.trajectory [ pipe ] pipe) Cone.cut_of = None)
+    (List.map Cone.depth (Cone.plan reference.C.trajectory [ pipe ] pipe) = [ None ])
 
 (* The guide's t = 0 row is the reference operating point on the
    cone's nodes, so it is a DC point of the cone: Newton only has to
@@ -470,7 +470,7 @@ let test_cut_reference () =
   let dut = Option.get (Cml_cells.Compile.find_cell design "n36") in
   let final = List.assoc (Cml_cells.Compile.default_output design) design.Cml_cells.Compile.outputs in
   let r = C.design_reference ~input ~dut ~final golden ~freq ~tstop in
-  Alcotest.(check (option int)) "cut on the active cone" (Some 430) r.C.cut;
+  Alcotest.(check (option int)) "cut on the active cone" (Some 430) r.C.active_cone;
   let cut = r.C.measurement in
   let full = C.measure_design ~input ~dut ~final golden ~freq ~tstop in
   let within what tol a b =
@@ -489,7 +489,37 @@ let test_cut_reference () =
   (match (cut.C.final_delay, full.C.final_delay) with
   | Some a, Some b -> within "final delay" 1e-12 a b
   | _ -> Alcotest.fail "both references must measure a delay");
-  within "supply" (1e-3 *. full.C.supply_current) cut.C.supply_current full.C.supply_current
+  within "supply" (1e-3 *. full.C.supply_current) cut.C.supply_current full.C.supply_current;
+  (* and it is pinned bit for bit: measuring the cut run from its own
+     rows must read what its streamed probes read *)
+  List.iter
+    (fun (what, pinned, v) -> Alcotest.(check (float 0.0)) ("pinned " ^ what) pinned v)
+    [
+      ("dut vlow", 0x1.87084f4d6a3a3p+1, cut.C.dut_vlow);
+      ("dut vhigh", 0x1.a713c04f8602dp+1, cut.C.dut_vhigh);
+      ("dut swing", 0x1.005b8810de45p-2, cut.C.dut_swing);
+      ("final vlow", 0x1.86b16abdd24f6p+1, cut.C.final_vlow);
+      ("final vhigh", 0x1.a6920661cde7p+1, cut.C.final_vhigh);
+      ("final swing", 0x1.fdccd1c1388fp-3, cut.C.final_swing);
+      ("final delay", 0x1.ef37209d76ea4p-31, Option.get cut.C.final_delay);
+      ("supply", 0x1.b197e8d27ff22p-3, cut.C.supply_current);
+      ("nominal low", 0x1.8766ab2e03001p+1, fst r.C.nominal);
+      ("nominal high", 0x1.a54aac5d43349p+1, snd r.C.nominal);
+    ]
+
+(* A reference is measured from its own dense run; the same run
+   measured through streaming probe observers reads bit for bit the
+   same. *)
+let test_reference_from_trajectory () =
+  let freq = 100e6 and tstop = 4e-9 in
+  let chain = Cml_cells.Chain.build ~stages:8 ~freq () in
+  let r = C.chain_reference chain ~freq ~tstop ~dut:3 in
+  let streamed =
+    C.measure_chain ~breakpoints:r.C.breakpoints chain chain.Cml_cells.Chain.builder.B.net ~freq
+      ~tstop ~dut:3
+  in
+  Alcotest.(check bool) "full reference" true (r.C.active_cone = None);
+  Alcotest.(check bool) "bit for bit" true (compare r.C.measurement streamed = 0)
 
 (* The cut needs a small active cone: the chain (every stage switches),
    a clocked design (the clock reaches every flip-flop) and a design
@@ -500,7 +530,7 @@ let test_full_reference_cases () =
   Alcotest.(check (option bool)) "chain's active cone over half" (Some false)
     (Option.map Cone.selected (Cone.active chain.Cml_cells.Chain.builder.B.net));
   Alcotest.(check (option int)) "chain" None
-    (C.chain_reference chain ~freq ~tstop ~dut:3).C.cut;
+    (C.chain_reference chain ~freq ~tstop ~dut:3).C.active_cone;
   let design_cut ?stimuli circuit =
     let d = Cml_cells.Compile.compile ~freq ?stimuli circuit in
     let out = snd (List.hd d.Cml_cells.Compile.outputs) in
@@ -511,7 +541,7 @@ let test_full_reference_cases () =
     let r =
       C.design_reference ~input:d.Cml_cells.Compile.input ~dut:out ~final:out golden ~freq ~tstop
     in
-    (r.C.cut, r.C.unknowns, Cone.golden_unknowns (Option.get (Cone.active golden)))
+    (r.C.active_cone, r.C.unknowns, Cone.golden_unknowns (Option.get (Cone.active golden)))
   in
   let cut, unknowns, golden_unknowns = design_cut (Cml_logic.Bench_format.s27 ()) in
   Alcotest.(check (option int)) "clocked s27" None cut;
@@ -539,7 +569,7 @@ let test_cut_campaign_slicing () =
       ~defects ()
   in
   let alone = run ~jobs:1 ~batch:false and sliced = run ~jobs:2 ~batch:true in
-  Alcotest.(check (option int)) "cut reference" (Some 430) alone.C.reference_cone;
+  Alcotest.(check (option int)) "cut reference" (Some 430) alone.C.active_cone;
   Alcotest.(check bool) "entries identical" true (compare alone.C.entries sliced.C.entries = 0)
 
 (* The cut at the healing depth of the c432 default DUT's cone: the DUT
@@ -711,6 +741,8 @@ let () =
           Alcotest.test_case "chain stage-8 tail short falls back" `Slow test_cone_chain_fallback;
           Alcotest.test_case "projected t = 0 row is a cone DC point" `Slow test_cone_projected_dc;
           Alcotest.test_case "cut reference matches the full one" `Slow test_cut_reference;
+          Alcotest.test_case "reference from its trajectory equals one from streams" `Slow
+            test_reference_from_trajectory;
           Alcotest.test_case "chain, clocked and two-input designs run the full reference" `Slow
             test_full_reference_cases;
           Alcotest.test_case "cut-reference campaign is slicing-independent" `Slow

@@ -144,6 +144,23 @@ let test_metrics_warm_cold_parity () =
   Alcotest.(check int) "newton iters accounted (cold)" cold.T.stats.T.newton_iters
     (counter_of "solver.newton_iters" d_cold)
 
+(* A run that gives up still publishes its work: a minimum step as
+   large as the maximum one turns the first rejected step into
+   [No_convergence], and the run's Newton iterations and the run
+   itself must still show in the registry. *)
+let test_metrics_aborted_run () =
+  let chain = Cml_cells.Chain.build ~stages:3 ~freq:1e9 () in
+  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
+  let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~min_step:10e-12 () in
+  let s0 = Metrics.snapshot () in
+  (match T.run (E.compile net) net cfg with
+  | _ -> Alcotest.fail "the run was expected to give up"
+  | exception E.No_convergence _ -> ());
+  let d = Metrics.diff s0 (Metrics.snapshot ()) in
+  Alcotest.(check int) "aborted run counted" 1 (counter_of "transient.runs" d);
+  Alcotest.(check bool) "its Newton iterations counted" true
+    (counter_of "solver.newton_iters" d > 0)
+
 (* ------------------------------------------------------------------ *)
 (* golden Chrome-trace fixture: deterministic events must render to
    exactly this JSON (the contract chrome://tracing / Perfetto load),
@@ -199,5 +216,6 @@ let () =
         [
           Alcotest.test_case "warm vs cold snapshot parity" `Quick
             test_metrics_warm_cold_parity;
+          Alcotest.test_case "aborted run still publishes" `Quick test_metrics_aborted_run;
         ] );
     ]
