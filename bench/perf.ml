@@ -60,10 +60,10 @@ let c432 =
 (* One Monte-Carlo sample pair on the paper's N = 45 sharing block
    after the nominal solves, what [Montecarlo.run] does per sample:
    perturb, compile (on the nominal layout, which the compile table
-   keeps), adopt the nominal sim's symbolic LU analysis and warm-start
-   the DC solve, for the fault-free and the faulty netlist.  The
-   nominal sims are built once; the perturbation seed is fixed so every
-   run does the same work. *)
+   keeps with its symbolic LU analysis) and warm-start the DC solve,
+   for the fault-free and the faulty netlist.  The nominal operating
+   points are solved once; the perturbation seed is fixed so every run
+   does the same work. *)
 let mc_nominals =
   lazy
     (let built = Cml_dft.Sharing.build ~multi_emitter:true ~n:45 () in
@@ -73,7 +73,7 @@ let mc_nominals =
      in
      let nominal net =
        let sim = E.compile net in
-       (net, sim, E.dc_operating_point sim)
+       (net, E.dc_operating_point sim)
      in
      [ nominal golden; nominal faulty ])
 
@@ -87,9 +87,8 @@ let at_operating_point net =
 
 let mc_sample_pair nominals =
   List.iter
-    (fun (net, donor, x0) ->
+    (fun (net, x0) ->
       let sim = E.compile (Cml_defects.Variation.perturb ~seed:1 net) in
-      E.share_symbolic ~donor sim;
       ignore (E.dc_from sim x0))
     nominals
 

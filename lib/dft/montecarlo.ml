@@ -41,11 +41,11 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let decision = (lo +. hi) /. 2.0 in
   (* the unperturbed sims and operating points: process variation
      moves values, not topology, so every perturbed sample compiles on
-     its netlist's nominal layout and adopts the nominal sim's pivot
-     order — one symbolic analysis per netlist for the whole run (an
-     unstable pivot falls back to a fresh factorization) — and its
-     Newton solve starts from the nominal solution ([dc_from] falls
-     back to the homotopy ladder when a sample strays too far) *)
+     its netlist's nominal layout, whose symbolic LU analysis its first
+     factorization adopts where a pivot search would pick the same
+     pivots, and its Newton solve starts from the nominal solution
+     ([dc_from] falls back to the homotopy ladder when a sample strays
+     too far) *)
   let nominal net =
     if warm_start then
       let sim = E.compile net in
@@ -56,7 +56,6 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   let measure net nom k =
     let perturbed = Cml_defects.Variation.perturb ~spec ~seed:(seed + k) net in
     let sim = E.compile perturbed in
-    Option.iter (fun (donor, _) -> E.share_symbolic ~donor sim) nom;
     let x = match nom with Some (_, x0) -> E.dc_from sim x0 | None -> E.dc_operating_point sim in
     E.publish_metrics sim;
     let vfb = E.voltage x built.Sharing.readout.Readout.vfb in
@@ -117,7 +116,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   in
   Option.iter (fun path -> Tel.Manifest.write ~path (to_manifest ~seed ~options:run_options r)) manifest;
   (* Finish the major cycle before returning.  OCaml 5's major GC is
-     paced by allocation; with the shared symbolic analysis a run no
+     paced by allocation; with the layout's symbolic analysis a run no
      longer allocates a fresh set of LU arrays per sample, so the
      major GC falls behind the per-sample garbage (perturbed netlists,
      sample sims) and back-to-back runs grow the heap — about 15%

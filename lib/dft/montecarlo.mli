@@ -50,9 +50,11 @@ val run :
     from the matching nominal operating point, falling back to the
     cold homotopies when a sample diverges.  Each sample compiles on
     its netlist's nominal layout ({!Cml_spice.Engine.compile} shares
-    it by topology) and adopts the nominal sim's symbolic LU analysis
-    ({!Cml_spice.Engine.share_symbolic}), so a run builds one layout
-    and one symbolic analysis per netlist instead of one per sample.
+    it by topology, with the layout's symbolic LU analysis), so a run
+    builds one layout per netlist instead of one per sample, and a
+    sample's first factorization adopts the layout's pivot order
+    wherever a fresh search would pick it.  Samples still count one
+    [solver.symbolic_factorizations] each.
     The run ends with one full major collection, which keeps the peak
     heap of back-to-back runs flat.
 

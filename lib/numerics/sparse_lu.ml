@@ -387,6 +387,75 @@ let refactorize f (a : Sparse.csc) =
     !ok
   end
 
+(* [refactorize]'s elimination for [adopt], in place in [f]'s value
+   arrays, keeping each recorded pivot only where [factor_in_order]
+   would choose it on these values: every candidate finite, and the
+   pivot the diagonal with |diag| >= [diag_preference] * max, or else
+   the strict maximum of its column with the diagonal below that
+   fraction of it.  A tie refuses, since the search would take the
+   first in reach order.  The pivots then equal the search's column by
+   column, so do the reach sets and their order, hence every stored
+   entry: where the search updates with a zero multiplier this kernel
+   skips the update, and with every L entry at most 1 / [diag_preference]
+   in magnitude that update subtracts a signed zero from a value that
+   is never -0, which changes no bit.  A refusal leaves [f]'s scratch
+   dirty: the caller drops [f]. *)
+let eliminate_searched f values =
+  let n = f.n and x = f.work and q = f.q and pinv = f.pinv in
+  let a_cols = f.a_cols and a_prows = f.a_prows in
+  let l_colptr = f.l_colptr and l_rowind = f.l_rowind and l_values = f.l_values in
+  let u_colptr = f.u_colptr and u_rowind = f.u_rowind and u_values = f.u_values in
+  let ok = ref true in
+  let j = ref 0 in
+  while !ok && !j < n do
+    let jj = !j in
+    let col = q.!(jj) in
+    for p = a_cols.!(col) to a_cols.!(col + 1) - 1 do
+      let r = a_prows.!(p) in
+      x.%(r) <- x.%(r) +. values.%(p)
+    done;
+    let dpos = u_colptr.!(jj + 1) - 1 in
+    for p = u_colptr.!(jj) to dpos - 1 do
+      let k = u_rowind.!(p) in
+      let xk = x.%(k) in
+      u_values.%(p) <- xk;
+      x.%(k) <- 0.0;
+      if xk <> 0.0 then
+        for pl = l_colptr.!(k) + 1 to l_colptr.!(k + 1) - 1 do
+          let r = l_rowind.!(pl) in
+          x.%(r) <- x.%(r) -. (l_values.%(pl) *. xk)
+        done
+    done;
+    let pivot = x.%(jj) in
+    let apiv = Float.abs pivot in
+    (* the largest other candidate; a NaN one makes it NaN *)
+    let lmax = ref 0.0 in
+    for p = l_colptr.!(jj) + 1 to l_colptr.!(jj + 1) - 1 do
+      let ax = Float.abs x.%(l_rowind.!(p)) in
+      if ax > !lmax then lmax := ax else if ax <> ax then lmax := nan
+    done;
+    (* the diagonal's pivotal position: it is this column's pivot, an L
+       row of it (or, outside the reach, a zero of the clean scratch),
+       or already pivotal *)
+    let d = pinv.!(col) in
+    ok :=
+      apiv >= pivot_abs_threshold && apiv < infinity && !lmax < infinity
+      &&
+      if d = jj then apiv >= diag_preference *. !lmax
+      else apiv > !lmax && (d < jj || Float.abs x.%(d) < diag_preference *. apiv);
+    if !ok then begin
+      x.%(jj) <- 0.0;
+      u_values.%(dpos) <- pivot;
+      for p = l_colptr.!(jj) + 1 to l_colptr.!(jj + 1) - 1 do
+        let r = l_rowind.!(p) in
+        l_values.%(p) <- x.%(r) /. pivot;
+        x.%(r) <- 0.0
+      done;
+      incr j
+    end
+  done;
+  !ok
+
 let last_refactor_failure f = f.last_failure
 
 (* The triangular solves, in elimination numbering: [w] holds the
@@ -524,25 +593,37 @@ let health f (a : Sparse.csc) =
     condition_estimate = (if dmin > 0.0 then !dmax /. dmin else 0.0);
   }
 
-(* Sharing a symbolic analysis between structurally identical systems
-   (Monte-Carlo samples of one netlist): the index arrays, pivot order
-   and column order are immutable after [factorize], so a second
-   matrix with the same pattern *content* can reuse them wholesale and
-   only needs its own numeric storage.  The adopted factor starts with
-   meaningless values — the caller must [refactorize] it (and fall
-   back to [repivot] if the donor's pivot order is unstable for the
-   new values). *)
-let adopt_symbolic donor (a : Sparse.csc) =
-  if same_pattern donor a then
-    Some
+type symbolic = factor
+
+(* Only the index arrays, immutable once built, are kept: the value
+   arrays of the source factor stay its own. *)
+let symbolic f =
+  { f with l_values = [||]; u_values = [||]; qwork = [||]; work = [||]; last_failure = None }
+
+(* A fresh factor on [s]'s analysis, kept only when the strict
+   elimination finds every recorded pivot to be the searched one.  A
+   completed elimination writes every entry but L's unit diagonals,
+   which the fill value provides. *)
+let adopt s (a : Sparse.csc) =
+  if not (same_pattern s a) then None
+  else begin
+    check_length "adopt" a.Sparse.values (Array.length s.a_prows);
+    let f =
       {
-        donor with
-        l_values = Array.make (Array.length donor.l_values) 0.0;
-        u_values = Array.make (Array.length donor.u_values) 0.0;
-        qwork = (if donor.q_identity then [||] else Array.make donor.n 0.0);
+        s with
+        l_values = Array.make (Array.length s.l_rowind) 1.0;
+        u_values = Array.make (Array.length s.u_rowind) 0.0;
+        qwork = (if s.q_identity then [||] else Array.make s.n 0.0);
         a_colptr = a.Sparse.colptr;
         a_rowind = a.Sparse.rowind;
-        work = Array.make donor.n 0.0;
-        last_failure = None;
+        work = Array.make s.n 0.0;
       }
-  else None
+    in
+    if eliminate_searched f a.Sparse.values then Some f else None
+  end
+
+let factors f =
+  let csc colptr rowind values = { Sparse.n = f.n; colptr; rowind; values } in
+  ( csc (Array.copy f.l_colptr) (Array.copy f.l_rowind) (Array.copy f.l_values),
+    csc (Array.copy f.u_colptr) (Array.copy f.u_rowind) (Array.copy f.u_values),
+    Array.copy f.pinv )

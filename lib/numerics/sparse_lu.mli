@@ -145,11 +145,30 @@ val health : factor -> Sparse.csc -> health
     matrix it factored.  Pure O(nnz) scans: safe to call at run
     boundaries, not meant for the per-solve hot path. *)
 
-val adopt_symbolic : factor -> Sparse.csc -> factor option
-(** [adopt_symbolic donor a] shares the donor's symbolic analysis
-    (orderings, patterns, pivot order — immutable after
-    {!factorize}) with a matrix whose pattern has the same {e
-    content}, returning a factor with fresh numeric storage that the
-    caller must {!refactorize} before solving (falling back to
-    {!repivot} if the donor's pivot order is unstable for the new
-    values).  [None] when the patterns differ. *)
+type symbolic
+(** A factor's value-free symbolic analysis: column order, pivot order
+    and L/U patterns, which stay valid for every matrix of its
+    pattern. *)
+
+val symbolic : factor -> symbolic
+(** The analysis of a factor, sharing its immutable index arrays and
+    none of its values. *)
+
+val adopt : symbolic -> Sparse.csc -> factor option
+(** [adopt s a] runs the numeric elimination of [a] along [s] and
+    checks, column by column, that each recorded pivot is the one
+    {!factorize_in} would choose on [a]'s values in [s]'s column order:
+    the diagonal when its magnitude is at least [1e-3] of its column's
+    largest candidate, otherwise the strict largest.  On success the
+    factor is bit-identical to [factorize_in] in that order (L, U, row
+    permutation, and so every solve).  [None] when the patterns'
+    contents differ, a candidate is NaN or infinite, a pivot is below
+    the absolute threshold, ties another candidate or is not the one
+    the search would pick: the caller then runs {!factorize_in}.
+    @raise Invalid_argument when [a.values] does not hold exactly one
+    value per stored entry. *)
+
+val factors : factor -> Sparse.csc * Sparse.csc * int array
+(** Copies of L (unit diagonal first in each column) and U (diagonal
+    last), both in pivotal row numbering, and of the row permutation
+    (original row to pivotal position); for inspection and tests. *)

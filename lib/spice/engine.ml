@@ -105,11 +105,9 @@ type sim = {
           stability allow it *)
   mutable n_symbolic : int;  (** full factorizations performed *)
   mutable n_numeric : int;  (** numeric-only refactorizations *)
-  mutable n_shared : int;  (** symbolic analyses adopted from a donor sim *)
-  mutable donor : Cml_numerics.Sparse_lu.factor option;
-      (** a structurally identical sim's factor offered via
-          {!share_symbolic}; tried once before the first full
-          factorization *)
+  symbolic : Cml_numerics.Sparse_lu.symbolic option Atomic.t;
+      (** the layout's symbolic analysis, offered to the first
+          factorization; shared by every sim of one layout *)
   slots : int array;
       (** where each matrix stamp lands, in assembly order (the gshunt
           diagonal of every node unknown, then each device's stamps):
@@ -352,9 +350,11 @@ let seed_of net ~nunk =
    pattern and the LU column order of that pattern are a pure function
    of the compiled device structure, so one process-wide table of the
    last [layout_bound] structures serves every netlist of a topology.
-   Entries hold no values and no pivot order (both depend on values):
-   races between domains, eviction and lookup order change speed,
-   never results. *)
+   Entries hold no values.  The pivot order depends on values, so the
+   symbolic analysis an entry carries, published by the first sim of
+   the layout that ran a pivot search, is adopted only where a fresh
+   search would pick the same pivots ([Sparse_lu.adopt]): races between
+   domains, eviction and lookup order change speed, never results. *)
 
 type layout = {
   l_key : int array;
@@ -362,6 +362,7 @@ type layout = {
   l_slots : int array;
   l_pattern : Cml_numerics.Sparse.csc;  (** its [values] are [[||]] *)
   l_order : Cml_numerics.Sparse_lu.order;
+  l_symbolic : Cml_numerics.Sparse_lu.symbolic option Atomic.t;  (** first published wins *)
 }
 
 (* A device's shape tag and the unknowns its stamps sit on, packed 20
@@ -438,6 +439,7 @@ let build_layout ~nv ~nunk sdevs =
       l_slots = slots;
       l_pattern = { a with Cml_numerics.Sparse.values = [||] };
       l_order = Cml_numerics.Sparse_lu.column_order a;
+      l_symbolic = Atomic.make None;
     },
     a.Cml_numerics.Sparse.values )
 
@@ -479,8 +481,7 @@ let compile ?(options = default_options) net =
     lu = None;
     n_symbolic = 0;
     n_numeric = 0;
-    n_shared = 0;
-    donor = None;
+    symbolic = l.l_symbolic;
     slots = l.l_slots;
     soff = l.l_soff;
     order = l.l_order;
@@ -851,13 +852,57 @@ let chord_allowed sim =
   && sim.chord_run < chord_max_run
   && c.step1 <= chord_contraction *. c.step2
 
-(* A new symbolic analysis is in [lu]: price its refactorization
-   against one more iteration's assembly (the stamps) and solve. *)
+(* Install [f], a new symbolic analysis: count it, and price its
+   refactorization against one more iteration's assembly (the stamps)
+   and solve. *)
 let install_factor sim f =
   sim.lu <- Some f;
+  sim.n_symbolic <- sim.n_symbolic + 1;
   let nl, nu = Cml_numerics.Sparse_lu.lu_nnz f in
   sim.chord_pays <-
-    Cml_numerics.Sparse_lu.refactor_work f > 2 * (Array.length sim.slots + nl + nu)
+    Cml_numerics.Sparse_lu.refactor_work f > 2 * (Array.length sim.slots + nl + nu);
+  f
+
+(* Process-wide tally of first factorizations, by outcome.  Which sim
+   publishes a layout's analysis, and so these counts, depends on
+   scheduling: they go to [symbolic_adoptions] and the trace, never to
+   the metrics registry. *)
+let adopted = Atomic.make 0
+let refused = Atomic.make 0
+let unoffered = Atomic.make 0
+
+let note_first_factor tally outcome =
+  Atomic.incr tally;
+  if Cml_telemetry.Trace.enabled () then
+    Cml_telemetry.Trace.instant ~cat:"solver" "lu.first_factor"
+      ~args:[ ("outcome", Cml_telemetry.Trace.S outcome) ]
+
+(* A sim's first factorization, in the layout's column order: the
+   layout's symbolic analysis when a fresh pivot search would pick the
+   same pivots on these values (so the factor is bit-identical to the
+   search's), else the search, whose analysis the layout keeps when it
+   has none yet. *)
+let first_factor sim a =
+  match Atomic.get sim.symbolic with
+  | Some s -> (
+      match Cml_numerics.Sparse_lu.adopt s a with
+      | Some f ->
+          note_first_factor adopted "adopted";
+          f
+      | None ->
+          let f = Cml_numerics.Sparse_lu.factorize_in sim.order a in
+          note_first_factor refused "refused";
+          f)
+  | None ->
+      let f = Cml_numerics.Sparse_lu.factorize_in sim.order a in
+      ignore (Atomic.compare_and_set sim.symbolic None (Some (Cml_numerics.Sparse_lu.symbolic f)));
+      note_first_factor unoffered "unoffered";
+      f
+
+type adoption_tally = { adopted : int; refused : int; unoffered : int }
+
+let symbolic_adoptions () =
+  { adopted = Atomic.get adopted; refused = Atomic.get refused; unoffered = Atomic.get unoffered }
 
 (* [out] receives the next iterate from the current one [x]. *)
 let solve_linear_into sim x out =
@@ -884,13 +929,6 @@ let solve_linear_into sim x out =
          only the numeric elimination repeats; a degraded pivot falls
          back to a full factorization with a fresh pivot order in the
          kept column order, which depends on the pattern only *)
-      let install f =
-        install_factor sim f;
-        sim.n_symbolic <- sim.n_symbolic + 1;
-        f
-      in
-      let fresh_factorize () = install (Cml_numerics.Sparse_lu.factorize_in sim.order a) in
-      let repivot f = install (Cml_numerics.Sparse_lu.repivot f a) in
       let f =
         match lu with
         | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
@@ -898,30 +936,8 @@ let solve_linear_into sim x out =
             f
         | Some f ->
             note_fallback sim f;
-            repivot f
-        | None -> begin
-            (* first factorization, in the layout's column order.  A
-               donor sim of the same layout may have offered its
-               symbolic analysis — adopt it (patterns, pivot order) and
-               only run the numeric elimination, unless its pivot order
-               is unstable for this sim's values *)
-            match sim.donor with
-            | None -> fresh_factorize ()
-            | Some d -> begin
-                sim.donor <- None;
-                match Cml_numerics.Sparse_lu.adopt_symbolic d a with
-                | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
-                    install_factor sim f;
-                    sim.n_shared <- sim.n_shared + 1;
-                    f
-                | Some f ->
-                    (* the donor's pivot order is unstable for this
-                       sim's values *)
-                    note_fallback sim f;
-                    repivot f
-                | None -> fresh_factorize ()
-              end
-          end
+            install_factor sim (Cml_numerics.Sparse_lu.repivot f a)
+        | None -> install_factor sim (first_factor sim a)
       in
       sim.rt_have_factor <- true;
       sim.chord.f_geq <- sim.rt_geq;
@@ -931,7 +947,6 @@ let solve_linear_into sim x out =
 type solver_stats = {
   symbolic_factorizations : int;
   numeric_refactorizations : int;
-  shared_symbolic : int;
   newton_iters : int;
   device_loads : int;
   bypassed_loads : int;
@@ -962,7 +977,6 @@ let solver_stats sim =
   {
     symbolic_factorizations = sim.n_symbolic;
     numeric_refactorizations = sim.n_numeric;
-    shared_symbolic = sim.n_shared;
     newton_iters = sim.n_newton_iters;
     device_loads = sim.n_diode_loads + sim.n_bjt_loads;
     bypassed_loads = sim.n_diode_bypassed + sim.n_bjt_bypassed;
@@ -996,7 +1010,6 @@ let zero_stats =
   {
     symbolic_factorizations = 0;
     numeric_refactorizations = 0;
-    shared_symbolic = 0;
     newton_iters = 0;
     device_loads = 0;
     bypassed_loads = 0;
@@ -1037,8 +1050,6 @@ let device_label sim di =
 
 let jacobian sim = sim.a
 
-let share_symbolic ~donor sim = if Option.is_some donor.lu then sim.donor <- donor.lu
-
 let lu_fill sim = Option.map Cml_numerics.Sparse_lu.lu_nnz sim.lu
 
 (* Global metrics-registry handles.  Per-iteration counting stays in
@@ -1056,7 +1067,6 @@ let m_bypassed = M.counter "engine.bypassed_loads"
 let m_reused = M.counter "solver.reused_factorizations"
 let m_skipped = M.counter "solver.skipped_solves"
 let m_chord = M.counter "solver.chord_steps"
-let m_shared = M.counter "solver.shared_symbolic"
 let m_lu_fill = M.high_water "solver.lu_fill_nnz"
 let m_lu_fill_ratio = M.high_water "solver.lu_fill_ratio"
 let m_ordering_amd = M.counter "solver.ordering.amd"
@@ -1081,7 +1091,6 @@ let publish_metrics ?(since = zero_stats) sim =
   M.add m_reused (now.reused_factorizations - since.reused_factorizations);
   M.add m_skipped (now.skipped_solves - since.skipped_solves);
   M.add m_chord (now.chord_steps - since.chord_steps);
-  M.add m_shared (now.shared_symbolic - since.shared_symbolic);
   M.add m_diode_loads (now.diode_loads - since.diode_loads);
   M.add m_diode_bypassed (now.diode_bypassed - since.diode_bypassed);
   M.add m_bjt_loads (now.bjt_loads - since.bjt_loads);
@@ -1096,13 +1105,9 @@ let publish_metrics ?(since = zero_stats) sim =
     M.set m_lu_fill_ratio now.lu_fill_ratio;
     M.set m_pivot_growth now.lu_pivot_growth;
     M.set m_condition now.lu_condition;
-    (* count symbolic analyses — computed or adopted from a donor — by
-       the ordering they ended up with, so a metrics snapshot shows
-       which path large designs actually take *)
-    let fresh =
-      now.symbolic_factorizations - since.symbolic_factorizations + now.shared_symbolic
-      - since.shared_symbolic
-    in
+    (* count symbolic analyses by the ordering they ended up with, so
+       a metrics snapshot shows which path large designs actually take *)
+    let fresh = now.symbolic_factorizations - since.symbolic_factorizations in
     if fresh > 0 then
       M.add (if now.lu_ordering = "amd" then m_ordering_amd else m_ordering_natural) fresh
   end

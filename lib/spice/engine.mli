@@ -61,7 +61,14 @@ val compile : ?options:options -> Netlist.t -> sim
     slots, CSC pattern, LU column order) depends only on the device
     structure, so sims of one topology share it: a process-wide table
     keeps the last {!layout_bound} layouts, and a hit builds only the
-    device records.  Hit or miss, a sim solves bit-identically.
+    device records.  Each layout also keeps one value-free symbolic LU
+    analysis (pivot order and L/U patterns), published by the first of
+    its sims that runs a pivot search.  A sim's first factorization
+    adopts it when a fresh search would pick the same pivots on the
+    sim's values ({!Cml_numerics.Sparse_lu.adopt}), paying only the
+    numeric elimination, and searches otherwise (see
+    {!symbolic_adoptions}).  Hit or miss, adopted or searched, a sim
+    solves bit-identically, whatever filled the table.
     @raise Invalid_argument on a non-positive resistance. *)
 
 val layout_bound : int
@@ -142,14 +149,11 @@ type solver_stats = {
   symbolic_factorizations : int;
       (** full sparse LU factorizations (symbolic analysis + numeric),
           performed once per Jacobian pattern or after a pivot
-          degraded *)
+          degraded; a first factorization that adopts its layout's
+          analysis counts too, since it produces the same factor *)
   numeric_refactorizations : int;
       (** numeric-only refactorizations reusing the cached symbolic
           analysis — the cheap per-Newton-iteration path *)
-  shared_symbolic : int;
-      (** symbolic analyses (L/U patterns and pivot order) adopted
-          from a donor sim via {!share_symbolic} instead of being
-          recomputed *)
   newton_iters : int;
       (** Newton iterations (assemble + linear solve) since
           {!compile} *)
@@ -238,15 +242,18 @@ val lu_fill : sim -> (int * int) option
 (** [(nnz L, nnz U)] of the cached LU factor, [None] before the first
     factorization. *)
 
-val share_symbolic : donor:sim -> sim -> unit
-(** Offer the donor's cached sparse symbolic analysis (column
-    ordering, L/U patterns, pivot order) to [sim], to be adopted at
-    its first factorization if the Jacobian patterns match.  The pivot
-    order depends on the donor's values, so the caller must fix the
-    donor by program order (Monte-Carlo samples adopt their nominal
-    sim's) for results not to depend on scheduling.  A stale or
-    mismatched offer is harmless: adoption silently falls back to a
-    full factorization.  No-op unless the donor has factored. *)
+type adoption_tally = {
+  adopted : int;  (** first factorizations that adopted their layout's analysis *)
+  refused : int;  (** ... that searched because a fresh search picks other pivots *)
+  unoffered : int;  (** ... that searched because the layout had no analysis yet *)
+}
+
+val symbolic_adoptions : unit -> adoption_tally
+(** Process-wide counts of first factorizations by outcome since
+    start-up, also recorded as [lu.first_factor] trace instants.  They
+    depend on which sim published each analysis, hence on scheduling
+    and on earlier work in the process, so they are kept out of
+    {!solver_stats} and the metrics registry. *)
 
 val publish_metrics : ?since:solver_stats -> sim -> unit
 (** Fold this sim's counter movement since [since] (default: a fresh
@@ -255,8 +262,7 @@ val publish_metrics : ?since:solver_stats -> sim -> unit
     [engine.bypassed_loads], per-class [engine.diode_*] /
     [engine.bjt_*], [solver.*_refactorizations],
     [solver.reused_factorizations], [solver.skipped_solves],
-    [solver.chord_steps],
-    [solver.shared_symbolic], [solver.fallback.*],
+    [solver.chord_steps], [solver.fallback.*],
     [solver.lu_fill_nnz], [solver.lu_fill_ratio],
     [solver.lu_pivot_growth], [solver.lu_condition],
     [solver.ordering.*]).  Called at run boundaries, never inside the

@@ -666,6 +666,56 @@ let test_cut_sites () =
   Alcotest.(check bool) "cut decisions identical at jobs 1 and 2" true
     (compare camp.C.entries pooled.C.entries = 0)
 
+(* A few c432 sites, at one and two jobs, each from an empty layout
+   table and from one a same-process run left warm: first
+   factorizations adopt whatever analyses the table holds only where a
+   pivot search agrees, so all four publish the same solver counters
+   and per-variant metrics. *)
+let test_adoption_independent () =
+  let freq = 200e6 and tstop = 1.5e-9 in
+  let design = c432 () in
+  let golden = Cml_cells.Compile.netlist design in
+  let input = design.Cml_cells.Compile.input in
+  let dut = Option.get (Cml_cells.Compile.find_cell design "n36") in
+  let final = List.assoc (Cml_cells.Compile.default_output design) design.Cml_cells.Compile.outputs in
+  let names = [ "b-c short on n36.lsn.qf"; "c-e short on n36.q1" ] in
+  let defects =
+    List.filter
+      (fun d -> List.mem (D.describe d) names)
+      (Cml_defects.Sites.enumerate golden ~prefix:"n36" ~pipe_values:[ 4e3 ])
+  in
+  Alcotest.(check int) "two sites" 2 (List.length defects);
+  let run ~jobs =
+    let before = E.symbolic_adoptions () in
+    let camp = C.run_design ~freq ~tstop ~jobs ~input ~dut ~final ~golden ~defects () in
+    let solver =
+      List.filter (fun (k, _) -> String.starts_with ~prefix:"solver." k) camp.C.metrics
+    in
+    let variants =
+      List.map
+        (fun (v : Cml_telemetry.Manifest.variant) -> (v.v_name, v.v_classes, v.v_metrics))
+        camp.C.variants
+    in
+    ((solver, variants), (E.symbolic_adoptions ()).E.adopted - before.E.adopted)
+  in
+  let runs =
+    List.concat_map
+      (fun jobs ->
+        Layout_table.evict ();
+        let cold = run ~jobs in
+        [ (Printf.sprintf "jobs %d cold" jobs, cold); (Printf.sprintf "jobs %d warm" jobs, run ~jobs) ])
+      [ 1; 2 ]
+  in
+  let (reference, _) = snd (List.hd runs) in
+  Alcotest.(check bool) "solver counters published" true (fst reference <> []);
+  List.iter
+    (fun (what, (digest, adopted)) ->
+      Alcotest.(check bool) (Printf.sprintf "%s (%d adopted) equals jobs 1 cold" what adopted) true
+        (compare digest reference = 0))
+    runs;
+  Alcotest.(check bool) "the warm runs adopt" true
+    (List.for_all (fun (what, (_, adopted)) -> adopted > 0 || String.ends_with ~suffix:"cold" what) runs)
+
 (* A variant that raises an exception the campaign does not expect
    fails alone with an "internal" reason, whatever the scheduling.  The
    poison: a final-output pair whose true side a cone owns and whose
@@ -751,6 +801,8 @@ let () =
           Alcotest.test_case "c432 sites on the cut, aborted at DC and mid-run" `Slow
             test_cut_sites;
           Alcotest.test_case "a poisoned variant fails alone" `Slow test_poisoned_variant;
+          Alcotest.test_case "c432 counters independent of the layout table and jobs" `Slow
+            test_adoption_independent;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_batch_matches_sequential ] );

@@ -585,6 +585,139 @@ let test_repivot_pattern_mismatch () =
     [ ("same size, other pattern", 16); ("other size", 20) ]
 
 (* ------------------------------------------------------------------ *)
+(* Adopting a symbolic analysis where the pivot search agrees *)
+
+let csc_bits (m : Cml_numerics.Sparse.csc) =
+  ( m.Cml_numerics.Sparse.colptr,
+    m.Cml_numerics.Sparse.rowind,
+    Array.map Int64.bits_of_float m.Cml_numerics.Sparse.values )
+
+(* L, U and the row permutation, bit for bit, and a solve *)
+let factor_bits f rhs =
+  let l, u, pinv = L.factors f in
+  (csc_bits l, csc_bits u, pinv, Array.map Int64.bits_of_float (L.solve f rhs))
+
+(* [a] with the value at (i, j) replaced *)
+let with_entry (a : Cml_numerics.Sparse.csc) i j v =
+  let values = Array.copy a.Cml_numerics.Sparse.values in
+  for p = a.Cml_numerics.Sparse.colptr.(j) to a.Cml_numerics.Sparse.colptr.(j + 1) - 1 do
+    if a.Cml_numerics.Sparse.rowind.(p) = i then values.(p) <- v
+  done;
+  { a with Cml_numerics.Sparse.values }
+
+let adopted s a = Option.is_some (L.adopt s a)
+
+(* Column 0 holds the diagonal and two rows below it; the first pivot
+   is the diagonal while |a00| >= 1e-3 * 100, row 1 below that. *)
+let three =
+  csc_of_entries
+    [ (0, 0, 1.0); (1, 0, 100.0); (2, 0, 50.0); (0, 1, 1.0); (1, 1, 2.0); (2, 1, 1.0); (1, 2, 1.0);
+      (2, 2, 3.0) ]
+    3
+
+(* Column 0's pivot is row 1 (|a00| is below 1e-3 * 100), column 1's
+   row 0 and column 2's row 2, and changing a20 alone moves no later
+   pivot: a tie at column 0 is all that stands between it and the
+   recorded order. *)
+let tied a20 =
+  csc_of_entries [ (0, 0, 1e-5); (1, 0, 100.0); (2, 0, a20); (0, 1, 1.0); (1, 2, 1.0); (2, 2, 1.0) ] 3
+
+(* Column 0's L entry a20 meets only the explicit zero a02 later, so a
+   non-finite one reaches no later candidate. *)
+let isolated a20 =
+  csc_of_entries [ (0, 0, 1.0); (2, 0, a20); (1, 1, 1.0); (0, 2, 0.0); (2, 2, 1.0) ] 3
+
+let analysis_of a = L.symbolic (L.factorize_in (L.column_order a) a)
+
+let test_adopt_refusals () =
+  let diag = analysis_of three in
+  Alcotest.(check bool) "the same values adopt" true (adopted diag three);
+  Alcotest.(check bool) "a diagonal still preferred adopts" true
+    (adopted diag (with_entry three 0 0 0.2));
+  Alcotest.(check bool) "a diagonal below 1e-3 of the column refuses" false
+    (adopted diag (with_entry three 0 0 0.05));
+  let below = with_entry three 0 0 1e-5 in
+  let offdiag = analysis_of below in
+  Alcotest.(check bool) "the row-1 pivot adopts" true (adopted offdiag (with_entry three 0 0 2e-5));
+  Alcotest.(check bool) "a diagonal back above 1e-3 of the column refuses" false
+    (adopted offdiag three);
+  let by_row1 = analysis_of (tied 50.0) in
+  Alcotest.(check bool) "the same pivots adopt" true (adopted by_row1 (tied (-60.0)));
+  Alcotest.(check bool) "a tie with another candidate refuses" false
+    (adopted by_row1 (tied (-100.0)));
+  Alcotest.(check bool) "a larger other candidate refuses" false (adopted by_row1 (tied 100.5));
+  let by_diag = analysis_of (isolated 0.5) in
+  Alcotest.(check bool) "a finite isolated entry adopts" true (adopted by_diag (isolated 0.25));
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check bool) (what ^ " on a diagonal refuses") false
+        (adopted diag (with_entry three 1 1 v));
+      Alcotest.(check bool) (what ^ " below a pivot refuses") false
+        (adopted diag (with_entry three 2 0 v));
+      Alcotest.(check bool) (what ^ " reaching no later candidate refuses") false
+        (adopted by_diag (isolated v)))
+    [ ("NaN", nan); ("+Inf", infinity); ("-Inf", neg_infinity) ];
+  Alcotest.(check bool) "another pattern refuses" false
+    (adopted diag (csc_of_entries [ (0, 0, 1.0); (1, 1, 1.0); (2, 2, 1.0); (1, 0, 1.0) ] 3));
+  Alcotest.(check bool) "another size refuses" false
+    (adopted diag (csc_of_entries (arrow 4) 4));
+  (* accepted, the factor is the search's in the same order *)
+  let b = with_entry three 0 0 0.2 and rhs = [| 1.0; -2.0; 0.5 |] in
+  Alcotest.(check bool) "L, U, pinv and a solve bit-identical to factorize_in" true
+    (factor_bits (Option.get (L.adopt diag b)) rhs
+    = factor_bits (L.factorize_in (L.column_order b) b) rhs)
+
+(* Values scaled per entry by a factor near 1 (the pivot order mostly
+   holds) or anywhere in [-1, 1] (the search mostly leaves it): an
+   adoption that is accepted is [factorize_in] in the same column
+   order, bit for bit, and one that is refused is one the search
+   disagrees with or cannot do. *)
+let prop_adopt_is_factorize_in =
+  QCheck2.Test.make ~name:"an accepted adoption is factorize_in, bit for bit" ~count:300
+    QCheck2.Gen.(triple mna_system_gen int bool)
+    (fun (((_, _, rhs) as sys), seed, mild) ->
+      let a = mna_matrix sys in
+      let st = Random.State.make [| seed |] in
+      let scale () =
+        if mild then 1.0 +. Random.State.float st 0.02 -. 0.01 else Random.State.float st 2.0 -. 1.0
+      in
+      let b =
+        { a with Cml_numerics.Sparse.values = Array.map (fun v -> v *. scale ()) a.Cml_numerics.Sparse.values }
+      in
+      List.for_all
+        (fun ordering ->
+          let order = L.column_order ~ordering a in
+          match L.factorize_in order a with
+          | exception L.Singular _ -> true
+          | f -> (
+              let fresh = match L.factorize_in order b with f -> Some f | exception L.Singular _ -> None in
+              match (L.adopt (L.symbolic f) b, fresh) with
+              | Some g, Some h -> factor_bits g rhs = factor_bits h rhs
+              | Some _, None -> false
+              | None, (Some _ | None) -> true))
+        [ L.Natural; L.Amd ])
+
+(* Mild perturbations keep the MNA pivots: most adoptions are taken *)
+let test_adopt_mostly_accepted () =
+  let accepted = ref 0 and tried = ref 0 in
+  let st = Random.State.make [| 7 |] in
+  for _ = 1 to 100 do
+    let sys = QCheck2.Gen.generate1 ~rand:st mna_system_gen in
+    let a = mna_matrix sys in
+    let b =
+      {
+        a with
+        Cml_numerics.Sparse.values =
+          Array.map (fun v -> v *. (1.0 +. Random.State.float st 0.02 -. 0.01)) a.Cml_numerics.Sparse.values;
+      }
+    in
+    incr tried;
+    if adopted (analysis_of a) b then incr accepted
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d of %d accepted" !accepted !tried) true
+    (!accepted * 10 >= !tried * 9)
+
+(* ------------------------------------------------------------------ *)
 (* The array-based ordering against the list-based reference *)
 
 module O = Cml_numerics.Ordering
@@ -772,6 +905,9 @@ let () =
           Alcotest.test_case "repivot after an unstable pivot" `Quick
             test_repivot_after_unstable_pivot;
           Alcotest.test_case "repivot on another pattern" `Quick test_repivot_pattern_mismatch;
+          Alcotest.test_case "adoption refuses where the search disagrees" `Quick
+            test_adopt_refusals;
+          Alcotest.test_case "mild value changes adopt" `Quick test_adopt_mostly_accepted;
         ] );
       ( "ordering",
         [
@@ -803,5 +939,6 @@ let () =
             prop_natural_fill_cap;
             prop_capped_auto_decision;
             prop_repivot_matches_factorize;
+            prop_adopt_is_factorize_in;
           ] );
     ]

@@ -424,12 +424,21 @@ let counter name (r : MC.result) =
 let mc_seed = 100000
 let mc ~jobs () = MC.run ~n:45 ~samples:8 ~jobs ~seed:mc_seed ()
 
+(* From an empty layout table the two nominal sims search and publish
+   their layouts' analyses; each of the 16 samples adopts its nominal
+   layout's, which its own search would have picked, and counts it as
+   its symbolic analysis. *)
 let test_mc_shares_symbolic () =
+  Layout_table.evict ();
+  let before = E.symbolic_adoptions () in
   let r = mc ~jobs:2 () in
-  Alcotest.(check int) "every sample adopts the nominal analysis" 16
-    (counter "solver.shared_symbolic" r);
-  Alcotest.(check int) "no symbolic analysis of its own" 0
+  let after = E.symbolic_adoptions () in
+  Alcotest.(check int) "one symbolic analysis per sample" 16
     (counter "solver.symbolic_factorizations" r);
+  Alcotest.(check int) "every sample adopts its layout's" 16
+    (after.E.adopted - before.E.adopted);
+  Alcotest.(check int) "none refused" 0 (after.E.refused - before.E.refused);
+  Alcotest.(check int) "the nominal sims searched" 2 (after.E.unoffered - before.E.unoffered);
   Alcotest.(check int) "no false alarms" 0 r.MC.false_alarms;
   Alcotest.(check int) "no misses" 0 r.MC.missed
 
