@@ -31,8 +31,6 @@ val severity_name : severity -> string
 val severity_ge : severity -> severity -> bool
 (** [severity_ge a b] is true when [a] is at least as severe as [b]. *)
 
-val location_string : location -> string
-
 val compare : t -> t -> int
 (** Total order: most severe first, then rule id, location, message. *)
 

@@ -14,11 +14,6 @@ val default_config : config
 (** [swing_min = 0.12], [swing_max = 0.45] (the paper's nominal
     250 mV sits mid-window), [load_tolerance = 1e-3]. *)
 
-val cell_of_device : string -> string option
-(** The cell-instance prefix of a hierarchical device name:
-    ["x3.q1"] is in cell ["x3"], ["ro0.det4.q45"] in ["ro0.det4"],
-    a flat name like ["vdd"] in no cell. *)
-
 val check : ?config:config -> Cml_spice.Netlist.t -> Diagnostic.t list
 (** Run every ERC and CML rule; the result is unsorted (callers
     usually hand it to {!Diagnostic.sort} or a renderer). *)

@@ -20,7 +20,3 @@ let add (b : Builder.t) ~name ~input =
 
 let inverter b ~name ~input = Builder.swap (add b ~name ~input)
 
-let output_nodes (b : Builder.t) ~name =
-  { Builder.p = N.node b.Builder.net (name ^ ".op"); n = N.node b.Builder.net (name ^ ".on") }
-
-let common_emitter_node (b : Builder.t) ~name = N.node b.Builder.net (name ^ ".ce")

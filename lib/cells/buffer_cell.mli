@@ -13,8 +13,3 @@ val add : Builder.t -> name:string -> input:Builder.diff -> Builder.diff
 val inverter : Builder.t -> name:string -> input:Builder.diff -> Builder.diff
 (** Built from the same cell with the output pair swapped (free in
     CML). *)
-
-val output_nodes : Builder.t -> name:string -> Builder.diff
-(** The output diff of an instance created earlier. *)
-
-val common_emitter_node : Builder.t -> name:string -> Cml_spice.Netlist.node

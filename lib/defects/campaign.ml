@@ -232,8 +232,9 @@ let flag_labels f =
 
 (* Healing label of one measured entry: how many stages a degraded
    variant needed to recover ("depth=N"), "unhealed" for degradations
-   that persist to the chain output, "clean" otherwise.  Shared by the
-   manifest histogram and the per-variant run events. *)
+   that persist to the chain output, "clean" otherwise.  The run
+   lifecycle puts it in the run events and the manifest's healing
+   histogram. *)
 let healing_label e =
   match e.outcome with
   | Failed _ -> None
@@ -242,16 +243,6 @@ let healing_label e =
       | None, _ -> Some "clean"
       | Some _, Some d -> Some (Printf.sprintf "depth=%d" d)
       | Some _, None -> Some "unhealed")
-
-let healing_histogram entries =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match healing_label e with
-      | None -> ()
-      | Some l -> Hashtbl.replace tbl l (1 + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
-    entries;
-  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
 
 (* What a finished variant tells the run lifecycle: its class labels,
    the manifest's per-variant numbers (measurement, healing depth, the
@@ -301,11 +292,6 @@ let report entry run cone =
     failed;
     steps;
   }
-
-let to_manifest ?seed ?(options = []) t =
-  let spans = Cml_telemetry.Trace.aggregate (Cml_telemetry.Trace.peek ()) in
-  Cml_telemetry.Manifest.create ?seed ~options ~healing:(healing_histogram t.entries)
-    ~variants:t.variants ~metrics:t.metrics ~spans ~kind:"campaign" ()
 
 let m_cone_variants = Cml_telemetry.Metrics.counter "campaign.cone_variants"
 let m_cone_fallbacks = Cml_telemetry.Metrics.counter "campaign.cone_fallbacks"
@@ -541,21 +527,17 @@ let campaign ~proc ~freq ~tstop ?jobs ~preflight ~warm_start ~batch ?max_iter ?m
   let v =
     Cml_runtime.Variant_loop.run window ~kind:"campaign" ~item:"variant" ?jobs
       ~max_batch:(if batch then 16 else 1)
-      ~options ~name:Defect.describe ~variant (Array.of_list defects)
+      ?manifest ~options ~name:Defect.describe ~variant (Array.of_list defects)
   in
-  let t =
-    {
-      reference;
-      active_cone;
-      entries = Array.to_list v.results;
-      variants = v.variants;
-      metrics = v.metrics;
-      utilization = v.utilization;
-      wall_s = v.wall_s;
-    }
-  in
-  Option.iter (fun path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options t)) manifest;
-  t
+  {
+    reference;
+    active_cone;
+    entries = Array.to_list v.results;
+    variants = v.variants;
+    metrics = v.metrics;
+    utilization = v.utilization;
+    wall_s = v.wall_s;
+  }
 
 let chain_reference ?engine_options ?(proc = Cml_cells.Process.default) chain ~freq ~tstop ~dut =
   reference ?engine_options ~proc (chain_probe_set chain ~dut)

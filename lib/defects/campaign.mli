@@ -275,10 +275,6 @@ val run_design :
     of 949 unknowns and its cut at depth 1 is 65, so its variants try
     the cut and re-run on the cone when they leave it. *)
 
-val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
-(** The run manifest [?manifest] writes; exposed so callers can stamp
-    their own options / seed and choose the path. *)
-
 val cut_epsilon : Cml_cells.Process.t -> float
 (** How far (V) a cut net may stray from its reference wave before a
     cut variant re-runs on its cone ({!run}): [swing /. 25.], 10 mV at
@@ -292,12 +288,6 @@ val flag_labels : flags -> string list
     as {!summary} and the run manifest ("stuck-at",
     "excessive-excursion", ...); the diagnosis pipeline re-uses these
     to describe a flagged entry. *)
-
-val healing_histogram : entry list -> (string * int) list
-(** Healing-depth histogram over the measured entries: "clean" (never
-    degraded), "depth=N" (recovered after N stages), "unhealed"
-    (degradation persists to the chain output).  Failed entries are
-    skipped.  This is the [healing] section {!to_manifest} embeds. *)
 
 val summary : t -> (string * int) list
 (** Histogram of the observed fault classes, for reporting: counts of

@@ -104,11 +104,6 @@ let per_gate_counts scheme =
         float_of_int sens.resistors +. (float_of_int ro.resistors /. n),
         float_of_int sens.capacitors +. (float_of_int ro.capacitors /. n) )
 
-let area_units ?(bjt_weight = 1.0) ?(resistor_weight = 0.5) ?(cap_weight_per_pf = 2.0)
-    (b, r, c) ~cap_pf =
-  (bjt_weight *. b) +. (resistor_weight *. r)
-  +. if c > 0.0 then cap_weight_per_pf *. cap_pf else 0.0
-
 let overhead_fraction scheme =
   let b, _, _ = per_gate_counts scheme in
   let gate = buffer_gate () in

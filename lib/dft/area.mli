@@ -19,9 +19,6 @@ val xor_checker : unit -> counts
 
 val detector_v1 : Detector.config -> counts
 
-val detector_v2 : Detector.config -> counts
-(** Private-load variant 2; honours [multi_emitter]. *)
-
 val v3_sensors : multi_emitter:bool -> counts
 (** Per monitored gate under load sharing. *)
 
@@ -40,12 +37,6 @@ val scheme_name : scheme -> string
 val per_gate_counts : scheme -> float * float * float
 (** Amortised (bjts, resistors, capacitors) added per monitored
     gate. *)
-
-val area_units : ?bjt_weight:float -> ?resistor_weight:float -> ?cap_weight_per_pf:float ->
-  float * float * float -> cap_pf:float -> float
-(** Crude area proxy: transistor-equivalents with configurable
-    weights (defaults: BJT 1.0, resistor 0.5, capacitor 2.0 per pF).
-    [cap_pf] is the total capacitance behind the capacitor count. *)
 
 val overhead_fraction : scheme -> float
 (** Amortised per-gate DFT transistor count over the buffer gate's

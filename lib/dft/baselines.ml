@@ -5,8 +5,6 @@ let menon_xor_detects (f : Cml_defects.Campaign.flags) =
 
 let delay_test_detects (f : Cml_defects.Campaign.flags) = f.Cml_defects.Campaign.delay_detectable
 
-let iddq_test_detects (f : Cml_defects.Campaign.flags) = f.Cml_defects.Campaign.iddq_detectable
-
 let amplitude_detector_detects (f : Cml_defects.Campaign.flags) =
   f.Cml_defects.Campaign.excessive_excursion || f.Cml_defects.Campaign.stuck
 

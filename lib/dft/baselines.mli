@@ -18,12 +18,6 @@ val delay_test_detects : Cml_defects.Campaign.flags -> bool
 (** At-speed path-delay testing of the whole chain; healing makes
     most excursion faults invisible to it (Tables 1-2). *)
 
-val iddq_test_detects : Cml_defects.Campaign.flags -> bool
-(** Quiescent/average supply-current screening; CML's constant current
-    steering makes it blind to most defects (the tail current barely
-    changes), which is why the paper lists Iddq as its own fault
-    class. *)
-
 val amplitude_detector_detects : Cml_defects.Campaign.flags -> bool
 (** The paper's built-in detectors: excessive excursions, plus
     stuck-at rails (a stuck output also parks one detector junction

@@ -187,14 +187,6 @@ let run_design ?tstop ?(classes = []) ~design ~dut ~defect () =
     detector_wave;
   }
 
-let of_entry ?proc ?freq ?stages ?dut ?tstop (entry : Cml_defects.Campaign.entry) =
-  let classes =
-    match entry.Cml_defects.Campaign.outcome with
-    | Cml_defects.Campaign.Measured (_, fl) -> Cml_defects.Campaign.flag_labels fl
-    | Cml_defects.Campaign.Failed msg -> [ "failed: " ^ msg ]
-  in
-  run ?proc ?freq ?stages ?dut ?tstop ~classes ~defect:entry.Cml_defects.Campaign.defect ()
-
 (* ------------------------------------------------------------------ *)
 (* JSON round trip.  Waveforms are deliberately not serialised (a
    diagnosis record is a summary, the full traces go to the VCD); a

@@ -68,17 +68,6 @@ val run_design :
     @raise Invalid_argument when [dut] names no compiled cell.
     @raise Cml_spice.Engine.No_convergence on solver failure. *)
 
-val of_entry :
-  ?proc:Cml_cells.Process.t ->
-  ?freq:float ->
-  ?stages:int ->
-  ?dut:int ->
-  ?tstop:float ->
-  Cml_defects.Campaign.entry ->
-  t
-(** {!run} on a campaign entry's defect, carrying its classification
-    labels ({!Cml_defects.Campaign.flag_labels}) into [classes]. *)
-
 exception Bad_diagnosis of string
 
 val to_json : t -> Cml_telemetry.Json.t

@@ -36,12 +36,6 @@ exception Unexplainable of string
     to rebuild the circuit, selection out of range, or no defect site
     matching the variant name. *)
 
-val load_source : string -> Cml_telemetry.Manifest.t
-(** Read a run manifest, or condense an events JSONL stream into a
-    pseudo-manifest (kind and options from [run_start], variants from
-    the [variant_done] events).
-    @raise Unexplainable when the file is neither. *)
-
 val explain :
   ?top:int ->
   ?selection:selection ->

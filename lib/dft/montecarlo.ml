@@ -17,11 +17,6 @@ type result = {
   wall_s : float;
 }
 
-let to_manifest ?seed ?(options = []) r =
-  let spans = Tel.Trace.aggregate (Tel.Trace.peek ()) in
-  Tel.Manifest.create ?seed ~options ~variants:r.sample_reports ~metrics:r.metrics ~spans
-    ~kind:"montecarlo" ()
-
 let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.default_spec)
     ?(n = 10) ?defect ?(multi_emitter = true) ?jobs ?(warm_start = true) ?manifest ~samples
     ~seed () =
@@ -89,7 +84,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
       } )
   in
   let v =
-    Cml_runtime.Variant_loop.run window ~kind:"montecarlo" ~item:"sample" ?jobs
+    Cml_runtime.Variant_loop.run window ~kind:"montecarlo" ~item:"sample" ?jobs ~seed ?manifest
       ~options:run_options ~name:(Printf.sprintf "sample %d") ~variant:sample
       (Array.init samples Fun.id)
   in
@@ -114,7 +109,6 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
       wall_s = v.wall_s;
     }
   in
-  Option.iter (fun path -> Tel.Manifest.write ~path (to_manifest ~seed ~options:run_options r)) manifest;
   (* Finish the major cycle before returning.  OCaml 5's major GC is
      paced by allocation; with the layout's symbolic analysis a run no
      longer allocates a fresh set of LU arrays per sample, so the

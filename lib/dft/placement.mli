@@ -30,8 +30,6 @@ val sites : circuit:Cml_logic.Circuit.t -> cells:(string * int) list -> site lis
 
 type group = { g_index : int; g_members : site list }
 
-val depth_span : group -> int
-
 type t = {
   limit : int;  (** derated per-group detector limit this plan obeys *)
   nominal_limit : int;

@@ -9,10 +9,6 @@ val counter : bits:int -> Circuit.t
 val shift_register : bits:int -> Circuit.t
 (** Serial-in shift register. *)
 
-val lfsr_circuit : unit -> Circuit.t
-(** 4-bit Galois LFSR with a seed-load input — self-oscillating
-    sequential logic. *)
-
 val traffic_fsm : unit -> Circuit.t
 (** A 2-bit Moore FSM (traffic-light-style) with a synchronizing
     input; converges from any power-up state once the input pulses
@@ -27,10 +23,6 @@ val multiplier : bits:int -> Circuit.t
 (** Combinational array multiplier ([2*bits] product outputs,
     [p0..p(2b-1)]), built from AND/XOR/OR full-adder cells — the
     largest benchmark in the suite (a 4x4 is ~90 gates). *)
-
-val parity_pipeline : stages:int -> Circuit.t
-(** A pipelined parity tree: [stages] flip-flop stages each XOR-ing a
-    fresh input bit into the running parity. *)
 
 val c432_surrogate : unit -> Circuit.t
 (** A c432-class combinational surrogate: 36 inputs, 7 outputs,

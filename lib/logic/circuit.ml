@@ -52,8 +52,6 @@ let nand2 b x y = not1 b (and2 b x y)
 
 let nor2 b x y = not1 b (or2 b x y)
 
-let xnor2 b x y = not1 b (xor2 b x y)
-
 let dff b = push b (Dff { d = -1 })
 
 let connect_dff b ~ff ~d =

@@ -37,7 +37,6 @@ val mux : builder -> sel:int -> a:int -> b:int -> int
 
 val nand2 : builder -> int -> int -> int
 val nor2 : builder -> int -> int -> int
-val xnor2 : builder -> int -> int -> int
 
 val dff : builder -> int
 (** Declare a flip-flop before its data input exists (for feedback);

@@ -10,9 +10,6 @@ val create : Circuit.t -> tracker
 val observe : tracker -> Value.t array -> unit
 (** Record one cycle's net values. *)
 
-val net_covered : tracker -> int -> bool
-(** Has this net been seen at both 0 and 1? *)
-
 val would_add : tracker -> Value.t array -> int
 (** How many new (net, polarity) observations this cycle's values
     would contribute — the scoring function of {!Directed}. *)

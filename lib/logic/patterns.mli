@@ -10,9 +10,6 @@ val lfsr_create : ?seed:int -> unit -> lfsr
 
 val lfsr_next_bit : lfsr -> bool
 
-val lfsr_pattern : lfsr -> width:int -> Value.t array
-(** The next [width] bits as a binary input pattern. *)
-
 val lfsr_patterns : lfsr -> width:int -> count:int -> Value.t array list
 
 val random_patterns : seed:int -> width:int -> count:int -> Value.t array list

@@ -6,9 +6,6 @@ val depth : Circuit.t -> int
 (** Longest combinational path, in gates (inputs, flip-flop outputs
     and buffers count as zero). *)
 
-val path_depths : Circuit.t -> int array
-(** Per-net combinational depth. *)
-
 val critical_path : Circuit.t -> int list
 (** Net ids along one longest combinational path, source first. *)
 

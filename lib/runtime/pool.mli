@@ -18,9 +18,6 @@
     first such batch prints a one-shot warning and records a telemetry
     event (see {!Cml_telemetry.Trace.warn_once}). *)
 
-val env_var : string
-(** ["CML_DFT_JOBS"]. *)
-
 val default_jobs : unit -> int
 (** The job count used when no [?jobs] argument is given. *)
 

@@ -25,7 +25,13 @@ type 'b t = {
 
 let seconds_since t0 = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0)
 
-let run w ~kind ~item ?jobs ?max_batch ~options ~name ~variant xs =
+(* (label, count) over the labels, sorted by label *)
+let histogram labels =
+  List.map
+    (fun l -> (l, List.length (List.filter (( = ) l) labels)))
+    (List.sort_uniq compare labels)
+
+let run w ~kind ~item ?jobs ?max_batch ?seed ?manifest ~options ~name ~variant xs =
   let m_items = Tel.Metrics.counter (Printf.sprintf "%s.%ss" kind item) in
   let m_seconds = Tel.Metrics.histogram (Printf.sprintf "%s.%s_seconds" kind item) in
   let ev_run = Tel.Events.run_start ~kind ~total:(Array.length xs) ?jobs ~options () in
@@ -36,7 +42,7 @@ let run w ~kind ~item ?jobs ?max_batch ~options ~name ~variant xs =
     Array.map
       (fun (idx, x) ->
         let label = name x in
-        Tel.Progress.variant_start label;
+        Tel.Events.variant_start ev_run label;
         let tok = Tel.Trace.start () in
         let t0 = Tel.Clock.now_ns () in
         let y, r = variant x in
@@ -46,7 +52,6 @@ let run w ~kind ~item ?jobs ?max_batch ~options ~name ~variant xs =
         Tel.Trace.finish ~cat:kind
           ~args:(if tok >= 0L then [ (item, Tel.Trace.S label) ] else [])
           item tok;
-        Tel.Progress.variant_finish ~failed:r.failed ~steps:r.steps;
         Tel.Events.variant_done ev_run
           {
             Tel.Events.ev_idx = idx;
@@ -58,6 +63,7 @@ let run w ~kind ~item ?jobs ?max_batch ~options ~name ~variant xs =
             ev_seconds = seconds;
           };
         ( y,
+          r.healing,
           {
             Tel.Manifest.v_name = label;
             v_classes = r.classes;
@@ -77,6 +83,14 @@ let run w ~kind ~item ?jobs ?max_batch ~options ~name ~variant xs =
       (Pool.utilization_since util0)
   in
   let metrics = Tel.Metrics.diff w.snap0 (Tel.Metrics.snapshot ()) in
-  let variants = Array.to_list (Array.map snd out) in
+  let variants = Array.to_list (Array.map (fun (_, _, v) -> v) out) in
   Tel.Events.finish ev_run ~classes:(Tel.Manifest.class_counts variants) ~wall_s ~utilization;
-  { results = Array.map fst out; variants; metrics; utilization; wall_s }
+  Option.iter
+    (fun path ->
+      let healing = histogram (List.filter_map (fun (_, h, _) -> h) (Array.to_list out)) in
+      Tel.Manifest.write ~path
+        (Tel.Manifest.create ?seed ~options ~healing ~variants ~metrics
+           ~spans:(Tel.Trace.aggregate (Tel.Trace.peek ()))
+           ~kind ()))
+    manifest;
+  { results = Array.map (fun (y, _, _) -> y) out; variants; metrics; utilization; wall_s }

@@ -1,10 +1,9 @@
 (** The run lifecycle every campaign-like run shares — defect
     campaigns and Monte-Carlo sampling: a metrics-registry window and
     run span around the whole run, a tracked event stream, per-variant
-    progress / trace span / timing / run event, slices scheduled over
-    the pool, and the end-of-run utilization table and
-    [run_end] event.  Written once here so every run reports the same
-    way. *)
+    trace span / timing / run event, slices scheduled over the pool,
+    the end-of-run utilization table and [run_end] event, and the run
+    manifest.  Written once here so every run reports the same way. *)
 
 type window
 (** An open run: the metrics snapshot and run span taken by {!start}. *)
@@ -19,7 +18,9 @@ val start : unit -> window
 type report = {
   classes : string list;  (** classification labels; [[]] reads as benign *)
   metrics : (string * float) list;  (** the manifest's per-variant numbers *)
-  healing : string option;  (** healing label for the run event *)
+  healing : string option;
+      (** healing label for the run event and the manifest's healing
+          histogram *)
   failed : bool;
   steps : int;  (** accepted solver steps (0 for DC-only variants) *)
 }
@@ -42,6 +43,8 @@ val run :
   item:string ->
   ?jobs:int ->
   ?max_batch:int ->
+  ?seed:int ->
+  ?manifest:string ->
   options:(string * string) list ->
   name:('a -> string) ->
   variant:('a -> 'b * report) ->
@@ -53,10 +56,16 @@ val run :
     pool task per slice).  The slicing is a pure scheduling choice:
     [variant] must not depend on which slice or domain runs it.
 
-    Around each variant: {!Cml_telemetry.Progress} start/finish, an
-    [item] span in category [kind], the wall time (also counted into
-    the [<kind>.<item>s] counter and the [<kind>.<item>_seconds]
-    histogram) and a {!Cml_telemetry.Events.variant_done} deposit.
-    The run emits [run_start] with [options] and finishes with the
-    class histogram, utilization and [run_end]; it closes the [kind]
-    run span opened by {!start}. *)
+    Around each variant: {!Cml_telemetry.Events.variant_start} on the
+    worker's progress lane, an [item] span in category [kind], the
+    wall time (also counted into the [<kind>.<item>s] counter and the
+    [<kind>.<item>_seconds] histogram) and a
+    {!Cml_telemetry.Events.variant_done} deposit.  The run emits
+    [run_start] with [options] and finishes with the class histogram,
+    utilization and [run_end]; it closes the [kind] run span opened
+    by {!start}.
+
+    [manifest] then writes the run's {!Cml_telemetry.Manifest} of
+    kind [kind] to the given path: [seed], [options], the variants,
+    the metrics delta, the span summary and the histogram of the
+    reports' [healing] labels (sorted by label; [None] is skipped). *)

@@ -133,11 +133,6 @@ val dc_from : ?time:float -> sim -> float array -> float array
     (used by sweeps for continuation; falls back to the homotopies
     when the warm start fails). *)
 
-val set_junction_states : sim -> float array -> unit
-(** Reset every device's junction-limiting memory to the voltages
-    implied by the given solution; called by the transient loop when
-    restarting from a known state. *)
-
 val update_capacitor_states : sim -> float array -> h:float -> trap:bool -> unit
 (** Commit an accepted time step: recompute and store each
     capacitor's voltage and current. *)
@@ -216,9 +211,6 @@ type solver_stats = {
 
 val solver_stats : sim -> solver_stats
 (** Cumulative counters since {!compile}. *)
-
-val zero_stats : solver_stats
-(** All-zero record, the [~since] of a fresh sim. *)
 
 val set_introspect : sim -> Introspect.t option -> unit
 (** Attach (or detach) a solver-introspection recorder.  With [None]

@@ -23,7 +23,13 @@
    completes the prefix emits it, one that lands past a gap emits
    nothing and is emitted by whichever deposit later fills the gap.
    Since emission order is a pure function of the slot prefix, which
-   domain pumps cannot change the stream. *)
+   domain pumps cannot change the stream.
+
+   A tracked run also keeps one progress lane per worker domain
+   (variants started / done / failed, accepted steps, current label),
+   written only by its owner domain at variant boundaries and sampled
+   into each heartbeat.  The lanes belong to the run, so a new run's
+   lanes start empty. *)
 
 let schema = "cml-dft-events/1"
 
@@ -130,15 +136,24 @@ let util_row ~wall_s ~domain ~busy_ns ~items ~longest_stall_ns =
 
 let timing members = ("timing", Json.Obj members)
 
-let lane_json (s : Progress.sample) =
+type lane = {
+  l_domain : int;
+  l_started : int;
+  l_done : int;
+  l_failed : int;
+  l_steps : int;
+  l_label : string;
+}
+
+let lane_json l =
   Json.Obj
     [
-      ("id", Json.Num (float_of_int s.Progress.s_domain));
-      ("started", Json.Num (float_of_int s.Progress.s_started));
-      ("done", Json.Num (float_of_int s.Progress.s_done));
-      ("failed", Json.Num (float_of_int s.Progress.s_failed));
-      ("steps", Json.Num (float_of_int s.Progress.s_steps));
-      ("label", Json.Str s.Progress.s_label);
+      ("id", Json.Num (float_of_int l.l_domain));
+      ("started", Json.Num (float_of_int l.l_started));
+      ("done", Json.Num (float_of_int l.l_done));
+      ("failed", Json.Num (float_of_int l.l_failed));
+      ("steps", Json.Num (float_of_int l.l_steps));
+      ("label", Json.Str l.l_label);
     ]
 
 let util_json u =
@@ -166,6 +181,7 @@ type run = {
   mutable r_steps : int;
   r_hb_every : int;
   r_est : Estimator.t;
+  r_lanes : lane Atomic.t list Atomic.t;  (* one per domain, written by its owner *)
 }
 
 let inert kind =
@@ -181,12 +197,35 @@ let inert kind =
     r_steps = 0;
     r_hb_every = 1;
     r_est = Estimator.create ~total:0 ~now_s:0.0;
+    r_lanes = Atomic.make [];
   }
+
+let lanes r =
+  List.map Atomic.get (Atomic.get r.r_lanes)
+  |> List.sort (fun a b -> compare a.l_domain b.l_domain)
+
+(* The calling domain's lane, added on its first variant of the run.
+   Only the owner replaces its lane, and it replaces it whole, so a
+   heartbeat on another domain reads some complete lane. *)
+let rec own_lane r =
+  let d = (Domain.self () :> int) in
+  let all = Atomic.get r.r_lanes in
+  match List.find_opt (fun l -> (Atomic.get l).l_domain = d) all with
+  | Some l -> l
+  | None ->
+      let l =
+        Atomic.make
+          { l_domain = d; l_started = 0; l_done = 0; l_failed = 0; l_steps = 0; l_label = "" }
+      in
+      if Atomic.compare_and_set r.r_lanes all (l :: all) then l else own_lane r
+
+let update_lane r f =
+  let l = own_lane r in
+  Atomic.set l (f (Atomic.get l))
 
 let heartbeat_json r s =
   let now_s = t_s s in
   Estimator.note r.r_est ~completed:r.r_emitted;
-  let lanes = if Progress.enabled () then Progress.sample () else [] in
   Json.Obj
     [
       ("ev", Json.Str "heartbeat");
@@ -202,7 +241,7 @@ let heartbeat_json r s =
         @ (match Estimator.rate_per_s r.r_est ~now_s with
           | Some rate -> [ ("rate_per_s", Json.Num rate) ]
           | None -> [])
-        @ [ ("domains", Json.List (List.map lane_json lanes)) ]);
+        @ [ ("domains", Json.List (List.map lane_json (lanes r))) ]);
     ]
 
 (* Emit the contiguous ready prefix, interleaving milestone
@@ -257,8 +296,6 @@ let run_start ~kind ~total ?jobs ?(options = []) () =
   match Atomic.get current with
   | None -> inert kind
   | Some s ->
-      Progress.reset ();
-      Progress.set_enabled true;
       emit s
         (Json.Obj
            [
@@ -289,19 +326,32 @@ let run_start ~kind ~total ?jobs ?(options = []) () =
         r_steps = 0;
         r_hb_every = max 1 (total / 8);
         r_est = Estimator.create ~total ~now_s:(t_s s);
+        r_lanes = Atomic.make [];
       }
 
-(* Worker-side deposit: plain slot write, then the atomic ready flag
-   publishes it (release/acquire pairing), then a pump.  The flag is
-   set before the pump takes [r_mutex], so any pump that missed it is
-   followed by this one: the last deposit always leaves the whole run
-   emitted. *)
+let variant_start r label =
+  if r.r_sink <> None then
+    update_lane r (fun l -> { l with l_started = l.l_started + 1; l_label = label })
+
+(* Worker-side deposit: credit the own lane, then a plain slot write,
+   then the atomic ready flag publishes it (release/acquire pairing),
+   then a pump.  The flag is set before the pump takes [r_mutex], so
+   any pump that missed it is followed by this one: the last deposit
+   always leaves the whole run emitted. *)
 let variant_done r v =
   match r.r_sink with
   | None -> ()
   | Some _ ->
       if v.ev_idx < 0 || v.ev_idx >= r.r_total then
         invalid_arg "Events.variant_done: index out of range";
+      let failed = Bool.to_int v.ev_failed in
+      update_lane r (fun l ->
+          {
+            l with
+            l_done = l.l_done + 1 - failed;
+            l_failed = l.l_failed + failed;
+            l_steps = l.l_steps + v.ev_steps;
+          });
       r.r_slots.(v.ev_idx) <- Some v;
       Atomic.set r.r_ready.(v.ev_idx) 1;
       pump r
@@ -323,7 +373,6 @@ let finish r ~classes ~wall_s ~utilization =
   match r.r_sink with
   | None -> ()
   | Some s ->
-      Progress.set_enabled false;
       emit s
         (Json.Obj
            [
@@ -381,15 +430,6 @@ let normalize docs =
 (* ------------------------------------------------------------------ *)
 (* Watch state: a pure fold over the event stream, rendered by
    [cmldft watch] (live and --once) and unit-testable without a tty. *)
-
-type lane = {
-  l_domain : int;
-  l_started : int;
-  l_done : int;
-  l_failed : int;
-  l_steps : int;
-  l_label : string;
-}
 
 type state = {
   w_kind : string;

@@ -63,20 +63,41 @@ type run
 
 val run_start :
   kind:string -> total:int -> ?jobs:int -> ?options:(string * string) list -> unit -> run
-(** Start a tracked run: emits [run_start] and resets and enables
-    {!Progress}.  With no sink installed the returned tracker is inert
+(** Start a tracked run: emits [run_start].  The run's progress lanes
+    start empty.  With no sink installed the returned tracker is inert
     and every later call on it is a cheap no-op. *)
 
+val variant_start : run -> string -> unit
+(** Mark one variant started on the calling domain's lane and set the
+    lane's label.  Worker-domain safe. *)
+
 val variant_done : run -> variant -> unit
-(** Deposit a finished variant and emit the contiguous prefix of
+(** Credit the variant to the calling domain's lane (done or failed,
+    and its steps), deposit it and emit the contiguous prefix of
     deposited variants (with milestone heartbeats) in index order.  A
     variant deposited past a gap is emitted by the deposit that fills
     the gap.  Worker-domain safe. *)
 
+type lane = {
+  l_domain : int;  (** domain id, matches trace [tid] *)
+  l_started : int;
+  l_done : int;
+  l_failed : int;
+  l_steps : int;
+  l_label : string;  (** most recent {!variant_start} label *)
+}
+(** One domain's progress in a run, as a heartbeat's
+    [timing.domains] member carries it. *)
+
+val lanes : run -> lane list
+(** Snapshot of the run's lanes, one per domain that started a
+    variant, sorted by domain id; [[]] for an inert tracker.  Safe
+    from any domain while workers record. *)
+
 val finish :
   run -> classes:(string * int) list -> wall_s:float -> utilization:domain_util list -> unit
-(** Emit the [utilization] snapshot and [run_end], and disable
-    {!Progress}.  Every variant must have been deposited. *)
+(** Emit the [utilization] snapshot and [run_end].  Every variant must
+    have been deposited. *)
 
 val warning : key:string -> string -> unit
 (** Emit a [warning] event on the installed sink (no-op without
@@ -116,15 +137,6 @@ val normalize : Json.t list -> Json.t list
 
 (** {1 Watch state} — pure fold over a stream, rendered by
     [cmldft watch]. *)
-
-type lane = {
-  l_domain : int;
-  l_started : int;
-  l_done : int;
-  l_failed : int;
-  l_steps : int;
-  l_label : string;
-}
 
 type state = {
   w_kind : string;

@@ -29,10 +29,11 @@ type t = {
   seed : int option;
   options : (string * string) list;
   healing : (string * int) list;
-      (** healing-depth histogram ("clean" / "depth=N" / "unhealed",
-          see {!Cml_defects.Campaign.healing_histogram}); optional in
-          the JSON — absent reads as [[]], and the member is omitted
-          when empty, so the schema stays ["cml-dft-manifest/1"] *)
+      (** healing-depth histogram ("clean" / "depth=N" / "unhealed"),
+          counted by {!Cml_runtime.Variant_loop.run} from each
+          variant's healing label; optional in the JSON — absent reads
+          as [[]], and the member is omitted when empty, so the schema
+          stays ["cml-dft-manifest/1"] *)
   variants : variant list;
   metrics : Metrics.snapshot;  (** registry delta over the run *)
   spans : (string * Trace.span_agg) list;
@@ -49,8 +50,6 @@ val create :
   unit ->
   t
 (** Stamps tool, git revision and creation time. *)
-
-val git_describe : unit -> string
 
 exception Bad_manifest of string
 

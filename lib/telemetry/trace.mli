@@ -62,10 +62,6 @@ val peek : unit -> event list
 (** Like {!drain} but leaves the buffers intact — used by manifest
     writers so an enclosing [--trace] still sees every event. *)
 
-val chrome_json : event list -> Json.t
-(** Chrome trace format ([{"traceEvents": [...]}], microsecond
-    timestamps) — loadable in chrome://tracing and Perfetto. *)
-
 val chrome_string : event list -> string
 
 val write_chrome : path:string -> event list -> unit

@@ -18,8 +18,6 @@ val sparkline : float list -> string
 (** 8-level unicode block trajectory, scaled to the series' own
     min/max ([""] on an empty series). *)
 
-val pretty_ns : float -> string
-
 val history_of_json : Json.t -> Json.t list
 (** The entry list of a cml-dft-perf/1 or /2 document; [[]] on
     anything else. *)
@@ -46,13 +44,6 @@ type campaign_trend = {
 }
 
 val campaign_trend : Json.t list -> campaign_trend option
-
-type span_share = { g_name : string; g_count : int; g_total_s : float; g_share : float }
-
-val span_attribution : Manifest.t list -> span_share list
-(** Total wall clock per span group (manifest span name), summed
-    across manifests, heaviest first; [g_share] is the fraction of
-    the corpus-wide span total. *)
 
 val render :
   ?history:Json.t list -> ?manifests:(string * Manifest.t) list -> unit -> string

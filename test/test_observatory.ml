@@ -9,8 +9,9 @@
      manifest (variant count, class histogram, step totals);
    - a deposit emits the contiguous deposited prefix in index order,
      and nothing while an earlier variant is still missing;
-   - progress lanes credit a variant's steps at its finish, and only
-     while progress recording is enabled;
+   - a tracked run's progress lanes credit a variant's steps at its
+     deposit (an inert tracker credits nothing), and a new run's lanes
+     start at zero;
    - the watch state fold and renderer are pure functions of the
      stream;
    - trend analysis units (sparkline scaling, regression flags,
@@ -214,28 +215,61 @@ let test_deposit_emits_prefix () =
       Alcotest.(check int) "finish adds no variant" 2 (List.length (done_names path))
   | _ -> assert false
 
-let test_progress_credits_steps () =
-  let module P = Cml_telemetry.Progress in
+let own_lane r =
   let self = (Domain.self () :> int) in
-  let lane () = List.find_opt (fun s -> s.P.s_domain = self) (P.sample ()) in
-  let steps () = match lane () with Some s -> s.P.s_steps | None -> 0 in
-  P.reset ();
-  P.set_enabled false;
-  P.variant_finish ~failed:false ~steps:5;
-  Alcotest.(check int) "disabled: no steps credited" 0 (steps ());
-  P.set_enabled true;
-  Fun.protect ~finally:(fun () -> P.set_enabled false) @@ fun () ->
-  P.variant_start "v";
-  P.variant_finish ~failed:false ~steps:7;
-  P.variant_start "w";
-  P.variant_finish ~failed:true ~steps:3;
-  match lane () with
-  | Some s ->
-      Alcotest.(check int) "enabled: steps summed" 10 s.P.s_steps;
-      Alcotest.(check int) "one done" 1 s.P.s_done;
-      Alcotest.(check int) "one failed" 1 s.P.s_failed;
-      Alcotest.(check string) "last label" "w" s.P.s_label
-  | None -> Alcotest.fail "no lane for this domain"
+  List.find_opt (fun l -> l.Ev.l_domain = self) (Ev.lanes r)
+
+let test_lanes_credit_steps () =
+  let inert = Ev.run_start ~kind:"test" ~total:1 () in
+  Ev.variant_start inert "v";
+  Ev.variant_done inert (variant_ev 0 "v");
+  Alcotest.(check int) "inert tracker: no lane credited" 0 (List.length (Ev.lanes inert));
+  with_tmp [ "_lanes.jsonl" ] @@ function
+  | [ path ] -> (
+      Ev.install (Ev.open_sink path);
+      Fun.protect ~finally:Ev.close @@ fun () ->
+      let r = Ev.run_start ~kind:"test" ~total:2 () in
+      Ev.variant_start r "v";
+      Ev.variant_done r { (variant_ev 0 "v") with Ev.ev_steps = 7 };
+      Ev.variant_start r "w";
+      Ev.variant_done r { (variant_ev 1 "w") with Ev.ev_failed = true; ev_steps = 3 };
+      Ev.finish r ~classes:[] ~wall_s:0.0 ~utilization:[];
+      (match own_lane r with
+      | Some l ->
+          Alcotest.(check int) "steps summed" 10 l.Ev.l_steps;
+          Alcotest.(check int) "one done" 1 l.Ev.l_done;
+          Alcotest.(check int) "one failed" 1 l.Ev.l_failed;
+          Alcotest.(check int) "two started" 2 l.Ev.l_started;
+          Alcotest.(check string) "last label" "w" l.Ev.l_label
+      | None -> Alcotest.fail "no lane for this domain");
+      (* the heartbeat after the first variant carries the lane as it
+         stood then *)
+      match (Ev.state_of_events (Ev.read_file path)).Ev.w_lanes with
+      | [ l ] ->
+          Alcotest.(check (pair int int)) "heartbeat lane: done, steps" (1, 7)
+            (l.Ev.l_done, l.Ev.l_steps)
+      | ls -> Alcotest.failf "heartbeat carries %d lanes, expected 1" (List.length ls))
+  | _ -> assert false
+
+let test_lanes_per_run () =
+  with_tmp [ "_runs.jsonl" ] @@ function
+  | [ path ] -> (
+      Ev.install (Ev.open_sink path);
+      Fun.protect ~finally:Ev.close @@ fun () ->
+      let first = Ev.run_start ~kind:"test" ~total:1 () in
+      Ev.variant_start first "a";
+      Ev.variant_done first (variant_ev 0 "a");
+      Ev.finish first ~classes:[] ~wall_s:0.0 ~utilization:[];
+      let second = Ev.run_start ~kind:"test" ~total:1 () in
+      Alcotest.(check int) "no lanes before a variant starts" 0 (List.length (Ev.lanes second));
+      Ev.variant_start second "b";
+      match own_lane second with
+      | Some l ->
+          Alcotest.(check (list int)) "started, done, failed, steps" [ 1; 0; 0; 0 ]
+            [ l.Ev.l_started; l.Ev.l_done; l.Ev.l_failed; l.Ev.l_steps ];
+          Alcotest.(check string) "label" "b" l.Ev.l_label
+      | None -> Alcotest.fail "no lane for this domain")
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Watch state fold: a pure function of the stream *)
@@ -427,7 +461,11 @@ let () =
             test_deposit_emits_prefix;
         ] );
       ( "progress",
-        [ Alcotest.test_case "variant_finish credits steps" `Quick test_progress_credits_steps ] );
+        [
+          Alcotest.test_case "variant_done credits the domain's lane" `Quick
+            test_lanes_credit_steps;
+          Alcotest.test_case "a new run's lanes start at zero" `Quick test_lanes_per_run;
+        ] );
       ( "watch", [ Alcotest.test_case "state fold and render" `Quick test_watch_state_fold ] );
       ( "trend",
         [
