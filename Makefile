@@ -226,18 +226,15 @@ cone-parity: build
 fixtures: build
 	$(DUNE) exec examples/write_lint_fixtures.exe
 
-# Kernel benchmarks + campaign scaling (with a per-core efficiency
-# column); appends an entry to the BENCH_spice.json history and fails
-# when any kernel regresses more than 25% against the last committed
-# entry — 50% for the batched-campaign kernel, whose lane scheduling
-# is more sensitive to host noise.  On a single-core host the
-# parallel-speedup gate is skipped (and says so).  Opt into it from
-# `make check` with CHECK_PERF=1 (it reruns every benchmark, minutes
-# not seconds, so it is not part of the default gate).
-PERF_JOBS ?= 4
-
+# Kernel benchmarks on one domain; appends an entry (with the host's
+# core count) to the BENCH_spice.json history, prints the history's
+# trend table (the one `cmldft report --trend` prints), and fails when
+# any kernel is more than 25% slower than in the last earlier entry
+# recorded on as many cores.  Opt into it from `make check` with
+# CHECK_PERF=1 (it reruns every benchmark, minutes not seconds, so it
+# is not part of the default gate).
 perf: build
-	$(DUNE) exec bench/main.exe -- perf --jobs $(PERF_JOBS) --json BENCH_spice.json --check
+	$(DUNE) exec bench/main.exe -- perf --json BENCH_spice.json --check
 
 check: build test paper fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke mc-smoke watch-smoke explain-smoke campaign-parity cone-parity telemetry-overhead
 ifeq ($(CHECK_PERF),1)

@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- list        # available names
      dune exec bench/main.exe -- perf        # bechamel kernel benchmarks
      dune exec bench/main.exe -- --jobs 4 campaign
-     dune exec bench/main.exe -- perf --json BENCH_spice.json
+     dune exec bench/main.exe -- perf --json BENCH_spice.json --check
      dune exec bench/main.exe -- overhead --json BENCH_spice.json
      dune exec bench/main.exe -- --jobs 2 cone-parity
 
@@ -54,9 +54,10 @@ let run_all () =
      --jobs N / -j N   worker domains for parallel sections (0 = one
                        per core)
      --json FILE       append a machine-readable entry (perf only)
-     --check           also check the kernels against the last
-                       committed --json entry (perf only): a kernel
-                       more than 25% slower is a missed check *)
+     --check           also gate the kernels on the --json history
+                       (perf only): a kernel more than 25% slower than
+                       in the last entry recorded on as many cores is a
+                       missed check (Cml_telemetry.Trend's rule) *)
 let rec parse_options json check names = function
   | [] -> (json, check, List.rev names)
   | ("--jobs" | "-j") :: v :: rest -> (

@@ -2,18 +2,16 @@
    the c432 column ordering, the dense reference LU, the numeric-only
    refactorization, MNA assembly via a warm DC solve, Newton DC, one
    transient of the paper's 8-buffer chain and one of the c432
-   surrogate, waveform measurements)
-   plus two system-level probes of the execution runtime:
+   surrogate, one Monte-Carlo sample pair, waveform measurements),
+   plus the solver-reuse counters of a chain transient (the sparse
+   engine must pay the symbolic cost at most once per Jacobian
+   pattern, plus pivot-degradation fallbacks) and the amd-vs-natural
+   fill of the c432 Jacobian.  Everything runs on one domain; the
+   defect campaign end to end is measured by the benchmark/ workloads.
 
-   - solver reuse: how many full symbolic factorizations vs cheap
-     numeric refactorizations a chain transient performs (the sparse
-     engine must pay the symbolic cost at most once per Jacobian
-     pattern, plus pivot-degradation fallbacks);
-   - campaign scaling: wall-clock of the same defect campaign at
-     jobs = 1 and jobs = default, with a byte-identical summary check.
-
-   [run ~json:"BENCH_spice.json" ()] additionally dumps every number
-   as JSON so the timing trajectory is machine-readable across PRs. *)
+   [run ~json:"BENCH_spice.json" ()] additionally appends every number
+   to that file's history, so the timing trajectory is machine-readable
+   across revisions; {!Cml_telemetry.Trend} reads and judges it. *)
 
 module E = Cml_spice.Engine
 module T = Cml_spice.Transient
@@ -218,14 +216,6 @@ let tests () =
     Test.make ~name:"chain transient (2 ns)" (Staged.stage (fun () ->
         let sim = E.compile chain_net in
         ignore (T.run sim chain_net (T.config ~tstop:2e-9 ~max_step:10e-12 ()))));
-    Test.make ~name:"batched campaign transient (8 lanes)" (Staged.stage (fun () ->
-        (* the campaign hot loop in miniature: eight variants of the
-           chain run back to back as one batch *)
-        let lanes = Array.init 8 (fun _ -> (E.compile chain_net, None)) in
-        let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
-        Array.iter
-          (function T.Lane_done _ -> () | T.Lane_failed _ | T.Lane_incompatible -> assert false)
-          (T.run_batch lanes chain_net cfg)));
     Test.make ~name:"Monte-Carlo sample pair (N=45, warm)" (Staged.stage (fun () ->
         mc_sample_pair mc));
     Test.make ~name:"crossing detection (5k samples)" (Staged.stage (fun () ->
@@ -320,37 +310,18 @@ let ordering_probe () =
     o_amd_ms = amd_ms;
   }
 
-(* enough variants that a --jobs 4 run keeps every domain busy for
-   several tasks (the old 4-defect batch degenerated to one task per
-   domain and measured mostly the sequential reference simulation) *)
-let campaign_defects () =
-  let golden = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
-  let all =
-    Cml_defects.Sites.enumerate golden.Cml_cells.Chain.builder.Cml_cells.Builder.net
-      ~prefix:"x3" ~pipe_values:[ 1e3; 2e3; 4e3 ]
-  in
-  List.filteri (fun i _ -> i < 32) all
-
-let time_campaign ~jobs defects =
-  let t0 = Unix.gettimeofday () in
-  let c = Cml_defects.Campaign.run ~jobs ~tstop:10e-9 ~defects () in
-  (Unix.gettimeofday () -. t0, Cml_defects.Campaign.summary c)
-
 (* ------------------------------------------------------------------ *)
 (* JSON trajectory: the bench file is a history — each [--json] run
-   appends one entry, so the timing record accumulates across PRs
-   instead of being overwritten.  A schema-1 file (single object) is
-   migrated in place into the first history entry. *)
+   appends one entry, so the timing record accumulates across
+   revisions instead of being overwritten. *)
 
 module J = Cml_telemetry.Json
 module Trend = Cml_telemetry.Trend
 
-let entry_json ~jobs ~cores ~kernels ~nunk ~(stats : E.solver_stats) ~ordering ~campaign
+let entry_json ~cores ~kernels ~nunk ~(stats : E.solver_stats) ~ordering
     ~chain_reference:(ratio, chain_ns, ref_ns) =
-  let t1, tn, ndefects, summaries_match = campaign in
   J.Obj
     [
-      ("jobs", J.Num (float_of_int jobs));
       ("cores", J.Num (float_of_int cores));
       ( "chain_reference",
         J.Obj
@@ -393,119 +364,20 @@ let entry_json ~jobs ~cores ~kernels ~nunk ~(stats : E.solver_stats) ~ordering ~
                 (if ordering.o_amd_ms > 0.0 then ordering.o_natural_ms /. ordering.o_amd_ms
                  else 0.0) );
           ] );
-      ( "campaign",
-        J.Obj
-          [
-            ("defects", J.Num (float_of_int ndefects));
-            ("jobs1_s", J.Num t1);
-            ("jobsN_s", J.Num tn);
-            ("speedup", J.Num (if tn > 0.0 then t1 /. tn else 0.0));
-            ("summaries_match", J.Bool summaries_match);
-          ] );
     ]
 
-let load_history path =
-  if not (Sys.file_exists path) then []
-  else
-    match J.parse_file path with
-    | exception (J.Parse_error _ | Sys_error _) -> []
-    | v -> (
-        match J.member "schema" v with
-        | Some (J.Str "cml-dft-perf/1") -> (
-            (* pre-history file: the whole object is the only entry *)
-            match v with
-            | J.Obj members -> [ J.Obj (List.filter (fun (k, _) -> k <> "schema") members) ]
-            | _ -> [])
-        | Some (J.Str "cml-dft-perf/2") -> (
-            match J.member "history" v with Some (J.List entries) -> entries | _ -> [])
-        | _ -> [])
+(* A file that does not parse is an error, not an empty history: the
+   run would otherwise overwrite it with its one new entry. *)
+let read_history path =
+  if Sys.file_exists path then Trend.history_of_json (J.parse_file path) else []
 
 let write_history path entries =
   J.write_file path (J.Obj [ ("schema", J.Str "cml-dft-perf/2"); ("history", J.List entries) ])
-
-let entry_kernels entry =
-  match J.member "kernels" entry with
-  | Some (J.List ks) ->
-      List.filter_map
-        (fun k ->
-          match (J.member "name" k, J.member "ns_per_run" k) with
-          | Some (J.Str name), Some (J.Num ns) -> Some (name, ns)
-          | _ -> None)
-        ks
-  | _ -> []
-
-(* kernels of the new run that got slower than their per-kernel limit
-   allows vs the baseline entry: [(name, old_ns, new_ns)] *)
-let regressions ~baseline ~kernels =
-  let old_kernels = entry_kernels baseline in
-  List.filter_map
-    (fun (name, ns) ->
-      match List.assoc_opt name old_kernels with
-      | Some old_ns when old_ns > 0.0 && ns > Trend.kernel_limit name *. old_ns ->
-          Some (name, old_ns, ns)
-      | Some _ | None -> None)
-    kernels
-
-
-let entry_campaign entry =
-  match J.member "campaign" entry with
-  | Some c -> (
-      match (J.member "jobs1_s" c, J.member "jobsN_s" c) with
-      | Some (J.Num t1), Some (J.Num tn) -> Some (t1, tn)
-      | _ -> None)
-  | _ -> None
 
 let entry_chain_reference entry =
   match Option.bind (J.member "chain_reference" entry) (J.member "ratio") with
   | Some (J.Num ratio) -> Some ratio
   | _ -> None
-
-(* Wall clocks depend on the host: the campaign probe's on the worker
-   count and the cores, and even the single-threaded kernels' on the
-   machine the entry was recorded on.  The baseline is therefore the
-   last history entry recorded at the same jobs AND cores — comparing
-   against an entry from another setting (a jobs=1 run, a 1-core host)
-   would flag a phantom regression or mask a real one. *)
-let entry_setting entry =
-  match (J.member "jobs" entry, J.member "cores" entry) with
-  | Some (J.Num j), Some (J.Num c) -> Some (int_of_float j, int_of_float c)
-  | _ -> None
-
-let last_matching ~jobs ~cores history =
-  List.find_opt (fun e -> entry_setting e = Some (jobs, cores)) (List.rev history)
-
-let campaign_regressions ~baseline ~t1 ~tn =
-  match entry_campaign baseline with
-  | None -> []
-  | Some (o1, on) ->
-      List.filter_map
-        (fun (label, old_s, new_s) ->
-          if old_s > 0.0 && new_s > Trend.campaign_limit *. old_s then Some (label, old_s, new_s)
-          else None)
-        [ ("campaign probe jobs=1 (s)", o1, t1); ("campaign probe jobs=N (s)", on, tn) ]
-
-(* [cmldft report]-style trajectory table: every kernel and the
-   campaign probe against the baseline entry, so the BENCH_spice.json
-   history surfaces more than the gate. *)
-let print_trajectory ~baseline ~kernels ~t1 ~tn =
-  print_endline "\ntiming trajectory vs last entry at this jobs/cores setting:";
-  Printf.printf "  %-42s %14s %14s %7s\n" "probe" "baseline" "current" "ratio";
-  let row name old_v new_v =
-    Printf.printf "  %-42s %14.1f %14.1f %6.2fx\n" name old_v new_v
-      (if old_v > 0.0 then new_v /. old_v else 0.0)
-  in
-  let old_kernels = entry_kernels baseline in
-  List.iter
-    (fun (name, ns) ->
-      match List.assoc_opt name old_kernels with
-      | Some old_ns -> row (name ^ " (ns)") old_ns ns
-      | None -> Printf.printf "  %-42s %14s %14.1f\n" (name ^ " (ns)") "-" ns)
-    kernels;
-  match entry_campaign baseline with
-  | Some (o1, on) ->
-      row "campaign probe jobs=1 (s)" o1 t1;
-      row "campaign probe jobs=N (s)" on tn
-  | None -> print_endline "  (no campaign timing recorded in the baseline entry)"
 
 (* best-of-N over full bechamel passes: the per-pass OLS estimate is
    tight, but on a shared host the whole pass can be slowed by
@@ -567,84 +439,25 @@ let run ?json ?(check = false) () =
   Util.verdict ordering_ok
     (Printf.sprintf "amd cuts nnz(L+U) by %.1f%% (gate: >= 30%%), factor+solve %.1fx faster"
        (100.0 *. reduction) ordering_speedup);
-  let jobs = Cml_runtime.Pool.default_jobs () in
-  let cores = Domain.recommended_domain_count () in
-  let defects = campaign_defects () in
-  Printf.printf "\ncampaign scaling (%d defects, jobs = 1 vs %d, %d cores):\n%!"
-    (List.length defects) jobs cores;
-  (* interleaved best-of-two wall clocks: background load on a shared
-     host drifts over seconds, and alternating the two settings keeps
-     that drift from being misread as a scaling difference *)
-  let t1a, s1 = time_campaign ~jobs:1 defects in
-  let tna, sn = time_campaign ~jobs defects in
-  let t1b, _ = time_campaign ~jobs:1 defects in
-  let tnb, _ = time_campaign ~jobs defects in
-  let t1 = Float.min t1a t1b and tn = Float.min tna tnb in
-  let speedup = if tn > 0.0 then t1 /. tn else 0.0 in
-  (* per-core efficiency: speedup per domain actually running the
-     batches — at jobs > cores the pool never runs more than [cores] *)
-  let efficiency = speedup /. float_of_int (max 1 (min jobs cores)) in
-  Printf.printf "  %-10s %10s %9s %10s\n" "setting" "wall (s)" "speedup" "eff/core";
-  Printf.printf "  jobs = 1   %10.2f %8.2fx %9.0f%%\n" t1 1.0 100.0;
-  Printf.printf "  jobs = %-3d %10.2f %8.2fx %9.0f%%\n" jobs tn speedup (100.0 *. efficiency);
-  let summaries_match = s1 = sn in
-  Util.verdict summaries_match "parallel summary is byte-identical to sequential";
-  if cores = 1 then
-    print_endline
-      "  single-core host: parallel-speedup gate skipped (jobs = N cannot beat jobs = 1)"
-  else
-    Util.verdict (speedup >= 1.0)
-      (Printf.sprintf "campaign scales: jobs = %d is no slower than jobs = 1" jobs);
   match json with
   | None -> ()
   | Some path ->
-      let history = load_history path in
-      let entry =
-        entry_json ~jobs ~cores ~kernels ~nunk ~stats ~ordering:ord ~chain_reference
-          ~campaign:(t1, tn, List.length defects, summaries_match)
+      let cores = Domain.recommended_domain_count () in
+      let history =
+        read_history path
+        @ [ entry_json ~cores ~kernels ~nunk ~stats ~ordering:ord ~chain_reference ]
       in
-      write_history path (history @ [ entry ]);
-      Printf.printf "wrote %s (%d history entries)\n" path (List.length history + 1);
-      let baseline = last_matching ~jobs ~cores history in
-      (match baseline with
-      | None ->
-          Printf.printf
-            "  no history entry at jobs=%d cores=%d: trajectory starts next run\n" jobs cores
-      | Some baseline -> print_trajectory ~baseline ~kernels ~t1 ~tn);
-      if check then begin
-        match baseline with
-        | None ->
-            Printf.printf "perf check: no baseline entry at jobs=%d cores=%d, gate skipped\n"
-              jobs cores
-        | Some baseline ->
-            let regs = regressions ~baseline ~kernels in
-            let camp_regs = campaign_regressions ~baseline ~t1 ~tn in
-            List.iter
-              (fun (name, old_ns, ns) ->
-                Printf.printf "  REGRESSION %-42s %.1f -> %.1f ns/run (%.2fx)\n" name old_ns
-                  ns (ns /. old_ns))
-              regs;
-            List.iter
-              (fun (name, old_s, s) ->
-                Printf.printf "  REGRESSION %-42s %.2f -> %.2f s (%.2fx)\n" name old_s s
-                  (s /. old_s))
-              camp_regs;
-            let kernels_ok = regs = [] and campaign_ok = camp_regs = [] in
-            Util.verdict kernels_ok
-              (Printf.sprintf
-                 "no kernel regressed more than %.0f%% vs the last entry at jobs=%d \
-                  cores=%d (%.0f%% for the batched-campaign kernel)"
-                 ((Trend.regression_limit -. 1.0) *. 100.0)
-                 jobs cores
-                 ((Trend.kernel_limit "batched campaign" -. 1.0) *. 100.0));
-            if entry_campaign baseline <> None then
-              Util.verdict campaign_ok
-                (Printf.sprintf
-                   "campaign probe within %.0f%% of the last entry at jobs=%d cores=%d"
-                   ((Trend.campaign_limit -. 1.0) *. 100.0)
-                   jobs cores)
-            else print_endline "  campaign probe: no timing in the baseline entry, gate skipped"
-      end
+      write_history path history;
+      Printf.printf "wrote %s (%d history entries)\n\n%s" path (List.length history)
+        (Trend.render ~history ());
+      if check then
+        if List.for_all (fun k -> k.Trend.k_prev = None) (Trend.kernel_trends history) then
+          Printf.printf "perf check: no earlier entry at cores=%d, gate skipped\n" cores
+        else
+          Util.verdict (Trend.regressions history = [])
+            (Printf.sprintf "no kernel regressed more than %.0f%% vs the last entry at cores=%d"
+               ((Trend.regression_limit -. 1.0) *. 100.0)
+               cores)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead gate.
@@ -657,12 +470,11 @@ let run ?json ?(check = false) () =
 
    Comparing a fresh wall clock against a number recorded in an
    earlier session cannot carry a 3% gate: the recorded history shows
-   run-to-run host drift above 10% on this workload (see the
-   interleaving comment in [run]).  So the gate is computed, not
-   compared: measure each disabled hook directly (deterministic — no
-   I/O, no allocation), multiply by the number of times a chain
-   transient executes it, and assert that the sum of the three
-   products is under 3% of the recorded baseline transient time.
+   run-to-run host drift above 10% on this workload.  So the gate is
+   computed, not compared: measure each disabled hook directly
+   (deterministic — no I/O, no allocation), multiply by the number of
+   times a chain transient executes it, and assert that the sum of the
+   three products is under 3% of the recorded baseline transient time.
 
    The transient's own wall clock is gated as a ratio that carries its
    own host reading ([chain_reference]): the chain transient over the
@@ -732,11 +544,11 @@ let telemetry_overhead ?json () =
   Util.section "telemetry-overhead" "Disabled cost of the telemetry hot-path hooks";
   (* first, on a near-empty heap, as [run] records it *)
   let ratio, run_ns, ref_ns = chain_reference () in
-  let history = match json with None -> [] | Some path -> List.rev (load_history path) in
+  let history = match json with None -> [] | Some path -> List.rev (read_history path) in
   let baseline_ns =
     match history with
     | [] -> None
-    | last :: _ -> List.assoc_opt chain_transient_name (entry_kernels last)
+    | last :: _ -> List.assoc_opt chain_transient_name (Trend.entry_kernels last)
   in
   let iters, accepted = chain_transient_counts () in
   (* (label, ns per disabled call, calls per transient, what is counted):

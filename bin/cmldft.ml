@@ -1334,9 +1334,9 @@ let report_cmd =
     let doc =
       "Cross-run trend analysis: classify the given files (and the $(b,.json) files of any \
        given directory) into perf histories ($(b,cml-dft-perf)) and run manifests, then \
-       render per-kernel trajectory sparklines with regression flags, the campaign scaling \
-       probe against its best-matching (jobs, cores) history, and wall-clock attribution \
-       by span group."
+       render per-kernel trajectory sparklines with regression flags (the $(b,make perf) \
+       gate's rule: more than 1.25x the last earlier entry on as many cores) and wall-clock \
+       attribution by span group."
     in
     Arg.(value & flag & info [ "trend" ] ~doc)
   in

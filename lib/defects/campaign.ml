@@ -160,8 +160,23 @@ let measure_run ?guide ?breakpoints ?(record_every = 1) ?nominal ~node ~outside 
     T.run ?guide ?breakpoints ~observers:obs sim net
       (T.config ~tstop ~max_step:10e-12 ~record_every ())
   in
+  (* a pair with one side streamed and the other outside (a rung that
+     owns only one of the pair's cells) reads the outside side on the
+     run's time axis, so the pair's two waves can be compared *)
+  let partner name =
+    let k = String.length name - 1 in
+    String.sub name 0 k ^ if name.[k] = 'p' then "n" else "p"
+  in
   let samples name =
-    match T.probe_samples obs name with s -> s | exception Not_found -> outside name
+    match T.probe_samples obs name with
+    | s -> s
+    | exception Not_found -> (
+        let times, values = outside name in
+        match T.probe_samples obs (partner name) with
+        | exception Not_found -> (times, values)
+        | run_times, _ ->
+            let w = Cml_wave.Wave.create times values in
+            (run_times, Array.map (Cml_wave.Wave.value_at w) run_times))
   in
   (fst (analyze ps ?nominal mon samples ~freq ~tstop), r)
 

@@ -202,9 +202,10 @@ val run :
     healing depth ({!Cone.cut_depth}) when it is smaller, then the
     cone: each driven by the fault-free run (and warm-started from it),
     probes outside its simulated cells reading that run
-    ({!Cone.samples}), its [supply_current] the fault-free one with the
-    rung's nominal share swapped for its own.  A {!Cone.monitor}
-    watches every accepted step.  The variant leaves a rung when the
+    ({!Cone.samples}; resampled onto the rung's time axis when the
+    other side of their pair is simulated), its [supply_current] the
+    fault-free one with the rung's nominal share swapped for its own.
+    A {!Cone.monitor} watches every accepted step.  The variant leaves a rung when the
     run does not converge, when a held boundary source delivers more
     than [proc.i_tail], or, on a cut, when a cut net strays from its
     fault-free wave by more than {!cut_epsilon}, at the DC start or any

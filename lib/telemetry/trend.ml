@@ -1,20 +1,16 @@
-(* Cross-run trend analysis: `cmldft report --trend`.
+(* Cross-run trend analysis: `cmldft report --trend`, and the
+   regression rule of `bench/main.exe -- perf --check`.
 
    Two corpora, one view.  The BENCH_spice.json history
    (cml-dft-perf/2, written by `bench/main.exe -- perf`) carries
-   per-kernel nanosecond trajectories and the campaign scaling probe;
-   a directory of run manifests (cml-dft-manifest/1) carries span
-   aggregates.  This module parses both with the same leniency as
-   bench/perf.ml (entries missing a member are skipped, not fatal —
-   the history spans schema generations) and renders: per-kernel
-   sparkline trajectories with regression flags, the campaign probe
-   against its best-matching (jobs, cores) history, and wall-clock
-   attribution by span group across the manifests.
+   per-kernel nanosecond trajectories; a directory of run manifests
+   (cml-dft-manifest/1) carries span aggregates.  This module renders
+   per-kernel sparkline trajectories with regression flags and
+   wall-clock attribution by span group across the manifests.
 
-   The regression limits are the ones bench/perf.ml's gate uses: 1.25x
-   for kernels, 1.5x for the batched-campaign kernel and the campaign
-   probe (whole parallel workloads carry scheduler noise a bechamel
-   best-of-N does not). *)
+   One rule flags a regression, for every kernel: the newest entry's
+   time is more than 1.25x its time in the last earlier entry recorded
+   on as many cores. *)
 
 (* ------------------------------------------------------------------ *)
 (* Sparklines *)
@@ -46,16 +42,12 @@ let pretty_ns ns =
   else Printf.sprintf "%.0f ns" ns
 
 (* ------------------------------------------------------------------ *)
-(* cml-dft-perf history parsing (same shapes as bench/perf.ml) *)
+(* cml-dft-perf/2 history: entries missing a member are skipped, not
+   fatal (the history spans schema generations) *)
 
 let history_of_json j =
-  match Json.member "schema" j with
-  | Some (Json.Str "cml-dft-perf/2") -> (
-      match Json.member "history" j with Some (Json.List es) -> es | _ -> [])
-  | Some (Json.Str "cml-dft-perf/1") -> (
-      match j with
-      | Json.Obj members -> [ Json.Obj (List.filter (fun (k, _) -> k <> "schema") members) ]
-      | _ -> [])
+  match (Json.member "schema" j, Json.member "history" j) with
+  | Some (Json.Str "cml-dft-perf/2"), Some (Json.List es) -> es
   | _ -> []
 
 let entry_kernels entry =
@@ -69,92 +61,40 @@ let entry_kernels entry =
         ks
   | _ -> []
 
-let entry_setting entry =
-  match (Json.member "jobs" entry, Json.member "cores" entry) with
-  | Some (Json.Num j), Some (Json.Num c) -> Some (int_of_float j, int_of_float c)
-  | _ -> None
-
-let entry_campaign entry =
-  match Json.member "campaign" entry with
-  | Some c -> (
-      match (Json.member "jobs1_s" c, Json.member "jobsN_s" c) with
-      | Some (Json.Num t1), Some (Json.Num tn) -> Some (t1, tn)
-      | _ -> None)
-  | _ -> None
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let regression_limit = 1.25
-let campaign_limit = 1.5
-
-(* The batched-campaign kernel is a whole 8-lane workload (eight
-   compiles, eight DC solves, eight transients) rather than a tight
-   inner loop, so its run-to-run spread is closer to the campaign
-   probe's than to the other kernels'; gate it at the campaign limit. *)
-let kernel_limit name =
-  if contains_sub name "batched campaign" then campaign_limit else regression_limit
 
 type kernel_trend = {
   k_name : string;
   k_series : float list;  (* ns per run, oldest entry first *)
   k_last : float;
   k_prev : float option;
-  k_regressed : bool;  (* last vs prev, at [kernel_limit] *)
+  k_regressed : bool;  (* last vs prev, at [regression_limit] *)
 }
 
+(* One row per kernel of the newest entry.  A wall clock depends on
+   the host it was read on, so the baseline is the kernel's value in
+   the last earlier entry recorded on as many cores. *)
 let kernel_trends history =
-  let per_entry = List.map entry_kernels history in
-  let names =
-    List.fold_left
-      (fun acc ks ->
-        List.fold_left (fun acc (name, _) -> if List.mem name acc then acc else acc @ [ name ]) acc ks)
-      [] per_entry
-  in
-  List.map
-    (fun name ->
-      let series = List.filter_map (fun ks -> List.assoc_opt name ks) per_entry in
-      let last = match List.rev series with v :: _ -> v | [] -> 0.0 in
-      let prev = match List.rev series with _ :: v :: _ -> Some v | _ -> None in
-      {
-        k_name = name;
-        k_series = series;
-        k_last = last;
-        k_prev = prev;
-        k_regressed =
-          (match prev with Some p -> p > 0.0 && last > kernel_limit name *. p | None -> false);
-      })
-    names
-
-type campaign_trend = {
-  c_jobs : int;
-  c_cores : int;
-  c_series : (float * float) list;  (* (jobs1_s, jobsN_s) at this setting, oldest first *)
-  c_regressed : bool;
-}
-
-(* The probe's wall clock depends on worker count and host, so its
-   trajectory only compares entries recorded at the latest entry's
-   (jobs, cores) setting — the same best-matching-baseline rule as
-   bench/perf.ml's gate. *)
-let campaign_trend history =
   match List.rev history with
-  | [] -> None
-  | last :: _ -> (
-      match entry_setting last with
-      | None -> None
-      | Some (jobs, cores) ->
-          let matching = List.filter (fun e -> entry_setting e = Some (jobs, cores)) history in
-          let series = List.filter_map entry_campaign matching in
-          let regressed =
-            match List.rev series with
-            | (t1, tn) :: (p1, pn) :: _ ->
-                (p1 > 0.0 && t1 > campaign_limit *. p1) || (pn > 0.0 && tn > campaign_limit *. pn)
-            | _ -> false
-          in
-          Some { c_jobs = jobs; c_cores = cores; c_series = series; c_regressed = regressed })
+  | [] -> []
+  | newest :: earlier ->
+      let cores e = Json.member "cores" e in
+      let baseline = List.filter (fun e -> cores e = cores newest) earlier in
+      let value name e = List.assoc_opt name (entry_kernels e) in
+      List.map
+        (fun (name, last) ->
+          let prev = List.find_map (value name) baseline in
+          {
+            k_name = name;
+            k_series = List.filter_map (value name) history;
+            k_last = last;
+            k_prev = prev;
+            k_regressed =
+              (match prev with Some p -> p > 0.0 && last > regression_limit *. p | None -> false);
+          })
+        (entry_kernels newest)
+
+let regressions history = List.filter (fun k -> k.k_regressed) (kernel_trends history)
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock attribution by span group across manifests.  Manifest
@@ -215,24 +155,9 @@ let render ?(history = []) ?(manifests = []) () =
         line "  %-44s %s %12s %10s%s" k.k_name (padded_spark 12 k.k_series)
           (pretty_ns k.k_last) delta
           (if k.k_regressed then
-             Printf.sprintf "  REGRESSION (limit +%.0f%%)" ((kernel_limit k.k_name -. 1.0) *. 100.0)
+             Printf.sprintf "  REGRESSION (limit +%.0f%%)" ((regression_limit -. 1.0) *. 100.0)
            else ""))
       (kernel_trends history);
-    (match campaign_trend history with
-    | None -> ()
-    | Some c ->
-        let t1s = List.map fst c.c_series and tns = List.map snd c.c_series in
-        (match List.rev c.c_series with
-        | [] -> line "  campaign probe: no entries at the latest (jobs, cores) setting"
-        | (t1, tn) :: _ ->
-            line "  campaign probe (jobs=%d, cores=%d, %d matching entries):" c.c_jobs c.c_cores
-              (List.length c.c_series);
-            line "    jobs=1 %s %8.3f s    jobs=N %s %8.3f s%s" (padded_spark 12 t1s) t1
-              (padded_spark 12 tns) tn
-              (if c.c_regressed then
-                 Printf.sprintf "  REGRESSION (limit +%.0f%%)" ((campaign_limit -. 1.0) *. 100.0)
-               else ""));
-        ());
     if manifests <> [] then line ""
   end;
   if manifests <> [] then begin

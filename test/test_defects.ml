@@ -716,37 +716,48 @@ let test_adoption_independent () =
   Alcotest.(check bool) "the warm runs adopt" true
     (List.for_all (fun (what, (_, adopted)) -> adopted > 0 || String.ends_with ~suffix:"cold" what) runs)
 
-(* A variant that raises an exception the campaign does not expect
-   fails alone with an "internal" reason, whatever the scheduling.  The
-   poison: a final-output pair whose true side a cone owns and whose
-   complement it does not, so the cone variant's probe analysis
-   compares streams of two different runs. *)
+(* A final-output pair whose true side a cone owns and whose
+   complement it does not straddles the cone variant's run and the
+   reference: the outside side is read on the run's time axis, so the
+   cone variant is measured and classifies as the full faulty netlist
+   does.  The poison, a pipe of the smallest positive resistance (an
+   infinite conductance), diverges on the cone and on the full netlist:
+   it fails alone, whatever the scheduling. *)
 let test_poisoned_variant () =
   let circuit =
     Cml_logic.Bench_format.of_string
       "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nn1 = AND(a, b)\nn2 = OR(b, c)\n\
        n3 = XOR(n1, n2)\nn4 = AND(n3, b)\ny = BUF(n4)\n"
   in
-  let d = Cml_cells.Compile.compile ~freq:200e6 circuit in
+  let freq = 200e6 and tstop = 5e-9 in
+  let d = Cml_cells.Compile.compile ~freq circuit in
   let golden = Cml_cells.Compile.netlist d in
+  let input = d.Cml_cells.Compile.input in
   let cell name = Option.get (Cml_cells.Compile.find_cell d name) in
   let dut = cell "y" in
   (* "n3" is the compiled AND(a, b), outside y's cone (y and n6) *)
   let final = { dut with B.n = (cell "n3").B.n } in
-  let defects =
-    List.hd (Cml_defects.Sites.enumerate golden ~prefix:"y" ~pipe_values:[ 4e3 ])
-    :: [ List.hd (Cml_defects.Sites.enumerate golden ~prefix:"n3" ~pipe_values:[ 4e3 ]) ]
-  in
+  let straddled = List.hd (Cml_defects.Sites.enumerate golden ~prefix:"y" ~pipe_values:[ 4e3 ]) in
+  let poison = D.Pipe { device = "y.q1"; r = Float.min_float *. Float.epsilon } in
+  let full = List.hd (Cml_defects.Sites.enumerate golden ~prefix:"n3" ~pipe_values:[ 4e3 ]) in
   let run ~jobs ~batch =
-    C.run_design ~freq:200e6 ~tstop:5e-9 ~jobs ~batch ~input:d.Cml_cells.Compile.input ~dut ~final
-      ~golden ~defects ()
+    C.run_design ~freq ~tstop ~jobs ~batch ~input ~dut ~final ~golden
+      ~defects:[ straddled; poison; full ] ()
   in
   let alone = run ~jobs:1 ~batch:false and pooled = run ~jobs:2 ~batch:true in
-  (match alone.C.entries with
-  | [ { outcome = C.Failed reason; _ }; { outcome = C.Measured _; _ } ] ->
-      Alcotest.(check bool) (reason ^ " is internal") true
-        (String.starts_with ~prefix:"internal: " reason)
-  | _ -> Alcotest.fail "expected the cone variant failed and the full one measured");
+  (match (alone.C.entries, alone.C.variants) with
+  | ( [ { outcome = C.Measured _ as cone; _ }; { outcome = C.Failed reason; _ }; { outcome = C.Measured _; _ } ],
+      v :: _ ) ->
+      Alcotest.(check (option (float 0.0))) "measured on its cone" (Some 0.0)
+        (List.assoc_opt "fallback" v.Cml_telemetry.Manifest.v_metrics);
+      let faulty = Cml_defects.Inject.apply golden straddled in
+      let m = C.measure_design ~input ~dut ~final faulty ~freq ~tstop in
+      let reference = alone.C.reference in
+      Alcotest.(check (list string)) "classes of the full faulty netlist"
+        (labels (C.Measured (m, C.classify ~proc:Cml_cells.Process.default ~reference m)))
+        (labels cone);
+      Alcotest.(check string) "the poison fails with a named reason" "dc operating point" reason
+  | _ -> Alcotest.fail "expected the cone variant measured, the poison failed, the full one measured");
   Alcotest.(check bool) "entries identical at jobs 1 and 2" true
     (compare alone.C.entries pooled.C.entries = 0)
 

@@ -337,69 +337,63 @@ let test_trend_sparkline () =
   Alcotest.(check string) "flat series sits mid-scale" "\xe2\x96\x84\xe2\x96\x84"
     (Trend.sparkline [ 5.0; 5.0 ])
 
-let perf_entry ~jobs ~cores kernels campaign =
+let perf_entry ~cores kernels =
   Json.Obj
-    ([
-       ("jobs", Json.Num (float_of_int jobs));
-       ("cores", Json.Num (float_of_int cores));
-       ( "kernels",
-         Json.List
-           (List.map
-              (fun (name, ns) ->
-                Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Num ns) ])
-              kernels) );
-     ]
-    @
-    match campaign with
-    | Some (t1, tn) ->
-        [ ("campaign", Json.Obj [ ("jobs1_s", Json.Num t1); ("jobsN_s", Json.Num tn) ]) ]
-    | None -> [])
+    [
+      ("cores", Json.Num (float_of_int cores));
+      ( "kernels",
+        Json.List
+          (List.map
+             (fun (name, ns) -> Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Num ns) ])
+             kernels) );
+    ]
 
 let test_trend_regression_flags () =
   let history =
     [
-      perf_entry ~jobs:4 ~cores:4 [ ("solve", 100.0); ("batched campaign", 1000.0) ]
-        (Some (10.0, 4.0));
-      perf_entry ~jobs:4 ~cores:4 [ ("solve", 130.0); ("batched campaign", 1400.0) ]
-        (Some (10.5, 4.1));
+      perf_entry ~cores:4 [ ("solve", 100.0); ("batched campaign", 1000.0); ("fill", 100.0) ];
+      perf_entry ~cores:4 [ ("solve", 130.0); ("batched campaign", 1400.0); ("fill", 120.0) ];
     ]
   in
-  (match Trend.kernel_trends history with
-  | [ solve; batched ] ->
-      (* 1.3x > the 1.25x kernel limit *)
-      Alcotest.(check bool) "solve regressed at 1.25x" true solve.Trend.k_regressed;
-      (* 1.4x < the 1.5x whole-workload limit *)
-      Alcotest.(check bool) "batched campaign tolerated at 1.5x" false
-        batched.Trend.k_regressed;
+  match Trend.kernel_trends history with
+  | [ solve; batched; fill ] ->
+      (* one limit, 1.25x, whatever the kernel's name *)
+      Alcotest.(check bool) "solve regressed at 1.3x" true solve.Trend.k_regressed;
+      Alcotest.(check bool) "batched campaign regressed at 1.4x" true batched.Trend.k_regressed;
+      Alcotest.(check bool) "fill within the limit at 1.2x" false fill.Trend.k_regressed;
       Alcotest.(check int) "series length" 2 (List.length solve.Trend.k_series)
-  | _ -> Alcotest.fail "expected two kernel rows");
-  match Trend.campaign_trend history with
-  | Some c ->
-      Alcotest.(check int) "probe matches both entries" 2 (List.length c.Trend.c_series);
-      Alcotest.(check bool) "probe within limits" false c.Trend.c_regressed
-  | None -> Alcotest.fail "expected a campaign trend"
+  | _ -> Alcotest.fail "expected three kernel rows"
 
-let test_trend_baseline_matching () =
-  (* the probe only compares entries recorded at the latest (jobs,
-     cores) setting: a slow 2-core entry must not flag a 4-core run *)
+(* [perf --check] gates on [Trend.regressions]: exactly the rows
+   [kernel_trends] flags, each against the last earlier entry on the
+   newest entry's cores, and never a kernel the newest entry lacks. *)
+let test_trend_gate () =
   let history =
     [
-      perf_entry ~jobs:2 ~cores:2 [] (Some (10.0, 9.0));
-      perf_entry ~jobs:4 ~cores:4 [] (Some (10.0, 4.0));
+      perf_entry ~cores:2 [ ("solve", 100.0); ("dropped", 100.0); ("steady", 100.0) ];
+      perf_entry ~cores:2 [ ("dropped", 200.0) ];
+      perf_entry ~cores:1 [ ("solve", 300.0); ("steady", 50.0) ];
+      perf_entry ~cores:2 [ ("solve", 130.0); ("steady", 110.0) ];
     ]
   in
-  match Trend.campaign_trend history with
-  | Some c ->
-      Alcotest.(check int) "only the matching entry" 1 (List.length c.Trend.c_series);
-      Alcotest.(check bool) "no cross-setting regression" false c.Trend.c_regressed
-  | None -> Alcotest.fail "expected a campaign trend"
+  let names rows = List.map (fun k -> k.Trend.k_name) rows in
+  let trends = Trend.kernel_trends history and gate = Trend.regressions history in
+  Alcotest.(check (list string)) "the gate flags what the trend flags"
+    (names (List.filter (fun k -> k.Trend.k_regressed) trends))
+    (names gate);
+  (* 130 against the 2-core 100; the 1-core 300 would hide it *)
+  Alcotest.(check (list string)) "only solve, against the 2-core entry" [ "solve" ] (names gate);
+  Alcotest.(check (list string)) "a kernel the newest entry lacks is not a row"
+    [ "solve"; "steady" ] (names trends);
+  Alcotest.(check (option (float 0.0))) "the 1-core entry is not the baseline" (Some 100.0)
+    (List.nth trends 1).Trend.k_prev
 
 let test_trend_history_parsing () =
   let doc_v2 =
     Json.Obj
       [
         ("schema", Json.Str "cml-dft-perf/2");
-        ("history", Json.List [ perf_entry ~jobs:1 ~cores:1 [] None ]);
+        ("history", Json.List [ perf_entry ~cores:1 [] ]);
       ]
   in
   Alcotest.(check int) "v2 history entries" 1 (List.length (Trend.history_of_json doc_v2));
@@ -470,8 +464,9 @@ let () =
       ( "trend",
         [
           Alcotest.test_case "sparkline scaling" `Quick test_trend_sparkline;
-          Alcotest.test_case "regression flags per limit" `Quick test_trend_regression_flags;
-          Alcotest.test_case "best-matching baseline rule" `Quick test_trend_baseline_matching;
+          Alcotest.test_case "one regression limit for every kernel" `Quick
+            test_trend_regression_flags;
+          Alcotest.test_case "perf gate flags what the trend flags" `Quick test_trend_gate;
           Alcotest.test_case "history schema parsing" `Quick test_trend_history_parsing;
         ] );
       ( "pool",
